@@ -551,9 +551,12 @@ def run(command: str, doc: InputDocument, cfg: RunConfig) -> tuple[int, str]:
     return code, emit(payload, cfg.fmt)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(flag: str, text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi or lo)
+    try:
+        return int(lo), int(hi or lo)
+    except ValueError:
+        raise exprs.ParseError(f"bad {flag} range {text!r}", 0, 0, "integers A..B") from None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -586,13 +589,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = RunConfig(
             n_max=args.max_length,
             d_max=args.max_degree,
-            degrees=_parse_range(args.degrees),
-            tower=_parse_range(args.tower) if args.tower else None,
+            degrees=_parse_range("--degrees", args.degrees),
+            tower=_parse_range("--tower", args.tower) if args.tower else None,
             stab_suffix=args.stab_suffix,
             fmt=args.format,
             target=args.target,
             exact=args.exact,
-            certify=_parse_range(args.certify_lengths) if args.certify_lengths else None,
+            certify=(
+                _parse_range("--certify-lengths", args.certify_lengths)
+                if args.certify_lengths
+                else None
+            ),
         )
     except exprs.ParseError as err:
         print(f"parse error at {err.line}:{err.col}: {err.message}"

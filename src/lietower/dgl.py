@@ -16,6 +16,7 @@ the truncations both computable and meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Optional
 
 from . import exprs
@@ -25,6 +26,7 @@ from .freelie import (
     eval_bracket_expr,
     gen_elt,
     graded_bracket,
+    integer_terms,
     lie_basis,
     lie_dim,
     words_of,
@@ -48,14 +50,13 @@ class TruncationError(DglError):
 class Truncation:
     """Run-wide caps: retain word lengths < n_max and degrees <= d_max."""
 
-    def __init__(self, n_max: int, d_max: int = 32, q_window: Optional[tuple[int, int]] = None):
+    def __init__(self, n_max: int, d_max: int = 32):
         if n_max < 2:
             raise ValueError("n_max must be >= 2")
         if d_max < 1:
             raise ValueError("d_max must be >= 1")
         self.n_max = n_max
         self.d_max = d_max
-        self.q_window = q_window
 
     def __repr__(self):
         return f"Truncation(n_max={self.n_max}, d_max={self.d_max})"
@@ -75,6 +76,14 @@ class DglPresentation:
             if not val.is_zero():
                 self.diff[name] = val
         self._d_cache: dict = {}
+        # d(g) = terms / _diff_den with integer terms, by generator index
+        self._diff_den = lcm(*(c.denominator for v in self.diff.values() for c in v.terms.values()))
+        self._int_diff = {
+            gens.index[name]: [
+                (w, c.numerator * (self._diff_den // c.denominator)) for w, c in val.terms.items()
+            ]
+            for name, val in self.diff.items()
+        }
 
     @classmethod
     def from_strings(
@@ -87,9 +96,6 @@ class DglPresentation:
             for name, text in diffs.items()
         }
         return cls(gens, differential)
-
-    def d_of(self, i: int) -> TensorElt:
-        return self.diff.get(self.gens.names[i], zero(self.gens))
 
     def max_shift(self) -> int:
         """Largest word-length raise of the differential (0 when d = 0)."""
@@ -108,17 +114,20 @@ def extend_derivation(P: DglPresentation, u: TensorElt) -> TensorElt:
     """Apply the degree -1 derivation extension of d to a tensor element.
 
     Exact: the image of a finite element is finite.  The Koszul sign is the
-    parity of the prefix the operator moves past.
+    parity of the prefix the operator moves past.  Sums run over integers,
+    with u and d scaled by their common denominators.
     """
     gens = P.gens
-    acc: dict[tuple, Fraction] = {}
-    for word, coeff in u.terms.items():
+    int_diff = P._int_diff
+    den, scaled = integer_terms(u.terms)
+    acc: dict[tuple, int] = {}
+    for word, a in scaled.items():
         prefix_deg = 0
         for i, g in enumerate(word):
-            dg = P.d_of(g)
-            if not dg.is_zero():
-                sign = -coeff if prefix_deg % 2 else coeff
-                for dw, dc in dg.terms.items():
+            dg = int_diff.get(g)
+            if dg is not None:
+                sign = -a if prefix_deg % 2 else a
+                for dw, dc in dg:
                     w = word[:i] + dw + word[i + 1 :]
                     s = acc.get(w, 0) + sign * dc
                     if s:
@@ -126,7 +135,8 @@ def extend_derivation(P: DglPresentation, u: TensorElt) -> TensorElt:
                     else:
                         del acc[w]
             prefix_deg += gens.degrees[g]
-    return TensorElt(gens, acc)
+    den *= P._diff_den
+    return TensorElt(gens, {w: Fraction(c, den) for w, c in acc.items()})
 
 
 def d_image(P: DglPresentation, u: TensorElt) -> TensorElt:
@@ -249,18 +259,28 @@ class DegreeSlice:
             pos = self._pivot.get((k, windex[w]))
             if pos is not None:
                 out[pos] = c
-        recon = zero(self.P.gens)
-        for i, c in out.items():
-            recon = recon + c * self.elements[i]
-        if recon != u:
+        den, recon = self._combine(out)
+        if len(recon) != len(u.terms) or any(
+            recon.get(w, 0) * c.denominator != c.numerator * den for w, c in u.terms.items()
+        ):
             raise DglError(f"element is not in the degree-{self.q} slice of L/L^{self.n}")
         return out
 
+    def _combine(self, vec: dict) -> tuple[int, dict[tuple, int]]:
+        """sum_i vec[i] * elements[i] as (denominator, nonzero integer terms),
+        accumulated in one dict."""
+        parts = [(c, *integer_terms(self.elements[i].terms)) for i, c in vec.items()]
+        den = lcm(*(c.denominator * d for c, d, _ in parts))
+        acc: dict[tuple, int] = {}
+        for c, d, terms in parts:
+            f = c.numerator * (den // (c.denominator * d))
+            for w, t in terms.items():
+                acc[w] = acc.get(w, 0) + f * t
+        return den, {w: t for w, t in acc.items() if t}
+
     def element_from_coords(self, vec: dict[int, Fraction]) -> TensorElt:
-        out = zero(self.P.gens)
-        for i, c in vec.items():
-            out = out + c * self.elements[i]
-        return out
+        den, terms = self._combine(vec)
+        return TensorElt(self.P.gens, {w: Fraction(t, den) for w, t in terms.items()})
 
 
 class QuotientComplex:

@@ -7,16 +7,20 @@ here; everything downstream (differentials, towers, functors) works with
 plain word arithmetic.
 
 Word-length components of honest Lie elements are certified by the
-left-normed bracketing map, which acts as n * id on length-n components
-in characteristic zero.  Bases of the (length, degree) pieces are the
-echelonized images of that map on tensor words; their dimensions are
-cross-checked against the necklace-style counting formula obtained by
-inverting the tensor-algebra Poincare series.
+left-normed (Dynkin) bracketing map, which acts as n * id on length-n
+components in characteristic zero.  Bases of the (length, degree) pieces
+are the echelonized standard bracketings of Lyndon words (Reutenauer, Free
+Lie Algebras, 1993), together with the squares of odd-degree Lyndon
+bracketings (Bokut-Kang-Lee-Malcolmson, J. Algebra 217, 1999), computed in
+integer arithmetic; their dimensions are cross-checked against the
+necklace-style counting formula obtained by inverting the tensor-algebra
+Poincare series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 from . import exprs
@@ -82,7 +86,8 @@ class TensorElt:
         self.terms: dict[Word, Fraction] = {}
         if terms:
             for w, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     self.terms[tuple(w)] = c
 
@@ -186,6 +191,12 @@ class TensorElt:
 
     def __repr__(self):
         return f"<{self.pretty()}>"
+
+
+def integer_terms(terms: dict) -> tuple[int, dict[Word, int]]:
+    """(D, {w: D * c}) for D the least common denominator of the Fractions c."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {w: c.numerator * (den // c.denominator) for w, c in terms.items()}
 
 
 def zero(gens: GeneratorSet) -> TensorElt:
@@ -361,7 +372,8 @@ def lie_dim(gens: GeneratorSet, length: int, degree: int) -> int:
         eps = 1 if d % 2 == 0 else (-1) ** (j + 1)
         total -= Fraction(sub * eps * length, j)
     val = Fraction(total, length)
-    assert val.denominator == 1 and val >= 0, f"necklace inversion broke at {key}: {val}"
+    if val.denominator != 1 or val < 0:
+        raise AssertionError(f"necklace inversion broke at {key}: {val}")
     _dim_cache[key] = int(val)
     return int(val)
 
@@ -385,10 +397,52 @@ def _log_coefficient(gens: GeneratorSet, length: int, degree: int) -> Fraction:
     return Fraction(ways, length)
 
 
+def _is_lyndon(word: Word) -> bool:
+    """Strictly smaller than each proper suffix, in generator-index order."""
+    return all(word < word[i:] for i in range(1, len(word)))
+
+
+def _int_bracket(u: dict, du: int, v: dict, dv: int) -> dict[Word, int]:
+    """Graded commutator of integer word combinations of degrees du and dv."""
+    sign = -1 if (du * dv) % 2 else 1
+    out: dict[Word, int] = {}
+    for w1, c1 in u.items():
+        for w2, c2 in v.items():
+            c = c1 * c2
+            w = w1 + w2
+            out[w] = out.get(w, 0) + c
+            w = w2 + w1
+            out[w] = out.get(w, 0) - sign * c
+    return {w: c for w, c in out.items() if c}
+
+
+def _lyndon_bracketing(gens: GeneratorSet, word: Word, memo: dict) -> dict[Word, int]:
+    """Standard bracketing P_w = [P_u, P_v], v the longest proper Lyndon suffix."""
+    got = memo.get(word)
+    if got is None:
+        if len(word) == 1:
+            got = {word: 1}
+        else:
+            cut = next(i for i in range(1, len(word)) if _is_lyndon(word[i:]))
+            u, v = word[:cut], word[cut:]
+            got = _int_bracket(
+                _lyndon_bracketing(gens, u, memo),
+                gens.word_degree(u),
+                _lyndon_bracketing(gens, v, memo),
+                gens.word_degree(v),
+            )
+        memo[word] = got
+    return got
+
+
 def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
     """Canonical basis of the (length, degree) piece, echelonized against the
-    lexicographic word order.  Computed as the image of the left-normed
-    bracketing map on tensor words."""
+    lexicographic word order.
+
+    Spanned by the standard bracketings of the Lyndon words of the piece,
+    plus the squares [P_u, P_u] of the odd-degree Lyndon words u of half
+    the length and degree; these are exactly lie_dim independent elements.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
     if degree < 0:
@@ -398,18 +452,20 @@ def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
         return _basis_cache[key]
     words = words_of(gens, length, degree)
     index = {w: i for i, w in enumerate(words)}
-    expected = lie_dim(gens, length, degree)
+    memo: dict = {}
+    spanning = [_lyndon_bracketing(gens, w, memo) for w in words if _is_lyndon(w)]
+    half = degree // 2
+    if length % 2 == 0 and degree % 2 == 0 and half % 2:
+        for u in words_of(gens, length // 2, half):
+            if _is_lyndon(u):
+                pu = _lyndon_bracketing(gens, u, memo)
+                spanning.append(_int_bracket(pu, half, pu, half))
     ech = IntEchelon()
-    if length == 1:
-        for w in words:
-            ech.insert({index[w]: 1})
-    else:
-        for w in words:
-            vec = {index[ww]: c for ww, c in _dynkin_word(gens, w).terms.items()}
-            ech.insert(vec)
-            if ech.dim == expected:
-                break
-    assert ech.dim == expected, f"basis rank {ech.dim} != counted dim {expected} at {key}"
+    for vec in spanning:
+        ech.insert({index[w]: c for w, c in vec.items()})
+    expected = lie_dim(gens, length, degree)
+    if ech.dim != expected:
+        raise AssertionError(f"basis rank {ech.dim} != counted dim {expected} at {key}")
     basis = [
         TensorElt(gens, {words[i]: c for i, c in row.items()}) for row in ech.rref()
     ]

@@ -56,21 +56,30 @@ def vec_scale(v: Vec, scale: Fraction) -> Vec:
     return {i: scale * c for i, c in v.items()}
 
 
+def _primitive(v: dict[int, int]) -> dict[int, int]:
+    """Divide an integer vector by its content."""
+    g = 0
+    for c in v.values():
+        g = gcd(g, c)
+        if g == 1:
+            return v
+    if g > 1:
+        return {i: c // g for i, c in v.items()}
+    return v
+
+
 def _to_int_vec(v: dict) -> dict[int, int]:
     """Scale a rational vector to a primitive integer vector (content 1)."""
     if not v:
         return {}
+    if all(type(c) is int for c in v.values()):
+        return _primitive({i: c for i, c in v.items() if c})
     denom = 1
     for c in v.values():
         f = Fraction(c)
         denom = denom * f.denominator // gcd(denom, f.denominator)
     ints = {i: int(Fraction(c) * denom) for i, c in v.items()}
-    g = 0
-    for c in ints.values():
-        g = gcd(g, c)
-    if g > 1:
-        ints = {i: c // g for i, c in ints.items()}
-    return {i: c for i, c in ints.items() if c}
+    return _primitive({i: c for i, c in ints.items() if c})
 
 
 class IntEchelon:
@@ -110,12 +119,7 @@ class IntEchelon:
                     new[i] = s
                 else:
                     new.pop(i, None)
-            v = new
-            g = 0
-            for c in v.values():
-                g = gcd(g, c)
-            if g > 1:
-                v = {i: c // g for i, c in v.items()}
+            v = _primitive(new)
         return v
 
     def insert(self, vec: dict) -> Optional[int]:
@@ -133,16 +137,32 @@ class IntEchelon:
         return not self.residual(vec)
 
     def rref(self) -> list[Vec]:
-        """Reduced echelon basis (pivot coefficient 1), sorted by pivot."""
+        """Reduced echelon basis (pivot coefficient 1), sorted by pivot.
+
+        Back-substitution runs on primitive integer rows; the only division
+        is by the pivot when a row is emitted.  A row reduced at pivot q is
+        zero at every other pivot, so clearing q from a row never brings
+        back a pivot column cleared before it.
+        """
         pivots = sorted(self.rows)
-        reduced: dict[int, Vec] = {}
+        reduced: dict[int, dict[int, int]] = {}
         for p in reversed(pivots):
-            row = {i: Fraction(c, self.rows[p][p]) for i, c in self.rows[p].items()}
-            for q in pivots:
-                if q > p and q in row:
-                    row = vec_add(row, reduced[q], -row[q])
+            row = self.rows[p]
+            for q in sorted(i for i in row if i in reduced):
+                other = reduced[q]
+                g = gcd(other[q], row[q])
+                a, b = other[q] // g, row[q] // g
+                # row <- a*row - b*other kills coordinate q; a > 0 keeps row[p] > 0
+                new = {i: a * c for i, c in row.items()}
+                for i, c in other.items():
+                    s = new.get(i, 0) - b * c
+                    if s:
+                        new[i] = s
+                    else:
+                        del new[i]
+                row = _primitive(new)
             reduced[p] = row
-        return [reduced[p] for p in pivots]
+        return [{i: Fraction(c, reduced[p][p]) for i, c in reduced[p].items()} for p in pivots]
 
 
 class Subspace:
@@ -260,9 +280,6 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, {(j, i): c for (i, j), c in self.entries.items()})
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"

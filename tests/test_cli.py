@@ -235,3 +235,19 @@ def test_cli_out_flag(tmp_path):
 def test_document_pretty_is_canonical():
     doc = cli.parse(REMARK_TEXT)
     assert doc.pretty() == cli.parse(doc.pretty()).pretty()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tower", "--degrees", "a..b"],
+        ["tower", "--tower", "x..3"],
+        ["boundary", "--target", "x", "--certify-lengths", "1..q"],
+    ],
+)
+def test_cli_non_integer_range_exit_code(args, capsys):
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    code, out = run_cli([args[0], path, *args[1:]])
+    assert code == 2
+    assert out == ""
+    assert "range" in capsys.readouterr().err

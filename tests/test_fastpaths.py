@@ -1,0 +1,298 @@
+"""The integer free-Lie core against the constructions it replaced.
+
+* `lie_basis` (standard Lyndon bracketings) against the echelonized image
+  of the left-normed bracketing map on every tensor word;
+* `IntEchelon.rref` (integer back-substitution) against a Fraction
+  Gauss-Jordan elimination;
+* `DegreeSlice.coords` / `element_from_coords` (one-pass reconstruction).
+
+Every invariant check that guards these paths must also hold under
+`python -O`, so the two rank checks are exercised in a child interpreter
+started with -O.
+"""
+
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+
+import pytest
+
+from lietower import cli, freelie
+from lietower.dgl import DegreeSlice, DglError, DglPresentation, extend_derivation
+from lietower.freelie import (
+    GeneratorSet,
+    TensorElt,
+    dynkin,
+    lie_basis,
+    lie_dim,
+    word_elt,
+    words_of,
+)
+from lietower.linalg import IntEchelon
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
+
+
+# -- oracles ----------------------------------------------------------------
+
+def fraction_rref(rows):
+    """Reduced row echelon form of sparse rows by Fraction Gauss-Jordan.
+
+    Pivots are normalized to 1 and cleared from every other row as soon as
+    they are found; the result is sorted by pivot index.
+    """
+    basis = {}  # pivot -> row
+    for row in rows:
+        v = {i: Fraction(c) for i, c in row.items() if c}
+        for p in sorted(basis):
+            if p in v:
+                f = v[p]
+                for i, c in basis[p].items():
+                    s = v.get(i, 0) - f * c
+                    if s:
+                        v[i] = s
+                    else:
+                        v.pop(i, None)
+        if not v:
+            continue
+        p = min(v)
+        lead = v[p]
+        v = {i: c / lead for i, c in v.items()}
+        for q, other in basis.items():
+            if p in other:
+                f = other[p]
+                for i, c in v.items():
+                    s = other.get(i, 0) - f * c
+                    if s:
+                        other[i] = s
+                    else:
+                        other.pop(i, None)
+        basis[p] = v
+    return [basis[p] for p in sorted(basis)]
+
+
+def dynkin_image_basis(gens, length, degree):
+    """The echelonized image of the left-normed bracketing map."""
+    words = words_of(gens, length, degree)
+    index = {w: i for i, w in enumerate(words)}
+    rows = [
+        {index[ww]: c for ww, c in dynkin(word_elt(gens, w)).terms.items()} for w in words
+    ]
+    return [
+        TensorElt(gens, {words[i]: c for i, c in row.items()}) for row in fraction_rref(rows)
+    ]
+
+
+PROFILES = [
+    [0, 0],
+    [0, 0, 0],
+    [1],
+    [1, 1],
+    [0, 1],
+    [0, 0, 1],
+    [1, 2],
+    [2, 3],
+]
+
+
+# -- lie_basis --------------------------------------------------------------
+
+@pytest.mark.parametrize("degrees", PROFILES, ids=lambda ds: "deg" + "-".join(map(str, ds)))
+def test_lyndon_basis_matches_dynkin_image(degrees):
+    gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
+    max_length = 5 if len(degrees) == 3 else 6
+    checked = 0
+    for n in range(1, max_length + 1):
+        for d in range(min(degrees) * n, max(degrees) * n + 1):
+            if not words_of(gens, n, d):
+                continue
+            got = lie_basis(gens, n, d)
+            want = dynkin_image_basis(gens, n, d)
+            assert [b.terms for b in got] == [b.terms for b in want], (n, d)
+            assert len(got) == lie_dim(gens, n, d)
+            checked += len(got)
+    assert checked > 0
+
+
+def test_lyndon_basis_odd_squares():
+    # one odd generator: [a, a] spans length 2, nothing at length 3
+    a1 = GeneratorSet(["a"], [1])
+    assert [b.terms for b in lie_basis(a1, 2, 2)] == [{(0, 0): 1}]
+    assert lie_basis(a1, 3, 3) == []
+    # a odd, x even: a.a.x.x is the only Lyndon word of length 4 and
+    # degree 2; [[a, x], [a, x]] supplies the second dimension
+    ax = GeneratorSet(["a", "x"], [1, 0])
+    square = freelie.graded_bracket(*2 * [freelie.parse_element(ax, "[a, x]")])
+    assert len(lie_basis(ax, 4, 2)) == lie_dim(ax, 4, 2) == 2
+    assert not square.is_zero()
+    ech = IntEchelon()
+    index = {w: i for i, w in enumerate(words_of(ax, 4, 2))}
+    for b in lie_basis(ax, 4, 2):
+        ech.insert({index[w]: c for w, c in b.terms.items()})
+    assert ech.contains({index[w]: c for w, c in square.terms.items()})
+
+
+# -- rref -------------------------------------------------------------------
+
+def random_rows(rng, n_rows, n_cols, rational=False):
+    rows = []
+    for _ in range(n_rows):
+        row = {}
+        for j in range(n_cols):
+            if rng.random() < 0.5:
+                c = rng.randint(-4, 4)
+                if rational:
+                    c = Fraction(c, rng.randint(1, 5))
+                row[j] = c
+        rows.append(row)
+    return rows
+
+
+def test_integer_rref_matches_fraction_gauss_jordan():
+    rng = random.Random(11)
+    for trial in range(300):
+        rows = random_rows(rng, rng.randint(0, 8), rng.randint(1, 8), rational=trial % 3 == 0)
+        ech = IntEchelon()
+        for r in rows:
+            ech.insert(r)
+        got = ech.rref()
+        assert got == fraction_rref(rows)
+        assert all(r[min(r)] == 1 for r in got)
+        assert all(type(c) is Fraction for r in got for c in r.values())
+
+
+# -- slice coordinates ------------------------------------------------------
+
+def remark():
+    return DglPresentation.from_strings([("x", 0), ("y", 0), ("z", 1)], {"z": "x - [y, x]"})
+
+
+def test_coords_round_trip():
+    rng = random.Random(13)
+    P = remark()
+    for q in (0, 1, 2):
+        sl = DegreeSlice(P, q, 6)
+        assert sl.dim > 0
+        for _ in range(20):
+            vec = {
+                i: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for i in rng.sample(range(sl.dim), min(sl.dim, 4))
+            }
+            vec = {i: c for i, c in vec.items() if c}
+            u = sl.element_from_coords(vec)
+            assert sl.coords(u) == vec
+            assert sl.element_from_coords(sl.coords(u)) == u
+
+
+def test_coords_truncates_long_words():
+    P = remark()
+    sl = DegreeSlice(P, 0, 3)
+    x, long = lie_basis(P.gens, 1, 0)[0], lie_basis(P.gens, 3, 0)[0]
+    assert sl.coords(x + long) == sl.coords(x)
+
+
+def test_coords_rejects_non_members():
+    P = remark()
+    sl = DegreeSlice(P, 0, 5)
+    # x.x is a degree-0 word of the slice but not a Lie element
+    with pytest.raises(DglError, match="not in the degree-0 slice"):
+        sl.coords(word_elt(P.gens, (0, 0)))
+    # x.y alone is not Lie either, though x.y - y.x is
+    with pytest.raises(DglError, match="not in the degree-0 slice"):
+        sl.coords(word_elt(P.gens, (0, 1)))
+    # z has degree 1
+    with pytest.raises(DglError, match="outside the degree-0 slice"):
+        sl.coords(word_elt(P.gens, (2,)))
+
+
+# -- derivation images -------------------------------------------------------
+
+def fraction_derivation(P, u):
+    """d on tensor words with Fraction arithmetic throughout."""
+    out = {}
+    for word, coeff in u.terms.items():
+        prefix = 0
+        for i, g in enumerate(word):
+            for dw, dc in P.diff.get(P.gens.names[g], TensorElt(P.gens)).terms.items():
+                w = word[:i] + dw + word[i + 1 :]
+                out[w] = out.get(w, 0) + (-1) ** (prefix % 2) * coeff * dc
+            prefix += P.gens.degrees[g]
+    return {w: c for w, c in out.items() if c}
+
+
+def test_integer_derivation_matches_fraction_derivation():
+    rng = random.Random(14)
+    P = DglPresentation.from_strings(
+        [("a", 0), ("b", 0), ("s", 1), ("t", 1), ("e", 2)],
+        {"s": "1/2*a - 3*[b, a]", "t": "-2/3*[a, [a, b]]", "e": "[s, t] - 5/4*[s, s]"},
+    )
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        q = rng.randint(0, 3)
+        words = words_of(P.gens, n, q)
+        if not words:
+            continue
+        u = TensorElt(
+            P.gens,
+            {rng.choice(words): Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(4)},
+        )
+        got = extend_derivation(P, u)
+        assert got.terms == fraction_derivation(P, u)
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# -- invariant checks that survive python -O -----------------------------
+
+def test_lie_basis_rank_check_raises(monkeypatch):
+    gens = GeneratorSet(["p", "r"], [0, 2])
+    monkeypatch.setattr(freelie, "_basis_cache", {})
+    monkeypatch.setattr(freelie, "lie_dim", lambda g, n, d: 7)
+    with pytest.raises(AssertionError, match="basis rank 1 != counted dim 7"):
+        lie_basis(gens, 2, 2)
+
+
+def test_lie_basis_rank_check_maps_to_exit_4(monkeypatch, capsys):
+    monkeypatch.setattr(freelie, "_basis_cache", {})
+    monkeypatch.setattr(freelie, "lie_dim", lambda g, n, d: 1000)
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    code = cli.main(["tower", path, "--degrees", "1..1", "--max-length", "3"])
+    assert code == 4
+    assert "internal invariant breach" in capsys.readouterr().out
+
+
+def run_optimized(body):
+    code = textwrap.dedent(body)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_rank_checks_survive_optimized_mode():
+    # plain asserts are stripped in the child
+    done = run_optimized('assert False, "stripped under -O"')
+    assert done.returncode == 0, done.stderr
+    done = run_optimized(
+        """
+        from fractions import Fraction
+        from lietower import freelie
+        gens = freelie.GeneratorSet(["p", "r"], [0, 2])
+        freelie._log_coefficient = lambda g, n, d: Fraction(1, 7)
+        try:
+            freelie.lie_dim(gens, 2, 2)
+        except AssertionError as err:
+            print("necklace:", err)
+        freelie.lie_dim = lambda g, n, d: 7
+        try:
+            freelie.lie_basis(gens, 2, 2)
+        except AssertionError as err:
+            print("rank:", err)
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    assert "necklace: necklace inversion broke" in done.stdout
+    assert "rank: basis rank 1 != counted dim 7" in done.stdout
