@@ -15,6 +15,8 @@ the truncations both computable and meaningful.
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional
@@ -110,24 +112,29 @@ class DglPresentation:
         return f"DglPresentation({self.gens!r}, d on {sorted(self.diff)})"
 
 
-def extend_derivation(P: DglPresentation, u: TensorElt) -> TensorElt:
-    """Apply the degree -1 derivation extension of d to a tensor element.
+def _derive_int(P: DglPresentation, terms: dict, n: Optional[int] = None) -> dict[tuple, int]:
+    """P._diff_den * d(terms) for an integer word combination, with words of
+    length >= n dropped when n is given.
 
-    Exact: the image of a finite element is finite.  The Koszul sign is the
-    parity of the prefix the operator moves past.  Sums run over integers,
-    with u and d scaled by their common denominators.
+    The Koszul sign is the parity of the prefix the operator moves past.
+    d never lowers word length, so replacing a letter by a word of length l
+    gives a word of length len(word) - 1 + l.
     """
     gens = P.gens
     int_diff = P._int_diff
-    den, scaled = integer_terms(u.terms)
+    if n is None:
+        n = sys.maxsize
     acc: dict[tuple, int] = {}
-    for word, a in scaled.items():
+    for word, a in terms.items():
+        room = n - len(word)
         prefix_deg = 0
         for i, g in enumerate(word):
             dg = int_diff.get(g)
             if dg is not None:
                 sign = -a if prefix_deg % 2 else a
                 for dw, dc in dg:
+                    if len(dw) > room:
+                        continue
                     w = word[:i] + dw + word[i + 1 :]
                     s = acc.get(w, 0) + sign * dc
                     if s:
@@ -135,15 +142,41 @@ def extend_derivation(P: DglPresentation, u: TensorElt) -> TensorElt:
                     else:
                         del acc[w]
             prefix_deg += gens.degrees[g]
+    return acc
+
+
+def extend_derivation(P: DglPresentation, u: TensorElt) -> TensorElt:
+    """Apply the degree -1 derivation extension of d to a tensor element.
+
+    Exact: the image of a finite element is finite.  Sums run over integers,
+    with u and d scaled by their common denominators.
+    """
+    den, scaled = integer_terms(u.terms)
+    acc = _derive_int(P, scaled)
     den *= P._diff_den
-    return TensorElt(gens, {w: Fraction(c, den) for w, c in acc.items()})
+    return TensorElt(P.gens, {w: Fraction(c, den) for w, c in acc.items()})
 
 
-def d_image(P: DglPresentation, u: TensorElt) -> TensorElt:
-    key = tuple(sorted(u.terms.items()))
+def d_image(P: DglPresentation, u, n: Optional[int] = None):
+    """d(u), cached on P, with words of length >= n dropped when n is given
+    (the image in L/L^n).
+
+    u is a TensorElt, or an integer form (den, {word: int}) standing for
+    {word: int / den}; the result has the same type.  The key is the
+    integer form's words and numerators in term order, so no Fraction is
+    hashed; elements taken from a basis always list their terms in the same
+    order.
+    """
+    tensor = isinstance(u, TensorElt)
+    den, terms = integer_terms(u.terms) if tensor else u
+    key = (tensor, n, den, tuple(terms), tuple(terms.values()))
     cached = P._d_cache.get(key)
     if cached is None:
-        cached = extend_derivation(P, u)
+        den, acc = den * P._diff_den, _derive_int(P, terms, n)
+        if tensor:
+            cached = TensorElt(P.gens, {w: Fraction(c, den) for w, c in acc.items()})
+        else:
+            cached = (den, acc)
         P._d_cache[key] = cached
     return cached
 
@@ -217,13 +250,20 @@ def validate(P: DglPresentation, t: Truncation) -> ValidationReport:
 
 
 class DegreeSlice:
-    """Basis bookkeeping for the degree-q slice of L/L^n."""
+    """Basis bookkeeping for the degree-q slice of L/L^n.
+
+    Elements are ordered shortest length first, so the slice of L/L^m for
+    m <= n is the leading block of the first `count_below(m)` elements.
+    Each element is also kept as its integer form (den, {word: int}).
+    """
 
     def __init__(self, P: DglPresentation, q: int, n: int):
         self.P = P
         self.q = q
         self.n = n
         self.elements: list[TensorElt] = []
+        self.forms: list[tuple[int, dict[tuple, int]]] = []
+        self.lengths: list[int] = []
         self._windex: dict[int, dict] = {}
         self._pivot: dict[tuple[int, int], int] = {}
         if q >= 0:
@@ -236,21 +276,29 @@ class DegreeSlice:
                     pivot_word = min(b.terms, key=lambda w: self._windex[k][w])
                     self._pivot[(k, self._windex[k][pivot_word])] = len(self.elements)
                     self.elements.append(b)
+                    self.forms.append(integer_terms(b.terms))
+                    self.lengths.append(k)
 
     @property
     def dim(self) -> int:
         return len(self.elements)
 
-    def coords(self, u: TensorElt) -> dict[int, Fraction]:
+    def count_below(self, m: int) -> int:
+        """Number of basis elements of word length < m."""
+        return bisect_left(self.lengths, m)
+
+    def coords(self, u) -> dict[int, Fraction]:
         """Coordinates of u in the echelon basis of the slice.
 
-        Pivot coordinates of a reduced echelon basis are exclusive to their
-        basis vector, so this is a lookup; membership of u in the slice is
-        then verified exactly by reconstruction.
+        u is a TensorElt or an integer form (den, {word: int}).  Pivot
+        coordinates of a reduced echelon basis are exclusive to their basis
+        vector, so this is a lookup; membership of u in the slice is then
+        verified exactly, by integer cross-multiplication.
         """
-        u = u.truncate_length(self.n)
-        out: dict[int, Fraction] = {}
-        for w, c in u.terms.items():
+        den, terms = integer_terms(u.terms) if isinstance(u, TensorElt) else u
+        terms = {w: c for w, c in terms.items() if len(w) < self.n}
+        num: dict[int, int] = {}
+        for w, c in terms.items():
             k = len(w)
             windex = self._windex.get(k)
             if windex is None or w not in windex:
@@ -258,37 +306,40 @@ class DegreeSlice:
                                f"is outside the degree-{self.q} slice")
             pos = self._pivot.get((k, windex[w]))
             if pos is not None:
-                out[pos] = c
-        den, recon = self._combine(out)
-        if len(recon) != len(u.terms) or any(
-            recon.get(w, 0) * c.denominator != c.numerator * den for w, c in u.terms.items()
+                num[pos] = c
+        scale, recon = self._combine(num)
+        if len(recon) != len(terms) or any(
+            recon.get(w, 0) != scale * c for w, c in terms.items()
         ):
             raise DglError(f"element is not in the degree-{self.q} slice of L/L^{self.n}")
-        return out
+        return {i: Fraction(c, den) for i, c in num.items()}
 
-    def _combine(self, vec: dict) -> tuple[int, dict[tuple, int]]:
-        """sum_i vec[i] * elements[i] as (denominator, nonzero integer terms),
+    def _combine(self, num: dict[int, int]) -> tuple[int, dict[tuple, int]]:
+        """sum_i num[i] * elements[i] as (D, nonzero integer terms times D),
         accumulated in one dict."""
-        parts = [(c, *integer_terms(self.elements[i].terms)) for i, c in vec.items()]
-        den = lcm(*(c.denominator * d for c, d, _ in parts))
+        scale = lcm(*(self.forms[i][0] for i in num))
         acc: dict[tuple, int] = {}
-        for c, d, terms in parts:
-            f = c.numerator * (den // (c.denominator * d))
+        for i, c in num.items():
+            d, terms = self.forms[i]
+            f = c * (scale // d)
             for w, t in terms.items():
                 acc[w] = acc.get(w, 0) + f * t
-        return den, {w: t for w, t in acc.items() if t}
+        return scale, {w: t for w, t in acc.items() if t}
 
     def element_from_coords(self, vec: dict[int, Fraction]) -> TensorElt:
-        den, terms = self._combine(vec)
+        den, num = integer_terms(vec)
+        scale, terms = self._combine(num)
+        den *= scale
         return TensorElt(self.P.gens, {w: Fraction(t, den) for w, t in terms.items()})
 
 
 class QuotientComplex:
     """The finite chain complex of L/L^n in a window of degrees.
 
-    Bases are the echelonized per-length Lie bases; the differential
-    matrices are block-triangular for word length (length never drops,
-    so the word-length pieces L^p are differential ideals)."""
+    Bases are the echelonized per-length Lie bases, shortest length first;
+    the differential matrices are block-triangular for word length (length
+    never drops, so the word-length pieces L^p are differential ideals), and
+    the complex of L/L^m for m <= n is their leading block."""
 
     def __init__(self, P: DglPresentation, n: int, q_window: tuple[int, int]):
         if n < 1:
@@ -309,7 +360,7 @@ class QuotientComplex:
     def _matrix(self, q: int) -> SparseMatrix:
         src = self.slice(q)
         tgt = self.slice(q - 1)
-        cols = [tgt.coords(d_image(self.P, b).truncate_length(self.n)) for b in src.elements]
+        cols = [tgt.coords(d_image(self.P, form, self.n)) for form in src.forms]
         return SparseMatrix.from_columns(tgt.dim, cols)
 
     def differential(self, q: int) -> SparseMatrix:
@@ -321,11 +372,6 @@ class QuotientComplex:
         dim, reps = homology_at(self.differential(q + 1), self.differential(q))
         sl = self.slice(q)
         return dim, [sl.element_from_coords(r) for r in reps]
-
-    def cycles(self, q: int) -> list[TensorElt]:
-        _, kernel, _ = reduce(self.differential(q))
-        sl = self.slice(q)
-        return [sl.element_from_coords(r) for r in kernel.basis]
 
     def euler_characteristic_check(self) -> bool:
         """chi(C) == chi(H) over the full degree support of L/L^n."""
@@ -500,10 +546,25 @@ def homology_tower(
     """Exact dims of H(L/L^n)_q over n, with connecting-map image dims.
 
     Degree 0 uses the bracket closure of d(V_1) (a single elimination at the
-    top truncation, projected down); positive degrees build the quotient
-    complexes.  In degree 0 the connecting maps are surjective -- the
-    projections are surjective and every degree-0 element is a cycle -- so
-    the image dimension equals dim H(L/L^n)_0.
+    top truncation, projected down).  In degree 0 the connecting maps are
+    surjective -- the projections are surjective and every degree-0 element
+    is a cycle -- so the image dimension equals dim H(L/L^n)_0.
+
+    Other degrees build one quotient complex, at the top truncation
+    N = max(n) + 1.  Slice bases run shortest length first and d never
+    lowers length, so with R_n(k) the number of degree-k basis elements of
+    length < n, the differential D_q of L/L^n is the leading block
+    D_q[:R_n(q-1), :R_n(q)] of the one at N.  dim H and representatives come
+    from each leading block.  Reducing the columns of each D once, left to
+    right on the topmost row, gives the rank of every leading block, and
+    with them the dimension of the image of H(L/L^{n+1})_q -> H(L/L^n)_q:
+
+        dim_image(n) = C_n - rank D_q^(n+1) - rank D_{q+1}^(n) + rank Delta_n
+
+    where C_n = dim (L/L^n)_q and Delta_n is the length-preserving part of d
+    on the length-n elements.  The projection maps the boundaries of
+    L/L^{n+1} onto those of L/L^n, and its kernel on the cycles of L/L^{n+1}
+    is ker Delta_n.
     """
     ns = sorted(set(n_range))
     if not ns or ns[0] < 2:
@@ -529,7 +590,6 @@ def _tower_degree0(P: DglPresentation, ns: list[int], stab_suffix: int) -> Tower
                 "dim_H": dim_h,
                 "dim_image": dim_h,
                 "representatives": [r.pretty() for r in reps],
-                "_rep_elements": reps,
             }
         )
     pairs = [(r["dim_H"], r["dim_image"]) for r in rows]
@@ -558,24 +618,45 @@ def _degree0_representatives(
 
 
 def _tower_general(P: DglPresentation, q: int, ns: list[int], stab_suffix: int) -> TowerReport:
-    complexes: dict[int, QuotientComplex] = {}
+    """One complex at the top truncation N = max(ns) + 1; every L/L^n is read
+    off its leading blocks (see homology_tower)."""
+    cx = QuotientComplex(P, ns[-1] + 1, (q, q))
+    d_in, d_out = cx.differential(q + 1), cx.differential(q)
+    above, mid, below = cx.slice(q + 1), cx.slice(q), cx.slice(q - 1)
+    out_cols = d_out.columns()
+    in_pivots, out_pivots = _column_pivots(d_in.columns()), _column_pivots(out_cols)
 
-    def cx(n: int) -> QuotientComplex:
-        if n not in complexes:
-            complexes[n] = QuotientComplex(P, n, (q, q))
-        return complexes[n]
+    def rank_in(n: int) -> int:
+        return _leading_rank(in_pivots, mid.count_below(n), above.count_below(n))
+
+    def rank_out(n: int) -> int:
+        return _leading_rank(out_pivots, below.count_below(n), mid.count_below(n))
+
+    def dim_h(n: int) -> int:
+        return mid.count_below(n) - rank_out(n) - rank_in(n)
 
     rows = []
     for n in ns:
-        dim_h, reps = cx(n).homology(q)
-        image_dim = _connecting_image_dim(q, cx(n), cx(n + 1))
+        c_n, c_next = mid.count_below(n), mid.count_below(n + 1)
+        dim, reps = homology_at(
+            d_in.leading_block(c_n, above.count_below(n)),
+            d_out.leading_block(below.count_below(n), c_n),
+        )
+        if dim != dim_h(n):
+            raise AssertionError(f"leading-block ranks give dim H = {dim_h(n)} at n = {n}, "
+                                 f"homology_at gives {dim}")
+        # length-preserving part of d on the length-n elements
+        delta = _block_rank(out_cols[c_n:c_next], below.count_below(n), below.count_below(n + 1))
+        image_dim = c_n - rank_out(n + 1) - rank_in(n) + delta
+        if not 0 <= image_dim <= min(dim, dim_h(n + 1)):
+            raise AssertionError(f"connecting image dim {image_dim} at n = {n} is outside "
+                                 f"[0, min(dim H(n), dim H(n+1))] = [0, {min(dim, dim_h(n + 1))}]")
         rows.append(
             {
                 "n": n,
-                "dim_H": dim_h,
+                "dim_H": dim,
                 "dim_image": image_dim,
-                "representatives": [r.pretty() for r in reps],
-                "_rep_elements": reps,
+                "representatives": [mid.element_from_coords(r).pretty() for r in reps],
             }
         )
     pairs = [(r["dim_H"], r["dim_image"]) for r in rows]
@@ -583,17 +664,29 @@ def _tower_general(P: DglPresentation, q: int, ns: list[int], stab_suffix: int) 
     return TowerReport(q, rows, stab, "quotient-complex")
 
 
-def _connecting_image_dim(q: int, cx_n: QuotientComplex, cx_n1: QuotientComplex) -> int:
-    sl = cx_n.slice(q)
-    boundaries = IntEchelon()
-    for col in cx_n.differential(q + 1).columns():
-        boundaries.insert(col)
-    count = 0
-    for z in cx_n1.cycles(q):
-        vec = sl.coords(z.truncate_length(cx_n.n))
-        if boundaries.insert(vec) is not None:
-            count += 1
-    return count
+def _column_pivots(cols: list[dict]) -> list[Optional[int]]:
+    """Pivot row of each column after reducing the columns left to right,
+    each against the ones before it, on the topmost row (None when the
+    column is dependent)."""
+    ech = IntEchelon()
+    return [ech.insert(col) for col in cols]
+
+
+def _leading_rank(pivots: list[Optional[int]], rows: int, cols: int) -> int:
+    """rank D[:rows, :cols], read off the column pivots of D.
+
+    A reduced column is its original plus earlier columns; restricted to
+    the first rows it is zero when its pivot is not above `rows`, and the
+    pivots that are above are distinct."""
+    return sum(1 for p in pivots[:cols] if p is not None and p < rows)
+
+
+def _block_rank(cols: list[dict], lo: int, hi: int) -> int:
+    """Rank of the rows lo..hi-1 of the given columns."""
+    ech = IntEchelon()
+    for col in cols:
+        ech.insert({i: c for i, c in col.items() if lo <= i < hi})
+    return ech.dim
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +710,8 @@ def exact_homology(P: DglPresentation, q: int) -> tuple[int, list[TensorElt]]:
     dim, reps = cx.homology(q)
     for n in (q + 1, q + 2, q + 3):
         alt, _ = QuotientComplex(P, n, (q, q)).homology(q)
-        assert alt == dim, f"degreewise agreement with L/L^{n} failed at degree {q}"
+        if alt != dim:
+            raise AssertionError(f"degreewise agreement with L/L^{n} failed at degree {q}")
     return dim, reps
 
 
@@ -1044,7 +1138,8 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
                     acc[i] = s
                 else:
                     acc.pop(i, None)
-        assert all(i < limit for i in acc), "window intersection leaked long words"
+        if any(i >= limit for i in acc):
+            raise AssertionError("window intersection leaked long words")
         boundary_ech.insert(acc)
     tracked = _TrackedEchelon()
     sub = IntEchelon()

@@ -617,8 +617,7 @@ class FiniteDgl:
         for (q, k), i in pos.items():
             if q == 0:
                 continue
-            img = d_image(P, slices[q].elements[k]).truncate_length(n)
-            coords = slices[q - 1].coords(img)
+            coords = slices[q - 1].coords(d_image(P, slices[q].forms[k], n))
             row = {pos[(q - 1, kk)]: c for kk, c in coords.items() if c}
             if row:
                 differential[i] = row

@@ -278,6 +278,12 @@ class SparseMatrix:
         cols = [self.apply(c) for c in other.columns()]
         return SparseMatrix.from_columns(self.rows, cols)
 
+    def leading_block(self, rows: int, cols: int) -> "SparseMatrix":
+        """The submatrix of the first rows and columns."""
+        block = SparseMatrix(rows, cols)
+        block.entries = {(i, j): c for (i, j), c in self.entries.items() if i < rows and j < cols}
+        return block
+
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -321,7 +327,8 @@ def reduce(m: SparseMatrix) -> tuple[int, Subspace, Subspace]:
             expr = vec_add(expr, combo[p], -factor)
         if v:
             p = ech.insert(v)
-            assert p is not None
+            if p is None:
+                raise AssertionError("a column with a nonzero residual did not give a pivot")
             # Renormalize combo to match the stored primitive row.
             stored = ech.rows[p]
             factor = Fraction(stored[p]) / v[p]
@@ -394,7 +401,8 @@ def quotient_dims(w: Subspace, u: Subspace) -> QuotientInfo:
     for r in w.basis:
         if ech.insert(r) is not None:
             reps.append(r)
-    assert len(reps) == w.dim - u.dim
+    if len(reps) != w.dim - u.dim:
+        raise AssertionError(f"{len(reps)} representatives for a quotient of dim {w.dim - u.dim}")
     return QuotientInfo(w.dim - u.dim, reps)
 
 
@@ -419,5 +427,6 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> tuple[int, list[Vec]
         if ech.insert(r) is not None:
             reps.append(r)
     dim = cycles.dim - rank_in
-    assert dim == len(reps)
+    if dim != len(reps):
+        raise AssertionError(f"{len(reps)} homology representatives for dim {dim}")
     return dim, reps

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import io
 import json
 import os
@@ -118,6 +119,23 @@ def test_cli_tower_structured_deterministic():
     assert [r["dim_H"] for r in rows] == [1, 1, 1, 1]
     assert payload["reports"][0]["stabilized_from"] == 2
     assert set(rows[0]) == {"n", "dim_H", "dim_image", "representatives"}
+
+
+@pytest.mark.parametrize(
+    "degrees, max_length, digest",
+    [
+        ("0..2", 6, "cea6f1687b6bb699856706cca05708bf766e3df10527092bccc716cf7b31a2e3"),
+        ("0..2", 7, "9afce4dc43974e6d14473b9adc7bb40064f3c0b697e825e22daaa99d752141c0"),
+        ("1..1", 8, "f37c634e3c16157035338ae121c89064b7c8335efae6316e89555de389b8f780"),
+    ],
+)
+def test_cli_tower_golden_stubborn_cycle(degrees, max_length, digest):
+    # the benchmark's fixed tower requests (perfbench/references.json)
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    code, out = run_cli(["tower", path, "--degrees", degrees, "--max-length", str(max_length),
+                         "--format", "structured"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_pronil_affine_fails():

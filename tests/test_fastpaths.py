@@ -4,11 +4,15 @@
   of the left-normed bracketing map on every tensor word;
 * `IntEchelon.rref` (integer back-substitution) against a Fraction
   Gauss-Jordan elimination;
-* `DegreeSlice.coords` / `element_from_coords` (one-pass reconstruction).
+* `DegreeSlice.coords` / `element_from_coords` (one-pass reconstruction);
+* `QuotientComplex` matrices (d and coordinates on integer forms) against
+  Fraction derivation images read through `coords`;
+* `homology_tower` in positive degrees (one complex, leading blocks) against
+  a quotient complex per n with connecting images counted by projecting
+  cycles.
 
 Every invariant check that guards these paths must also hold under
-`python -O`, so the two rank checks are exercised in a child interpreter
-started with -O.
+`python -O`, so they are exercised in a child interpreter started with -O.
 """
 
 import os
@@ -21,7 +25,17 @@ from fractions import Fraction
 import pytest
 
 from lietower import cli, freelie
-from lietower.dgl import DegreeSlice, DglError, DglPresentation, extend_derivation
+from lietower.dgl import (
+    DegreeSlice,
+    DglError,
+    DglPresentation,
+    QuotientComplex,
+    TowerReport,
+    _detect_stabilization,
+    d_image,
+    extend_derivation,
+    homology_tower,
+)
 from lietower.freelie import (
     GeneratorSet,
     TensorElt,
@@ -31,7 +45,7 @@ from lietower.freelie import (
     word_elt,
     words_of,
 )
-from lietower.linalg import IntEchelon
+from lietower.linalg import IntEchelon, SparseMatrix, reduce
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
@@ -245,6 +259,153 @@ def test_integer_derivation_matches_fraction_derivation():
         assert all(type(c) is Fraction for c in got.terms.values())
 
 
+def test_d_image_keys_hash_no_fractions(monkeypatch):
+    P = DglPresentation.from_strings(
+        [("a", 0), ("b", 0), ("s", 1), ("e", 2)],
+        {"s": "1/2*a - 3*[b, a]", "e": "2/3*[a, s]"},
+    )
+
+    def no_hash(self):
+        raise AssertionError("a Fraction was hashed")
+
+    for q in (1, 2):
+        sl = DegreeSlice(P, q, 5)
+        for b, form in zip(sl.elements, sl.forms):
+            with monkeypatch.context() as m:
+                m.setattr(Fraction, "__hash__", no_hash)
+                got = d_image(P, b)
+                size = len(P._d_cache)
+                assert d_image(P, b) is got
+                truncated = d_image(P, form, 4)
+                assert d_image(P, form, 4) is truncated
+                assert len(P._d_cache) == size + 1
+            assert got == extend_derivation(P, b)
+            den, terms = truncated
+            want = got.truncate_length(4)
+            assert TensorElt(P.gens, {w: Fraction(c, den) for w, c in terms.items()}) == want
+
+
+# -- quotient complexes and towers ---------------------------------------------
+
+def fraction_matrix(cx, q):
+    """D_q of a quotient complex from Fraction derivation images read
+    through `coords`."""
+    src, tgt = cx.slice(q), cx.slice(q - 1)
+    cols = [tgt.coords(extend_derivation(cx.P, b).truncate_length(cx.n)) for b in src.elements]
+    return SparseMatrix.from_columns(tgt.dim, cols)
+
+
+def connecting_image_dim(q, cx_n, cx_n1):
+    """dim of the image of H(L/L^{n+1})_q -> H(L/L^n)_q: project a cycle
+    basis of L/L^{n+1} and count what stays independent of the boundaries
+    of L/L^n."""
+    boundaries = IntEchelon()
+    for col in cx_n.differential(q + 1).columns():
+        boundaries.insert(col)
+    _, cycles, _ = reduce(cx_n1.differential(q))
+    count = 0
+    for z in cycles.basis:
+        elt = cx_n1.slice(q).element_from_coords(z)
+        if boundaries.insert(cx_n.slice(q).coords(elt.truncate_length(cx_n.n))) is not None:
+            count += 1
+    return count
+
+
+def per_n_tower(P, q, ns, stab_suffix=3):
+    """The tower with its own quotient complex for every n."""
+    complexes = {}
+
+    def cx(n):
+        if n not in complexes:
+            complexes[n] = QuotientComplex(P, n, (q, q))
+        return complexes[n]
+
+    rows = []
+    for n in ns:
+        dim_h, reps = cx(n).homology(q)
+        rows.append(
+            {
+                "n": n,
+                "dim_H": dim_h,
+                "dim_image": connecting_image_dim(q, cx(n), cx(n + 1)),
+                "representatives": [r.pretty() for r in reps],
+            }
+        )
+    stab = _detect_stabilization([(r["dim_H"], r["dim_image"]) for r in rows], ns, stab_suffix)
+    return TowerReport(q, rows, stab, "quotient-complex")
+
+
+_XY_TERMS = ["x", "y", "[x, y]", "[x, [x, y]]", "[[x, y], y]"]
+_COEFFS = ["1", "-1", "2", "-3", "1/2", "-2/3"]
+
+
+def random_presentation(rng):
+    """x, y of degree 0, z and t of degree 1, e of degree 2.
+
+    d z is a random Lie polynomial in x and y; d t = 0 and
+    d e = c t + c' [x, t] + c'' [y, t], so d(d e) = 0, and its length-1
+    term makes the length-preserving part of d nonzero in degree 2.
+    """
+    def poly(terms):
+        return " + ".join(f"{rng.choice(_COEFFS)}*{t}" for t in terms).replace("+ -", "- ")
+
+    diffs = {"z": poly(rng.sample(_XY_TERMS, rng.randint(1, 3)))}
+    gens = [("x", 0), ("y", 0), ("z", 1), ("t", 1)]
+    if rng.random() < 0.7:
+        gens.append(("e", 2))
+        diffs["e"] = poly(["t"] + rng.sample(["[x, t]", "[y, t]"], rng.randint(0, 2)))
+    return DglPresentation.from_strings(gens, diffs)
+
+
+def test_integer_matrices_match_fraction_path():
+    rng = random.Random(21)
+    for P in [remark()] + [random_presentation(rng) for _ in range(6)]:
+        for n in (2, 4, 5):
+            cx = QuotientComplex(P, n, (1, 2))
+            for q in (1, 2, 3):
+                assert cx.differential(q).entries == fraction_matrix(cx, q).entries, (P, n, q)
+
+
+def heisenberg():
+    return DglPresentation.from_strings(
+        [("a", 0), ("b", 0), ("c", 0), ("u", 1), ("v", 1), ("w", 1)],
+        {"u": "c - [a, b]", "v": "[a, c]", "w": "[b, c]"},
+    )
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_tower_matches_per_n_complexes_on_the_stubborn_cycle(q):
+    ns = list(range(2, 8))
+    got = homology_tower(remark(), q, ns).to_structured()
+    assert got == per_n_tower(remark(), q, ns).to_structured()
+
+
+def test_tower_matches_per_n_complexes_on_heisenberg():
+    for q, ns in ((1, range(2, 6)), (2, range(2, 5))):
+        got = homology_tower(heisenberg(), q, ns).to_structured()
+        assert got == per_n_tower(heisenberg(), q, list(ns)).to_structured()
+
+
+def test_tower_matches_per_n_complexes_on_random_presentations():
+    rng = random.Random(22)
+    towers = with_delta = 0
+    for _ in range(100):
+        P = random_presentation(rng)
+        for q in (1, 2):
+            ns = list(range(2, rng.randint(4, 5 if q == 1 else 4) + 1))
+            got = homology_tower(P, q, ns).to_structured()
+            assert got == per_n_tower(P, q, ns).to_structured(), (P.diff, q)
+            towers += 1
+            # a nonzero length-preserving part of d somewhere in the range
+            cx = QuotientComplex(P, ns[-1] + 1, (q, q))
+            mid, below = cx.slice(q), cx.slice(q - 1)
+            with_delta += any(
+                mid.lengths[j] == below.lengths[i] for (i, j) in cx.differential(q).entries
+            )
+    assert towers == 200
+    assert with_delta > 100
+
+
 # -- invariant checks that survive python -O -----------------------------
 
 def test_lie_basis_rank_check_raises(monkeypatch):
@@ -296,3 +457,76 @@ def test_rank_checks_survive_optimized_mode():
     assert done.returncode == 0, done.stderr
     assert "necklace: necklace inversion broke" in done.stdout
     assert "rank: basis rank 1 != counted dim 7" in done.stdout
+
+
+def test_complex_checks_survive_optimized_mode():
+    done = run_optimized(
+        f"""
+        import contextlib, io, types
+        from fractions import Fraction
+        from lietower import cli, dgl, linalg
+        P = dgl.DglPresentation.from_strings([("x", 0), ("y", 0), ("z", 1)], {{"z": "x - [y, x]"}})
+
+        def expect(label, fn):
+            try:
+                fn()
+            except AssertionError as err:
+                print(label + ":", err)
+
+        def patched(owner, name, value, fn):
+            orig = getattr(owner, name)
+            setattr(owner, name, value)
+            try:
+                expect(name, fn)
+            finally:
+                setattr(owner, name, orig)
+
+        m = linalg.SparseMatrix.from_dense([[1, 2], [3, 4]])
+        patched(linalg.IntEchelon, "insert", lambda self, v: None, lambda: linalg.reduce(m))
+
+        w = linalg.Subspace(2, [{{0: 1}}, {{1: 1}}])
+        u = linalg.Subspace(2, [{{0: 1}}])
+        linalg.Subspace.contains_subspace = lambda self, other: True
+        patched(linalg.IntEchelon, "insert", lambda self, v: None,
+                lambda: linalg.quotient_dims(w, u))
+
+        orig_reduce = linalg.reduce
+        def off_by_one(mat):
+            rank, kernel, image = orig_reduce(mat)
+            return rank + 1, kernel, image
+        zero = linalg.SparseMatrix(2, 2)
+        patched(linalg, "reduce", off_by_one, lambda: linalg.homology_at(zero, zero))
+
+        S = dgl.DglPresentation.from_strings([("a", 1)], {{}})
+        patched(dgl.QuotientComplex, "homology", lambda self, q: (self.n, []),
+                lambda: dgl.exact_homology(S, 1))
+
+        def leaky(mat):
+            cols = [j for j in range(mat.cols) if mat.column(j)][:1]
+            return 0, types.SimpleNamespace(basis=[{{j: Fraction(1)}} for j in cols]), None
+        patched(dgl, "reduce", leaky, lambda: dgl.h0_table_bounded_window(P, 2, 4))
+
+        patched(dgl, "_leading_rank", lambda pivots, rows, cols: 0,
+                lambda: dgl.homology_tower(P, 1, range(2, 5)))
+        patched(dgl, "_block_rank", lambda cols, lo, hi: 10**6,
+                lambda: dgl.homology_tower(P, 1, range(2, 5)))
+        dgl._block_rank = lambda cols, lo, hi: -10**6
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["tower", {os.path.join(FILES, "stubborn_cycle.dgl")!r},
+                             "--degrees", "1..1", "--max-length", "4"])
+        print("exit", code, out.getvalue().strip())
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "insert", "insert", "reduce", "homology", "reduce", "_leading_rank", "_block_rank"
+    ], done.stdout
+    assert "did not give a pivot" in lines[0]
+    assert "0 representatives for a quotient of dim 1" in lines[1]
+    assert "homology representatives for dim" in lines[2]
+    assert "degreewise agreement with L/L^2 failed at degree 1" in lines[3]
+    assert "window intersection leaked long words" in lines[4]
+    assert "leading-block ranks give dim H" in lines[5]
+    assert "connecting image dim" in lines[6] and "outside [0, min(" in lines[6]
+    assert lines[-1].startswith("exit 4 internal invariant breach: connecting image dim -")
