@@ -56,7 +56,7 @@ from .functors import (
     normalize_monomial,
     poly_add,
 )
-from .pronil import FiniteLieData, definitional_pronilpotency, lemma1_audit
+from .pronil import FiniteLieData, TableError, definitional_pronilpotency, lemma1_audit
 
 KINDS = ("dgl", "sullivan", "coalgebra", "lie-table")
 SECTIONS = {
@@ -246,6 +246,9 @@ def parse(text: str) -> InputDocument:
                 degree = int(deg.strip())
             except ValueError:
                 raise exprs.ParseError(f"bad degree {deg.strip()!r}", lineno, line.index(":") + 2)
+            if degree < 0:
+                raise exprs.ParseError(f"negative degree {degree} for {name!r}", lineno,
+                                       line.index(":") + 2, "a degree >= 0")
             seen_names.add(name)
             gens.append((name, degree))
         elif section == "differential":
@@ -539,7 +542,7 @@ def run(command: str, doc: InputDocument, cfg: RunConfig) -> tuple[int, str]:
         raise exprs.ParseError(f"unknown command {command!r}", 0, 0)
     try:
         code, payload = DISPATCH[command](doc, cfg)
-    except (exprs.ParseError, DglError, FunctorError) as err:
+    except (exprs.ParseError, DglError, FunctorError, TableError) as err:
         if isinstance(err, (TruncationError,)) or "window" in str(err):
             return EXIT_WINDOW, f"window insufficient: {err}\n"
         if isinstance(err, UnsupportedModeError):

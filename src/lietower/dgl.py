@@ -408,9 +408,11 @@ class _GradedCoords:
             self.rev.extend(ws)
         self.total = len(self.rev)
 
-    def vec(self, u: TensorElt, strict: bool = False) -> dict[int, Fraction]:
+    def vec(self, u, strict: bool = False) -> dict:
+        """Coordinates of a TensorElt, or of a terms dict {word: coefficient}
+        such as an integer form's (integer coefficients stay integers)."""
         out = {}
-        for w, c in u.terms.items():
+        for w, c in (u.terms if isinstance(u, TensorElt) else u).items():
             k = len(w)
             if k >= self.n_top:
                 if strict:
@@ -797,14 +799,8 @@ def boundary_solve(
         return BoundaryResult("SAT", zero(P.gens), t.n_max, "zero target")
     n = t.n_max
     src = DegreeSlice(P, q + 1, n)
-    tgt_bound = n + P.max_shift() if exact_in_l else n
-    tgt_coords = _GradedCoords(P.gens, q, tgt_bound)
-    cols = []
-    for b in src.elements:
-        img = d_image(P, b)
-        img = img if exact_in_l else img.truncate_length(n)
-        cols.append(tgt_coords.vec(img, strict=exact_in_l))
-    mat = SparseMatrix.from_columns(tgt_coords.total, cols)
+    tgt_coords = _GradedCoords(P.gens, q, n + P.max_shift() if exact_in_l else n)
+    mat, den = _image_matrix(P, src.forms, tgt_coords, None if exact_in_l else n, exact_in_l)
     rhs = tgt_coords.vec(target if exact_in_l else target.truncate_length(n), strict=True)
     got = solve_affine(mat, rhs)
     where = "L" if exact_in_l else f"L/L^{n}"
@@ -816,7 +812,7 @@ def boundary_solve(
             f"no witness of word length < {n} solves d(u) = target in {where}",
         )
     particular, kernel = got
-    witness = src.element_from_coords(particular)
+    witness = src.element_from_coords({j: c * den for j, c in particular.items()})
     check = extend_derivation(P, witness)
     want = target if exact_in_l else target.truncate_length(n)
     have = check if exact_in_l else check.truncate_length(n)
@@ -832,11 +828,26 @@ def witness_direction_space(
     res = boundary_solve(P, target, t)
     q = target.homogeneous_degree()
     src = DegreeSlice(P, q + 1, t.n_max)
-    n = t.n_max
-    tgt_coords = _GradedCoords(P.gens, q, n)
-    cols = [tgt_coords.vec(d_image(P, b).truncate_length(n)) for b in src.elements]
-    _, kernel, _ = reduce(SparseMatrix.from_columns(tgt_coords.total, cols))
+    mat, _ = _image_matrix(P, src.forms, _GradedCoords(P.gens, q, t.n_max), t.n_max)
+    _, kernel, _ = reduce(mat)
     return res, kernel, src
+
+
+def _image_matrix(
+    P: DglPresentation, forms: list, coords: _GradedCoords, n: Optional[int] = None,
+    strict: bool = False,
+) -> tuple[SparseMatrix, int]:
+    """(D * M, D) for M the matrix whose column j is d(forms[j]), with words
+    of length >= n dropped when n is given, read in `coords`, and D the
+    least common denominator of the integer images.  D * M is an integer
+    matrix with the kernel of M, and M x = b exactly when (D * M) x = D * b."""
+    images = [d_image(P, form, n) for form in forms]
+    den = lcm(*(d for d, _ in images))
+    cols = []
+    for d, terms in images:
+        col = coords.vec(terms, strict)
+        cols.append(col if d == den else {i: c * (den // d) for i, c in col.items()})
+    return SparseMatrix.from_columns(coords.total, cols), den
 
 
 # ---------------------------------------------------------------------------
@@ -942,9 +953,8 @@ def top_length_obstruction(
         if not basis:
             injective[l] = True
             continue
-        coords_out = _GradedCoords(P.gens, q_target, l + 2)
-        cols = [coords_out.vec(d_image(P_raise, b)) for b in basis]
-        mat = SparseMatrix.from_columns(coords_out.total, cols)
+        forms = [integer_terms(b.terms) for b in basis]
+        mat, _ = _image_matrix(P_raise, forms, _GradedCoords(P.gens, q_target, l + 2))
         rank, kernel, _ = reduce(mat)
         injective[l] = rank == len(basis)
         if not injective[l]:
@@ -957,7 +967,7 @@ def top_length_obstruction(
     ech = IntEchelon()
     for l in range(1, bound + 1):
         for b in lie_basis(P.gens, l, degree):
-            ech.insert(out_coords.vec(d_image(P, b)))
+            ech.insert(out_coords.vec(d_image(P, integer_terms(b.terms))[1]))
     return ObstructionReport(degree, lengths, injective, kernels, ech, out_coords, bound, vacuous)
 
 
@@ -1019,49 +1029,6 @@ def completion_boundary_check(
 # derived degree-0 bracket tables (these feed the pronilpotency auditor)
 
 
-class _TrackedEchelon:
-    """Fraction echelon whose rows remember an expression over tracked inputs."""
-
-    def __init__(self):
-        self.rows: dict[int, tuple[dict, dict]] = {}
-
-    def _reduce(self, vec: dict, expr: dict) -> tuple[dict, dict]:
-        vec = {i: Fraction(c) for i, c in vec.items() if c}
-        while vec:
-            p = min(vec)
-            if p not in self.rows:
-                break
-            row, rexpr = self.rows[p]
-            f = vec[p] / row[p]
-            for i, c in row.items():
-                s = vec.get(i, Fraction(0)) - f * c
-                if s:
-                    vec[i] = s
-                else:
-                    vec.pop(i, None)
-            for i, c in rexpr.items():
-                s = expr.get(i, Fraction(0)) - f * c
-                if s:
-                    expr[i] = s
-                else:
-                    expr.pop(i, None)
-        return vec, expr
-
-    def insert(self, vec: dict, expr: dict) -> bool:
-        vec, expr = self._reduce(dict(vec), dict(expr))
-        if not vec:
-            return False
-        self.rows[min(vec)] = (vec, expr)
-        return True
-
-    def express(self, vec: dict) -> Optional[dict]:
-        """If vec is in the span, its combination over the tracked inputs."""
-        vec, expr = self._reduce(dict(vec), {})
-        if vec:
-            return None
-        return {i: -c for i, c in expr.items() if c}
-
-
 def h0_table_from_tower(P: DglPresentation, n: int):
     """Bracket table of the nilpotent Lie algebra H(L/L^n)_0.
 
@@ -1073,22 +1040,21 @@ def h0_table_from_tower(P: DglPresentation, n: int):
 
     ech, coords = _degree0_boundary_closure(P, n)
     dim_l0 = sum(lie_dim(P.gens, k, 0) for k in range(1, n))
-    sub = IntEchelon()
+    # boundary rows, then representatives: a bracket is expressed over both
+    # (uniquely, they are independent) and its boundary part dropped
+    tracked = IntEchelon(track=True)
     for row in ech.rows.values():
-        sub.insert(row)
+        tracked.insert(row)
     reps: list[TensorElt] = []
+    rep_of_input: dict[int, int] = {}
     for k in range(1, n):
-        if sub.dim == dim_l0:
+        if tracked.dim == dim_l0:
             break
         for b in lie_basis(P.gens, k, 0):
-            if sub.insert(coords.vec(b)) is not None:
+            if tracked.insert(coords.vec(b)) is not None:
+                rep_of_input[tracked.inputs - 1] = len(reps)
                 reps.append(b)
     names = [f"h{i}" for i in range(len(reps))]
-    tracked = _TrackedEchelon()
-    for row in ech.rows.values():
-        tracked.insert({i: Fraction(c) for i, c in row.items()}, {})
-    for i, r in enumerate(reps):
-        tracked.insert(coords.vec(r), {i: Fraction(1)})
     brackets = {}
     for i, ri in enumerate(reps):
         for j in range(i, len(reps)):
@@ -1096,7 +1062,7 @@ def h0_table_from_tower(P: DglPresentation, n: int):
             expr = tracked.express(coords.vec(val))
             if expr is None:
                 raise DglError("quotient bracket failed to close; this is a bug")
-            entry = {names[k]: c for k, c in expr.items() if c}
+            entry = {names[rep_of_input[k]]: c for k, c in expr.items() if k in rep_of_input}
             if entry:
                 brackets[(names[i], names[j])] = entry
     table = FiniteLieData([(nm, 0) for nm in names], brackets, complete_degrees={0: True})
@@ -1123,7 +1089,7 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
     cols = []
     for l in range(1, witness_bound + 1):
         for b in lie_basis(P.gens, l, 1):
-            cols.append(out_coords.vec(d_image(P, b)))
+            cols.append(out_coords.vec(d_image(P, integer_terms(b.terms))[1]))
     # combinations of boundary columns supported inside the window:
     # kernel of the projection to the above-window coordinates
     high = [{i: c for i, c in col.items() if i >= limit} for col in cols]
@@ -1141,19 +1107,17 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
         if any(i >= limit for i in acc):
             raise AssertionError("window intersection leaked long words")
         boundary_ech.insert(acc)
-    tracked = _TrackedEchelon()
-    sub = IntEchelon()
+    tracked = IntEchelon(track=True)
     for row in boundary_ech.rows.values():
-        tracked.insert({i: Fraction(c) for i, c in row.items()}, {})
-        sub.insert(row)
+        tracked.insert(row)
     reps: list[TensorElt] = []
+    rep_of_input: dict[int, int] = {}
     for k in range(1, window + 1):
         for b in lie_basis(P.gens, k, 0):
-            if sub.insert(out_coords.vec(b)) is not None:
+            if tracked.insert(out_coords.vec(b)) is not None:
+                rep_of_input[tracked.inputs - 1] = len(reps)
                 reps.append(b)
     names = [f"c{i}" for i in range(len(reps))]
-    for i, r in enumerate(reps):
-        tracked.insert(out_coords.vec(r), {i: Fraction(1)})
     brackets = {}
     closed = True
     for i, ri in enumerate(reps):
@@ -1166,7 +1130,7 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
             if expr is None:
                 closed = False
                 continue
-            entry = {names[k]: c for k, c in expr.items() if c}
+            entry = {names[rep_of_input[k]]: c for k, c in expr.items() if k in rep_of_input}
             if entry:
                 brackets[(names[i], names[j])] = entry
     table = FiniteLieData([(nm, 0) for nm in names], brackets, complete_degrees={0: closed})

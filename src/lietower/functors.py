@@ -1090,31 +1090,26 @@ class _QuotientSpace:
     """Quotient of Q^n by a spanned subspace, with canonical word representatives."""
 
     def __init__(self, ambient: int, span_vectors: list[dict]):
-        self.sub = IntEchelon()
+        sub = IntEchelon()
         for v in span_vectors:
-            self.sub.insert(v)
+            sub.insert(v)
+        # tracked reduction: subspace rows first, then the unit vectors that
+        # stay independent, which are the representatives
+        self.tracked = IntEchelon(track=True)
+        for row in sub.rows.values():
+            self.tracked.insert(row)
         self.rep_indices: list[int] = []
-        probe = IntEchelon()
-        for row in self.sub.rows.values():
-            probe.insert(row)
+        self._rep_of_input: dict[int, int] = {}
         for i in range(ambient):
-            if probe.insert({i: 1}) is not None:
+            if self.tracked.insert({i: 1}) is not None:
+                self._rep_of_input[self.tracked.inputs - 1] = len(self.rep_indices)
                 self.rep_indices.append(i)
-        self.rep_pos = {i: k for k, i in enumerate(self.rep_indices)}
-        # tracked reduction: subspace rows first, then representatives
-        from .dgl import _TrackedEchelon
-
-        self.tracked = _TrackedEchelon()
-        for row in self.sub.rows.values():
-            self.tracked.insert({i: Fraction(c) for i, c in row.items()}, {})
-        for k, i in enumerate(self.rep_indices):
-            self.tracked.insert({i: Fraction(1)}, {k: Fraction(1)})
 
     def project(self, vec: dict) -> dict[int, Fraction]:
-        got = self.tracked.express({i: Fraction(c) for i, c in vec.items()})
+        got = self.tracked.express(vec)
         if got is None:
             raise FunctorError("vector escapes the quotient span")
-        return got
+        return {self._rep_of_input[k]: c for k, c in got.items() if k in self._rep_of_input}
 
 
 def bar_lie_coalgebra_E(A, q_max: int, n_max: int) -> LieCoalgebraTrunc:

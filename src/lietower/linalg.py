@@ -1,8 +1,19 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dicts {coordinate index: Fraction}, with no stored zeros.
-Matrices are sparse maps (row, col) -> Fraction.  Everything is computed
-with exact rational arithmetic; there is no floating point anywhere.
+One elimination kernel, `IntEchelon`, does every elimination in the package.
+It stores integer rows with positive pivots and never divides: a vector
+is scaled once by the least common denominator of its entries, and a
+reduction step multiplies by the pivot's cofactor instead of dividing by
+it (fraction-free, in the manner of Bareiss).  With transform tracking, each
+stored row also carries the integer combination of the inputs that gives
+it; the content is taken over the row and its combination together, so
+both stay integral.  `reduce` and `solve_affine` are one left-to-right pass
+of the columns through a tracked echelon.
+
+`Fraction` remains at the edges: matrices take int or Fraction entries, and
+the public vectors that come out (reduced echelon bases, particular
+solutions, expressions over the inputs) have Fraction coefficients.  There
+is no floating point anywhere.
 
 Canonical forms: subspaces are always stored in reduced row echelon form
 with the leftmost-lowest-index pivot rule, so equality of subspaces is a
@@ -13,7 +24,7 @@ of insertion order or scheduling.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 Vec = dict[int, Fraction]
@@ -35,106 +46,132 @@ class NotAComplexError(LinalgError):
     pass
 
 
-def vec_clean(v: dict) -> Vec:
-    return {i: Fraction(c) for i, c in v.items() if c}
-
-
-def vec_add(u: Vec, v: Vec, scale: Fraction = Fraction(1)) -> Vec:
-    out = dict(u)
-    for i, c in v.items():
-        s = out.get(i, 0) + scale * c
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
-    return out
-
-
-def vec_scale(v: Vec, scale: Fraction) -> Vec:
-    if not scale:
-        return {}
-    return {i: scale * c for i, c in v.items()}
+def _content(*vecs: dict[int, int]) -> int:
+    """gcd of the entries of integer vectors taken together (0 when all empty)."""
+    g = 0
+    for v in vecs:
+        for c in v.values():
+            g = gcd(g, c)
+            if g == 1:
+                return 1
+    return g
 
 
 def _primitive(v: dict[int, int]) -> dict[int, int]:
     """Divide an integer vector by its content."""
-    g = 0
-    for c in v.values():
-        g = gcd(g, c)
-        if g == 1:
-            return v
-    if g > 1:
-        return {i: c // g for i, c in v.items()}
-    return v
+    g = _content(v)
+    return {i: c // g for i, c in v.items()} if g > 1 else v
 
 
-def _to_int_vec(v: dict) -> dict[int, int]:
-    """Scale a rational vector to a primitive integer vector (content 1)."""
-    if not v:
-        return {}
-    if all(type(c) is int for c in v.values()):
-        return _primitive({i: c for i, c in v.items() if c})
-    denom = 1
-    for c in v.values():
-        f = Fraction(c)
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = {i: int(Fraction(c) * denom) for i, c in v.items()}
-    return _primitive({i: c for i, c in ints.items() if c})
+def _clear_denominators(v: dict) -> tuple[int, dict[int, int]]:
+    """(D, D * v) for D the least common denominator of v's int or Fraction
+    entries; zeros are dropped."""
+    den = lcm(*(c.denominator for c in v.values()))
+    if den == 1:
+        return 1, {i: c.numerator for i, c in v.items() if c}
+    return den, {i: c.numerator * (den // c.denominator) for i, c in v.items() if c}
+
+
+def _sub_multiple(u: dict[int, int], a: int, w: dict[int, int], b: int) -> dict[int, int]:
+    """a*u - b*w for sparse integer vectors, with no stored zeros."""
+    out = {i: a * c for i, c in u.items()}
+    for i, c in w.items():
+        s = out.get(i, 0) - b * c
+        if s:
+            out[i] = s
+        else:
+            del out[i]
+    return out
 
 
 class IntEchelon:
     """Incremental echelon basis with integer row storage.
 
-    Only spans, ranks and membership come out of this; rows are kept
-    primitive (content 1) and pivots positive.  Exact by construction.
-    Used as the workhorse for the larger eliminations (free Lie bases,
-    ideal closures) where Fraction overhead would dominate.
+    Rows are keyed by their pivot (lowest index) and kept with a positive
+    pivot; reduction steps are fraction-free.  Untracked rows are kept
+    primitive (content 1); spans, ranks and membership come out.
+
+    With track=True the inputs are numbered in insertion order and each
+    stored row carries, in `combos[pivot]`, the integer combination of the
+    inputs that gives it: row = sum_k combo[k] * input_k.  The content is
+    taken over row and combination together.  An input that reduces to zero
+    adds to `relations` the integer combination of inputs that vanishes
+    (its own coefficient is nonzero).  Stored combinations only involve the
+    inputs that gave a pivot.
     """
 
-    def __init__(self):
+    def __init__(self, track: bool = False):
         self.rows: dict[int, dict[int, int]] = {}  # pivot index -> row
+        self.combos: Optional[dict[int, dict[int, int]]] = {} if track else None
+        self.relations: list[dict[int, int]] = []
+        self.inputs = 0
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def residual(self, vec: dict) -> dict[int, int]:
-        """Reduce vec against the current rows; primitive integer residual."""
-        v = _to_int_vec(vec)
-        while v:
+    def _reduce(self, v: dict[int, int], e: Optional[dict[int, int]] = None):
+        """Reduce the integer vector v against the rows, carrying the
+        combination e along when tracking; the content is divided out of v
+        (and e) after every step."""
+        while True:
+            g = _content(v) if e is None else _content(v, e)
+            if g > 1:
+                v = {i: c // g for i, c in v.items()}
+                if e is not None:
+                    e = {i: c // g for i, c in e.items()}
+            if not v:
+                return v, e
             p = min(v)
             row = self.rows.get(p)
             if row is None:
-                return v
-            a, b = row[p], v[p]
-            g = gcd(a, b)
-            ca, cb = a // g, b // g
+                return v, e
+            g = gcd(row[p], v[p])
             # v <- ca*v - cb*row  (kills coordinate p, stays integral)
-            new = {}
-            for i, c in v.items():
-                new[i] = ca * c
-            for i, c in row.items():
-                s = new.get(i, 0) - cb * c
-                if s:
-                    new[i] = s
-                else:
-                    new.pop(i, None)
-            v = _primitive(new)
-        return v
+            ca, cb = row[p] // g, v[p] // g
+            v = _sub_multiple(v, ca, row, cb)
+            if e is not None:
+                e = _sub_multiple(e, ca, self.combos[p], cb)
+
+    def residual(self, vec: dict) -> dict[int, int]:
+        """Reduce vec against the current rows; primitive integer residual."""
+        return self._reduce(_clear_denominators(vec)[1])[0]
 
     def insert(self, vec: dict) -> Optional[int]:
         """Insert a vector; returns the new pivot index or None if dependent."""
-        v = self.residual(vec)
+        den, v = _clear_denominators(vec)
+        if self.combos is None:
+            v, e = self._reduce(v)
+        else:
+            v, e = self._reduce(v, {self.inputs: den})
+            self.inputs += 1
+            if not v:
+                self.relations.append(e)
         if not v:
             return None
         p = min(v)
         if v[p] < 0:
             v = {i: -c for i, c in v.items()}
+            if e is not None:
+                e = {i: -c for i, c in e.items()}
         self.rows[p] = v
+        if e is not None:
+            self.combos[p] = e
         return p
 
     def contains(self, vec: dict) -> bool:
         return not self.residual(vec)
+
+    def express(self, vec: dict) -> Optional[Vec]:
+        """vec as a combination of the inputs (track=True), or None when vec
+        is outside the span.  Only inputs that gave a pivot appear; they are
+        independent, so the combination is unique."""
+        den, v = _clear_denominators(vec)
+        v, e = self._reduce(v, {-1: den})
+        if v:
+            return None
+        lead = e.pop(-1)
+        return {k: Fraction(-c, lead) for k, c in e.items()}
 
     def rref(self) -> list[Vec]:
         """Reduced echelon basis (pivot coefficient 1), sorted by pivot.
@@ -151,16 +188,8 @@ class IntEchelon:
             for q in sorted(i for i in row if i in reduced):
                 other = reduced[q]
                 g = gcd(other[q], row[q])
-                a, b = other[q] // g, row[q] // g
                 # row <- a*row - b*other kills coordinate q; a > 0 keeps row[p] > 0
-                new = {i: a * c for i, c in row.items()}
-                for i, c in other.items():
-                    s = new.get(i, 0) - b * c
-                    if s:
-                        new[i] = s
-                    else:
-                        del new[i]
-                row = _primitive(new)
+                row = _primitive(_sub_multiple(row, other[q] // g, other, row[q] // g))
             reduced[p] = row
         return [{i: Fraction(c, reduced[p][p]) for i, c in reduced[p].items()} for p in pivots]
 
@@ -178,23 +207,27 @@ class Subspace:
         self.ambient = ambient
         self.basis: list[Vec] = ech.rref()
         self.pivots: list[int] = [min(r) for r in self.basis]
+        self._echelon: Optional[IntEchelon] = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def _membership(self) -> IntEchelon:
+        """The basis as an echelon for membership tests, built on first use."""
+        if self._echelon is None:
+            self._echelon = IntEchelon()
+            for row in self.basis:
+                self._echelon.insert(row)
+        return self._echelon
+
     def contains(self, vec: dict) -> bool:
-        ech = IntEchelon()
-        for row in self.basis:
-            ech.insert(row)
-        return ech.contains(vec)
+        return self._membership().contains(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise DimensionMismatch("ambient dimensions differ")
-        ech = IntEchelon()
-        for row in self.basis:
-            ech.insert(row)
+        ech = self._membership()
         return all(ech.contains(r) for r in other.basis)
 
     def __eq__(self, other):
@@ -208,8 +241,24 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
+def _combine_columns(cols: list[dict], vec: dict) -> dict:
+    """sum_j vec[j] * cols[j], with no stored zeros."""
+    out: dict = {}
+    for j, x in vec.items():
+        if not x:
+            continue
+        for i, c in cols[j].items():
+            s = out.get(i, 0) + x * c
+            if s:
+                out[i] = s
+            else:
+                del out[i]
+    return out
+
+
 class SparseMatrix:
-    """Sparse exact matrix; entries maps (row, col) to a nonzero Fraction."""
+    """Sparse exact matrix; entries maps (row, col) to a nonzero int or
+    Fraction (int entries stay int, anything else becomes a Fraction)."""
 
     def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
         self.rows = rows
@@ -219,17 +268,14 @@ class SparseMatrix:
             for (i, j), c in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise DimensionMismatch(f"entry ({i},{j}) outside {rows}x{cols}")
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
                 if c:
                     self.entries[(i, j)] = c
 
     @classmethod
     def from_columns(cls, rows: int, columns: list[dict]) -> "SparseMatrix":
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, c in col.items():
-                if c:
-                    entries[(i, j)] = Fraction(c)
+        entries = {(i, j): c for j, col in enumerate(columns) for i, c in col.items()}
         return cls(rows, len(columns), entries)
 
     @classmethod
@@ -241,8 +287,7 @@ class SparseMatrix:
             if len(row) != cols:
                 raise DimensionMismatch("ragged rows")
             for j, c in enumerate(row):
-                if c:
-                    entries[(i, j)] = Fraction(c)
+                entries[(i, j)] = c
         return cls(rows, cols, entries)
 
     def column(self, j: int) -> Vec:
@@ -256,27 +301,17 @@ class SparseMatrix:
 
     def apply(self, vec: dict) -> Vec:
         """Matrix times column vector (vector indexed by columns)."""
-        out: Vec = {}
-        cols = self.columns()
-        for j, x in vec.items():
+        for j in vec:
             if not (0 <= j < self.cols):
                 raise DimensionMismatch(f"coordinate {j} outside {self.cols} columns")
-            if not x:
-                continue
-            for i, c in cols[j].items():
-                s = out.get(i, 0) + Fraction(x) * c
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
-        return out
+        return _combine_columns(self.columns(), {j: Fraction(x) for j, x in vec.items()})
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """self o other (matrix product self @ other)."""
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        cols = [self.apply(c) for c in other.columns()]
-        return SparseMatrix.from_columns(self.rows, cols)
+        cols = self.columns()
+        return SparseMatrix.from_columns(self.rows, [_combine_columns(cols, c) for c in other.columns()])
 
     def leading_block(self, rows: int, cols: int) -> "SparseMatrix":
         """The submatrix of the first rows and columns."""
@@ -291,12 +326,15 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _rref_rows(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
-    ech = IntEchelon()
-    for r in rows:
-        ech.insert(r)
-    basis = ech.rref()
-    return [min(r) for r in basis], basis
+def _column_pass(m: SparseMatrix) -> IntEchelon:
+    """The columns of m inserted left to right into a tracked echelon: the
+    leftmost independent columns give pivots, and each other column gives
+    a relation, which is a kernel vector."""
+    ech = IntEchelon(track=True)
+    for j, col in enumerate(m.columns()):
+        if ech.insert(col) is None and ech.dim + len(ech.relations) != j + 1:
+            raise AssertionError("a column with a nonzero residual did not give a pivot")
+    return ech
 
 
 def reduce(m: SparseMatrix) -> tuple[int, Subspace, Subspace]:
@@ -305,70 +343,25 @@ def reduce(m: SparseMatrix) -> tuple[int, Subspace, Subspace]:
     The kernel lives in Q^cols, the image in Q^rows; both come back as
     canonical reduced-echelon subspaces, so rank + kernel.dim == cols.
     """
-    cols = m.columns()
-    ech = IntEchelon()
-    kernel_rows: list[Vec] = []
-    # Track, for every column, its expression over the independent columns,
-    # so dependent columns yield kernel vectors directly.
-    history: list[tuple[int, Vec]] = []  # (col index, reduced column as combo target)
-    basis_cols: list[int] = []
-    combo: dict[int, Vec] = {}  # pivot -> combination over original columns
-    for j, col in enumerate(cols):
-        # Reduce col against current echelon, tracking coefficients exactly.
-        v = {i: Fraction(c) for i, c in col.items()}
-        expr: Vec = {j: Fraction(1)}
-        while v:
-            p = min(v)
-            if p not in ech.rows:
-                break
-            row = ech.rows[p]
-            factor = v[p] / row[p]
-            v = vec_add(v, {i: Fraction(c) for i, c in row.items()}, -factor)
-            expr = vec_add(expr, combo[p], -factor)
-        if v:
-            p = ech.insert(v)
-            if p is None:
-                raise AssertionError("a column with a nonzero residual did not give a pivot")
-            # Renormalize combo to match the stored primitive row.
-            stored = ech.rows[p]
-            factor = Fraction(stored[p]) / v[p]
-            combo[p] = vec_scale(expr, factor)
-            basis_cols.append(j)
-        else:
-            kernel_rows.append(expr)
-    rank = len(basis_cols)
-    image = Subspace(m.rows, [cols[j] for j in basis_cols])
-    kernel = Subspace(m.cols, kernel_rows)
-    return rank, kernel, image
+    ech = _column_pass(m)
+    return ech.dim, Subspace(m.cols, ech.relations), Subspace(m.rows, ech.rows.values())
 
 
 def solve_affine(a: SparseMatrix, b: dict) -> Optional[tuple[Vec, Subspace]]:
     """Solve a x = b exactly; returns (particular, kernel) or None.
 
     The particular solution is the canonical one with all free variables
-    set to zero (read off the reduced echelon form of [a | b]).
+    set to zero: the one supported on the leftmost independent columns of
+    a, which are the pivot columns of the reduced echelon form of [a | b].
     """
     for i in b:
         if not (0 <= i < a.rows):
             raise DimensionMismatch(f"rhs coordinate {i} outside {a.rows} rows")
-    rows: list[Vec] = [dict() for _ in range(a.rows)]
-    for (i, j), c in a.entries.items():
-        rows[i][j] = c
-    for i, c in b.items():
-        if c:
-            rows[i][a.cols] = Fraction(c)
-    pivots, rref = _rref_rows(rows)
-    particular: Vec = {}
-    for p, row in zip(pivots, rref):
-        if p == a.cols:
-            return None  # rank([A|b]) > rank(A)
-        # leading variable p; free variables set to 0, so only the b-column
-        # (index a.cols) contributes.
-        val = row.get(a.cols, Fraction(0))
-        if val:
-            particular[p] = val
-    _, kernel, _ = reduce(a)
-    return particular, kernel
+    ech = _column_pass(a)
+    particular = ech.express(b)
+    if particular is None:
+        return None  # rank([A|b]) > rank(A)
+    return particular, Subspace(a.cols, ech.relations)
 
 
 class QuotientInfo:

@@ -269,3 +269,38 @@ def test_cli_non_integer_range_exit_code(args, capsys):
     assert code == 2
     assert out == ""
     assert "range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--certify-lengths", "1..5", "--format", "structured"],
+         "78b9bfeff9e97699dd4a98ead99dd5fd52a45f1dd8d3397d09d5b6780098a214"),
+        (["--exact"], "2808fa82850ac51f899614b56fa60d6224e310fc51eff9f32046bdf8429f1e56"),
+    ],
+)
+def test_cli_boundary_golden_stubborn_cycle(args, digest):
+    # the outputs of test_cli_boundary_remark, byte for byte
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    code, out = run_cli(["boundary", path, "--target", "x", "--max-length", "6", *args])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_negative_generator_degree_exit_code(tmp_path, capsys):
+    p = tmp_path / "negative.dgl"
+    p.write_text("kind: dgl\n[generators]\nx : -1\n")
+    code, out = run_cli(["validate", str(p)])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "negative degree -1 for 'x'" in err
+
+
+def test_cli_wrongly_graded_bracket_exit_code(tmp_path, capsys):
+    p = tmp_path / "graded.lietable"
+    p.write_text("kind: lie-table\n[generators]\na : 0\nb : 1\nc : 0\n[brackets]\n[a, b] = c\n")
+    code, out = run_cli(["pronil", str(p)])
+    assert code == 2
+    assert out == "error: bracket [a, b] has a component of degree 0, expected 1\n"
+    assert capsys.readouterr().err == ""

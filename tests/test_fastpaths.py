@@ -9,7 +9,11 @@
   Fraction derivation images read through `coords`;
 * `homology_tower` in positive degrees (one complex, leading blocks) against
   a quotient complex per n with connecting images counted by projecting
-  cycles.
+  cycles;
+* the tracked integer echelon behind `reduce`, `solve_affine` and
+  `IntEchelon.express` against the Fraction `reduce`, the row reduction of
+  [A | b] and the Fraction tracked echelon it replaced, and the boundary
+  solvers (integer columns from `d_image`) against Fraction assembly.
 
 Every invariant check that guards these paths must also hold under
 `python -O`, so they are exercised in a child interpreter started with -O.
@@ -45,7 +49,7 @@ from lietower.freelie import (
     word_elt,
     words_of,
 )
-from lietower.linalg import IntEchelon, SparseMatrix, reduce
+from lietower.linalg import IntEchelon, SparseMatrix, reduce, solve_affine
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
@@ -530,3 +534,335 @@ def test_complex_checks_survive_optimized_mode():
     assert "leading-block ranks give dim H" in lines[5]
     assert "connecting image dim" in lines[6] and "outside [0, min(" in lines[6]
     assert lines[-1].startswith("exit 4 internal invariant breach: connecting image dim -")
+
+
+# -- the tracked integer echelon ---------------------------------------------
+
+def frac_axpy(u, v, f):
+    """u + f * v in Fraction, with no stored zeros."""
+    out = dict(u)
+    for i, c in v.items():
+        s = out.get(i, 0) + f * c
+        if s:
+            out[i] = s
+        else:
+            out.pop(i, None)
+    return out
+
+
+def fraction_reduce(m):
+    """The Fraction `reduce` the integer kernel replaced: columns left to
+    right, each reduced against the pivot rows found so far, with its
+    combination over the original columns tracked in Fraction.  Returns
+    (rank, kernel rows, image rows), both in reduced echelon form."""
+    rows = {}  # pivot -> (row, combination)
+    kernel, basis_cols = [], []
+    cols = m.columns()
+    for j, col in enumerate(cols):
+        v = {i: Fraction(c) for i, c in col.items() if c}
+        expr = {j: Fraction(1)}
+        while v and min(v) in rows:
+            row, combo = rows[min(v)]
+            f = -v[min(v)] / row[min(v)]
+            v, expr = frac_axpy(v, row, f), frac_axpy(expr, combo, f)
+        if v:
+            rows[min(v)] = (v, expr)
+            basis_cols.append(j)
+        else:
+            kernel.append(expr)
+    return len(basis_cols), fraction_rref(kernel), fraction_rref([cols[j] for j in basis_cols])
+
+
+def fraction_solve_affine(m, b):
+    """The particular solution read off the reduced echelon form of [A | b]
+    (free variables 0), with the Fraction kernel; None when inconsistent."""
+    rows = [dict() for _ in range(m.rows)]
+    for (i, j), c in m.entries.items():
+        rows[i][j] = c
+    for i, c in b.items():
+        if c:
+            rows[i][m.cols] = Fraction(c)
+    particular = {}
+    for row in fraction_rref(rows):
+        p = min(row)
+        if p == m.cols:
+            return None
+        if row.get(m.cols):
+            particular[p] = row[m.cols]
+    return particular, fraction_reduce(m)[1]
+
+
+class FractionTrackedEchelon:
+    """The Fraction echelon whose rows remember an expression over tracked
+    inputs, which `IntEchelon(track=True)` replaced."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def _reduce(self, vec, expr):
+        vec = {i: Fraction(c) for i, c in vec.items() if c}
+        while vec and min(vec) in self.rows:
+            row, rexpr = self.rows[min(vec)]
+            f = -vec[min(vec)] / row[min(vec)]
+            vec, expr = frac_axpy(vec, row, f), frac_axpy(expr, rexpr, f)
+        return vec, expr
+
+    def insert(self, vec, expr):
+        vec, expr = self._reduce(vec, expr)
+        if vec:
+            self.rows[min(vec)] = (vec, expr)
+        return bool(vec)
+
+    def express(self, vec):
+        vec, expr = self._reduce(vec, {})
+        return None if vec else {i: -c for i, c in expr.items()}
+
+
+def random_matrix(rng, rational):
+    """A sparse matrix with some zero columns and some columns that are
+    combinations of earlier ones."""
+    n_rows, n_cols = rng.randint(0, 8), rng.randint(1, 8)
+    cols = []
+    for j in range(n_cols):
+        roll = rng.random()
+        if roll < 0.15 or not n_rows:
+            col = {}
+        elif roll < 0.4 and cols:
+            col = {}
+            for other in rng.sample(cols, min(len(cols), 2)):
+                col = frac_axpy(col, other, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        else:
+            col = random_rows(rng, 1, n_rows, rational)[0]
+        cols.append(col if rational else {i: int(c) for i, c in col.items()})
+    return SparseMatrix.from_columns(n_rows, cols)
+
+
+def test_column_pass_matches_fraction_reduce_and_row_reduction():
+    rng = random.Random(31)
+    unsat = zero_cols = 0
+    for trial in range(400):
+        m = random_matrix(rng, rational=trial % 2 == 1)
+        rank, kernel, image = reduce(m)
+        want_rank, want_kernel, want_image = fraction_reduce(m)
+        assert (rank, kernel.basis, image.basis) == (want_rank, want_kernel, want_image), trial
+        assert rank + kernel.dim == m.cols
+        zero_cols += any(not col for col in m.columns())
+        # a right-hand side in the column span, and a random one
+        x = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for j in range(m.cols)}
+        for b in (m.apply(x), random_rows(rng, 1, m.rows, rational=True)[0] if m.rows else {}):
+            got, want = solve_affine(m, b), fraction_solve_affine(m, b)
+            if want is None:
+                assert got is None, trial
+                unsat += 1
+                continue
+            particular, kernel = got
+            assert particular == want[0] and kernel.basis == want[1], trial
+            assert m.apply(particular) == {i: Fraction(c) for i, c in b.items() if c}
+    assert unsat > 50 and zero_cols > 50
+
+
+def test_express_matches_fraction_tracked_echelon():
+    rng = random.Random(32)
+    for trial in range(300):
+        n = rng.randint(1, 8)
+        span = random_rows(rng, rng.randint(0, 5), n, rational=trial % 2 == 0)
+        ech, old = IntEchelon(track=True), FractionTrackedEchelon()
+        for k, row in enumerate(span):
+            assert (ech.insert(row) is not None) == old.insert(row, {k: Fraction(1)})
+        assert ech.inputs == len(span) and ech.dim + len(ech.relations) == len(span)
+        for relation in ech.relations:
+            total = {}
+            for k, c in relation.items():
+                total = frac_axpy(total, span[k], Fraction(c))
+            assert total == {}
+        probes = random_rows(rng, 3, n, rational=True)
+        probes += [frac_axpy(span[0], span[-1], Fraction(rng.randint(-2, 2)))] if span else []
+        for vec in probes:
+            got = ech.express(vec)
+            assert got == old.express(vec), trial
+            if got is not None:
+                total = {}
+                for k, c in got.items():
+                    total = frac_axpy(total, span[k], c)
+                assert total == {i: Fraction(c) for i, c in vec.items() if c}
+
+
+def test_subspace_membership_echelon_is_built_once(monkeypatch):
+    from lietower import linalg
+
+    w = linalg.Subspace(3, [{0: 1, 1: 2}, {2: Fraction(1, 2)}])
+    inserts = []
+    orig = linalg.IntEchelon.insert
+    monkeypatch.setattr(linalg.IntEchelon, "insert", lambda self, v: inserts.append(v) or orig(self, v))
+    assert w.contains({0: 2, 1: 4, 2: 7}) and not w.contains({1: 1})
+    assert w.contains_subspace(linalg.Subspace(3, [{0: 1, 1: 2}]))
+    assert len(inserts) == 2 + 1  # the two basis rows once, the other subspace's row
+
+
+def test_compose_matches_entrywise_product():
+    rng = random.Random(33)
+    for _ in range(50):
+        a, b = random_matrix(rng, True), random_matrix(rng, False)
+        a = SparseMatrix.from_columns(a.rows, a.columns()[: b.rows] + [{}] * (b.rows - a.cols))
+        want = {}
+        for (i, k), x in a.entries.items():
+            for (kk, j), y in b.entries.items():
+                if k == kk:
+                    want[(i, j)] = want.get((i, j), 0) + x * y
+        assert a.compose(b).entries == {key: c for key, c in want.items() if c}
+
+
+# -- boundary solves on integer columns --------------------------------------
+
+def perfbench_gen():
+    """The benchmark's seeded inputs (perfbench/gen.py)."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def fraction_boundary_system(P, target, n, exact):
+    """d of the degree-(q+1) slice basis in Fraction word coordinates."""
+    from lietower.dgl import _GradedCoords
+
+    src = DegreeSlice(P, target.homogeneous_degree() + 1, n)
+    coords = _GradedCoords(P.gens, target.homogeneous_degree(), n + P.max_shift() if exact else n)
+    cols = []
+    for b in src.elements:
+        img = extend_derivation(P, b)
+        cols.append(coords.vec(img if exact else img.truncate_length(n), strict=exact))
+    rhs = coords.vec(target if exact else target.truncate_length(n), strict=True)
+    return src, SparseMatrix.from_columns(coords.total, cols), rhs
+
+
+def fraction_obstruction(P, degree, lengths):
+    """(to_structured(), kernel witnesses, boundary rows) of
+    top_length_obstruction, assembled in Fraction."""
+    from lietower.dgl import _GradedCoords
+
+    P_raise = DglPresentation(P.gens, {k: v.length_component(2) for k, v in P.diff.items()
+                                       if not v.length_component(2).is_zero()})
+    injective, kernels = {}, {}
+    for l in lengths:
+        basis = lie_basis(P.gens, l, degree)
+        if not basis:
+            injective[l] = True
+            continue
+        coords = _GradedCoords(P.gens, degree - 1, l + 2)
+        cols = [coords.vec(extend_derivation(P_raise, b)) for b in basis]
+        rank, kernel, _ = fraction_reduce(SparseMatrix.from_columns(coords.total, cols))
+        injective[l] = rank == len(basis)
+        if kernel:
+            kernels[l] = sum((c * basis[i] for i, c in kernel[0].items()), TensorElt(P.gens))
+    bound = max(lengths)
+    coords = _GradedCoords(P.gens, degree - 1, bound + 1 + max(P.max_shift(), 1))
+    rows = [coords.vec(extend_derivation(P, b))
+            for l in range(1, bound + 1) for b in lie_basis(P.gens, l, degree)]
+    structured = {
+        "degree": degree,
+        "lengths": list(lengths),
+        "injective": {str(k): v for k, v in sorted(injective.items())},
+        "witness_bound": bound,
+        "classical_certificate": not not P_raise.diff and all(injective.values()),
+        "vacuous": not P_raise.diff,
+    }
+    return structured, kernels, coords, fraction_rref(rows)
+
+
+def sweep_presentations():
+    """The stubborn cycle and seeded members of its family, each with the
+    benchmark's sweep targets of one seed."""
+    gen = perfbench_gen()
+    with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
+        stubborn = cli.parse(fh.read()).to_dgl()
+    for seed in (0, 1, 2):
+        seeded = cli.parse(gen.seeded_dgl(seed)).to_dgl()
+        for P in (stubborn, seeded):
+            yield P, [freelie.parse_element(P.gens, t) for t in gen.sweep_targets(seed, 12)]
+
+
+def test_boundary_solves_match_fraction_assembly():
+    from lietower.dgl import Truncation, boundary_solve, top_length_obstruction, witness_direction_space
+
+    outcomes = set()
+    obstructions = 0
+    for P, targets in sweep_presentations():
+        # the seeded d z raises length by 2, outside the top-length analysis
+        report = None if P.max_shift() > 1 else top_length_obstruction(P, 1, range(1, 6))
+        if report:
+            want_report, want_kernels, coords, boundary_rows = fraction_obstruction(P, 1, range(1, 6))
+            assert report.to_structured() == want_report
+            assert report.kernel_witness == want_kernels
+            obstructions += 1
+        for t in targets:
+            if report:
+                span = fraction_rref(boundary_rows + [coords.vec(t, strict=True)])
+                assert report.excludes(t) == (len(span) > len(boundary_rows))
+            for exact in (False, True):
+                src, mat, rhs = fraction_boundary_system(P, t, 6, exact)
+                got = boundary_solve(P, t, Truncation(6), exact_in_l=exact)
+                want = fraction_solve_affine(mat, rhs)
+                outcomes.add((exact, got.status))
+                if want is None:
+                    assert got.status == "UNSAT-within-bound" and got.witness is None
+                else:
+                    assert got.witness == src.element_from_coords(want[0])
+                    assert got.kernel_dim == len(want[1])
+            _, kernel, _ = witness_direction_space(P, t, Truncation(6))
+            assert kernel.basis == fraction_reduce(fraction_boundary_system(P, t, 6, False)[1])[1]
+    assert outcomes == {(e, s) for e in (False, True) for s in ("SAT", "UNSAT-within-bound")}
+    assert obstructions == 3
+
+
+def test_image_matrix_clears_mixed_denominators():
+    from lietower.dgl import _GradedCoords, _image_matrix
+
+    P = DglPresentation.from_strings(
+        [("x", 0), ("y", 0), ("z", 1), ("t", 1)], {"z": "1/2*x - [y, x]", "t": "2/3*[x, y]"}
+    )
+    elements = [
+        TensorElt(P.gens, {(2,): Fraction(1, 2)}),
+        TensorElt(P.gens, {(3,): Fraction(5, 3), (2,): Fraction(-1, 4)}),
+        freelie.parse_element(P.gens, "[z, x]"),
+    ]
+    forms = [freelie.integer_terms(u.terms) for u in elements]
+    coords = _GradedCoords(P.gens, 0, 4)
+    mat, den = _image_matrix(P, forms, coords)
+    assert all(type(c) is int for c in mat.entries.values())
+    for j, u in enumerate(elements):
+        want = coords.vec(extend_derivation(P, u), strict=True)
+        assert {i: Fraction(c, den) for i, c in mat.column(j).items()} == want
+
+
+def test_h0_tables_express_brackets_modulo_boundaries():
+    # every entry [r_i, r_j] = sum_k c_k r_k holds modulo the boundaries
+    # the table is taken over, decided by an independent boundary solve
+    from lietower.dgl import Truncation, boundary_solve, h0_table_bounded_window, h0_table_from_tower
+
+    def residue(table, reps, i, j, n):
+        val = freelie.graded_bracket(reps[i], reps[j]).truncate_length(n)
+        for k, c in table.bracket_basis(i, j).items():
+            val = val - c * reps[k]
+        return val
+
+    rng = random.Random(34)
+    nonabelian = windows = 0
+    for P in [remark(), heisenberg()] + [random_presentation(rng) for _ in range(12)]:
+        table, reps = h0_table_from_tower(P, 5)
+        for i in range(len(reps)):
+            for j in range(i, len(reps)):
+                nonabelian += bool(table.bracket_basis(i, j))
+                val = residue(table, reps, i, j, 5)
+                assert val.is_zero() or boundary_solve(P, val, Truncation(5)).status == "SAT"
+        table, reps, closed = h0_table_bounded_window(P, 2, 4)
+        for i in range(len(reps) if closed else 0):
+            for j in range(i, len(reps)):
+                windows += bool(table.bracket_basis(i, j))
+                val = residue(table, reps, i, j, 3)
+                assert val.is_zero() or boundary_solve(
+                    P, val, Truncation(5), exact_in_l=True).status == "SAT"
+    assert nonabelian > 10 and windows >= 3
