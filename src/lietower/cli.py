@@ -19,7 +19,8 @@ The input format is line-oriented with bracketed section headers:
 
 Comments run from '#' to end of line.  Rationals are written p/q.  Exit
 codes: 0 success, 2 parse or validation failure, 3 computation window
-insufficient, 4 internal invariant breach (always a bug).
+insufficient (a `TruncationError` or `WindowError`, chosen by type), 4
+internal invariant breach (always a bug).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .functors import (
     Cdgc,
     FunctorError,
     SullivanAlgebra,
+    WindowError,
     duality_check,
     lemma2_quasi_iso_check,
     minimality_check,
@@ -543,7 +545,7 @@ def run(command: str, doc: InputDocument, cfg: RunConfig) -> tuple[int, str]:
     try:
         code, payload = DISPATCH[command](doc, cfg)
     except (exprs.ParseError, DglError, FunctorError, TableError) as err:
-        if isinstance(err, (TruncationError,)) or "window" in str(err):
+        if isinstance(err, (TruncationError, WindowError)):
             return EXIT_WINDOW, f"window insufficient: {err}\n"
         if isinstance(err, UnsupportedModeError):
             return EXIT_INVALID, f"unsupported mode: {err}\n"

@@ -34,7 +34,16 @@ from .freelie import (
     words_of,
     zero,
 )
-from .linalg import IntEchelon, SparseMatrix, Subspace, homology_at, reduce, solve_affine
+from .linalg import (
+    IntEchelon,
+    NotAComplexError,
+    Quotient,
+    SparseMatrix,
+    Subspace,
+    homology_at,
+    reduce,
+    solve_affine,
+)
 
 
 class DglError(ValueError):
@@ -556,10 +565,10 @@ def homology_tower(
     N = max(n) + 1.  Slice bases run shortest length first and d never
     lowers length, so with R_n(k) the number of degree-k basis elements of
     length < n, the differential D_q of L/L^n is the leading block
-    D_q[:R_n(q-1), :R_n(q)] of the one at N.  dim H and representatives come
-    from each leading block.  Reducing the columns of each D once, left to
-    right on the topmost row, gives the rank of every leading block, and
-    with them the dimension of the image of H(L/L^{n+1})_q -> H(L/L^n)_q:
+    D_q[:R_n(q-1), :R_n(q)] of the one at N.  Reducing the columns of each D
+    once, left to right on the topmost row, gives every leading block's rank,
+    cycles and boundaries, so dim H and representatives for every n, and
+    the dimension of the image of H(L/L^{n+1})_q -> H(L/L^n)_q:
 
         dim_image(n) = C_n - rank D_q^(n+1) - rank D_{q+1}^(n) + rank Delta_n
 
@@ -603,30 +612,29 @@ def _degree0_representatives(
     P: DglPresentation, ech: IntEchelon, coords: _GradedCoords, n: int, dim_h: int
 ) -> list[TensorElt]:
     limit = coords.offsets[n] if n in coords.offsets else coords.total
-    sub = IntEchelon()
-    for p, row in sorted(ech.rows.items()):
-        if p < limit:
-            sub.insert({i: c for i, c in row.items() if i < limit})
-    reps: list[TensorElt] = []
-    for k in range(1, n):
-        if len(reps) == dim_h:
-            break
-        for b in lie_basis(P.gens, k, 0):
-            if len(reps) == dim_h:
-                break
-            if sub.insert(coords.vec(b)) is not None:
-                reps.append(b)
-    return reps
+    sub = [{i: c for i, c in row.items() if i < limit} for p, row in ech.rows.items() if p < limit]
+    basis = [b for k in range(1, n) for b in lie_basis(P.gens, k, 0)]
+    quotient = Quotient(sub, (coords.vec(b) for b in basis), limit=dim_h)
+    return [basis[i] for i in quotient.kept]
 
 
 def _tower_general(P: DglPresentation, q: int, ns: list[int], stab_suffix: int) -> TowerReport:
     """One complex at the top truncation N = max(ns) + 1; every L/L^n is read
-    off its leading blocks (see homology_tower)."""
+    off one reduction per differential (see homology_tower)."""
     cx = QuotientComplex(P, ns[-1] + 1, (q, q))
     d_in, d_out = cx.differential(q + 1), cx.differential(q)
+    # each leading block of the product is the product of the leading blocks
+    if not d_out.compose(d_in).is_zero():
+        raise NotAComplexError("composite differential is nonzero")
     above, mid, below = cx.slice(q + 1), cx.slice(q), cx.slice(q - 1)
+    reduced_in = IntEchelon()
+    in_pivots = [reduced_in.insert(col) for col in d_in.columns()]
     out_cols = d_out.columns()
-    in_pivots, out_pivots = _column_pivots(d_in.columns()), _column_pivots(out_cols)
+    reduced_out = IntEchelon(track=True)
+    out_pivots = [reduced_out.insert(col) for col in out_cols]
+    relations = iter(reduced_out.relations)
+    # reduced column j of D_q as a combination of the columns j' <= j
+    combos = [next(relations) if p is None else reduced_out.combos[p] for p in out_pivots]
 
     def rank_in(n: int) -> int:
         return _leading_rank(in_pivots, mid.count_below(n), above.count_below(n))
@@ -639,16 +647,25 @@ def _tower_general(P: DglPresentation, q: int, ns: list[int], stab_suffix: int) 
 
     rows = []
     for n in ns:
-        c_n, c_next = mid.count_below(n), mid.count_below(n + 1)
-        dim, reps = homology_at(
-            d_in.leading_block(c_n, above.count_below(n)),
-            d_out.leading_block(below.count_below(n), c_n),
+        c_n, c_next, r_n = mid.count_below(n), mid.count_below(n + 1), below.count_below(n)
+        # a reduced column whose pivot is not above r_n vanishes on the rows
+        # of L/L^n, so its combination is a cycle there; a reduced D_{q+1}
+        # column with pivot above c_n, cut to those rows, is a boundary
+        cycles = Subspace(
+            c_n, [combos[j] for j in range(c_n) if out_pivots[j] is None or out_pivots[j] >= r_n]
         )
+        boundaries = [
+            {i: c for i, c in reduced_in.rows[p].items() if i < c_n}
+            for p in in_pivots[: above.count_below(n)]
+            if p is not None and p < c_n
+        ]
+        reps = Quotient(boundaries, cycles.basis).representatives
+        dim = len(reps)
         if dim != dim_h(n):
             raise AssertionError(f"leading-block ranks give dim H = {dim_h(n)} at n = {n}, "
-                                 f"homology_at gives {dim}")
+                                 f"the quotient of cycles by boundaries gives {dim}")
         # length-preserving part of d on the length-n elements
-        delta = _block_rank(out_cols[c_n:c_next], below.count_below(n), below.count_below(n + 1))
+        delta = _block_rank(out_cols[c_n:c_next], r_n, below.count_below(n + 1))
         image_dim = c_n - rank_out(n + 1) - rank_in(n) + delta
         if not 0 <= image_dim <= min(dim, dim_h(n + 1)):
             raise AssertionError(f"connecting image dim {image_dim} at n = {n} is outside "
@@ -664,14 +681,6 @@ def _tower_general(P: DglPresentation, q: int, ns: list[int], stab_suffix: int) 
     pairs = [(r["dim_H"], r["dim_image"]) for r in rows]
     stab = _detect_stabilization(pairs, ns, stab_suffix)
     return TowerReport(q, rows, stab, "quotient-complex")
-
-
-def _column_pivots(cols: list[dict]) -> list[Optional[int]]:
-    """Pivot row of each column after reducing the columns left to right,
-    each against the ones before it, on the topmost row (None when the
-    column is dependent)."""
-    ech = IntEchelon()
-    return [ech.insert(col) for col in cols]
 
 
 def _leading_rank(pivots: list[Optional[int]], rows: int, cols: int) -> int:
@@ -710,7 +719,7 @@ def exact_homology(P: DglPresentation, q: int) -> tuple[int, list[TensorElt]]:
         return 0, []
     cx = QuotientComplex(P, q + 2, (q, q))
     dim, reps = cx.homology(q)
-    for n in (q + 1, q + 2, q + 3):
+    for n in (q + 1, q + 3):
         alt, _ = QuotientComplex(P, n, (q, q)).homology(q)
         if alt != dim:
             raise AssertionError(f"degreewise agreement with L/L^{n} failed at degree {q}")
@@ -942,32 +951,29 @@ def top_length_obstruction(
         raise UnsupportedModeError(
             f"differential has length shifts {sorted(shifts)}; this analysis needs shifts in {{0, 1}}"
         )
-    q_target = degree - 1
-    raising = {name: val.length_component(2) for name, val in P.diff.items()}
-    P_raise = DglPresentation(P.gens, {k: v for k, v in raising.items() if not v.is_zero()})
-    vacuous = not P_raise.diff
+    vacuous = 1 not in shifts
+    bound = max(lengths)
+    out_coords = _GradedCoords(P.gens, degree - 1, bound + 1 + max(P.max_shift(), 1))
     injective: dict[int, bool] = {}
     kernels: dict[int, TensorElt] = {}
-    for l in lengths:
+    ech = IntEchelon()
+    for l in range(1, bound + 1):
         basis = lie_basis(P.gens, l, degree)
-        if not basis:
-            injective[l] = True
+        cols = _image_matrix(P, [integer_terms(b.terms) for b in basis], out_coords)[0].columns()
+        for col in cols:
+            ech.insert(col)
+        if l not in lengths:
             continue
-        forms = [integer_terms(b.terms) for b in basis]
-        mat, _ = _image_matrix(P_raise, forms, _GradedCoords(P.gens, q_target, l + 2))
-        rank, kernel, _ = reduce(mat)
+        # every shift is 0 or 1, so the raising part of d(b) is its length-(l+1) part
+        lo, hi = out_coords.offsets[l + 1], out_coords.offsets.get(l + 2, out_coords.total)
+        raising = [{i: c for i, c in col.items() if lo <= i < hi} for col in cols]
+        rank, kernel, _ = reduce(SparseMatrix.from_columns(out_coords.total, raising))
         injective[l] = rank == len(basis)
         if not injective[l]:
             kelt = zero(P.gens)
             for i, c in kernel.basis[0].items():
                 kelt = kelt + c * basis[i]
             kernels[l] = kelt
-    bound = max(lengths)
-    out_coords = _GradedCoords(P.gens, q_target, bound + 1 + max(P.max_shift(), 1))
-    ech = IntEchelon()
-    for l in range(1, bound + 1):
-        for b in lie_basis(P.gens, l, degree):
-            ech.insert(out_coords.vec(d_image(P, integer_terms(b.terms))[1]))
     return ObstructionReport(degree, lengths, injective, kernels, ech, out_coords, bound, vacuous)
 
 
@@ -1040,29 +1046,18 @@ def h0_table_from_tower(P: DglPresentation, n: int):
 
     ech, coords = _degree0_boundary_closure(P, n)
     dim_l0 = sum(lie_dim(P.gens, k, 0) for k in range(1, n))
-    # boundary rows, then representatives: a bracket is expressed over both
-    # (uniquely, they are independent) and its boundary part dropped
-    tracked = IntEchelon(track=True)
-    for row in ech.rows.values():
-        tracked.insert(row)
-    reps: list[TensorElt] = []
-    rep_of_input: dict[int, int] = {}
-    for k in range(1, n):
-        if tracked.dim == dim_l0:
-            break
-        for b in lie_basis(P.gens, k, 0):
-            if tracked.insert(coords.vec(b)) is not None:
-                rep_of_input[tracked.inputs - 1] = len(reps)
-                reps.append(b)
+    basis = [b for k in range(1, n) for b in lie_basis(P.gens, k, 0)]
+    quotient = Quotient(ech.rows.values(), (coords.vec(b) for b in basis), limit=dim_l0 - ech.dim)
+    reps = [basis[i] for i in quotient.kept]
     names = [f"h{i}" for i in range(len(reps))]
     brackets = {}
     for i, ri in enumerate(reps):
         for j in range(i, len(reps)):
             val = graded_bracket(ri, reps[j]).truncate_length(n)
-            expr = tracked.express(coords.vec(val))
+            expr = quotient.coords(coords.vec(val))
             if expr is None:
                 raise DglError("quotient bracket failed to close; this is a bug")
-            entry = {names[rep_of_input[k]]: c for k, c in expr.items() if k in rep_of_input}
+            entry = {names[k]: c for k, c in expr.items()}
             if entry:
                 brackets[(names[i], names[j])] = entry
     table = FiniteLieData([(nm, 0) for nm in names], brackets, complete_degrees={0: True})
@@ -1107,16 +1102,9 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
         if any(i >= limit for i in acc):
             raise AssertionError("window intersection leaked long words")
         boundary_ech.insert(acc)
-    tracked = IntEchelon(track=True)
-    for row in boundary_ech.rows.values():
-        tracked.insert(row)
-    reps: list[TensorElt] = []
-    rep_of_input: dict[int, int] = {}
-    for k in range(1, window + 1):
-        for b in lie_basis(P.gens, k, 0):
-            if tracked.insert(out_coords.vec(b)) is not None:
-                rep_of_input[tracked.inputs - 1] = len(reps)
-                reps.append(b)
+    basis = [b for k in range(1, window + 1) for b in lie_basis(P.gens, k, 0)]
+    quotient = Quotient(boundary_ech.rows.values(), (out_coords.vec(b) for b in basis))
+    reps = [basis[i] for i in quotient.kept]
     names = [f"c{i}" for i in range(len(reps))]
     brackets = {}
     closed = True
@@ -1126,11 +1114,11 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
             if (val.max_length() or 0) > window:
                 closed = False
                 continue
-            expr = tracked.express(out_coords.vec(val))
+            expr = quotient.coords(out_coords.vec(val))
             if expr is None:
                 closed = False
                 continue
-            entry = {names[rep_of_input[k]]: c for k, c in expr.items() if k in rep_of_input}
+            entry = {names[k]: c for k, c in expr.items()}
             if entry:
                 brackets[(names[i], names[j])] = entry
     table = FiniteLieData([(nm, 0) for nm in names], brackets, complete_degrees={0: closed})

@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 from .dgl import DegreeSlice, DglPresentation, validate as dgl_validate, Truncation, d_image
 from .freelie import GeneratorSet, TensorElt, lie_basis, lie_dim, zero
-from .linalg import IntEchelon, SparseMatrix, reduce as m_reduce
+from .linalg import Quotient, SparseMatrix, reduce as m_reduce
 from .pronil import FiniteLieData
 
 Mono = tuple[int, ...]  # sorted generator indices, repeats allowed for even gens
@@ -36,6 +36,10 @@ Poly = dict[Mono, Fraction]
 
 class FunctorError(ValueError):
     pass
+
+
+class WindowError(FunctorError):
+    """The finite window of a construction is too small for the request."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,21 +75,6 @@ def poly_add(p: Poly, q: Poly, scale: Fraction = Fraction(1)) -> Poly:
             out[m] = s
         else:
             out.pop(m, None)
-    return out
-
-
-def poly_wedge(degrees: tuple[int, ...], p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m, sign = normalize_monomial(degrees, m1 + m2)
-            if m is None:
-                continue
-            s = out.get(m, 0) + sign * c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
     return out
 
 
@@ -652,7 +641,7 @@ def chevalley_chains(L: FiniteDgl, bound: int) -> Cdgc:
             if mm in index:
                 delta.setdefault(i, {})[index[mm]] = c
             elif mm:
-                raise FunctorError("window too small to close the differential")
+                raise WindowError("window too small to close the differential")
     diag: dict[int, dict[tuple[int, int], Fraction]] = {}
     for i, m in enumerate(monos):
         for (m1, m2), c in _unshuffle(sus_degrees, m).items():
@@ -927,7 +916,7 @@ class LieCoalgebraTrunc:
             key: {w: i for i, w in enumerate(ws)} for key, ws in self.words.items()
         }
         # shuffle-decomposable subspaces and quotient representatives
-        self._reducer: dict[tuple[int, int], "_QuotientSpace"] = {}
+        self._reducer: dict[tuple[int, int], Quotient] = {}
         for (q, n), ws in sorted(self.words.items()):
             shuffles = []
             for q1 in range(1, q):
@@ -940,28 +929,30 @@ class LieCoalgebraTrunc:
                                 vec[self._windex[(q, n)][w]] = Fraction(c)
                             if vec:
                                 shuffles.append(vec)
-            self._reducer[(q, n)] = _QuotientSpace(len(ws), shuffles)
+            self._reducer[(q, n)] = Quotient(shuffles, ({i: 1} for i in range(len(ws))))
         self.basis: dict[tuple[int, int], list[int]] = {
-            key: red.rep_indices for key, red in self._reducer.items()
+            key: red.kept for key, red in self._reducer.items()
         }
 
     def dim(self, q: int, n: int) -> int:
         red = self._reducer.get((q, n))
-        return len(red.rep_indices) if red else 0
+        return red.dim if red else 0
 
     def rep_words(self, q: int, n: int) -> list[BarWord]:
         red = self._reducer.get((q, n))
         if not red:
             return []
-        return [self.words[(q, n)][i] for i in red.rep_indices]
+        return [self.words[(q, n)][i] for i in red.kept]
 
     def class_coords(self, q: int, n: int, vec: dict[BarWord, Fraction]) -> dict[int, Fraction]:
         """Coordinates of a word vector in the quotient basis."""
         if not vec:
             return {}
-        red = self._reducer[(q, n)]
         windex = self._windex[(q, n)]
-        return red.project({windex[w]: c for w, c in vec.items()})
+        got = self._reducer[(q, n)].coords({windex[w]: c for w, c in vec.items()})
+        if got is None:
+            raise FunctorError("vector escapes the quotient span")
+        return got
 
     def differential_matrix(self, q: int, n: int) -> dict[tuple[int, int], SparseMatrix]:
         """Induced differential on classes: (q, n) -> {(q, n+1), (q-1, n+1)}."""
@@ -974,7 +965,7 @@ class LieCoalgebraTrunc:
                 key = (len(ww), _bar_degree(self.A, ww))
                 if key not in self.words:
                     if key[1] <= self.n_max and key[0] <= self.q_max:
-                        raise FunctorError("differential left the computed window")
+                        raise WindowError("differential left the computed window")
                     continue
                 by_key.setdefault(key, {})[ww] = c
             for key, vec in by_key.items():
@@ -1039,7 +1030,7 @@ class LieCoalgebraTrunc:
         """(1 + flip) of the cobracket vanishes and the cyclic co-Jacobi sum
         vanishes, exactly, on every class."""
         for (q, n), red in sorted(self._reducer.items()):
-            for idx in range(len(red.rep_indices)):
+            for idx in range(red.dim):
                 cob = self.cobracket(q, n, idx)
                 # antisymmetry: cob + tau(cob) = 0
                 acc = dict(cob)
@@ -1084,32 +1075,6 @@ class LieCoalgebraTrunc:
                 if acc3:
                     return False
         return True
-
-
-class _QuotientSpace:
-    """Quotient of Q^n by a spanned subspace, with canonical word representatives."""
-
-    def __init__(self, ambient: int, span_vectors: list[dict]):
-        sub = IntEchelon()
-        for v in span_vectors:
-            sub.insert(v)
-        # tracked reduction: subspace rows first, then the unit vectors that
-        # stay independent, which are the representatives
-        self.tracked = IntEchelon(track=True)
-        for row in sub.rows.values():
-            self.tracked.insert(row)
-        self.rep_indices: list[int] = []
-        self._rep_of_input: dict[int, int] = {}
-        for i in range(ambient):
-            if self.tracked.insert({i: 1}) is not None:
-                self._rep_of_input[self.tracked.inputs - 1] = len(self.rep_indices)
-                self.rep_indices.append(i)
-
-    def project(self, vec: dict) -> dict[int, Fraction]:
-        got = self.tracked.express(vec)
-        if got is None:
-            raise FunctorError("vector escapes the quotient span")
-        return {self._rep_of_input[k]: c for k, c in got.items() if k in self._rep_of_input}
 
 
 def bar_lie_coalgebra_E(A, q_max: int, n_max: int) -> LieCoalgebraTrunc:
@@ -1202,7 +1167,7 @@ def functor_A(E: LieCoalgebraTrunc, bound: int) -> CdgaTable:
             if mm in index:
                 row[index[mm]] = c
             elif sum(gdegrees[g] for g in mm) <= bound:
-                raise FunctorError("differential escaped the assembled window")
+                raise WindowError("differential escaped the assembled window")
         if row:
             differential[i] = row
     table = CdgaTable(names, degrees, products, differential)

@@ -8,7 +8,8 @@ it (fraction-free, in the manner of Bareiss).  With transform tracking, each
 stored row also carries the integer combination of the inputs that gives
 it; the content is taken over the row and its combination together, so
 both stay integral.  `reduce` and `solve_affine` are one left-to-right pass
-of the columns through a tracked echelon.
+of the columns through a tracked echelon, and every quotient picks its
+representatives through `Quotient`.
 
 `Fraction` remains at the edges: matrices take int or Fraction entries, and
 the public vectors that come out (reduced echelon bases, particular
@@ -313,12 +314,6 @@ class SparseMatrix:
         cols = self.columns()
         return SparseMatrix.from_columns(self.rows, [_combine_columns(cols, c) for c in other.columns()])
 
-    def leading_block(self, rows: int, cols: int) -> "SparseMatrix":
-        """The submatrix of the first rows and columns."""
-        block = SparseMatrix(rows, cols)
-        block.entries = {(i, j): c for (i, j), c in self.entries.items() if i < rows and j < cols}
-        return block
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -381,19 +376,56 @@ class QuotientInfo:
         return f"QuotientInfo(dim={self.dim})"
 
 
+class Quotient:
+    """span(sub + candidates) / span(sub), represented by candidates.
+
+    The representatives are the candidates that stay independent modulo
+    span(sub), kept in order; `kept` holds their positions among the
+    candidates.  Candidates are read lazily, and reading stops as soon as
+    `limit` representatives are kept.
+    """
+
+    def __init__(self, sub: Iterable[dict], candidates: Iterable[dict], limit: Optional[int] = None):
+        ech = IntEchelon()
+        for v in sub:
+            ech.insert(v)
+        self._sub = list(ech.rows.values())
+        self.representatives: list[dict] = []
+        self.kept: list[int] = []
+        for i, v in enumerate(candidates if limit != 0 else ()):
+            if ech.insert(v) is not None:
+                self.kept.append(i)
+                self.representatives.append(v)
+                if len(self.kept) == limit:
+                    break
+        self._tracked: Optional[IntEchelon] = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.representatives)
+
+    def coords(self, vec: dict) -> Optional[Vec]:
+        """vec over the representatives, its part in span(sub) dropped; None
+        when vec is outside span(sub + representatives).  The tracked echelon
+        (sub rows, then representatives) is built on the first call."""
+        if self._tracked is None:
+            self._tracked = IntEchelon(track=True)
+            for v in self._sub + self.representatives:
+                self._tracked.insert(v)
+        got = self._tracked.express(vec)
+        if got is None:
+            return None
+        k = len(self._sub)
+        return {i - k: c for i, c in got.items() if i >= k}
+
+
 def quotient_dims(w: Subspace, u: Subspace) -> QuotientInfo:
     """dim(W/U) with representatives extending a basis of U to one of W."""
     if w.ambient != u.ambient:
         raise DimensionMismatch("ambient dimensions differ")
     if not w.contains_subspace(u):
         raise ContainmentError("U is not contained in W")
-    ech = IntEchelon()
-    for r in u.basis:
-        ech.insert(r)
-    reps = []
-    for r in w.basis:
-        if ech.insert(r) is not None:
-            reps.append(r)
+    reps = Quotient(u.basis, w.basis).representatives
     if len(reps) != w.dim - u.dim:
         raise AssertionError(f"{len(reps)} representatives for a quotient of dim {w.dim - u.dim}")
     return QuotientInfo(w.dim - u.dim, reps)
@@ -412,13 +444,7 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> tuple[int, list[Vec]
         raise NotAComplexError("composite differential is nonzero")
     rank_in, _, image = reduce(d_in)
     _, cycles, _ = reduce(d_out)
-    ech = IntEchelon()
-    for r in image.basis:
-        ech.insert(r)
-    reps = []
-    for r in cycles.basis:
-        if ech.insert(r) is not None:
-            reps.append(r)
+    reps = Quotient(image.basis, cycles.basis).representatives
     dim = cycles.dim - rank_in
     if dim != len(reps):
         raise AssertionError(f"{len(reps)} homology representatives for dim {dim}")

@@ -210,7 +210,8 @@ class Verdict:
         witness_text: Optional[str] = None,
         vanishing_index: Optional[int] = None,
     ):
-        assert outcome in ("holds", "fails", "undetermined")
+        if outcome not in ("holds", "fails", "undetermined"):
+            raise AssertionError(f"unknown verdict outcome {outcome!r}")
         self.outcome = outcome
         self.bound = bound
         self.detail = detail

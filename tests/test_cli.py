@@ -304,3 +304,35 @@ def test_cli_wrongly_graded_bracket_exit_code(tmp_path, capsys):
     assert code == 2
     assert out == "error: bracket [a, b] has a component of degree 0, expected 1\n"
     assert capsys.readouterr().err == ""
+
+
+def test_cli_boundary_target_named_window_exit_code():
+    # a parse error whose text mentions "window" is still a parse error
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    code, out = run_cli(["boundary", path, "--target", "window"])
+    assert code == 2
+    assert out == "error: 1:1: unknown name 'window'\n"
+
+
+def test_cli_exact_boundary_beyond_coordinate_bound_exit_code():
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    code, out = run_cli(["boundary", path, "--target", "[y,[y,[y,[y,[y,[y,[y,x]]]]]]]",
+                         "--exact", "--max-length", "3"])
+    assert code == 3
+    assert out == "window insufficient: word length 8 exceeds coordinate bound 3\n"
+
+
+def test_cli_exit_3_is_chosen_by_error_type(monkeypatch):
+    from lietower.functors import FunctorError, WindowError
+
+    def raising(err):
+        def cmd(doc, cfg):
+            raise err
+        return cmd
+
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    too_small = WindowError("window too small to close the differential")
+    monkeypatch.setitem(cli.DISPATCH, "validate", raising(too_small))
+    assert run_cli(["validate", path])[0] == 3
+    monkeypatch.setitem(cli.DISPATCH, "validate", raising(FunctorError("no window involved")))
+    assert run_cli(["validate", path]) == (2, "error: no window involved\n")

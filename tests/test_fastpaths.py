@@ -37,6 +37,7 @@ from lietower.dgl import (
     TowerReport,
     _detect_stabilization,
     d_image,
+    exact_homology,
     extend_derivation,
     homology_tower,
 )
@@ -49,7 +50,7 @@ from lietower.freelie import (
     word_elt,
     words_of,
 )
-from lietower.linalg import IntEchelon, SparseMatrix, reduce, solve_affine
+from lietower.linalg import IntEchelon, NotAComplexError, SparseMatrix, reduce, solve_affine
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
@@ -866,3 +867,54 @@ def test_h0_tables_express_brackets_modulo_boundaries():
                 assert val.is_zero() or boundary_solve(
                     P, val, Truncation(5), exact_in_l=True).status == "SAT"
     assert nonabelian > 10 and windows >= 3
+
+
+# -- one reduction per differential, and no repeated work ----------------------
+
+def test_tower_rejects_a_non_complex():
+    # d(d e) = x != 0: the one composite check on the top matrices catches it
+    P = DglPresentation.from_strings([("x", 0), ("z", 1), ("e", 2)], {"z": "x", "e": "z"})
+    with pytest.raises(NotAComplexError):
+        homology_tower(P, 1, range(2, 4))
+
+
+def test_exact_homology_builds_each_truncation_once(monkeypatch):
+    built = []
+    init = QuotientComplex.__init__
+
+    def counting(self, P, n, q_window):
+        built.append(n)
+        init(self, P, n, q_window)
+
+    monkeypatch.setattr(QuotientComplex, "__init__", counting)
+    P = DglPresentation.from_strings([("a", 1), ("b", 2), ("c", 3)], {"c": "[a, a]"})
+    dim, reps = exact_homology(P, 2)
+    assert (dim, [r.pretty() for r in reps]) == (1, ["b"])
+    assert built == [4, 3, 5]
+
+
+def test_top_length_obstruction_reuses_the_d_image_cache(monkeypatch):
+    from lietower import dgl
+
+    P = remark()
+    first = dgl.top_length_obstruction(P, 1, range(1, 8))
+    calls = []
+    derive = dgl._derive_int
+    monkeypatch.setattr(dgl, "_derive_int", lambda *a: calls.append(a) or derive(*a))
+    again = dgl.top_length_obstruction(P, 1, range(1, 8))
+    assert calls == []
+    assert again.to_structured() == first.to_structured()
+
+
+def test_verdict_outcome_check_survives_optimized_mode():
+    done = run_optimized(
+        """
+        from lietower.pronil import Verdict
+        try:
+            Verdict("maybe", 3, "no such outcome")
+        except AssertionError as err:
+            print("verdict:", err)
+        """
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "verdict: unknown verdict outcome 'maybe'\n"

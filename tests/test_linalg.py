@@ -7,6 +7,7 @@ from lietower.linalg import (
     ContainmentError,
     DimensionMismatch,
     NotAComplexError,
+    Quotient,
     SparseMatrix,
     Subspace,
     homology_at,
@@ -228,3 +229,65 @@ def test_subspace_membership():
     s = Subspace(3, [{0: 1, 2: 1}, {1: 1}])
     assert s.contains({0: Fraction(2), 1: Fraction(-1), 2: Fraction(2)})
     assert not s.contains({2: Fraction(1)})
+
+
+# -- one quotient ------------------------------------------------------------
+
+def _combination(vecs, coeffs):
+    out = {}
+    for v, f in zip(vecs, coeffs):
+        for i, c in v.items():
+            out[i] = out.get(i, 0) + f * c
+    return {i: c for i, c in out.items() if c}
+
+
+def test_quotient_matches_fraction_rank_oracle():
+    rng = random.Random(31)
+    outside = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+
+        def vec():
+            return {i: Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                    for i in range(n) if rng.random() < 0.6}
+
+        def rank(vecs):
+            return brute_rank([[v.get(i, 0) for i in range(n)] for v in vecs])
+
+        sub = [vec() for _ in range(rng.randint(0, 3))]
+        cands = [vec() for _ in range(rng.randint(0, 6))]
+        kept = []
+        for i, c in enumerate(cands):
+            base = sub + [cands[k] for k in kept]
+            if rank(base + [c]) > rank(base):
+                kept.append(i)
+        got = Quotient(sub, iter(cands))
+        assert got.kept == kept and got.dim == len(kept)
+        assert got.representatives == [cands[i] for i in kept]
+        limit = rng.randint(0, len(kept))
+        assert Quotient(sub, iter(cands), limit=limit).kept == kept[:limit]
+        # a span element comes back as its representative part
+        reps = got.representatives
+        want = [Fraction(rng.randint(-4, 4), rng.choice([1, 2])) for _ in reps]
+        sub_part = [Fraction(rng.randint(-4, 4)) for _ in sub]
+        v = _combination(sub + reps, sub_part + want)
+        assert got.coords(v) == {k: c for k, c in enumerate(want) if c}
+        for i in range(n):
+            if rank(sub + reps + [{i: 1}]) > rank(sub + reps):
+                assert got.coords(_combination([v, {i: 1}], [1, 1])) is None
+                outside += 1
+    assert outside > 100
+
+
+def test_quotient_stops_reading_at_the_limit():
+    pulled = []
+
+    def cands():
+        for i in range(5):
+            pulled.append(i)
+            yield {i: 1}
+
+    got = Quotient([{0: 1}], cands(), limit=2)
+    assert got.kept == [1, 2]
+    assert pulled == [0, 1, 2]
+    assert Quotient([], cands(), limit=0).kept == [] and pulled == [0, 1, 2]
