@@ -100,6 +100,8 @@ class RunConfig:
         self.fmt = fmt
         self.target = target
         self.exact = exact
+        if certify is not None and not 1 <= certify[0] <= certify[1]:
+            raise exprs.ParseError(f"certify-lengths range {certify} needs 1 <= A <= B", 0, 0)
         self.certify = certify
 
 
@@ -464,8 +466,6 @@ def _elt_expr(P: DglPresentation, name: str) -> exprs.Terms:
     monomials only when the value was built from brackets; rather than
     re-bracketing, emit the value through the Dynkin certificate: each
     length-n component w equals dynkin(w)/n."""
-    from .freelie import dynkin
-
     val = P.diff[name]
     acc: dict = {}
     for n, comp in val.by_length().items():
@@ -507,6 +507,9 @@ def cmd_lemma2(doc: InputDocument, cfg: RunConfig) -> tuple[int, dict]:
 def cmd_boundary(doc: InputDocument, cfg: RunConfig) -> tuple[int, dict]:
     _require_kind(doc, "dgl")
     P = doc.to_dgl()
+    rep = dgl_validate(P, Truncation(cfg.n_max, cfg.d_max))
+    if not rep.ok:
+        return EXIT_INVALID, {"text": "input fails validation:\n" + rep.to_text()}
     if not cfg.target:
         raise exprs.ParseError("boundary needs --target EXPR", 0, 0)
     target = eval_bracket_expr(P.gens, exprs.parse_lie(cfg.target, known=set(P.gens.names)))

@@ -30,7 +30,6 @@ from .freelie import (
     graded_bracket,
     integer_terms,
     lie_basis,
-    lie_dim,
     words_of,
     zero,
 )
@@ -87,6 +86,7 @@ class DglPresentation:
             if not val.is_zero():
                 self.diff[name] = val
         self._d_cache: dict = {}
+        self._slice_cache: dict[tuple[int, int], DegreeSlice] = {}
         # d(g) = terms / _diff_den with integer terms, by generator index
         self._diff_den = lcm(*(c.denominator for v in self.diff.values() for c in v.terms.values()))
         self._int_diff = {
@@ -107,6 +107,13 @@ class DglPresentation:
             for name, text in diffs.items()
         }
         return cls(gens, differential)
+
+    def slice(self, q: int, n: int) -> "DegreeSlice":
+        """The degree-q slice of L/L^n, built once per (q, n)."""
+        key = (q, n)
+        if key not in self._slice_cache:
+            self._slice_cache[key] = DegreeSlice(self, q, n)
+        return self._slice_cache[key]
 
     def max_shift(self) -> int:
         """Largest word-length raise of the differential (0 when d = 0)."""
@@ -264,6 +271,8 @@ class DegreeSlice:
     Elements are ordered shortest length first, so the slice of L/L^m for
     m <= n is the leading block of the first `count_below(m)` elements.
     Each element is also kept as its integer form (den, {word: int}).
+    Every vector of (L/L^n)_q is read in this basis; `P.slice(q, n)` builds
+    each slice once.
     """
 
     def __init__(self, P: DglPresentation, q: int, n: int):
@@ -296,15 +305,26 @@ class DegreeSlice:
         """Number of basis elements of word length < m."""
         return bisect_left(self.lengths, m)
 
-    def coords(self, u) -> dict[int, Fraction]:
+    def coords(self, u, strict: bool = False) -> dict[int, Fraction]:
         """Coordinates of u in the echelon basis of the slice.
 
-        u is a TensorElt or an integer form (den, {word: int}).  Pivot
-        coordinates of a reduced echelon basis are exclusive to their basis
-        vector, so this is a lookup; membership of u in the slice is then
-        verified exactly, by integer cross-multiplication.
+        u is a TensorElt or an integer form (den, {word: int}).  Words of
+        length >= n are dropped, or raise TruncationError when strict.
         """
         den, terms = integer_terms(u.terms) if isinstance(u, TensorElt) else u
+        return {i: Fraction(c, den) for i, c in self.int_coords(terms, strict).items()}
+
+    def int_coords(self, terms: dict[tuple, int], strict: bool = False) -> dict[int, int]:
+        """Coordinates of an integer word combination, which are integers.
+
+        Pivot coordinates of a reduced echelon basis are exclusive to their
+        basis vector and have coefficient 1, so this is a lookup; membership
+        in the slice is then verified exactly, by integer cross-multiplication.
+        """
+        if strict:
+            for w in terms:
+                if len(w) >= self.n:
+                    raise TruncationError(f"word length {len(w)} exceeds coordinate bound {self.n - 1}")
         terms = {w: c for w, c in terms.items() if len(w) < self.n}
         num: dict[int, int] = {}
         for w, c in terms.items():
@@ -321,7 +341,7 @@ class DegreeSlice:
             recon.get(w, 0) != scale * c for w, c in terms.items()
         ):
             raise DglError(f"element is not in the degree-{self.q} slice of L/L^{self.n}")
-        return {i: Fraction(c, den) for i, c in num.items()}
+        return num
 
     def _combine(self, num: dict[int, int]) -> tuple[int, dict[tuple, int]]:
         """sum_i num[i] * elements[i] as (D, nonzero integer terms times D),
@@ -356,21 +376,18 @@ class QuotientComplex:
         self.P = P
         self.n = n
         self.q_lo, self.q_hi = q_window
-        self.slices: dict[int, DegreeSlice] = {}
         self.matrices: dict[int, SparseMatrix] = {}
         for q in range(max(self.q_lo, 0), self.q_hi + 2):
             self.matrices[q] = self._matrix(q)
 
     def slice(self, q: int) -> DegreeSlice:
-        if q not in self.slices:
-            self.slices[q] = DegreeSlice(self.P, q, self.n)
-        return self.slices[q]
+        return self.P.slice(q, self.n)
 
     def _matrix(self, q: int) -> SparseMatrix:
-        src = self.slice(q)
-        tgt = self.slice(q - 1)
-        cols = [tgt.coords(d_image(self.P, form, self.n)) for form in src.forms]
-        return SparseMatrix.from_columns(tgt.dim, cols)
+        mat, den = _image_matrix(self.P, self.slice(q).forms, self.slice(q - 1), self.n)
+        if den == 1:
+            return mat
+        return SparseMatrix(mat.rows, mat.cols, {k: Fraction(c, den) for k, c in mat.entries.items()})
 
     def differential(self, q: int) -> SparseMatrix:
         if q not in self.matrices:
@@ -397,81 +414,44 @@ def lcs_quotient_complex(
 
 
 # ---------------------------------------------------------------------------
-# graded word coordinates (shortest length first) for degree-q elements
-
-
-class _GradedCoords:
-    """Coordinates for degree-q words of lengths 1..n_top-1, shortest first."""
-
-    def __init__(self, gens: GeneratorSet, q: int, n_top: int):
-        self.gens = gens
-        self.q = q
-        self.n_top = n_top
-        self.offsets: dict[int, int] = {}
-        self.windex: dict[int, dict] = {}
-        self.rev: list[tuple] = []
-        for k in range(1, n_top):
-            ws = words_of(gens, k, q)
-            self.offsets[k] = len(self.rev)
-            self.windex[k] = {w: i for i, w in enumerate(ws)}
-            self.rev.extend(ws)
-        self.total = len(self.rev)
-
-    def vec(self, u, strict: bool = False) -> dict:
-        """Coordinates of a TensorElt, or of a terms dict {word: coefficient}
-        such as an integer form's (integer coefficients stay integers)."""
-        out = {}
-        for w, c in (u.terms if isinstance(u, TensorElt) else u).items():
-            k = len(w)
-            if k >= self.n_top:
-                if strict:
-                    raise TruncationError(f"word length {k} exceeds coordinate bound {self.n_top - 1}")
-                continue
-            out[self.offsets[k] + self.windex[k][w]] = c
-        return out
-
-    def elt(self, vec: dict) -> TensorElt:
-        return TensorElt(self.gens, {self.rev[i]: Fraction(c) for i, c in vec.items()})
-
-    def length_of_index(self, i: int) -> int:
-        return len(self.rev[i])
-
-
-# ---------------------------------------------------------------------------
 # the degree-0 boundary space: iterated bracket closure of d(V_1)
 #
 # Degree-0 generators always have zero differential, so the degree-1 part of
 # the algebra is the iterated-ad module on the degree-1 generators and d
 # commutes with bracketing by degree-0 elements.  The image of d in degree 0
 # is therefore the smallest bracket-stable subspace containing d(V_1).  It is
-# computed once at the top truncation; because the echelon is held in
-# shortest-length-first coordinates, projecting to a lower truncation keeps
-# exactly the rows whose pivot has retained length.
+# computed once at the top truncation; because the echelon is held in the
+# coordinates of the degree-0 slice (shortest length first), projecting to a
+# lower truncation keeps exactly the rows whose pivot has retained length.
 
 
-def _degree0_boundary_closure(
-    P: DglPresentation, n_top: int
-) -> tuple[IntEchelon, _GradedCoords]:
+def _degree0_boundary_closure(P: DglPresentation, n_top: int) -> tuple[IntEchelon, DegreeSlice]:
     gens = P.gens
-    coords = _GradedCoords(gens, 0, n_top)
+    sl = P.slice(0, n_top)
     ech = IntEchelon()
     gen0 = [gen_elt(gens, name) for name, d in zip(gens.names, gens.degrees) if d == 0]
     for name, d in zip(gens.names, gens.degrees):
         if d == 1 and name in P.diff:
-            ech.insert(coords.vec(P.diff[name].truncate_length(n_top)))
-    frontier = [coords.elt(row) for row in ech.rows.values()]
+            ech.insert(sl.coords(P.diff[name]))
+    frontier = [sl.element_from_coords(row) for row in ech.rows.values()]
     while frontier:
         new: list[TensorElt] = []
         for elt in frontier:
             for g in gen0:
-                cand = graded_bracket(g, elt).truncate_length(n_top)
-                if cand.is_zero():
-                    continue
-                p = ech.insert(coords.vec(cand))
+                p = ech.insert(sl.coords(graded_bracket(g, elt)))
                 if p is not None:
-                    new.append(coords.elt(ech.rows[p]))
+                    new.append(sl.element_from_coords(ech.rows[p]))
         frontier = new
-    return ech, coords
+    return ech, sl
+
+
+def _degree0_quotient(ech: IntEchelon, sl: DegreeSlice, n: int) -> Quotient:
+    """H(L/L^n)_0: the leading block of the slice modulo the closure rows
+    whose pivot has retained length, represented by slice elements (the
+    candidates are the unit vectors, so `kept` indexes `sl.elements`)."""
+    limit = sl.count_below(n)
+    sub = [{i: c for i, c in row.items() if i < limit} for p, row in ech.rows.items() if p < limit]
+    return Quotient(sub, ({i: 1} for i in range(limit)), limit=limit - len(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -586,36 +566,21 @@ def homology_tower(
 
 
 def _tower_degree0(P: DglPresentation, ns: list[int], stab_suffix: int) -> TowerReport:
-    n_top = max(ns)
-    ech, coords = _degree0_boundary_closure(P, n_top)
-    pivot_length = {p: coords.length_of_index(p) for p in ech.rows}
+    ech, sl = _degree0_boundary_closure(P, max(ns))
     rows = []
     for n in ns:
-        dim_l0 = sum(lie_dim(P.gens, k, 0) for k in range(1, n))
-        dim_m = sum(1 for length in pivot_length.values() if length < n)
-        dim_h = dim_l0 - dim_m
-        reps = _degree0_representatives(P, ech, coords, n, dim_h)
+        quotient = _degree0_quotient(ech, sl, n)
         rows.append(
             {
                 "n": n,
-                "dim_H": dim_h,
-                "dim_image": dim_h,
-                "representatives": [r.pretty() for r in reps],
+                "dim_H": quotient.dim,
+                "dim_image": quotient.dim,
+                "representatives": [sl.elements[i].pretty() for i in quotient.kept],
             }
         )
     pairs = [(r["dim_H"], r["dim_image"]) for r in rows]
     stab = _detect_stabilization(pairs, ns, stab_suffix)
     return TowerReport(0, rows, stab, "bracket-closure")
-
-
-def _degree0_representatives(
-    P: DglPresentation, ech: IntEchelon, coords: _GradedCoords, n: int, dim_h: int
-) -> list[TensorElt]:
-    limit = coords.offsets[n] if n in coords.offsets else coords.total
-    sub = [{i: c for i, c in row.items() if i < limit} for p, row in ech.rows.items() if p < limit]
-    basis = [b for k in range(1, n) for b in lie_basis(P.gens, k, 0)]
-    quotient = Quotient(sub, (coords.vec(b) for b in basis), limit=dim_h)
-    return [basis[i] for i in quotient.kept]
 
 
 def _tower_general(P: DglPresentation, q: int, ns: list[int], stab_suffix: int) -> TowerReport:
@@ -803,15 +768,16 @@ def boundary_solve(
     """
     if not extend_derivation(P, target).is_zero():
         raise DglError("target is not a d-cycle")
-    q = target.homogeneous_degree()
-    if q is None:
+    degrees = target.degrees()
+    if len(degrees) > 1:
+        raise DglError(f"target is not degree-homogeneous: degrees {sorted(degrees)}")
+    if not degrees:
         return BoundaryResult("SAT", zero(P.gens), t.n_max, "zero target")
-    n = t.n_max
-    src = DegreeSlice(P, q + 1, n)
-    tgt_coords = _GradedCoords(P.gens, q, n + P.max_shift() if exact_in_l else n)
-    mat, den = _image_matrix(P, src.forms, tgt_coords, None if exact_in_l else n, exact_in_l)
-    rhs = tgt_coords.vec(target if exact_in_l else target.truncate_length(n), strict=True)
-    got = solve_affine(mat, rhs)
+    q, n = degrees.pop(), t.n_max
+    src = P.slice(q + 1, n)
+    tgt = P.slice(q, n + P.max_shift() if exact_in_l else n)
+    mat, den = _image_matrix(P, src.forms, tgt, None if exact_in_l else n)
+    got = solve_affine(mat, tgt.coords(target, strict=exact_in_l))
     where = "L" if exact_in_l else f"L/L^{n}"
     if got is None:
         return BoundaryResult(
@@ -836,27 +802,27 @@ def witness_direction_space(
     """The full affine solution set of d(u) = target in L/L^{n_max}."""
     res = boundary_solve(P, target, t)
     q = target.homogeneous_degree()
-    src = DegreeSlice(P, q + 1, t.n_max)
-    mat, _ = _image_matrix(P, src.forms, _GradedCoords(P.gens, q, t.n_max), t.n_max)
+    src = P.slice(q + 1, t.n_max)
+    mat, _ = _image_matrix(P, src.forms, P.slice(q, t.n_max), t.n_max)
     _, kernel, _ = reduce(mat)
     return res, kernel, src
 
 
 def _image_matrix(
-    P: DglPresentation, forms: list, coords: _GradedCoords, n: Optional[int] = None,
-    strict: bool = False,
+    P: DglPresentation, forms: list, target: DegreeSlice, n: Optional[int] = None
 ) -> tuple[SparseMatrix, int]:
     """(D * M, D) for M the matrix whose column j is d(forms[j]), with words
-    of length >= n dropped when n is given, read in `coords`, and D the
-    least common denominator of the integer images.  D * M is an integer
-    matrix with the kernel of M, and M x = b exactly when (D * M) x = D * b."""
+    of length >= n dropped when n is given, read in the basis of `target`,
+    and D the least common denominator of the integer images.  D * M is an
+    integer matrix with the kernel of M, and M x = b exactly when
+    (D * M) x = D * b.  Every matrix of d is built here."""
     images = [d_image(P, form, n) for form in forms]
     den = lcm(*(d for d, _ in images))
     cols = []
     for d, terms in images:
-        col = coords.vec(terms, strict)
+        col = target.int_coords(terms)
         cols.append(col if d == den else {i: c * (den // d) for i, c in col.items()})
-    return SparseMatrix.from_columns(coords.total, cols), den
+    return SparseMatrix.from_columns(target.dim, cols), den
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +846,7 @@ class ObstructionReport:
         injective: dict[int, bool],
         kernel_witness: dict[int, TensorElt],
         boundary_echelon: IntEchelon,
-        coords: _GradedCoords,
+        boundary_slice: DegreeSlice,
         bound: int,
         vacuous: bool,
     ):
@@ -889,7 +855,7 @@ class ObstructionReport:
         self.injective = injective
         self.kernel_witness = kernel_witness
         self._boundaries = boundary_echelon
-        self._coords = coords
+        self._slice = boundary_slice
         self.bound = bound
         self.vacuous = vacuous
 
@@ -900,8 +866,7 @@ class ObstructionReport:
 
     def excludes(self, target: TensorElt) -> bool:
         """Exactly decide: target has no witness of top length <= bound."""
-        vec = self._coords.vec(target, strict=True)
-        return not self._boundaries.contains(vec)
+        return not self._boundaries.contains(self._slice.coords(target, strict=True))
 
     def to_structured(self) -> dict:
         return {
@@ -953,28 +918,27 @@ def top_length_obstruction(
         )
     vacuous = 1 not in shifts
     bound = max(lengths)
-    out_coords = _GradedCoords(P.gens, degree - 1, bound + 1 + max(P.max_shift(), 1))
+    src = P.slice(degree, bound + 1)
+    out = P.slice(degree - 1, bound + 1 + max(P.max_shift(), 1))
+    cols = _image_matrix(P, src.forms, out)[0].columns()
+    ech = IntEchelon()
+    for col in cols:
+        ech.insert(col)
     injective: dict[int, bool] = {}
     kernels: dict[int, TensorElt] = {}
-    ech = IntEchelon()
-    for l in range(1, bound + 1):
-        basis = lie_basis(P.gens, l, degree)
-        cols = _image_matrix(P, [integer_terms(b.terms) for b in basis], out_coords)[0].columns()
-        for col in cols:
-            ech.insert(col)
-        if l not in lengths:
-            continue
+    for l in lengths:
+        first, stop = src.count_below(l), src.count_below(l + 1)
         # every shift is 0 or 1, so the raising part of d(b) is its length-(l+1) part
-        lo, hi = out_coords.offsets[l + 1], out_coords.offsets.get(l + 2, out_coords.total)
-        raising = [{i: c for i, c in col.items() if lo <= i < hi} for col in cols]
-        rank, kernel, _ = reduce(SparseMatrix.from_columns(out_coords.total, raising))
-        injective[l] = rank == len(basis)
+        lo, hi = out.count_below(l + 1), out.count_below(l + 2)
+        raising = [{i: c for i, c in col.items() if lo <= i < hi} for col in cols[first:stop]]
+        rank, kernel, _ = reduce(SparseMatrix.from_columns(out.dim, raising))
+        injective[l] = rank == stop - first
         if not injective[l]:
             kelt = zero(P.gens)
             for i, c in kernel.basis[0].items():
-                kelt = kelt + c * basis[i]
+                kelt = kelt + c * src.elements[first + i]
             kernels[l] = kelt
-    return ObstructionReport(degree, lengths, injective, kernels, ech, out_coords, bound, vacuous)
+    return ObstructionReport(degree, lengths, injective, kernels, ech, out, bound, vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,17 +1008,14 @@ def h0_table_from_tower(P: DglPresentation, n: int):
     """
     from .pronil import FiniteLieData
 
-    ech, coords = _degree0_boundary_closure(P, n)
-    dim_l0 = sum(lie_dim(P.gens, k, 0) for k in range(1, n))
-    basis = [b for k in range(1, n) for b in lie_basis(P.gens, k, 0)]
-    quotient = Quotient(ech.rows.values(), (coords.vec(b) for b in basis), limit=dim_l0 - ech.dim)
-    reps = [basis[i] for i in quotient.kept]
+    ech, sl = _degree0_boundary_closure(P, n)
+    quotient = _degree0_quotient(ech, sl, n)
+    reps = [sl.elements[i] for i in quotient.kept]
     names = [f"h{i}" for i in range(len(reps))]
     brackets = {}
     for i, ri in enumerate(reps):
         for j in range(i, len(reps)):
-            val = graded_bracket(ri, reps[j]).truncate_length(n)
-            expr = quotient.coords(coords.vec(val))
+            expr = quotient.coords(sl.coords(graded_bracket(ri, reps[j])))
             if expr is None:
                 raise DglError("quotient bracket failed to close; this is a bug")
             entry = {names[k]: c for k, c in expr.items()}
@@ -1079,16 +1040,13 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
 
     if witness_bound < window:
         raise ValueError("witness bound must be at least the window")
-    out_coords = _GradedCoords(P.gens, 0, witness_bound + 2 + P.max_shift())
-    limit = out_coords.offsets.get(window + 1, out_coords.total)
-    cols = []
-    for l in range(1, witness_bound + 1):
-        for b in lie_basis(P.gens, l, 1):
-            cols.append(out_coords.vec(d_image(P, integer_terms(b.terms))[1]))
+    out = P.slice(0, witness_bound + 2 + P.max_shift())
+    limit = out.count_below(window + 1)
+    cols = _image_matrix(P, P.slice(1, witness_bound + 1).forms, out)[0].columns()
     # combinations of boundary columns supported inside the window:
     # kernel of the projection to the above-window coordinates
     high = [{i: c for i, c in col.items() if i >= limit} for col in cols]
-    _, kernel, _ = reduce(SparseMatrix.from_columns(out_coords.total, high))
+    _, kernel, _ = reduce(SparseMatrix.from_columns(out.dim, high))
     boundary_ech = IntEchelon()
     for combo in kernel.basis:
         acc: dict[int, Fraction] = {}
@@ -1102,9 +1060,8 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
         if any(i >= limit for i in acc):
             raise AssertionError("window intersection leaked long words")
         boundary_ech.insert(acc)
-    basis = [b for k in range(1, window + 1) for b in lie_basis(P.gens, k, 0)]
-    quotient = Quotient(boundary_ech.rows.values(), (out_coords.vec(b) for b in basis))
-    reps = [basis[i] for i in quotient.kept]
+    quotient = Quotient(boundary_ech.rows.values(), ({i: 1} for i in range(limit)))
+    reps = [out.elements[i] for i in quotient.kept]
     names = [f"c{i}" for i in range(len(reps))]
     brackets = {}
     closed = True
@@ -1114,7 +1071,7 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
             if (val.max_length() or 0) > window:
                 closed = False
                 continue
-            expr = quotient.coords(out_coords.vec(val))
+            expr = quotient.coords(out.coords(val))
             if expr is None:
                 closed = False
                 continue

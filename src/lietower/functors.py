@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .dgl import DegreeSlice, DglPresentation, validate as dgl_validate, Truncation, d_image
+from .dgl import DglPresentation, validate as dgl_validate, Truncation, d_image
 from .freelie import GeneratorSet, TensorElt, lie_basis, lie_dim, zero
 from .linalg import Quotient, SparseMatrix, reduce as m_reduce
 from .pronil import FiniteLieData
@@ -572,7 +572,7 @@ class FiniteDgl:
 
     @classmethod
     def from_presentation(cls, P: DglPresentation, n: int, max_degree: int) -> "FiniteDgl":
-        slices = {q: DegreeSlice(P, q, n) for q in range(0, max_degree + 1)}
+        slices = {q: P.slice(q, n) for q in range(0, max_degree + 1)}
         names = []
         degrees = []
         pos: dict[tuple[int, int], int] = {}
@@ -1296,6 +1296,9 @@ def _differentials_match(E, model, pairings, q_max, n_window) -> bool:
                     if not mat.is_zero():
                         return False
                     continue
+                reps2 = E.rep_words(q2, n2)
+                cols = mat.columns()
+                sign = Fraction(1) if n2 % 2 == 0 else Fraction(-1)
                 # left side: pair d_L of the (q2, n2) Lie basis with w
                 for r, u in enumerate(lbasis2):
                     du = dgl_d_image(model, u)
@@ -1303,14 +1306,11 @@ def _differentials_match(E, model, pairings, q_max, n_window) -> bool:
                         comp = du.terms.get(w, Fraction(0)) * _word_pairing_sign(E.A, w)
                         # right side: pair u with D_E w component in (q2, n2)
                         rhs = Fraction(0)
-                        reps2 = E.rep_words(q2, n2)
-                        col = mat.column(cidx)
-                        for row, c in col.items():
+                        for row, c in cols[cidx].items():
                             w2 = reps2[row]
                             val = u.terms.get(w2)
                             if val:
                                 rhs += c * val * _word_pairing_sign(E.A, w2)
-                        sign = Fraction(1) if n2 % 2 == 0 else Fraction(-1)
                         if comp != sign * rhs:
                             return False
     return True

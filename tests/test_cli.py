@@ -336,3 +336,31 @@ def test_cli_exit_3_is_chosen_by_error_type(monkeypatch):
     assert run_cli(["validate", path])[0] == 3
     monkeypatch.setitem(cli.DISPATCH, "validate", raising(FunctorError("no window involved")))
     assert run_cli(["validate", path]) == (2, "error: no window involved\n")
+
+
+def test_cli_boundary_validates_its_presentation(tmp_path, capsys):
+    # d y = [x, x] has degree 2, not 1: the solver never sees it
+    p = tmp_path / "wrong_degree.dgl"
+    p.write_text("kind: dgl\n[generators]\nx : 1\ny : 2\n[differential]\nd y = [x, x]\n")
+    code, out = run_cli(["boundary", str(p), "--target", "[x,x]", "--exact"])
+    assert code == 2
+    assert out.startswith("input fails validation:\nINVALID\n  [degree] d(y): component of degree 2")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("lengths", ["0..2", "3..1"])
+def test_cli_certify_lengths_outside_range_exit_code(lengths, capsys):
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    code, out = run_cli(["boundary", path, "--target", "x", "--certify-lengths", lengths])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "certify-lengths range" in err and "1 <= A <= B" in err
+
+
+def test_cli_boundary_mixed_degree_target_exit_code(tmp_path):
+    p = tmp_path / "two_degrees.dgl"
+    p.write_text("kind: dgl\n[generators]\nx : 0\nw : 2\n")
+    code, out = run_cli(["boundary", str(p), "--target", "x+w"])
+    assert code == 2
+    assert out == "error: target is not degree-homogeneous: degrees [0, 2]\n"

@@ -35,6 +35,7 @@ from lietower.dgl import (
     DglPresentation,
     QuotientComplex,
     TowerReport,
+    TruncationError,
     _detect_stabilization,
     d_image,
     exact_homology,
@@ -212,6 +213,15 @@ def test_coords_truncates_long_words():
     sl = DegreeSlice(P, 0, 3)
     x, long = lie_basis(P.gens, 1, 0)[0], lie_basis(P.gens, 3, 0)[0]
     assert sl.coords(x + long) == sl.coords(x)
+
+
+def test_strict_coords_reject_words_beyond_the_bound():
+    P = remark()
+    sl = DegreeSlice(P, 0, 3)
+    x, long = lie_basis(P.gens, 1, 0)[0], lie_basis(P.gens, 3, 0)[0]
+    assert sl.coords(x, strict=True) == sl.coords(x + long) == {0: 1}
+    with pytest.raises(TruncationError, match="word length 3 exceeds coordinate bound 2"):
+        sl.coords(x + long, strict=True)
 
 
 def test_coords_rejects_non_members():
@@ -726,12 +736,42 @@ def perfbench_gen():
     return mod
 
 
+class WordCoords:
+    """Coordinates for degree-q words of lengths 1..n_top-1, shortest first:
+    a coordinate system independent of `DegreeSlice`, so the oracles below
+    check the Lie-coordinate solvers from outside."""
+
+    def __init__(self, gens, q, n_top):
+        self.gens = gens
+        self.q = q
+        self.n_top = n_top
+        self.offsets = {}
+        self.windex = {}
+        self.rev = []
+        for k in range(1, n_top):
+            ws = words_of(gens, k, q)
+            self.offsets[k] = len(self.rev)
+            self.windex[k] = {w: i for i, w in enumerate(ws)}
+            self.rev.extend(ws)
+        self.total = len(self.rev)
+
+    def vec(self, u, strict=False):
+        """Coordinates of a TensorElt, or of a terms dict {word: coefficient}."""
+        out = {}
+        for w, c in (u.terms if isinstance(u, TensorElt) else u).items():
+            k = len(w)
+            if k >= self.n_top:
+                if strict:
+                    raise TruncationError(f"word length {k} exceeds coordinate bound {self.n_top - 1}")
+                continue
+            out[self.offsets[k] + self.windex[k][w]] = c
+        return out
+
+
 def fraction_boundary_system(P, target, n, exact):
     """d of the degree-(q+1) slice basis in Fraction word coordinates."""
-    from lietower.dgl import _GradedCoords
-
     src = DegreeSlice(P, target.homogeneous_degree() + 1, n)
-    coords = _GradedCoords(P.gens, target.homogeneous_degree(), n + P.max_shift() if exact else n)
+    coords = WordCoords(P.gens, target.homogeneous_degree(), n + P.max_shift() if exact else n)
     cols = []
     for b in src.elements:
         img = extend_derivation(P, b)
@@ -743,8 +783,6 @@ def fraction_boundary_system(P, target, n, exact):
 def fraction_obstruction(P, degree, lengths):
     """(to_structured(), kernel witnesses, boundary rows) of
     top_length_obstruction, assembled in Fraction."""
-    from lietower.dgl import _GradedCoords
-
     P_raise = DglPresentation(P.gens, {k: v.length_component(2) for k, v in P.diff.items()
                                        if not v.length_component(2).is_zero()})
     injective, kernels = {}, {}
@@ -753,14 +791,14 @@ def fraction_obstruction(P, degree, lengths):
         if not basis:
             injective[l] = True
             continue
-        coords = _GradedCoords(P.gens, degree - 1, l + 2)
+        coords = WordCoords(P.gens, degree - 1, l + 2)
         cols = [coords.vec(extend_derivation(P_raise, b)) for b in basis]
         rank, kernel, _ = fraction_reduce(SparseMatrix.from_columns(coords.total, cols))
         injective[l] = rank == len(basis)
         if kernel:
             kernels[l] = sum((c * basis[i] for i, c in kernel[0].items()), TensorElt(P.gens))
     bound = max(lengths)
-    coords = _GradedCoords(P.gens, degree - 1, bound + 1 + max(P.max_shift(), 1))
+    coords = WordCoords(P.gens, degree - 1, bound + 1 + max(P.max_shift(), 1))
     rows = [coords.vec(extend_derivation(P, b))
             for l in range(1, bound + 1) for b in lie_basis(P.gens, l, degree)]
     structured = {
@@ -820,7 +858,7 @@ def test_boundary_solves_match_fraction_assembly():
 
 
 def test_image_matrix_clears_mixed_denominators():
-    from lietower.dgl import _GradedCoords, _image_matrix
+    from lietower.dgl import _image_matrix
 
     P = DglPresentation.from_strings(
         [("x", 0), ("y", 0), ("z", 1), ("t", 1)], {"z": "1/2*x - [y, x]", "t": "2/3*[x, y]"}
@@ -831,11 +869,11 @@ def test_image_matrix_clears_mixed_denominators():
         freelie.parse_element(P.gens, "[z, x]"),
     ]
     forms = [freelie.integer_terms(u.terms) for u in elements]
-    coords = _GradedCoords(P.gens, 0, 4)
-    mat, den = _image_matrix(P, forms, coords)
+    target = DegreeSlice(P, 0, 4)
+    mat, den = _image_matrix(P, forms, target)
     assert all(type(c) is int for c in mat.entries.values())
     for j, u in enumerate(elements):
-        want = coords.vec(extend_derivation(P, u), strict=True)
+        want = target.coords(extend_derivation(P, u), strict=True)
         assert {i: Fraction(c, den) for i, c in mat.column(j).items()} == want
 
 
@@ -904,6 +942,48 @@ def test_top_length_obstruction_reuses_the_d_image_cache(monkeypatch):
     again = dgl.top_length_obstruction(P, 1, range(1, 8))
     assert calls == []
     assert again.to_structured() == first.to_structured()
+
+
+def count_slice_builds(monkeypatch):
+    built = []
+    init = DegreeSlice.__init__
+
+    def counting(self, P, q, n):
+        built.append((q, n))
+        init(self, P, q, n)
+
+    monkeypatch.setattr(DegreeSlice, "__init__", counting)
+    return built
+
+
+def test_witness_direction_space_reuses_its_slices(monkeypatch):
+    from lietower.dgl import Truncation, witness_direction_space
+
+    P = remark()
+    target = freelie.parse_element(P.gens, "x - [y, x]")
+    first = witness_direction_space(P, target, Truncation(6))
+    built = count_slice_builds(monkeypatch)
+    again = witness_direction_space(P, target, Truncation(6))
+    assert built == []
+    assert again[1] == first[1] and again[2] is first[2]
+
+
+def test_towers_of_neighbouring_degrees_share_their_slices(monkeypatch):
+    P = remark()
+    built = count_slice_builds(monkeypatch)
+    homology_tower(P, 1, range(2, 6))
+    assert sorted(built) == [(0, 6), (1, 6), (2, 6)]
+    homology_tower(P, 2, range(2, 6))
+    assert sorted(built) == [(0, 6), (1, 6), (2, 6), (3, 6)]
+
+
+def test_stubborn_cycle_complex_matrices_are_integer():
+    with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
+        P = cli.parse(fh.read()).to_dgl()
+    cx = QuotientComplex(P, 7, (0, 2))
+    assert sorted(cx.matrices) == [0, 1, 2, 3]
+    entries = [c for m in cx.matrices.values() for c in m.entries.values()]
+    assert entries and all(type(c) is int for c in entries)
 
 
 def test_verdict_outcome_check_survives_optimized_mode():
