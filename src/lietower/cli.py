@@ -55,8 +55,7 @@ from .functors import (
     lemma2_quasi_iso_check,
     minimality_check,
     neisendorfer_model,
-    normalize_monomial,
-    poly_add,
+    poly_from_terms,
 )
 from .pronil import FiniteLieData, TableError, definitional_pronilpotency, lemma1_audit
 
@@ -131,17 +130,10 @@ class InputDocument:
 
     def to_sullivan(self) -> SullivanAlgebra:
         gens = GeneratorSet.from_pairs(self.gens)
-        d_poly = {}
-        for name, terms in self.sections.get("differential", []):
-            poly = {}
-            for coeff, node in terms:
-                factors = node.factors if isinstance(node, exprs.Prod) else (node.name,)
-                word = tuple(gens.index[f] for f in factors)
-                mono, sign = normalize_monomial(gens.degrees, word)
-                if mono is None:
-                    continue
-                poly = poly_add(poly, {mono: sign * coeff})
-            d_poly[name] = poly
+        d_poly = {
+            name: poly_from_terms(gens, terms)
+            for name, terms in self.sections.get("differential", [])
+        }
         filtration = self.sections.get("filtration")
         stages = [names for _, names in filtration] if filtration else None
         return SullivanAlgebra(gens, d_poly, stages)

@@ -39,6 +39,7 @@ from .linalg import (
     Quotient,
     SparseMatrix,
     Subspace,
+    _combine_columns,
     homology_at,
     reduce,
     solve_affine,
@@ -802,6 +803,8 @@ def witness_direction_space(
     """The full affine solution set of d(u) = target in L/L^{n_max}."""
     res = boundary_solve(P, target, t)
     q = target.homogeneous_degree()
+    if q is None:
+        raise DglError("target is zero: it has no degree to take the direction space in")
     src = P.slice(q + 1, t.n_max)
     mat, _ = _image_matrix(P, src.forms, P.slice(q, t.n_max), t.n_max)
     _, kernel, _ = reduce(mat)
@@ -1049,14 +1052,7 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
     _, kernel, _ = reduce(SparseMatrix.from_columns(out.dim, high))
     boundary_ech = IntEchelon()
     for combo in kernel.basis:
-        acc: dict[int, Fraction] = {}
-        for j, f in combo.items():
-            for i, c in cols[j].items():
-                s = acc.get(i, Fraction(0)) + f * c
-                if s:
-                    acc[i] = s
-                else:
-                    acc.pop(i, None)
+        acc = _combine_columns(cols, combo)
         if any(i >= limit for i in acc):
             raise AssertionError("window intersection leaked long words")
         boundary_ech.insert(acc)

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
+from . import exprs
 from .dgl import DglPresentation, validate as dgl_validate, Truncation, d_image
 from .freelie import GeneratorSet, TensorElt, lie_basis, lie_dim, zero
 from .linalg import Quotient, SparseMatrix, reduce as m_reduce
@@ -43,7 +44,7 @@ class WindowError(FunctorError):
 
 
 # ---------------------------------------------------------------------------
-# graded-commutative monomials
+# graded-commutative monomials and the free window
 
 
 def normalize_monomial(degrees: tuple[int, ...], word: Iterable[int]) -> tuple[Optional[Mono], int]:
@@ -67,20 +68,30 @@ def normalize_monomial(degrees: tuple[int, ...], word: Iterable[int]) -> tuple[O
     return tuple(word), sign
 
 
-def poly_add(p: Poly, q: Poly, scale: Fraction = Fraction(1)) -> Poly:
-    out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, 0) + scale * c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
+def _add_term(p: Poly, m: Mono, c) -> None:
+    """p[m] += c in place, with no stored zeros."""
+    s = p.get(m, 0) + c
+    if s:
+        p[m] = s
+    else:
+        p.pop(m, None)
 
 
-def monomials_up_to(degrees: tuple[int, ...], bound: int) -> dict[int, list[Mono]]:
-    """All monomials of total degree <= bound, keyed by degree (degree 0 is ())."""
-    by_degree: dict[int, list[Mono]] = {0: [()]}
+def poly_from_terms(gens: GeneratorSet, terms) -> Poly:
+    """Sum parsed product terms (coefficient, node) into a polynomial."""
+    poly: Poly = {}
+    for coeff, node in terms:
+        factors = node.factors if isinstance(node, exprs.Prod) else (node.name,)
+        m, sign = normalize_monomial(gens.degrees, tuple(gens.index[f] for f in factors))
+        if m is not None:
+            _add_term(poly, m, sign * coeff)
+    return poly
+
+
+def monomials_up_to(degrees: tuple[int, ...], bound: int) -> list[Mono]:
+    """All nonempty monomials of total degree <= bound, by degree and then
+    lexicographically."""
+    found: list[Mono] = []
     frontier: list[Mono] = [()]
     # build by appending generators with index >= last index (canonical order)
     while frontier:
@@ -91,20 +102,87 @@ def monomials_up_to(degrees: tuple[int, ...], bound: int) -> dict[int, list[Mono
             for g in range(start, len(degrees)):
                 if degrees[g] % 2 and g in m:
                     continue
-                d = base + degrees[g]
-                if d > bound:
-                    continue
-                mm = m + (g,)
-                by_degree.setdefault(d, []).append(mm)
-                new.append(mm)
+                if base + degrees[g] <= bound:
+                    new.append(m + (g,))
+        found += new
         frontier = new
-    for d in by_degree:
-        by_degree[d].sort()
-    return by_degree
+    return sorted(found, key=lambda m: (sum(degrees[i] for i in m), m))
+
+
+class FreeCdgaWindow:
+    """The free graded-commutative algebra on generators of degree >= 1, up
+    to a degree bound, with the derivation that extends d_gen (d_gen[i] is
+    the differential of generator i).
+
+    monos is the augmentation ideal: the nonempty monomials of degree <=
+    bound, in the order of `monomials_up_to`; index and degrees follow it.
+    """
+
+    def __init__(self, gen_degrees: tuple[int, ...], d_gen: list[Poly], bound: int):
+        self.gen_degrees = gen_degrees
+        self.d_gen = d_gen
+        self.bound = bound
+        self.monos = monomials_up_to(gen_degrees, bound)
+        self.index = {m: i for i, m in enumerate(self.monos)}
+        self.degrees = [self.degree(m) for m in self.monos]
+
+    def degree(self, m: Mono) -> int:
+        return sum(self.gen_degrees[i] for i in m)
+
+    def product(self, a: int, b: int) -> Optional[tuple[int, int]]:
+        """monos[a] * monos[b] as (index, Koszul sign); None when the product
+        vanishes or leaves the window."""
+        if self.degrees[a] + self.degrees[b] > self.bound:
+            return None
+        prod, sign = normalize_monomial(self.gen_degrees, self.monos[a] + self.monos[b])
+        if prod is None:
+            return None
+        return self.index[prod], sign
+
+    def d_of_monomial(self, m: Mono) -> Poly:
+        """d(m_i) goes to the front of the rest of m with sign (-1)^{|m_0 ... m_{i-1}|}."""
+        out: Poly = {}
+        for i, g in enumerate(m):
+            prefix = sum(self.gen_degrees[h] for h in m[:i])
+            sign = -1 if prefix % 2 else 1
+            rest = m[:i] + m[i + 1 :]
+            for dm, dc in self.d_gen[g].items():
+                mm, s2 = normalize_monomial(self.gen_degrees, dm + rest)
+                if mm is not None:
+                    _add_term(out, mm, Fraction(sign * s2) * dc)
+        return out
+
+    def d_squared_defect(self) -> Optional[Mono]:
+        """The first monomial m with d(d(m)) nonzero inside the window, or None."""
+        for m in self.monos:
+            dd: Poly = {}
+            for mm, c in self.d_of_monomial(m).items():
+                for m2, c2 in self.d_of_monomial(mm).items():
+                    _add_term(dd, m2, c * c2)
+            if any(self.degree(m2) <= self.bound for m2 in dd):
+                return m
+        return None
+
+    def d_squared_ok(self) -> bool:
+        return self.d_squared_defect() is None
+
+    def table(self, name: Callable[[Mono], str]) -> "CdgaTable":
+        """The window as a CdgaTable; basis element i is monos[i], named name(monos[i])."""
+        products: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for i in range(len(self.monos)):
+            for j in range(i, len(self.monos)):
+                got = self.product(i, j)
+                if got is not None:
+                    products[(i, j)] = {got[0]: Fraction(got[1])}
+        differential = {
+            i: {self.index[mm]: c for mm, c in self.d_of_monomial(m).items() if mm in self.index}
+            for i, m in enumerate(self.monos)
+        }
+        return CdgaTable([name(m) for m in self.monos], self.degrees, products, differential)
 
 
 # ---------------------------------------------------------------------------
-# Sullivan algebras and their finite windows
+# Sullivan algebras
 
 
 class SullivanAlgebra:
@@ -136,87 +214,22 @@ class SullivanAlgebra:
         diffs: dict[str, str],
         filtration: Optional[list[list[str]]] = None,
     ) -> "SullivanAlgebra":
-        from . import exprs
-
         gens = GeneratorSet.from_pairs(gen_pairs)
         known = set(gens.names)
-        d_poly = {}
-        for name, text in diffs.items():
-            poly: Poly = {}
-            for coeff, node in exprs.parse_poly(text, known=known):
-                factors = node.factors if isinstance(node, exprs.Prod) else (node.name,)
-                word = tuple(gens.index[f] for f in factors)
-                m, sign = normalize_monomial(gens.degrees, word)
-                if m is None:
-                    continue
-                poly = poly_add(poly, {m: sign * coeff})
-            d_poly[name] = poly
+        d_poly = {
+            name: poly_from_terms(gens, exprs.parse_poly(text, known=known))
+            for name, text in diffs.items()
+        }
         return cls(gens, d_poly, filtration)
 
-    def d_of_generator(self, i: int) -> Poly:
-        return self.d_poly.get(self.gens.names[i], {})
-
-    def d_of_monomial(self, m: Mono) -> Poly:
-        out: Poly = {}
-        degrees = self.gens.degrees
-        for i in range(len(m)):
-            dg = self.d_of_generator(m[i])
-            if not dg:
-                continue
-            prefix = sum(degrees[g] for g in m[:i])
-            sign = -1 if prefix % 2 else 1
-            rest = m[:i] + m[i + 1 :]
-            for dm, dc in dg.items():
-                mm, s2 = normalize_monomial(degrees, dm + rest)
-                if mm is None:
-                    continue
-                c = Fraction(sign * s2) * dc
-                s = out.get(mm, 0) + c
-                if s:
-                    out[mm] = s
-                else:
-                    out.pop(mm, None)
-        return out
-
-    def d_of_poly(self, p: Poly) -> Poly:
-        out: Poly = {}
-        for m, c in p.items():
-            out = poly_add(out, self.d_of_monomial(m), c)
-        return out
-
-    def window(self, bound: int) -> "FreeCdgaWindow":
-        return FreeCdgaWindow(self, bound)
+    def window(self, bound: int) -> FreeCdgaWindow:
+        d_gen = [self.d_poly.get(name, {}) for name in self.gens.names]
+        return FreeCdgaWindow(self.gens.degrees, d_gen, bound)
 
     def pretty_mono(self, m: Mono) -> str:
         if not m:
             return "1"
         return "_".join(self.gens.names[i] for i in m)
-
-
-class FreeCdgaWindow:
-    """Monomial realization of a Sullivan algebra up to a degree bound."""
-
-    def __init__(self, S: SullivanAlgebra, bound: int):
-        self.S = S
-        self.bound = bound
-        self.by_degree = monomials_up_to(S.gens.degrees, bound)
-        self.index: dict[Mono, int] = {}
-        self.monos: list[Mono] = []
-        for d in sorted(self.by_degree):
-            for m in self.by_degree[d]:
-                self.index[m] = len(self.monos)
-                self.monos.append(m)
-
-    def degree(self, m: Mono) -> int:
-        return sum(self.S.gens.degrees[i] for i in m)
-
-    def d_squared_ok(self) -> bool:
-        for m in self.monos:
-            dd = self.S.d_of_poly(self.S.d_of_monomial(m))
-            dd = {mm: c for mm, c in dd.items() if self.degree(mm) <= self.bound}
-            if dd:
-                return False
-        return True
 
 
 class MinimalityReport:
@@ -391,30 +404,25 @@ def dualize_sullivan(S: SullivanAlgebra, bound: int) -> Cdgc:
     and coassociative on the nose.
     """
     window = S.window(bound)
-    monos = [m for m in window.monos if m]  # reduced part
-    names = [S.pretty_mono(m) for m in monos]
+    names = [S.pretty_mono(m) for m in window.monos]
     if len(set(names)) != len(names):
         raise FunctorError("monomial names collide; rename the generators")
-    degs = [window.degree(m) for m in monos]
-    index = {m: i for i, m in enumerate(monos)}
+    degs = window.degrees
     delta: dict[int, dict[int, Fraction]] = {}
-    for j, m in enumerate(monos):
-        dm = S.d_of_monomial(m)
-        for mm, c in dm.items():
-            if mm in index:
-                i = index[mm]
+    for j, m in enumerate(window.monos):
+        for mm, c in window.d_of_monomial(m).items():
+            if mm in window.index:
+                i = window.index[mm]
                 # (delta f)(a) = -(-1)^{|f|} f(d a)
                 eps = Fraction(-1) if degs[i] % 2 == 0 else Fraction(1)
                 row = delta.setdefault(i, {})
                 row[j] = row.get(j, Fraction(0)) + eps * c
     diag: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for a, ma in enumerate(monos):
-        for b, mb in enumerate(monos):
-            prod, sign = normalize_monomial(S.gens.degrees, ma + mb)
-            if prod is None or prod not in index:
-                continue
-            i = index[prod]
-            diag.setdefault(i, {})[(a, b)] = diag.setdefault(i, {}).get((a, b), Fraction(0)) + Fraction(sign)
+    for a in range(len(window.monos)):
+        for b in range(len(window.monos)):
+            got = window.product(a, b)
+            if got is not None:
+                diag.setdefault(got[0], {})[(a, b)] = Fraction(got[1])
     return Cdgc(names, degs, delta, diag)
 
 
@@ -624,8 +632,7 @@ def chevalley_chains(L: FiniteDgl, bound: int) -> Cdgc:
     """
     table = L.table
     sus_degrees = tuple(d + 1 for d in table.degrees)
-    by_degree = monomials_up_to(sus_degrees, bound)
-    monos = [m for d in sorted(by_degree) for m in by_degree[d] if m]
+    monos = monomials_up_to(sus_degrees, bound)
     names = ["s" + "_s".join(table.names[i] for i in m) for m in monos]
     if len(set(names)) != len(names):
         raise FunctorError("suspended monomial names collide")
@@ -777,27 +784,7 @@ class CdgaTable:
 
 
 def cdga_table_from_sullivan(S: SullivanAlgebra, bound: int) -> CdgaTable:
-    window = S.window(bound)
-    monos = [m for m in window.monos if m]
-    names = [S.pretty_mono(m) for m in monos]
-    degrees = [window.degree(m) for m in monos]
-    index = {m: i for i, m in enumerate(monos)}
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, mi in enumerate(monos):
-        for j in range(i, len(monos)):
-            prod, sign = normalize_monomial(S.gens.degrees, mi + monos[j])
-            if prod is None or prod not in index:
-                continue
-            products[(i, j)] = {index[prod]: Fraction(sign)}
-    differential: dict[int, dict[int, Fraction]] = {}
-    for i, m in enumerate(monos):
-        row = {}
-        for mm, c in S.d_of_monomial(m).items():
-            if mm in index:
-                row[index[mm]] = c
-        if row:
-            differential[i] = row
-    return CdgaTable(names, degrees, products, differential)
+    return S.window(bound).table(S.pretty_mono)
 
 
 # ---------------------------------------------------------------------------
@@ -1119,67 +1106,25 @@ def functor_A(E: LieCoalgebraTrunc, bound: int) -> CdgaTable:
                 continue
             sign = Fraction(-1 if lk[1] % 2 else 1)
             mono, s2 = normalize_monomial(gdegrees, (ga, gb))
-            if mono is None:
-                continue
-            out = poly_add(out, {mono: Fraction(s2) * sign * c / 2})
+            if mono is not None:
+                _add_term(out, mono, Fraction(s2) * sign * c / 2)
         # linear part: minus the suspension of the differential
         for key, mat in dmats.get((q, n), {}).items():
             for (row, col), c in mat.entries.items():
-                if col != k:
-                    continue
                 gj = pos.get((key, row))
-                if gj is None:
-                    continue
-                out = poly_add(out, {(gj,): -c})
-        return {m: c for m, c in out.items() if c}
-
-    # assemble a finite cdga table within the bound
-    by_degree = monomials_up_to(gdegrees, bound)
-    monos = [m for d in sorted(by_degree) for m in by_degree[d] if m]
-    names = ["^".join(gnames[i] for i in m) for m in monos]
-    degrees = [sum(gdegrees[i] for i in m) for m in monos]
-    index = {m: i for i, m in enumerate(monos)}
-    products = {}
-    for i, mi in enumerate(monos):
-        for j in range(i, len(monos)):
-            prod, sign = normalize_monomial(gdegrees, mi + monos[j])
-            if prod is None or prod not in index:
-                continue
-            products[(i, j)] = {index[prod]: Fraction(sign)}
-
-    def d_mono(m: Mono) -> Poly:
-        out: Poly = {}
-        for i in range(len(m)):
-            prefix = sum(gdegrees[g] for g in m[:i])
-            sign = -1 if prefix % 2 else 1
-            rest = m[:i] + m[i + 1 :]
-            for dm, dc in d_of_cogen(m[i]).items():
-                mono, s2 = normalize_monomial(gdegrees, dm + rest)
-                if mono is None:
-                    continue
-                out = poly_add(out, {mono: Fraction(sign * s2) * dc})
+                if col == k and gj is not None:
+                    _add_term(out, (gj,), -Fraction(c))
         return out
 
-    differential = {}
-    for i, m in enumerate(monos):
-        row = {}
-        for mm, c in d_mono(m).items():
-            if mm in index:
-                row[index[mm]] = c
-            elif sum(gdegrees[g] for g in mm) <= bound:
-                raise WindowError("differential escaped the assembled window")
-        if row:
-            differential[i] = row
-    table = CdgaTable(names, degrees, products, differential)
-    # verify D^2 = 0 inside the window
-    for i, m in enumerate(monos):
-        acc: Poly = {}
-        for mm, c in d_mono(m).items():
-            acc = poly_add(acc, d_mono(mm), c)
-        acc = {mm: c for mm, c in acc.items() if sum(gdegrees[g] for g in mm) <= bound}
-        if acc:
-            raise FunctorError(f"D^2 != 0 at {names[i]}")
-    return table
+    def name(m: Mono) -> str:
+        return "^".join(gnames[i] for i in m)
+
+    # the window holds every monomial of degree <= bound, so D never leaves it
+    window = FreeCdgaWindow(gdegrees, [d_of_cogen(i) for i in range(len(cogens))], bound)
+    defect = window.d_squared_defect()
+    if defect is not None:
+        raise FunctorError(f"D^2 != 0 at {name(defect)}")
+    return window.table(name)
 
 
 # ---------------------------------------------------------------------------
@@ -1238,7 +1183,7 @@ def duality_check(S: SullivanAlgebra, n_window: int, q_max: int) -> DualityRepor
         rank, _, _ = m_reduce(P)
         if rank != P.rows or P.rows != P.cols:
             return DualityReport(False, dims, f"pairing degenerate at (q, n) = ({q}, {n})")
-    if not _differentials_match(E, model, pairings, q_max, n_window):
+    if not _differentials_match(E, model, q_max, n_window):
         return DualityReport(False, dims, "differentials disagree under the pairing")
     return DualityReport(True, dims, detail)
 
@@ -1278,7 +1223,7 @@ def _pairing_matrices(E: LieCoalgebraTrunc, model: DglPresentation, q_max: int, 
     return out
 
 
-def _differentials_match(E, model, pairings, q_max, n_window) -> bool:
+def _differentials_match(E, model, q_max, n_window) -> bool:
     """<d_L u, w> = (-1)^{|u|} <u, D_E w>, the fixed adjointness convention;
     any deviation anywhere fails the check."""
     from .dgl import d_image as dgl_d_image

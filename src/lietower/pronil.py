@@ -250,14 +250,23 @@ def _bracket_span(L: FiniteLieData, left_indices: list[int], layer: list[Vec]) -
     return _span(out)
 
 
-def _stagnates(L: FiniteLieData, left_indices: list[int], layer: list[Vec], nxt: list[Vec]) -> bool:
-    """Exactly prove [L_0, S] = S for the stagnation rule."""
-    if len(layer) != len(nxt):
-        return False
-    ech = IntEchelon()
-    for v in nxt:
-        ech.insert(v)
-    return all(ech.contains(v) for v in layer)
+def _series(
+    L: FiniteLieData, left_indices: list[int], layer: list[Vec], bound: int
+) -> tuple[Optional[int], list[Vec]]:
+    """Bracket the layer with left_indices until it vanishes, stagnates or
+    bound steps have passed.
+
+    Returns (step, layer): the empty layer if the series vanishes at step,
+    the stagnant layer if it stagnates from step, and step None otherwise.
+    Stagnation [L_0, S] = S is proved exactly: S lies in the span of the
+    next layer, which has the same dimension.
+    """
+    for step in range(2, bound + 2):
+        nxt = _bracket_span(L, left_indices, layer)
+        if not nxt or (len(nxt) == len(layer) and len(_span(nxt + layer)) == len(nxt)):
+            return step, nxt
+        layer = nxt
+    return None, layer
 
 
 def nilpotency_of_degree_zero(L: FiniteLieData, bound: int = 32) -> Verdict:
@@ -268,25 +277,22 @@ def nilpotency_of_degree_zero(L: FiniteLieData, bound: int = 32) -> Verdict:
     layer = _span({i: Fraction(1)} for i in zero_indices)
     if not layer:
         return Verdict("holds", bound, "degree-0 part is zero", vanishing_index=1)
-    for n in range(2, bound + 2):
-        nxt = _bracket_span(L, zero_indices, layer)
-        if not nxt:
-            return Verdict(
-                "holds", bound, f"series vanishes at step {n} (nilpotency class {n - 1})",
-                vanishing_index=n,
-            )
-        if _stagnates(L, zero_indices, layer, nxt):
-            witness = nxt[0]
-            return Verdict(
-                "fails",
-                bound,
-                f"series stagnates at dimension {len(nxt)} from step {n}: "
-                "bracketing with degree 0 reproduces the layer",
-                witness=witness,
-                witness_text=L.pretty(witness),
-            )
-        layer = nxt
-    return Verdict("undetermined", bound, f"series still nonzero after {bound} steps")
+    n, layer = _series(L, zero_indices, layer, bound)
+    if n is None:
+        return Verdict("undetermined", bound, f"series still nonzero after {bound} steps")
+    if not layer:
+        return Verdict(
+            "holds", bound, f"series vanishes at step {n} (nilpotency class {n - 1})",
+            vanishing_index=n,
+        )
+    return Verdict(
+        "fails",
+        bound,
+        f"series stagnates at dimension {len(layer)} from step {n}: "
+        "bracketing with degree 0 reproduces the layer",
+        witness=layer[0],
+        witness_text=L.pretty(layer[0]),
+    )
 
 
 def g_layer(L: FiniteLieData, p: int, n: int) -> list[Vec]:
@@ -308,24 +314,21 @@ def g_series_vanishing(L: FiniteLieData, p: int, bound: int = 32) -> Verdict:
     layer = _span({i: Fraction(1)} for i in L.basis_of_degree(p))
     if not layer:
         return Verdict("holds", bound, f"degree-{p} part is zero", vanishing_index=1)
-    for n in range(2, bound + 2):
-        nxt = _bracket_span(L, zero_indices, layer)
-        if not nxt:
-            return Verdict(
-                "holds", bound, f"action series on degree {p} vanishes at step {n}",
-                vanishing_index=n,
-            )
-        if _stagnates(L, zero_indices, layer, nxt):
-            witness = nxt[0]
-            return Verdict(
-                "fails",
-                bound,
-                f"action series on degree {p} stagnates at dimension {len(nxt)} from step {n}",
-                witness=witness,
-                witness_text=L.pretty(witness),
-            )
-        layer = nxt
-    return Verdict("undetermined", bound, f"action series on degree {p} nonzero after {bound} steps")
+    n, layer = _series(L, zero_indices, layer, bound)
+    if n is None:
+        return Verdict("undetermined", bound, f"action series on degree {p} nonzero after {bound} steps")
+    if not layer:
+        return Verdict(
+            "holds", bound, f"action series on degree {p} vanishes at step {n}",
+            vanishing_index=n,
+        )
+    return Verdict(
+        "fails",
+        bound,
+        f"action series on degree {p} stagnates at dimension {len(layer)} from step {n}",
+        witness=layer[0],
+        witness_text=L.pretty(layer[0]),
+    )
 
 
 class AuditReport:
@@ -386,25 +389,17 @@ def definitional_pronilpotency(L: FiniteLieData, bound: int = 64) -> Verdict:
     if not L.total or not all(L.is_complete(d) for d in L.degrees_present()):
         raise IncompleteTableError("definitional check needs a totally finite table")
     all_indices = list(range(L.dim))
-    layer = _span({i: Fraction(1)} for i in all_indices)
-    for p in range(2, bound + 2):
-        nxt = _bracket_span(L, all_indices, layer)
-        if not nxt:
-            return Verdict(
-                "holds", bound,
-                f"lower central series vanishes at step {p}; quotients stabilize degreewise",
-                vanishing_index=p,
-            )
-        if len(nxt) == len(layer):
-            ech = IntEchelon()
-            for v in nxt:
-                ech.insert(v)
-            if all(ech.contains(v) for v in layer):
-                witness = nxt[0]
-                return Verdict(
-                    "fails", bound,
-                    f"lower central series stabilizes at dimension {len(nxt)} > 0",
-                    witness=witness, witness_text=L.pretty(witness),
-                )
-        layer = nxt
-    return Verdict("undetermined", bound, f"series still moving after {bound} steps")
+    p, layer = _series(L, all_indices, _span({i: Fraction(1)} for i in all_indices), bound)
+    if p is None:
+        return Verdict("undetermined", bound, f"series still moving after {bound} steps")
+    if not layer:
+        return Verdict(
+            "holds", bound,
+            f"lower central series vanishes at step {p}; quotients stabilize degreewise",
+            vanishing_index=p,
+        )
+    return Verdict(
+        "fails", bound,
+        f"lower central series stabilizes at dimension {len(layer)} > 0",
+        witness=layer[0], witness_text=L.pretty(layer[0]),
+    )

@@ -968,6 +968,15 @@ def test_witness_direction_space_reuses_its_slices(monkeypatch):
     assert again[1] == first[1] and again[2] is first[2]
 
 
+def test_witness_direction_space_rejects_a_zero_target():
+    from lietower.dgl import Truncation, witness_direction_space
+
+    with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
+        P = cli.parse(fh.read()).to_dgl()
+    with pytest.raises(DglError, match="target is zero"):
+        witness_direction_space(P, freelie.zero(P.gens), Truncation(4))
+
+
 def test_towers_of_neighbouring_degrees_share_their_slices(monkeypatch):
     P = remark()
     built = count_slice_builds(monkeypatch)

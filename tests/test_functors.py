@@ -23,6 +23,7 @@ from lietower.functors import (
     functor_A,
     lemma2_quasi_iso_check,
     minimality_check,
+    monomials_up_to,
     neisendorfer_model,
     quillen_L,
     shuffle,
@@ -408,3 +409,58 @@ def test_pairing_kills_shuffles():
                         if val:
                             acc += c * val * _word_pairing_sign(A, w)
                     assert acc == 0
+
+
+# -- the free graded-commutative window -----------------------------------------
+
+def s1_times_s2():
+    return SullivanAlgebra.from_strings([("x", 1), ("e2", 2), ("e3", 3)], {"e3": "e2 * e2"})
+
+
+def test_window_monomials_by_degree_then_lex():
+    # x odd appears at most once; y even repeats
+    assert monomials_up_to((1, 2), 5) == [(0,), (1,), (0, 1), (1, 1), (0, 1, 1)]
+    assert monomials_up_to((2, 1), 3) == [(1,), (0,), (0, 1)]
+
+
+def test_window_product_signs_and_bounds():
+    W = heisenberg().window(2)
+    assert W.monos == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+    x, y = W.index[(0,)], W.index[(1,)]
+    assert W.product(x, y) == (W.index[(0, 1)], 1)
+    assert W.product(y, x) == (W.index[(0, 1)], -1)
+    assert W.product(x, x) is None  # odd square
+    assert W.product(x, W.index[(1, 2)]) is None  # degree 3 leaves the window
+
+
+def test_window_d_squared_defect_names_the_first_failing_monomial():
+    # d c = b a with d b = a^2: d^2 c = a^3 in degree 6
+    S = SullivanAlgebra.from_strings([("a", 2), ("b", 3), ("c", 4)], {"b": "a * a", "c": "b * a"})
+    assert S.window(6).d_squared_defect() == (2,)
+    assert not S.window(6).d_squared_ok()
+    assert S.window(5).d_squared_defect() is None
+    assert sphere2().window(9).d_squared_ok()
+
+
+def test_window_table_and_dual_share_the_product():
+    S = s1_times_s2()
+    A = cdga_table_from_sullivan(S, 7)
+    C = dualize_sullivan(S, 7)
+    assert A.names == C.names and A.degrees == C.degrees
+    for (i, j), row in A.products.items():
+        ((k, c),) = row.items()
+        assert C.diag[k][(i, j)] == c
+
+
+@pytest.mark.xfail(strict=True, reason="d(m_i) moves to the front without the Koszul sign of passing the prefix")
+def test_window_derivation_is_leibniz_on_mixed_parity():
+    S = SullivanAlgebra.from_strings([("a", 1), ("a2", 1), ("c", 2), ("b", 2)], {"b": "a * c"})
+    # d(a2 b) = d(a2) b - a2 d(b) = -a2 a c = a a2 c
+    assert S.window(5).d_of_monomial((1, 3)) == {(0, 1, 2): 1}
+
+
+@pytest.mark.xfail(strict=True, raises=FunctorError, reason="the dual of S^1 x S^2 fails the coderivation check")
+def test_neisendorfer_model_of_s1_times_s2():
+    S = s1_times_s2()
+    assert minimality_check(S).ok and S.window(9).d_squared_ok()
+    neisendorfer_model(S, 9)
