@@ -44,6 +44,7 @@ from .linalg import (
     reduce,
     solve_affine,
 )
+from .pronil import FiniteLieData, g_layer
 
 
 class DglError(ValueError):
@@ -1009,8 +1010,6 @@ def h0_table_from_tower(P: DglPresentation, n: int):
     nilpotent degree-0 part by the bracket closure of d(V_1); the returned
     table is that finite-dimensional Lie algebra on canonical representatives.
     """
-    from .pronil import FiniteLieData
-
     ech, sl = _degree0_boundary_closure(P, n)
     quotient = _degree0_quotient(ech, sl, n)
     reps = [sl.elements[i] for i in quotient.kept]
@@ -1039,8 +1038,6 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
     bounded evidence.  Returns (table, representatives, closed) where closed
     reports whether every representative bracket reduced inside the window.
     """
-    from .pronil import FiniteLieData
-
     if witness_bound < window:
         raise ValueError("witness bound must be at least the window")
     out = P.slice(0, witness_bound + 2 + P.max_shift())
@@ -1113,6 +1110,4 @@ def h0_discrepancy_report(P: DglPresentation, t: Truncation) -> dict:
 
 def g_series(L, p: int, n: int):
     """Iterated bracket layers [L_0, [L_0, ... L_p]] of a finite bracket table."""
-    from .pronil import g_layer
-
     return g_layer(L, p, n)

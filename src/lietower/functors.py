@@ -6,30 +6,37 @@ up to a word-length and degree cap.  Every output is validated against the
 axioms it must satisfy (d^2 = 0, coassociativity, coderivation, Lie
 coalgebra identities), exactly.
 
-Sign conventions are fixed once and for all here (they are calibrated by
-the consistency checks in the test suite, which fail for any other choice):
+Signs follow Felix-Halperin-Thomas (Rational Homotopy Theory, GTM 205) and
+are counted by one rule, `normalize_monomial`: the Koszul sign of moving
+letters of given degrees into a new order is the parity of the odd-odd
+pairs the reordering inverts.  Sorting a product of generators, shuffles
+and unshuffles, extracting a bracketed pair, the word pairing, the
+cobracket flip and the co-Jacobi rotations all call it on a sequence of
+positions.  On top of it:
 
-* dual of the differential: (delta f)(a) = -(-1)^{|f|} f(d a);
+* derivations: `derive_monomial` puts d(m_i) in place in m with sign
+  (-1)^{|m_0 ... m_{i-1}|}; it is the differential of every free window and
+  the linear part of the chain-coalgebra differential;
+* dual of the differential: (delta f)(a) = -f(d a);
 * dual of the multiplication: sign-free structure transport, which is
   graded cocommutative and coassociative on the nose;
 * bar differential: see `_bar_d1` / `_bar_d2`;
-* chain-coalgebra differential on the suspended exterior algebra: see
-  `_ce_delta`;
 * suspension bookkeeping: s and s^{-1} shift degrees by one; the operator
   picks up the parity of whatever it moves past.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import exprs
-from .dgl import DglPresentation, validate as dgl_validate, Truncation, d_image
-from .freelie import GeneratorSet, TensorElt, lie_basis, lie_dim, zero
-from .linalg import Quotient, SparseMatrix, reduce as m_reduce
-from .pronil import FiniteLieData
+from .dgl import DglPresentation, Truncation, d_image, exact_homology, validate as dgl_validate
+from .freelie import GeneratorSet, TensorElt, gen_elt, graded_bracket, lie_basis, lie_dim, zero
+from .linalg import Quotient, SparseMatrix, homology_at, reduce as m_reduce
+from .pronil import FiniteLieData, IncompleteTableError
 
 Mono = tuple[int, ...]  # sorted generator indices, repeats allowed for even gens
 Poly = dict[Mono, Fraction]
@@ -47,10 +54,13 @@ class WindowError(FunctorError):
 # graded-commutative monomials and the free window
 
 
-def normalize_monomial(degrees: tuple[int, ...], word: Iterable[int]) -> tuple[Optional[Mono], int]:
-    """Sort a product of generators; Koszul sign counts odd-odd swaps.
+def normalize_monomial(degrees: Sequence[int], word: Iterable[int]) -> tuple[Optional[Mono], int]:
+    """Sort a word of letters, degrees[letter] the degree of each; the Koszul
+    sign counts the swaps of two odd letters.
 
-    Returns (None, 0) when an odd generator repeats (its square is zero).
+    Returns (None, 0) when an odd letter repeats (its square is zero).  On a
+    sequence of distinct positions, normalize_monomial(degs, order)[1] is the
+    sign of putting letters of degrees degs into the order `order`.
     """
     word = list(word)
     sign = 1
@@ -68,13 +78,33 @@ def normalize_monomial(degrees: tuple[int, ...], word: Iterable[int]) -> tuple[O
     return tuple(word), sign
 
 
-def _add_term(p: Poly, m: Mono, c) -> None:
+def _add_term(p: dict, m, c) -> None:
     """p[m] += c in place, with no stored zeros."""
     s = p.get(m, 0) + c
     if s:
         p[m] = s
     else:
         p.pop(m, None)
+
+
+def derive_monomial(
+    degrees: Sequence[int], images: Sequence[Poly] | dict[int, Poly], m: Mono
+) -> Poly:
+    """The odd derivation with generator images images[g] on the monomial m.
+
+    d(m_i) is put in place, m[:i] + d(m_i) + m[i+1:], with sign
+    (-1)^{|m_0 ... m_{i-1}|}, and the result is normalized; images needs an
+    entry for every letter of m.
+    """
+    out: Poly = {}
+    prefix = 0
+    for i, g in enumerate(m):
+        for dm, dc in images[g].items():
+            mono, sign = normalize_monomial(degrees, m[:i] + dm + m[i + 1 :])
+            if mono is not None:
+                _add_term(out, mono, (-sign if prefix % 2 else sign) * dc)
+        prefix += degrees[g]
+    return out
 
 
 def poly_from_terms(gens: GeneratorSet, terms) -> Poly:
@@ -140,17 +170,7 @@ class FreeCdgaWindow:
         return self.index[prod], sign
 
     def d_of_monomial(self, m: Mono) -> Poly:
-        """d(m_i) goes to the front of the rest of m with sign (-1)^{|m_0 ... m_{i-1}|}."""
-        out: Poly = {}
-        for i, g in enumerate(m):
-            prefix = sum(self.gen_degrees[h] for h in m[:i])
-            sign = -1 if prefix % 2 else 1
-            rest = m[:i] + m[i + 1 :]
-            for dm, dc in self.d_gen[g].items():
-                mm, s2 = normalize_monomial(self.gen_degrees, dm + rest)
-                if mm is not None:
-                    _add_term(out, mm, Fraction(sign * s2) * dc)
-        return out
+        return derive_monomial(self.gen_degrees, self.d_gen, m)
 
     def d_squared_defect(self) -> Optional[Mono]:
         """The first monomial m with d(d(m)) nonzero inside the window, or None."""
@@ -360,11 +380,9 @@ class Cdgc:
             rhs: dict = {}
             for (a, b), c in self.diag.get(i, {}).items():
                 for (p, q), c2 in self.diag.get(a, {}).items():
-                    lhs[(p, q, b)] = lhs.get((p, q, b), 0) + c * c2
+                    _add_term(lhs, (p, q, b), c * c2)
                 for (p, q), c2 in self.diag.get(b, {}).items():
-                    rhs[(a, p, q)] = rhs.get((a, p, q), 0) + c * c2
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
+                    _add_term(rhs, (a, p, q), c * c2)
             if lhs != rhs:
                 problems.append(f"coassociativity fails at {self.names[i]}")
         # delta^2 = 0
@@ -372,24 +390,22 @@ class Cdgc:
             acc: dict = {}
             for j, c in self.delta.get(i, {}).items():
                 for k, c2 in self.delta.get(j, {}).items():
-                    acc[k] = acc.get(k, 0) + c * c2
-            if any(acc.values()):
+                    _add_term(acc, k, c * c2)
+            if acc:
                 problems.append(f"delta squared nonzero at {self.names[i]}")
         # delta is a coderivation: diag(delta a) = (delta x 1 + 1 x delta) diag(a)
         for i in range(self.dim):
             lhs: dict = {}
             for j, c in self.delta.get(i, {}).items():
                 for (a, b), c2 in self.diag.get(j, {}).items():
-                    lhs[(a, b)] = lhs.get((a, b), 0) + c * c2
+                    _add_term(lhs, (a, b), c * c2)
             rhs: dict = {}
             for (a, b), c in self.diag.get(i, {}).items():
                 for j, c2 in self.delta.get(a, {}).items():
-                    rhs[(j, b)] = rhs.get((j, b), 0) + c * c2
+                    _add_term(rhs, (j, b), c * c2)
                 sgn = -1 if self.degrees[a] % 2 else 1
                 for j, c2 in self.delta.get(b, {}).items():
-                    rhs[(a, j)] = rhs.get((a, j), 0) + sgn * c * c2
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
+                    _add_term(rhs, (a, j), sgn * c * c2)
             if lhs != rhs:
                 problems.append(f"delta is not a coderivation at {self.names[i]}")
         return problems
@@ -399,7 +415,7 @@ def dualize_sullivan(S: SullivanAlgebra, bound: int) -> Cdgc:
     """Degreewise dual of a Sullivan algebra window as a cdgc.
 
     The dual basis is indexed by monomials; the dual differential is
-    (delta f)(a) = -(-1)^{|f|} f(d a) and the reduced diagonal is the
+    (delta f)(a) = -f(d a) and the reduced diagonal is the
     sign-free transport of the multiplication table, which is cocommutative
     and coassociative on the nose.
     """
@@ -412,11 +428,8 @@ def dualize_sullivan(S: SullivanAlgebra, bound: int) -> Cdgc:
     for j, m in enumerate(window.monos):
         for mm, c in window.d_of_monomial(m).items():
             if mm in window.index:
-                i = window.index[mm]
-                # (delta f)(a) = -(-1)^{|f|} f(d a)
-                eps = Fraction(-1) if degs[i] % 2 == 0 else Fraction(1)
-                row = delta.setdefault(i, {})
-                row[j] = row.get(j, Fraction(0)) + eps * c
+                # (delta f)(a) = -f(d a)
+                delta.setdefault(window.index[mm], {})[j] = -c
     diag: dict[int, dict[tuple[int, int], Fraction]] = {}
     for a in range(len(window.monos)):
         for b in range(len(window.monos)):
@@ -455,8 +468,6 @@ def cdgc_homology(C: Cdgc, q: int) -> int:
             for j, c in C.delta.get(i, {}).items()
         },
     )
-    from .linalg import homology_at
-
     return homology_at(d_in, d_out)[0]
 
 
@@ -476,8 +487,6 @@ def quillen_L(C: Cdgc, gen_prefix: str = "w_") -> DglPresentation:
     problems = C.validate()
     if problems:
         raise FunctorError("coalgebra axioms fail: " + "; ".join(problems[:3]))
-    from .freelie import gen_elt, graded_bracket
-
     names = [gen_prefix + n for n in C.names]
     degrees = [d - 1 for d in C.degrees]
     gens = GeneratorSet(names, degrees)
@@ -546,11 +555,7 @@ class FiniteDgl:
         out: dict[int, Fraction] = {}
         for i, c in v.items():
             for j, cc in self.d.get(i, {}).items():
-                s = out.get(j, 0) + c * cc
-                if s:
-                    out[j] = s
-                else:
-                    out.pop(j, None)
+                _add_term(out, j, c * cc)
         return out
 
     def validate(self) -> list[str]:
@@ -559,8 +564,6 @@ class FiniteDgl:
         for i in range(self.table.dim):
             if self.d_vec(self.d.get(i, {})):
                 problems.append(f"d^2 nonzero at {self.table.names[i]}")
-        from .pronil import IncompleteTableError
-
         for i in range(self.table.dim):
             for j in range(self.table.dim):
                 try:
@@ -568,10 +571,9 @@ class FiniteDgl:
                     rhs = self.table.bracket(self.d.get(i, {}), {j: Fraction(1)})
                     sgn = Fraction(-1 if self.table.degrees[i] % 2 else 1)
                     for k, c in self.table.bracket({i: Fraction(1)}, self.d.get(j, {})).items():
-                        rhs[k] = rhs.get(k, Fraction(0)) + sgn * c
+                        _add_term(rhs, k, sgn * c)
                 except IncompleteTableError:
                     continue
-                rhs = {k: c for k, c in rhs.items() if c}
                 if lhs != rhs:
                     problems.append(
                         f"derivation rule fails at [{self.table.names[i]}, {self.table.names[j]}]"
@@ -597,8 +599,6 @@ class FiniteDgl:
                 qc = qa + qb
                 if qc > max_degree:
                     continue
-                from .freelie import graded_bracket
-
                 val = graded_bracket(slices[qa].elements[ka], slices[qb].elements[kb])
                 val = val.truncate_length(n)
                 if val.is_zero():
@@ -639,12 +639,9 @@ def chevalley_chains(L: FiniteDgl, bound: int) -> Cdgc:
     degs = [sum(sus_degrees[i] for i in m) for m in monos]
     index = {m: i for i, m in enumerate(monos)}
 
-    def delta_of(m: Mono) -> dict[Mono, Fraction]:
-        return _ce_delta(L, sus_degrees, m)
-
     delta: dict[int, dict[int, Fraction]] = {}
     for i, m in enumerate(monos):
-        for mm, c in delta_of(m).items():
+        for mm, c in _ce_delta(L, sus_degrees, m).items():
             if mm in index:
                 delta.setdefault(i, {})[index[mm]] = c
             elif mm:
@@ -665,73 +662,36 @@ def chevalley_chains(L: FiniteDgl, bound: int) -> Cdgc:
 def _ce_delta(L: FiniteDgl, sus_degrees: tuple[int, ...], m: Mono) -> dict[Mono, Fraction]:
     """Differential of the chain coalgebra on one suspended monomial.
 
-    Linear part: apply d in each slot, sign from the suspended prefix and a
-    global minus (d(sx) = -s(dx)).  Quadratic part: extract a pair to the
-    front with Koszul signs, bracket it, sign (-1)^{|x_i|} on the unsuspended
-    degree of the first element.
+    Linear part: the derivation extending d(sx) = -s(dx).  Quadratic part:
+    each pair of slots i < j moves to the front with its Koszul sign, is
+    bracketed, and picks up (-1)^{|x_i|} on the unsuspended degree of the
+    first element.
     """
-    table = L.table
-    out: dict[Mono, Fraction] = {}
-
-    def add(word: Iterable[int], coeff: Fraction):
-        mono, sign = normalize_monomial(sus_degrees, word)
-        if mono is None:
-            return
-        s = out.get(mono, 0) + sign * coeff
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-
-    for i in range(len(m)):
-        row = L.d.get(m[i], {})
-        if not row:
-            continue
-        prefix = sum(sus_degrees[g] for g in m[:i])
-        sign = Fraction(-1) * (-1 if prefix % 2 else 1)
-        for j, c in row.items():
-            add(m[:i] + (j,) + m[i + 1 :], sign * c)
-    for i in range(len(m)):
-        for j in range(i + 1, len(m)):
-            # move slot i to the front (crossing m[:i]), then slot j to the
-            # second position (crossing m[:i] and m[i+1:j], but not slot i)
-            front = sum(sus_degrees[g] for g in m[:i])
-            between = front + sum(sus_degrees[g] for g in m[i + 1 : j])
-            sign_i = -1 if (sus_degrees[m[i]] * front) % 2 else 1
-            sign_j = -1 if (sus_degrees[m[j]] * between) % 2 else 1
-            rest = m[:i] + m[i + 1 : j] + m[j + 1 :]
-            local = -1 if table.degrees[m[i]] % 2 else 1
-            for k, c in table.bracket_basis(m[i], m[j]).items():
-                add((k,) + rest, Fraction(sign_i * sign_j * local) * c)
+    linear = {g: {(j,): -c for j, c in L.d.get(g, {}).items()} for g in m}
+    out = derive_monomial(sus_degrees, linear, m)
+    degs = [sus_degrees[g] for g in m]
+    for i, j in itertools.combinations(range(len(m)), 2):
+        rest = [p for p in range(len(m)) if p != i and p != j]
+        sign = normalize_monomial(degs, [i, j, *rest])[1]
+        if L.table.degrees[m[i]] % 2:
+            sign = -sign
+        for k, c in L.table.bracket_basis(m[i], m[j]).items():
+            mono, s2 = normalize_monomial(sus_degrees, [k, *(m[p] for p in rest)])
+            if mono is not None:
+                _add_term(out, mono, sign * s2 * c)
     return out
 
 
-def _unshuffle(degrees: tuple[int, ...], m: Mono) -> dict[tuple[Mono, Mono], Fraction]:
-    """Unshuffling diagonal of a monomial (full, including empty sides)."""
-    out: dict[tuple[Mono, Mono], Fraction] = {}
+def _unshuffle(degrees: tuple[int, ...], m: Mono) -> dict[tuple[Mono, Mono], int]:
+    """Unshuffling diagonal of a normalized monomial (full, including empty
+    sides); both sides of each term are then normalized too."""
+    degs = [degrees[g] for g in m]
+    out: dict[tuple[Mono, Mono], int] = {}
     for mask in range(1 << len(m)):
-        left = []
-        right = []
-        sign = 1
-        for i in range(len(m)):
-            if mask & (1 << i):
-                left.append(m[i])
-            else:
-                # letters sent right pick up signs from later letters sent left
-                for j in range(i + 1, len(m)):
-                    if mask & (1 << j) and degrees[m[i]] % 2 and degrees[m[j]] % 2:
-                        sign = -sign
-                right.append(m[i])
-        lkey, ls = normalize_monomial(degrees, left)
-        rkey, rs = normalize_monomial(degrees, right)
-        if lkey is None or rkey is None:
-            continue
-        key = (lkey, rkey)
-        s = out.get(key, 0) + sign * ls * rs
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        left = [p for p in range(len(m)) if mask >> p & 1]
+        right = [p for p in range(len(m)) if not mask >> p & 1]
+        key = (tuple(m[p] for p in left), tuple(m[p] for p in right))
+        _add_term(out, key, normalize_monomial(degs, left + right)[1])
     return out
 
 
@@ -806,12 +766,7 @@ def _bar_d1(A: CdgaTable, w: BarWord) -> dict[BarWord, Fraction]:
         row = A.d.get(letter, {})
         sign = Fraction(1 if prefix % 2 else -1)
         for j, c in row.items():
-            ww = w[:i] + (j,) + w[i + 1 :]
-            s = out.get(ww, 0) + sign * c
-            if s:
-                out[ww] = s
-            else:
-                out.pop(ww, None)
+            _add_term(out, w[:i] + (j,) + w[i + 1 :], sign * c)
         prefix += A.degrees[letter] - 1
     return out
 
@@ -825,12 +780,7 @@ def _bar_d2(A: CdgaTable, w: BarWord) -> dict[BarWord, Fraction]:
         prefix += A.degrees[w[i]] - 1
         sign = Fraction(-1 if prefix % 2 else 1)
         for k, c in A.product(w[i], w[i + 1]).items():
-            ww = w[:i] + (k,) + w[i + 2 :]
-            s = out.get(ww, 0) + sign * c
-            if s:
-                out[ww] = s
-            else:
-                out.pop(ww, None)
+            _add_term(out, w[:i] + (k,) + w[i + 2 :], sign * c)
     return out
 
 
@@ -839,45 +789,31 @@ def bar_differential(A: CdgaTable, vec: dict[BarWord, Fraction]) -> dict[BarWord
     for w, c in vec.items():
         for part in (_bar_d1(A, w), _bar_d2(A, w)):
             for ww, cc in part.items():
-                s = out.get(ww, 0) + c * cc
-                if s:
-                    out[ww] = s
-                else:
-                    out.pop(ww, None)
+                _add_term(out, ww, c * cc)
     return out
 
 
-def shuffle(A: CdgaTable, u: BarWord, v: BarWord) -> dict[BarWord, Fraction]:
+@functools.cache
+def _shuffles(parities: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The shuffles of the first n letters with the rest, for letters of
+    these degree parities: each as the order of the positions and its sign.
+
+    Cached because the sign depends only on the parities, and a bar quotient
+    shuffles thousands of word pairs that share a few parity patterns."""
+    out = []
+    for slots in itertools.combinations(range(len(parities)), n):
+        first, second = iter(range(n)), iter(range(n, len(parities)))
+        order = tuple(next(first) if p in slots else next(second) for p in range(len(parities)))
+        out.append((order, normalize_monomial(parities, order)[1]))
+    return tuple(out)
+
+
+def shuffle(A: CdgaTable, u: BarWord, v: BarWord) -> dict[BarWord, int]:
     """Graded shuffle product of bar words (Koszul signs on bar degrees)."""
-    out: dict[BarWord, Fraction] = {}
-    n, m = len(u), len(v)
-    for positions in itertools.combinations(range(n + m), n):
-        pos_set = set(positions)
-        word = []
-        ui, vi = 0, 0
-        sign = 1
-        v_degrees_seen: list[int] = []
-        for p in range(n + m):
-            if p in pos_set:
-                letter = u[ui]
-                ui += 1
-                # this u-letter crossed every v-letter already placed
-                d = A.degrees[letter] - 1
-                if d % 2:
-                    crossings = sum(1 for dv in v_degrees_seen if dv % 2)
-                    if crossings % 2:
-                        sign = -sign
-            else:
-                letter = v[vi]
-                vi += 1
-                v_degrees_seen.append(A.degrees[letter] - 1)
-            word.append(letter)
-        key = tuple(word)
-        s = out.get(key, 0) + sign
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+    w = u + v
+    out: dict[BarWord, int] = {}
+    for order, sign in _shuffles(tuple((A.degrees[letter] - 1) % 2 for letter in w), len(u)):
+        _add_term(out, tuple(w[p] for p in order), sign)
     return out
 
 
@@ -990,78 +926,52 @@ class LieCoalgebraTrunc:
 
         Returns {((q1, n1), i, (q2, n2), j): coefficient}."""
         w = self.rep_words(q, n)[rep_index]
+        degs = [self.A.degrees[letter] - 1 for letter in w]
         out: dict = {}
         for cut in range(1, len(w)):
             left, right = w[:cut], w[cut:]
-            dl = _bar_degree(self.A, left)
-            dr = _bar_degree(self.A, right)
-            for (u, du, v, dv, sgn) in (
-                (left, dl, right, dr, 1),
-                (right, dr, left, dl, -(1 if (dl * dr) % 2 == 0 else -1)),
+            lkey = (len(left), _bar_degree(self.A, left))
+            rkey = (len(right), _bar_degree(self.A, right))
+            lcoords = self.class_coords(*lkey, {left: Fraction(1)})
+            rcoords = self.class_coords(*rkey, {right: Fraction(1)})
+            flip = -normalize_monomial(degs, [*range(cut, len(w)), *range(cut)])[1]
+            for ka, ca, kb, cb, sign in (
+                (lkey, lcoords, rkey, rcoords, 1),
+                (rkey, rcoords, lkey, lcoords, flip),
             ):
-                lkey = (len(u), du)
-                rkey = (len(v), dv)
-                lcoords = self.class_coords(*lkey, {u: Fraction(1)})
-                rcoords = self.class_coords(*rkey, {v: Fraction(1)})
-                for i, ci in lcoords.items():
-                    for j, cj in rcoords.items():
-                        key = (lkey, i, rkey, j)
-                        s = out.get(key, 0) + Fraction(sgn) * ci * cj
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
+                for i, ci in ca.items():
+                    for j, cj in cb.items():
+                        _add_term(out, (ka, i, kb, j), sign * ci * cj)
         return out
 
     def lie_coalgebra_axioms_ok(self) -> bool:
         """(1 + flip) of the cobracket vanishes and the cyclic co-Jacobi sum
-        vanishes, exactly, on every class."""
+        (1 + sigma + sigma^2)(1 x cob) cob vanishes, exactly, on every class."""
         for (q, n), red in sorted(self._reducer.items()):
             for idx in range(red.dim):
                 cob = self.cobracket(q, n, idx)
-                # antisymmetry: cob + tau(cob) = 0
-                acc = dict(cob)
-                for (lk, i, rk, j), c in cob.items():
-                    sign = -1 if (lk[1] * rk[1]) % 2 else 1
-                    key = (rk, j, lk, i)
-                    s = acc.get(key, 0) + sign * c
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
-                if acc:
+                if _koszul_sum(cob, ((0, 1), (1, 0))):
                     return False
-                # co-Jacobi: (1 + sigma + sigma^2)(1 x cob) cob = 0
                 triple: dict = {}
                 for (lk, i, rk, j), c in cob.items():
-                    for (mk, a, nk, b), c2 in self.cobracket(*rk, j).items():
-                        key = (lk, i, mk, a, nk, b)
-                        s = triple.get(key, 0) + c * c2
-                        if s:
-                            triple[key] = s
-                        else:
-                            triple.pop(key, None)
-                acc3: dict = {}
-                for (k1, i1, k2, i2, k3, i3), c in triple.items():
-                    for rot in range(3):
-                        if rot == 0:
-                            key = (k1, i1, k2, i2, k3, i3)
-                            sign = 1
-                        elif rot == 1:
-                            # z x y -> cyclic: sign (-1)^{|z|(|x|+|y|)}
-                            key = (k3, i3, k1, i1, k2, i2)
-                            sign = -1 if (k3[1] * ((k1[1] + k2[1]) % 2)) % 2 else 1
-                        else:
-                            key = (k2, i2, k3, i3, k1, i1)
-                            sign = -1 if (((k2[1] + k3[1]) % 2) * k1[1]) % 2 else 1
-                        s = acc3.get(key, 0) + sign * c
-                        if s:
-                            acc3[key] = s
-                        else:
-                            acc3.pop(key, None)
-                if acc3:
+                    for key, c2 in self.cobracket(*rk, j).items():
+                        _add_term(triple, (lk, i, *key), c * c2)
+                if _koszul_sum(triple, ((0, 1, 2), (2, 0, 1), (1, 2, 0))):
                     return False
         return True
+
+
+def _koszul_sum(terms: dict, orders) -> dict:
+    """Sum over the given orders of the Koszul-signed reorderings of tensor
+    terms {(key_1, i_1, key_2, i_2, ...): c}; factor k has degree key_k[1]."""
+    out: dict = {}
+    for flat, c in terms.items():
+        factors = [flat[k : k + 2] for k in range(0, len(flat), 2)]
+        degs = [key[1] for key, _ in factors]
+        for order in orders:
+            key = tuple(x for p in order for x in factors[p])
+            _add_term(out, key, normalize_monomial(degs, order)[1] * c)
+    return out
 
 
 def bar_lie_coalgebra_E(A, q_max: int, n_max: int) -> LieCoalgebraTrunc:
@@ -1189,17 +1099,9 @@ def duality_check(S: SullivanAlgebra, n_window: int, q_max: int) -> DualityRepor
 
 
 def _word_pairing_sign(A: CdgaTable, w: BarWord) -> int:
-    """Koszul sign of pairing letterwise duals against the word:
-    prod_{i<j} (-1)^{|a_i||a_j|} on bar degrees."""
-    sign = 1
-    odd_seen = 0
-    for letter in w:
-        d = A.degrees[letter] - 1
-        if d % 2:
-            if odd_seen % 2:
-                sign = -sign
-            odd_seen += 1
-    return sign
+    """Koszul sign of pairing letterwise duals against the word: the sign of
+    reversing w on bar degrees, prod_{i<j} (-1)^{|a_i||a_j|}."""
+    return normalize_monomial([A.degrees[letter] - 1 for letter in w], range(len(w) - 1, -1, -1))[1]
 
 
 def _pairing_matrices(E: LieCoalgebraTrunc, model: DglPresentation, q_max: int, n_window: int):
@@ -1210,6 +1112,7 @@ def _pairing_matrices(E: LieCoalgebraTrunc, model: DglPresentation, q_max: int, 
             if not reps and lie_dim(model.gens, q, n) == 0:
                 continue
             lbasis = lie_basis(model.gens, q, n)
+            signs = [_word_pairing_sign(E.A, w) for w in reps]
             entries = {}
             for r, u in enumerate(lbasis):
                 for cidx, w in enumerate(reps):
@@ -1218,7 +1121,7 @@ def _pairing_matrices(E: LieCoalgebraTrunc, model: DglPresentation, q_max: int, 
                     # words is diagonal with a Koszul reordering sign
                     val = u.terms.get(w)
                     if val:
-                        entries[(r, cidx)] = val * _word_pairing_sign(E.A, w)
+                        entries[(r, cidx)] = val * signs[cidx]
             out[(q, n)] = SparseMatrix(len(lbasis), len(reps), entries)
     return out
 
@@ -1226,13 +1129,12 @@ def _pairing_matrices(E: LieCoalgebraTrunc, model: DglPresentation, q_max: int, 
 def _differentials_match(E, model, q_max, n_window) -> bool:
     """<d_L u, w> = (-1)^{|u|} <u, D_E w>, the fixed adjointness convention;
     any deviation anywhere fails the check."""
-    from .dgl import d_image as dgl_d_image
-
     for q in range(1, q_max + 1):
         for n in range(0, n_window + 1):
             reps = E.rep_words(q, n)
             if not reps:
                 continue
+            signs = [_word_pairing_sign(E.A, w) for w in reps]
             dmats = E.differential_matrix(q, n)
             for key, mat in dmats.items():
                 q2, n2 = key
@@ -1242,20 +1144,20 @@ def _differentials_match(E, model, q_max, n_window) -> bool:
                         return False
                     continue
                 reps2 = E.rep_words(q2, n2)
+                signs2 = [_word_pairing_sign(E.A, w2) for w2 in reps2]
                 cols = mat.columns()
                 sign = Fraction(1) if n2 % 2 == 0 else Fraction(-1)
                 # left side: pair d_L of the (q2, n2) Lie basis with w
                 for r, u in enumerate(lbasis2):
-                    du = dgl_d_image(model, u)
+                    du = d_image(model, u)
                     for cidx, w in enumerate(reps):
-                        comp = du.terms.get(w, Fraction(0)) * _word_pairing_sign(E.A, w)
+                        comp = du.terms.get(w, Fraction(0)) * signs[cidx]
                         # right side: pair u with D_E w component in (q2, n2)
                         rhs = Fraction(0)
                         for row, c in cols[cidx].items():
-                            w2 = reps2[row]
-                            val = u.terms.get(w2)
+                            val = u.terms.get(reps2[row])
                             if val:
-                                rhs += c * val * _word_pairing_sign(E.A, w2)
+                                rhs += c * val * signs2[row]
                         if comp != sign * rhs:
                             return False
     return True
@@ -1288,8 +1190,6 @@ def lemma2_quasi_iso_check(S: SullivanAlgebra, q_lo: int, q_hi: int) -> QuasiIso
 
     Requires all generators in degrees >= 2 (then every model generator has
     positive degree and untruncated homology is degreewise exact)."""
-    from .dgl import exact_homology
-
     if any(d < 2 for d in S.gens.degrees):
         raise FunctorError("the check needs generators of degree >= 2")
     model = neisendorfer_model(S, q_hi + 2)

@@ -13,12 +13,17 @@
 * the tracked integer echelon behind `reduce`, `solve_affine` and
   `IntEchelon.express` against the Fraction `reduce`, the row reduction of
   [A | b] and the Fraction tracked echelon it replaced, and the boundary
-  solvers (integer columns from `d_image`) against Fraction assembly.
+  solvers (integer columns from `d_image`) against Fraction assembly;
+* the functors' one Koszul sign rule (`normalize_monomial` on positions)
+  in `shuffle`, `_unshuffle` and `_ce_delta` against the crossing counters
+  it replaced, and the in-place derivation of `FreeCdgaWindow` against the
+  Leibniz rule on seeded mixed-parity algebras.
 
 Every invariant check that guards these paths must also hold under
 `python -O`, so they are exercised in a child interpreter started with -O.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -50,6 +55,16 @@ from lietower.freelie import (
     lie_dim,
     word_elt,
     words_of,
+)
+from lietower.functors import (
+    CdgaTable,
+    FiniteDgl,
+    FreeCdgaWindow,
+    _ce_delta,
+    _unshuffle,
+    monomials_up_to,
+    normalize_monomial,
+    shuffle,
 )
 from lietower.linalg import IntEchelon, NotAComplexError, SparseMatrix, reduce, solve_affine
 
@@ -1007,3 +1022,151 @@ def test_verdict_outcome_check_survives_optimized_mode():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "verdict: unknown verdict outcome 'maybe'\n"
+
+
+# -- functors: the one Koszul sign rule against the crossing counters it replaced
+
+
+def crossing_shuffle(A, u, v):
+    """Shuffle product counting, for each u-letter, the odd v-letters it crosses."""
+    out = {}
+    n, m = len(u), len(v)
+    for positions in itertools.combinations(range(n + m), n):
+        word, ui, vi, sign, v_seen = [], 0, 0, 1, []
+        for p in range(n + m):
+            if p in positions:
+                letter = u[ui]
+                ui += 1
+                if (A.degrees[letter] - 1) % 2 and sum(1 for d in v_seen if d % 2) % 2:
+                    sign = -sign
+            else:
+                letter = v[vi]
+                vi += 1
+                v_seen.append(A.degrees[letter] - 1)
+            word.append(letter)
+        out[tuple(word)] = out.get(tuple(word), 0) + sign
+    return {k: c for k, c in out.items() if c}
+
+
+def crossing_unshuffle(degrees, m):
+    """Unshuffle counting, for each letter sent right, the later odd letters sent left."""
+    out = {}
+    for mask in range(1 << len(m)):
+        left, right, sign = [], [], 1
+        for i in range(len(m)):
+            if mask & (1 << i):
+                left.append(m[i])
+            else:
+                for j in range(i + 1, len(m)):
+                    if mask & (1 << j) and degrees[m[i]] % 2 and degrees[m[j]] % 2:
+                        sign = -sign
+                right.append(m[i])
+        lkey, ls = normalize_monomial(degrees, left)
+        rkey, rs = normalize_monomial(degrees, right)
+        if lkey is not None and rkey is not None:
+            out[(lkey, rkey)] = out.get((lkey, rkey), 0) + sign * ls * rs
+    return {k: c for k, c in out.items() if c}
+
+
+def crossing_ce_delta(L, sus_degrees, m):
+    """Chain-coalgebra differential with prefix parities counted slot by slot."""
+    out = {}
+
+    def add(word, coeff):
+        mono, sign = normalize_monomial(sus_degrees, word)
+        if mono is not None:
+            out[mono] = out.get(mono, 0) + sign * coeff
+
+    for i in range(len(m)):
+        prefix = sum(sus_degrees[g] for g in m[:i])
+        for j, c in L.d.get(m[i], {}).items():
+            add(m[:i] + (j,) + m[i + 1 :], -c * (-1 if prefix % 2 else 1))
+    for i in range(len(m)):
+        for j in range(i + 1, len(m)):
+            front = sum(sus_degrees[g] for g in m[:i])
+            between = front + sum(sus_degrees[g] for g in m[i + 1 : j])
+            sign = (-1 if (sus_degrees[m[i]] * front) % 2 else 1) * (
+                -1 if (sus_degrees[m[j]] * between) % 2 else 1
+            )
+            if L.table.degrees[m[i]] % 2:
+                sign = -sign
+            for k, c in L.table.bracket_basis(m[i], m[j]).items():
+                add((k,) + m[:i] + m[i + 1 : j] + m[j + 1 :], sign * c)
+    return {k: c for k, c in out.items() if c}
+
+
+def test_shuffle_and_unshuffle_match_crossing_counts():
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(30):
+        degrees = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        A = CdgaTable([f"a{i}" for i in range(len(degrees))], degrees, {}, {})
+        for _ in range(10):
+            u = tuple(rng.randrange(len(degrees)) for _ in range(rng.randint(0, 3)))
+            v = tuple(rng.randrange(len(degrees)) for _ in range(rng.randint(0, 3)))
+            assert shuffle(A, u, v) == crossing_shuffle(A, u, v), (degrees, u, v)
+        for m in monomials_up_to(tuple(degrees), 8):
+            assert _unshuffle(tuple(degrees), m) == crossing_unshuffle(degrees, m), (degrees, m)
+            checked += 1
+    assert checked > 500
+
+
+def test_ce_delta_matches_crossing_counts():
+    rng = random.Random(32)
+    mixed = 0
+    for _ in range(8):
+        L = FiniteDgl.from_presentation(random_presentation(rng), 3, 2)
+        sus = tuple(d + 1 for d in L.table.degrees)
+        for m in monomials_up_to(sus, 5):
+            if sum(L.table.degrees[g] for g in m) > 2:
+                continue  # brackets beyond the table's degrees are unknown
+            assert _ce_delta(L, sus, m) == crossing_ce_delta(L, sus, m), m
+            mixed += len({sus[g] % 2 for g in m}) == 2
+    assert mixed > 50
+
+
+def poly_mul(degrees, p, q):
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            mono, sign = normalize_monomial(degrees, a + b)
+            if mono is not None:
+                out[mono] = out.get(mono, 0) + sign * ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def poly_add(p, q, f=1):
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out.get(k, 0) + f * c
+    return {k: c for k, c in out.items() if c}
+
+
+def test_window_derivation_is_leibniz_on_seeded_mixed_parity_algebras():
+    """d(ab) = d(a) b + (-1)^{|a|} a d(b) on every product inside the window."""
+    rng = random.Random(33)
+    products = 0
+    for _ in range(12):
+        degrees = tuple(sorted(rng.choice((1, 1, 2, 2, 3)) for _ in range(rng.randint(3, 5))))
+        d_gen = []
+        for deg in degrees:
+            targets = [m for m in monomials_up_to(degrees, deg + 1) if len(m) >= 2 and
+                       sum(degrees[g] for g in m) == deg + 1]
+            picked = rng.sample(targets, min(len(targets), rng.randint(0, 2)))
+            d_gen.append({m: Fraction(rng.choice((-2, -1, 1, 3))) for m in picked})
+        W = FreeCdgaWindow(degrees, d_gen, 6)
+        for i, a in enumerate(W.monos):
+            for j, b in enumerate(W.monos):
+                got = W.product(i, j)
+                if got is None:
+                    continue
+                k, sign = got
+                lhs = {m: sign * c for m, c in W.d_of_monomial(W.monos[k]).items()}
+                rhs = poly_add(
+                    poly_mul(degrees, W.d_of_monomial(a), {b: 1}),
+                    poly_mul(degrees, {a: 1}, W.d_of_monomial(b)),
+                    -1 if W.degrees[i] % 2 else 1,
+                )
+                assert lhs == rhs, (degrees, d_gen, a, b)
+                products += 1
+    assert products > 500

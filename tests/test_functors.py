@@ -452,15 +452,25 @@ def test_window_table_and_dual_share_the_product():
         assert C.diag[k][(i, j)] == c
 
 
-@pytest.mark.xfail(strict=True, reason="d(m_i) moves to the front without the Koszul sign of passing the prefix")
 def test_window_derivation_is_leibniz_on_mixed_parity():
     S = SullivanAlgebra.from_strings([("a", 1), ("a2", 1), ("c", 2), ("b", 2)], {"b": "a * c"})
     # d(a2 b) = d(a2) b - a2 d(b) = -a2 a c = a a2 c
     assert S.window(5).d_of_monomial((1, 3)) == {(0, 1, 2): 1}
 
 
-@pytest.mark.xfail(strict=True, raises=FunctorError, reason="the dual of S^1 x S^2 fails the coderivation check")
 def test_neisendorfer_model_of_s1_times_s2():
     S = s1_times_s2()
     assert minimality_check(S).ok and S.window(9).d_squared_ok()
-    neisendorfer_model(S, 9)
+    assert not dualize_sullivan(S, 7).validate()
+    P = neisendorfer_model(S, 9)
+    for q, rep in ((0, "w_x"), (1, "w_e2")):
+        rows = homology_tower(P, q, range(2, 6)).rows
+        assert [(r["n"], r["dim_H"], r["representatives"]) for r in rows] == [
+            (n, 1, [rep]) for n in range(2, 6)
+        ]
+
+
+def test_functor_A_on_the_bar_quotients_of_minimal_algebras():
+    heis = SullivanAlgebra.from_strings([("x", 1), ("y", 1), ("z", 1)], {"z": "x * y"})
+    assert functor_A(bar_lie_coalgebra_E(heis, 2, 3), 4).dim == 471
+    assert functor_A(bar_lie_coalgebra_E(s1_times_s2(), 3, 3), 4).dim == 41
