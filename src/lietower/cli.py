@@ -91,6 +91,8 @@ class RunConfig:
             raise exprs.ParseError("bounds must be >= 1 (word length >= 2)", 0, 0)
         self.n_max = n_max
         self.d_max = d_max
+        if degrees[0] > degrees[1]:
+            raise exprs.ParseError(f"degree range {degrees} needs A <= B", 0, 0)
         self.degrees = degrees
         self.tower = tower if tower is not None else (2, n_max)
         if not (2 <= self.tower[0] <= self.tower[1] <= n_max):
@@ -491,8 +493,10 @@ def cmd_duality(doc: InputDocument, cfg: RunConfig) -> tuple[int, dict]:
 def cmd_lemma2(doc: InputDocument, cfg: RunConfig) -> tuple[int, dict]:
     _require_kind(doc, "sullivan")
     S = doc.to_sullivan()
-    lo, hi = cfg.degrees
-    rep = lemma2_quasi_iso_check(S, max(lo, 1), hi)
+    lo, hi = max(cfg.degrees[0], 1), cfg.degrees[1]
+    if lo > hi:
+        raise exprs.ParseError(f"lemma2 needs a degree >= 1 in --degrees, got {cfg.degrees}", 0, 0)
+    rep = lemma2_quasi_iso_check(S, lo, hi)
     return (EXIT_OK if rep.ok else EXIT_INVALID), {"text": rep.to_text(), "report": rep.to_structured()}
 
 
@@ -607,8 +611,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INVALID
     code, output = run(args.command, doc, cfg)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(output)
+        except OSError as err:
+            print(f"cannot write output: {err}", file=sys.stderr)
+            return EXIT_INVALID
     else:
         sys.stdout.write(output)
     return code

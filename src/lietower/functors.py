@@ -146,6 +146,8 @@ class FreeCdgaWindow:
 
     monos is the augmentation ideal: the nonempty monomials of degree <=
     bound, in the order of `monomials_up_to`; index and degrees follow it.
+    d_rows[i] is d(monos[i]) in window indices, derived once; a term outside
+    the window has degree bound + 1, so its own d lies outside the window too.
     """
 
     def __init__(self, gen_degrees: tuple[int, ...], d_gen: list[Poly], bound: int):
@@ -155,6 +157,10 @@ class FreeCdgaWindow:
         self.monos = monomials_up_to(gen_degrees, bound)
         self.index = {m: i for i, m in enumerate(self.monos)}
         self.degrees = [self.degree(m) for m in self.monos]
+        self.d_rows: list[dict[int, Fraction]] = [
+            {self.index[mm]: c for mm, c in self.d_of_monomial(m).items() if mm in self.index}
+            for m in self.monos
+        ]
 
     def degree(self, m: Mono) -> int:
         return sum(self.gen_degrees[i] for i in m)
@@ -174,12 +180,12 @@ class FreeCdgaWindow:
 
     def d_squared_defect(self) -> Optional[Mono]:
         """The first monomial m with d(d(m)) nonzero inside the window, or None."""
-        for m in self.monos:
-            dd: Poly = {}
-            for mm, c in self.d_of_monomial(m).items():
-                for m2, c2 in self.d_of_monomial(mm).items():
-                    _add_term(dd, m2, c * c2)
-            if any(self.degree(m2) <= self.bound for m2 in dd):
+        for m, row in zip(self.monos, self.d_rows):
+            dd: dict[int, Fraction] = {}
+            for j, c in row.items():
+                for k, c2 in self.d_rows[j].items():
+                    _add_term(dd, k, c * c2)
+            if dd:
                 return m
         return None
 
@@ -194,11 +200,8 @@ class FreeCdgaWindow:
                 got = self.product(i, j)
                 if got is not None:
                     products[(i, j)] = {got[0]: Fraction(got[1])}
-        differential = {
-            i: {self.index[mm]: c for mm, c in self.d_of_monomial(m).items() if mm in self.index}
-            for i, m in enumerate(self.monos)
-        }
-        return CdgaTable([name(m) for m in self.monos], self.degrees, products, differential)
+        names = [name(m) for m in self.monos]
+        return CdgaTable(names, self.degrees, products, dict(enumerate(self.d_rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +428,10 @@ def dualize_sullivan(S: SullivanAlgebra, bound: int) -> Cdgc:
         raise FunctorError("monomial names collide; rename the generators")
     degs = window.degrees
     delta: dict[int, dict[int, Fraction]] = {}
-    for j, m in enumerate(window.monos):
-        for mm, c in window.d_of_monomial(m).items():
-            if mm in window.index:
-                # (delta f)(a) = -f(d a)
-                delta.setdefault(window.index[mm], {})[j] = -c
+    for j, row in enumerate(window.d_rows):
+        for i, c in row.items():
+            # (delta f)(a) = -f(d a)
+            delta.setdefault(i, {})[j] = -c
     diag: dict[int, dict[tuple[int, int], Fraction]] = {}
     for a in range(len(window.monos)):
         for b in range(len(window.monos)):
@@ -1003,7 +1005,8 @@ def functor_A(E: LieCoalgebraTrunc, bound: int) -> CdgaTable:
     gdegrees = tuple(n + 1 for ((q, n), k) in cogens)
     pos = {key: i for i, key in enumerate(cogens)}
 
-    dmats = {key: E.differential_matrix(*key) for key in E.basis}
+    dcols = {key: [(k2, mat.columns()) for k2, mat in E.differential_matrix(*key).items()]
+             for key in E.basis}
 
     def d_of_cogen(i: int) -> Poly:
         (q, n), k = cogens[i]
@@ -1019,11 +1022,9 @@ def functor_A(E: LieCoalgebraTrunc, bound: int) -> CdgaTable:
             if mono is not None:
                 _add_term(out, mono, Fraction(s2) * sign * c / 2)
         # linear part: minus the suspension of the differential
-        for key, mat in dmats.get((q, n), {}).items():
-            for (row, col), c in mat.entries.items():
-                gj = pos.get((key, row))
-                if col == k and gj is not None:
-                    _add_term(out, (gj,), -Fraction(c))
+        for key, cols in dcols[(q, n)]:
+            for row, c in cols[k].items():
+                _add_term(out, (pos[(key, row)],), -Fraction(c))
         return out
 
     def name(m: Mono) -> str:
@@ -1093,7 +1094,7 @@ def duality_check(S: SullivanAlgebra, n_window: int, q_max: int) -> DualityRepor
         rank, _, _ = m_reduce(P)
         if rank != P.rows or P.rows != P.cols:
             return DualityReport(False, dims, f"pairing degenerate at (q, n) = ({q}, {n})")
-    if not _differentials_match(E, model, q_max, n_window):
+    if not _differentials_match(E, model, pairings):
         return DualityReport(False, dims, "differentials disagree under the pairing")
     return DualityReport(True, dims, detail)
 
@@ -1104,62 +1105,47 @@ def _word_pairing_sign(A: CdgaTable, w: BarWord) -> int:
     return normalize_monomial([A.degrees[letter] - 1 for letter in w], range(len(w) - 1, -1, -1))[1]
 
 
+def _pairing(E: LieCoalgebraTrunc, elements: Sequence[TensorElt], q: int, n: int) -> SparseMatrix:
+    """<u, w> for u in elements (rows) and w the class representatives at
+    (q, n) (columns): tensor duals pair diagonally with words, so <u, w> is
+    the coefficient of w in u times `_word_pairing_sign(w)`."""
+    reps = E.rep_words(q, n)
+    signs = [_word_pairing_sign(E.A, w) for w in reps]
+    return SparseMatrix(len(elements), len(reps), {
+        (r, c): u.terms[w] * sign
+        for r, u in enumerate(elements)
+        for c, (w, sign) in enumerate(zip(reps, signs))
+        if w in u.terms
+    })
+
+
 def _pairing_matrices(E: LieCoalgebraTrunc, model: DglPresentation, q_max: int, n_window: int):
-    out = {}
-    for q in range(1, q_max + 1):
-        for n in range(0, n_window + 1):
-            reps = E.rep_words(q, n)
-            if not reps and lie_dim(model.gens, q, n) == 0:
-                continue
-            lbasis = lie_basis(model.gens, q, n)
-            signs = [_word_pairing_sign(E.A, w) for w in reps]
-            entries = {}
-            for r, u in enumerate(lbasis):
-                for cidx, w in enumerate(reps):
-                    # pair the Lie tensor word against the class of w; classes
-                    # are word classes, and the pairing of tensor duals with
-                    # words is diagonal with a Koszul reordering sign
-                    val = u.terms.get(w)
-                    if val:
-                        entries[(r, cidx)] = val * signs[cidx]
-            out[(q, n)] = SparseMatrix(len(lbasis), len(reps), entries)
-    return out
+    """Pi_{q, n}, the Lie basis paired with the classes, wherever either is nonzero."""
+    return {
+        (q, n): _pairing(E, lie_basis(model.gens, q, n), q, n)
+        for q in range(1, q_max + 1)
+        for n in range(0, n_window + 1)
+        if E.dim(q, n) or lie_dim(model.gens, q, n)
+    }
 
 
-def _differentials_match(E, model, q_max, n_window) -> bool:
-    """<d_L u, w> = (-1)^{|u|} <u, D_E w>, the fixed adjointness convention;
-    any deviation anywhere fails the check."""
-    for q in range(1, q_max + 1):
-        for n in range(0, n_window + 1):
-            reps = E.rep_words(q, n)
-            if not reps:
+def _differentials_match(E: LieCoalgebraTrunc, model: DglPresentation, pairings) -> bool:
+    """<d_L u, w> = (-1)^{|u|} <u, D_E w>, the fixed adjointness convention,
+    as one matrix identity per block M of D_E from (q, n) to (q2, n2):
+    Pi(d_L basis_{q2, n2}, reps_{q, n}) = (-1)^{n2} Pi_{q2, n2} M.  A block
+    whose target has no pairing matrix must be zero; any deviation anywhere
+    fails the check."""
+    for q, n in pairings:
+        for (q2, n2), mat in E.differential_matrix(q, n).items():
+            target = pairings.get((q2, n2))
+            if target is None:
+                if not mat.is_zero():
+                    return False
                 continue
-            signs = [_word_pairing_sign(E.A, w) for w in reps]
-            dmats = E.differential_matrix(q, n)
-            for key, mat in dmats.items():
-                q2, n2 = key
-                lbasis2 = lie_basis(model.gens, q2, n2)
-                if not lbasis2:
-                    if not mat.is_zero():
-                        return False
-                    continue
-                reps2 = E.rep_words(q2, n2)
-                signs2 = [_word_pairing_sign(E.A, w2) for w2 in reps2]
-                cols = mat.columns()
-                sign = Fraction(1) if n2 % 2 == 0 else Fraction(-1)
-                # left side: pair d_L of the (q2, n2) Lie basis with w
-                for r, u in enumerate(lbasis2):
-                    du = d_image(model, u)
-                    for cidx, w in enumerate(reps):
-                        comp = du.terms.get(w, Fraction(0)) * signs[cidx]
-                        # right side: pair u with D_E w component in (q2, n2)
-                        rhs = Fraction(0)
-                        for row, c in cols[cidx].items():
-                            val = u.terms.get(reps2[row])
-                            if val:
-                                rhs += c * val * signs2[row]
-                        if comp != sign * rhs:
-                            return False
+            lhs = _pairing(E, [d_image(model, u) for u in lie_basis(model.gens, q2, n2)], q, n)
+            sign = -1 if n2 % 2 else 1
+            if lhs.entries != {key: sign * c for key, c in target.compose(mat).entries.items()}:
+                return False
     return True
 
 

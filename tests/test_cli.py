@@ -364,3 +364,36 @@ def test_cli_boundary_mixed_degree_target_exit_code(tmp_path):
     code, out = run_cli(["boundary", str(p), "--target", "x+w"])
     assert code == 2
     assert out == "error: target is not degree-homogeneous: degrees [0, 2]\n"
+
+
+def test_cli_out_to_missing_directory_exit_code(tmp_path, capsys):
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    code, out = run_cli(["validate", path, "--out", str(tmp_path / "missing" / "report.txt")])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("cannot write output: ")
+
+
+@pytest.mark.parametrize(
+    "command, name, degrees",
+    [
+        ("tower", "stubborn_cycle.dgl", "2..1"),
+        ("homology", "stubborn_cycle.dgl", "3..2"),
+        ("lemma2", "even_sphere.sullivan", "3..2"),
+    ],
+)
+def test_cli_empty_degree_range_exit_code(command, name, degrees, capsys):
+    code, out = run_cli([command, os.path.join(FILES, name), "--degrees", degrees])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "degree range" in err and "needs A <= B" in err
+
+
+def test_cli_lemma2_without_positive_degree_exit_code():
+    # lemma2 starts at degree 1, so 0..0 checks nothing and must not report "ok"
+    path = os.path.join(FILES, "even_sphere.sullivan")
+    code, out = run_cli(["lemma2", path, "--degrees", "0..0"])
+    assert code == 2
+    assert out == "error: 0:0: lemma2 needs a degree >= 1 in --degrees, got (0, 0)\n"

@@ -474,3 +474,81 @@ def test_functor_A_on_the_bar_quotients_of_minimal_algebras():
     heis = SullivanAlgebra.from_strings([("x", 1), ("y", 1), ("z", 1)], {"z": "x * y"})
     assert functor_A(bar_lie_coalgebra_E(heis, 2, 3), 4).dim == 471
     assert functor_A(bar_lie_coalgebra_E(s1_times_s2(), 3, 3), 4).dim == 41
+
+
+def test_window_derives_each_monomial_once(monkeypatch):
+    import lietower.functors as functors
+
+    calls = []
+    derive = functors.derive_monomial
+
+    def counting(degrees, images, m):
+        calls.append(m)
+        return derive(degrees, images, m)
+
+    monkeypatch.setattr(functors, "derive_monomial", counting)
+    E = bar_lie_coalgebra_E(heisenberg(), 2, 3)
+    assert len(calls) == len(set(calls)) == 7  # the letters of E: x, y, z, xy, xz, yz, xyz
+    del calls[:]
+    A = functor_A(E, 4)
+    # the D^2 check, the table and its differential share one derivation per monomial
+    assert len(calls) == len(set(calls)) == A.dim == 471
+
+
+def test_window_rows_are_the_derivation_inside_the_window():
+    for S, bound in ((s1_times_s2(), 9), (heisenberg(), 3), (sphere2(), 12)):
+        W = S.window(bound)
+        for m, row in zip(W.monos, W.d_rows):
+            inside = {W.index[mm]: c for mm, c in W.d_of_monomial(m).items() if W.degree(mm) <= bound}
+            assert row == inside
+
+
+@pytest.mark.parametrize("S", [sphere2(), heisenberg(), even_line()])
+def test_duality_matrix_identity_is_the_entrywise_adjointness(S):
+    # Pi(d_L basis, reps) = (-1)^{n2} Pi M, against the pairing written out
+    # entry by entry: <d_L u, w> and sum_row M[row, w] <u, reps2[row]>
+    from lietower.dgl import d_image
+    from lietower.freelie import lie_basis
+    from lietower.functors import _pairing, _pairing_matrices, _word_pairing_sign
+
+    E = bar_lie_coalgebra_E(S, 3, 5)
+    model = neisendorfer_model(S, 6)
+    pairings = _pairing_matrices(E, model, 3, 5)
+    A = E.A
+    blocks = 0
+    for q, n in pairings:
+        reps = E.rep_words(q, n)
+        for (q2, n2), mat in E.differential_matrix(q, n).items():
+            reps2 = E.rep_words(q2, n2)
+            basis2 = lie_basis(model.gens, q2, n2)
+            lhs = _pairing(E, [d_image(model, u) for u in basis2], q, n)
+            rhs = pairings[(q2, n2)].compose(mat)
+            cols = mat.columns()
+            for r, u in enumerate(basis2):
+                du = d_image(model, u)
+                for c, w in enumerate(reps):
+                    assert lhs.entries.get((r, c), 0) == du.terms.get(w, 0) * _word_pairing_sign(A, w)
+                    assert rhs.entries.get((r, c), 0) == sum(
+                        x * u.terms.get(reps2[row], 0) * _word_pairing_sign(A, reps2[row])
+                        for row, x in cols[c].items()
+                    )
+            blocks += 1
+    assert blocks
+
+
+DUALITY_DEFECT = (
+    "duality defect, fix pending: on Heisenberg at (6, 4) the length-preserving blocks agree "
+    "up to (-1)^{n2} everywhere (184 entries equal at even n2, 186 opposite at odd n2), while "
+    "the length-lowering blocks split within each parity (116 equal and 98 opposite at even "
+    "n2, 99 and 114 at odd n2), so the defect is in the product part of the pairing, not in "
+    "a global sign; on S^1 x S^2 the length-preserving blocks split as well (43 equal and 24 "
+    "opposite at even n2, 6 and 22 at odd n2)"
+)
+
+
+@pytest.mark.xfail(strict=True, reason=DUALITY_DEFECT)
+@pytest.mark.parametrize("S", [heisenberg(), s1_times_s2()], ids=["heisenberg", "s1_times_s2"])
+def test_duality_check_on_degree_one_generators(S):
+    rep = duality_check(S, 6, 4)
+    assert all(r["dim_E"] == r["dim_L"] for r in rep.dims)
+    assert rep.ok
