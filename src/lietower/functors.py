@@ -146,8 +146,9 @@ class FreeCdgaWindow:
 
     monos is the augmentation ideal: the nonempty monomials of degree <=
     bound, in the order of `monomials_up_to`; index and degrees follow it.
-    d_rows[i] is d(monos[i]) in window indices, derived once; a term outside
-    the window has degree bound + 1, so its own d lies outside the window too.
+    d_rows[i] is d(monos[i]) in window indices, derived once; d has degree +1
+    (SullivanAlgebra checks it), so a term outside the window has degree
+    bound + 1 and its own d lies outside the window too.
     """
 
     def __init__(self, gen_degrees: tuple[int, ...], d_gen: list[Poly], bound: int):
@@ -226,6 +227,10 @@ class SullivanAlgebra:
             if name not in gens.index:
                 raise FunctorError(f"differential assigned to unknown generator {name!r}")
             poly = {m: Fraction(c) for m, c in poly.items() if c}
+            want = gens.degrees[gens.index[name]] + 1
+            wrong = sorted({sum(gens.degrees[g] for g in m) for m in poly} - {want})
+            if wrong:
+                raise FunctorError(f"d {name} has a component of degree {wrong[0]}, expected {want}")
             if poly:
                 self.d_poly[name] = poly
         self.filtration = filtration
@@ -426,11 +431,9 @@ def dualize_sullivan(S: SullivanAlgebra, bound: int) -> Cdgc:
     names = [S.pretty_mono(m) for m in window.monos]
     if len(set(names)) != len(names):
         raise FunctorError("monomial names collide; rename the generators")
-    degs = window.degrees
     delta: dict[int, dict[int, Fraction]] = {}
     for j, row in enumerate(window.d_rows):
         for i, c in row.items():
-            # (delta f)(a) = -f(d a)
             delta.setdefault(i, {})[j] = -c
     diag: dict[int, dict[tuple[int, int], Fraction]] = {}
     for a in range(len(window.monos)):
@@ -438,7 +441,7 @@ def dualize_sullivan(S: SullivanAlgebra, bound: int) -> Cdgc:
             got = window.product(a, b)
             if got is not None:
                 diag.setdefault(got[0], {})[(a, b)] = Fraction(got[1])
-    return Cdgc(names, degs, delta, diag)
+    return Cdgc(names, window.degrees, delta, diag)
 
 
 def cdgc_homology(C: Cdgc, q: int) -> int:

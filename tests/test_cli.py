@@ -397,3 +397,24 @@ def test_cli_lemma2_without_positive_degree_exit_code():
     code, out = run_cli(["lemma2", path, "--degrees", "0..0"])
     assert code == 2
     assert out == "error: 0:0: lemma2 needs a degree >= 1 in --degrees, got (0, 0)\n"
+
+
+def test_cli_validate_rejects_a_differential_of_the_wrong_degree(tmp_path, capsys):
+    p = tmp_path / "graded.sullivan"
+    p.write_text(
+        "kind: sullivan\n[generators]\na : 1\nb : 2\nc : 1\nw : 10\n"
+        "[differential]\nd a = w * c\nd w = b * b\n"
+    )
+    code, out = run_cli(["validate", str(p)])
+    assert code == 2
+    assert out == "error: d a has a component of degree 11, expected 2\n"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FILES)))
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_cli_exit_code_contract_on_shipped_files(command, name):
+    # the README promises exit 0, 2, 3 or 4 for every input; an uncaught
+    # exception fails the test as exit 1 would
+    code, _ = run_cli([command, os.path.join(FILES, name)])
+    assert code in (0, 2, 3, 4)

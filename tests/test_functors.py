@@ -200,10 +200,26 @@ def test_minimality_canonical_filtration():
 
 
 def test_minimality_rejects_linear_part():
-    S = SullivanAlgebra.from_strings([("u", 2), ("v", 3)], {"v": "u"})
+    S = SullivanAlgebra.from_strings([("u", 2), ("v", 1)], {"v": "u"})
     rep = minimality_check(S)
     assert not rep.ok
     assert "v" in rep.reason
+
+
+@pytest.mark.parametrize(
+    "gens, diffs, message",
+    [
+        # the window drops d a = w c (degree 11) at bound 9, so an accepted
+        # algebra would hide d^2 a = b^2 c (degree 5) from d_squared_ok
+        ([("a", 1), ("b", 2), ("c", 1), ("w", 10)], {"a": "w * c", "w": "b * b"},
+         "d a has a component of degree 11, expected 2"),
+        ([("u", 2), ("v", 3)], {"v": "u"}, "d v has a component of degree 2, expected 4"),
+    ],
+)
+def test_sullivan_rejects_a_differential_of_the_wrong_degree(gens, diffs, message):
+    with pytest.raises(FunctorError) as err:
+        SullivanAlgebra.from_strings(gens, diffs)
+    assert str(err.value) == message
 
 
 def test_minimality_verifies_supplied_witness():
@@ -251,7 +267,7 @@ def test_neisendorfer_zero_differential_line():
 
 
 def test_neisendorfer_rejects_non_minimal():
-    S = SullivanAlgebra.from_strings([("u", 2), ("v", 3)], {"v": "u"})
+    S = SullivanAlgebra.from_strings([("u", 2), ("v", 1)], {"v": "u"})
     with pytest.raises(FunctorError):
         neisendorfer_model(S, 5)
 
