@@ -87,8 +87,10 @@ class RunConfig:
         exact: bool = False,
         certify: Optional[tuple[int, int]] = None,
     ):
-        if n_max < 2 or d_max < 1 or stab_suffix < 1:
-            raise exprs.ParseError("bounds must be >= 1 (word length >= 2)", 0, 0)
+        for flag, value, least in (("--max-length", n_max, 2), ("--max-degree", d_max, 1),
+                                   ("--stab-suffix", stab_suffix, 1)):
+            if value < least:
+                raise exprs.ParseError(f"{flag} must be >= {least}, got {value}", 0, 0)
         self.n_max = n_max
         self.d_max = d_max
         if degrees[0] > degrees[1]:
@@ -584,8 +586,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = sys.stdin.read() if args.path == "-" else open(args.path).read()
-    except OSError as err:
+        if args.path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.path, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read input: {err}", file=sys.stderr)
         return EXIT_INVALID
     try:

@@ -34,6 +34,7 @@ from .freelie import (
     zero,
 )
 from .linalg import (
+    ColumnReduction,
     IntEchelon,
     NotAComplexError,
     Quotient,
@@ -42,7 +43,6 @@ from .linalg import (
     _combine_columns,
     homology_at,
     reduce,
-    solve_affine,
 )
 from .pronil import FiniteLieData, g_layer
 
@@ -89,6 +89,7 @@ class DglPresentation:
                 self.diff[name] = val
         self._d_cache: dict = {}
         self._slice_cache: dict[tuple[int, int], DegreeSlice] = {}
+        self._matrix_cache: dict[tuple[int, int, int], DMatrix] = {}
         # d(g) = terms / _diff_den with integer terms, by generator index
         self._diff_den = lcm(*(c.denominator for v in self.diff.values() for c in v.terms.values()))
         self._int_diff = {
@@ -116,6 +117,19 @@ class DglPresentation:
         if key not in self._slice_cache:
             self._slice_cache[key] = DegreeSlice(self, q, n)
         return self._slice_cache[key]
+
+    def d_matrix(self, q: int, n_src: int, n_tgt: int) -> "DMatrix":
+        """d from the degree-q slice of L/L^n_src to the degree-(q-1) slice
+        of L/L^n_tgt, built once per (q, n_src, n_tgt).
+
+        Image words of length >= n_tgt are dropped: with n_tgt = n_src this
+        is the differential of L/L^n, and with n_tgt >= n_src + max_shift()
+        it drops nothing, so it is d on the nose.
+        """
+        key = (q, n_src, n_tgt)
+        if key not in self._matrix_cache:
+            self._matrix_cache[key] = DMatrix(self, q, n_src, n_tgt)
+        return self._matrix_cache[key]
 
     def max_shift(self) -> int:
         """Largest word-length raise of the differential (0 when d = 0)."""
@@ -386,10 +400,11 @@ class QuotientComplex:
         return self.P.slice(q, self.n)
 
     def _matrix(self, q: int) -> SparseMatrix:
-        mat, den = _image_matrix(self.P, self.slice(q).forms, self.slice(q - 1), self.n)
-        if den == 1:
-            return mat
-        return SparseMatrix(mat.rows, mat.cols, {k: Fraction(c, den) for k, c in mat.entries.items()})
+        dm = self.P.d_matrix(q, self.n, self.n)
+        if dm.den == 1:
+            return dm.matrix
+        return SparseMatrix(dm.matrix.rows, dm.matrix.cols,
+                            {k: Fraction(c, dm.den) for k, c in dm.matrix.entries.items()})
 
     def differential(self, q: int) -> SparseMatrix:
         if q not in self.matrices:
@@ -594,14 +609,16 @@ def _tower_general(P: DglPresentation, q: int, ns: list[int], stab_suffix: int) 
     if not d_out.compose(d_in).is_zero():
         raise NotAComplexError("composite differential is nonzero")
     above, mid, below = cx.slice(q + 1), cx.slice(q), cx.slice(q - 1)
+    # D_{q+1} needs no column combinations, and an untracked pass keeps its
+    # rows primitive, which is much cheaper than a tracked one at large N
     reduced_in = IntEchelon()
     in_pivots = [reduced_in.insert(col) for col in d_in.columns()]
     out_cols = d_out.columns()
-    reduced_out = IntEchelon(track=True)
-    out_pivots = [reduced_out.insert(col) for col in out_cols]
-    relations = iter(reduced_out.relations)
+    reduced_out = P.d_matrix(q, cx.n, cx.n).reduction()
+    out_pivots = reduced_out.pivots
+    relations = iter(reduced_out.echelon.relations)
     # reduced column j of D_q as a combination of the columns j' <= j
-    combos = [next(relations) if p is None else reduced_out.combos[p] for p in out_pivots]
+    combos = [next(relations) if p is None else reduced_out.echelon.combos[p] for p in out_pivots]
 
     def rank_in(n: int) -> int:
         return _leading_rank(in_pivots, mid.count_below(n), above.count_below(n))
@@ -777,9 +794,9 @@ def boundary_solve(
         return BoundaryResult("SAT", zero(P.gens), t.n_max, "zero target")
     q, n = degrees.pop(), t.n_max
     src = P.slice(q + 1, n)
-    tgt = P.slice(q, n + P.max_shift() if exact_in_l else n)
-    mat, den = _image_matrix(P, src.forms, tgt, None if exact_in_l else n)
-    got = solve_affine(mat, tgt.coords(target, strict=exact_in_l))
+    n_tgt = n + P.max_shift() if exact_in_l else n
+    dm = P.d_matrix(q + 1, n, n_tgt)
+    got = dm.reduction().solve(P.slice(q, n_tgt).coords(target, strict=exact_in_l))
     where = "L" if exact_in_l else f"L/L^{n}"
     if got is None:
         return BoundaryResult(
@@ -789,7 +806,7 @@ def boundary_solve(
             f"no witness of word length < {n} solves d(u) = target in {where}",
         )
     particular, kernel = got
-    witness = src.element_from_coords({j: c * den for j, c in particular.items()})
+    witness = src.element_from_coords({j: c * dm.den for j, c in particular.items()})
     check = extend_derivation(P, witness)
     want = target if exact_in_l else target.truncate_length(n)
     have = check if exact_in_l else check.truncate_length(n)
@@ -806,10 +823,23 @@ def witness_direction_space(
     q = target.homogeneous_degree()
     if q is None:
         raise DglError("target is zero: it has no degree to take the direction space in")
-    src = P.slice(q + 1, t.n_max)
-    mat, _ = _image_matrix(P, src.forms, P.slice(q, t.n_max), t.n_max)
-    _, kernel, _ = reduce(mat)
-    return res, kernel, src
+    kernel = P.d_matrix(q + 1, t.n_max, t.n_max).reduction().kernel()
+    return res, kernel, P.slice(q + 1, t.n_max)
+
+
+class DMatrix:
+    """One matrix of d, held by its presentation (`DglPresentation.d_matrix`):
+    `matrix` = D * M with denominator `den` = D, as `_image_matrix` builds
+    them, and its column reduction, built on first use."""
+
+    def __init__(self, P: DglPresentation, q: int, n_src: int, n_tgt: int):
+        self.matrix, self.den = _image_matrix(P, P.slice(q, n_src).forms, P.slice(q - 1, n_tgt), n_tgt)
+        self._reduction: Optional[ColumnReduction] = None
+
+    def reduction(self) -> ColumnReduction:
+        if self._reduction is None:
+            self._reduction = ColumnReduction(self.matrix)
+        return self._reduction
 
 
 def _image_matrix(
@@ -819,8 +849,9 @@ def _image_matrix(
     of length >= n dropped when n is given, read in the basis of `target`,
     and D the least common denominator of the integer images.  D * M is an
     integer matrix with the kernel of M, and M x = b exactly when
-    (D * M) x = D * b.  Every matrix of d is built here."""
-    images = [d_image(P, form, n) for form in forms]
+    (D * M) x = D * b.  Every matrix of d is built here; `int_coords`
+    checks each column once."""
+    images = [(d * P._diff_den, _derive_int(P, terms, n)) for d, terms in forms]
     den = lcm(*(d for d, _ in images))
     cols = []
     for d, terms in images:
@@ -923,11 +954,10 @@ def top_length_obstruction(
     vacuous = 1 not in shifts
     bound = max(lengths)
     src = P.slice(degree, bound + 1)
-    out = P.slice(degree - 1, bound + 1 + max(P.max_shift(), 1))
-    cols = _image_matrix(P, src.forms, out)[0].columns()
-    ech = IntEchelon()
-    for col in cols:
-        ech.insert(col)
+    n_out = bound + 1 + max(P.max_shift(), 1)
+    dm = P.d_matrix(degree, bound + 1, n_out)
+    cols = dm.matrix.columns()
+    out = P.slice(degree - 1, n_out)
     injective: dict[int, bool] = {}
     kernels: dict[int, TensorElt] = {}
     for l in lengths:
@@ -935,14 +965,13 @@ def top_length_obstruction(
         # every shift is 0 or 1, so the raising part of d(b) is its length-(l+1) part
         lo, hi = out.count_below(l + 1), out.count_below(l + 2)
         raising = [{i: c for i, c in col.items() if lo <= i < hi} for col in cols[first:stop]]
-        rank, kernel, _ = reduce(SparseMatrix.from_columns(out.dim, raising))
-        injective[l] = rank == stop - first
+        reduced = ColumnReduction(SparseMatrix.from_columns(out.dim, raising))
+        injective[l] = reduced.rank == stop - first
         if not injective[l]:
-            kelt = zero(P.gens)
-            for i, c in kernel.basis[0].items():
-                kelt = kelt + c * src.elements[first + i]
-            kernels[l] = kelt
-    return ObstructionReport(degree, lengths, injective, kernels, ech, out, bound, vacuous)
+            kernels[l] = src.element_from_coords(
+                {first + i: c for i, c in reduced.kernel().basis[0].items()})
+    return ObstructionReport(degree, lengths, injective, kernels, dm.reduction().echelon, out,
+                             bound, vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,9 +1069,10 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
     """
     if witness_bound < window:
         raise ValueError("witness bound must be at least the window")
-    out = P.slice(0, witness_bound + 2 + P.max_shift())
+    n_out = witness_bound + 2 + P.max_shift()
+    out = P.slice(0, n_out)
     limit = out.count_below(window + 1)
-    cols = _image_matrix(P, P.slice(1, witness_bound + 1).forms, out)[0].columns()
+    cols = P.d_matrix(1, witness_bound + 1, n_out).matrix.columns()
     # combinations of boundary columns supported inside the window:
     # kernel of the projection to the above-window coordinates
     high = [{i: c for i, c in col.items() if i >= limit} for col in cols]

@@ -616,13 +616,13 @@ class FiniteDgl:
                               complete_degrees={q: True for q in range(0, max_degree + 1)},
                               max_degree=max_degree)
         differential: dict[int, dict[int, Fraction]] = {}
-        for (q, k), i in pos.items():
-            if q == 0:
-                continue
-            coords = slices[q - 1].coords(d_image(P, slices[q].forms[k], n))
-            row = {pos[(q - 1, kk)]: c for kk, c in coords.items() if c}
-            if row:
-                differential[i] = row
+        for q in range(1, max_degree + 1):
+            dm = P.d_matrix(q, n, n)
+            for k, col in enumerate(dm.matrix.columns()):
+                if col:
+                    differential[pos[(q, k)]] = {
+                        pos[(q - 1, kk)]: Fraction(c, dm.den) for kk, c in col.items()
+                    }
         return cls(table, differential)
 
 
@@ -719,6 +719,8 @@ class CdgaTable:
         products: dict[tuple[int, int], dict[int, Fraction]],
         differential: dict[int, dict[int, Fraction]],
     ):
+        if any(d < 1 for d in degrees):
+            raise FunctorError(f"cdga table degrees must be >= 1, got {sorted(set(degrees))}")
         self.names = names
         self.degrees = degrees
         self.index = {n: i for i, n in enumerate(names)}
@@ -833,13 +835,15 @@ class LieCoalgebraTrunc:
         self.n_max = n_max
         self.letters = [i for i in range(A.dim) if A.degrees[i] - 1 <= n_max]
         self.words: dict[tuple[int, int], list[BarWord]] = {}
+        # the words of length q within the budget, with their bar degrees, in
+        # sorted order; a letter's bar degree is >= 0, so a prefix over the
+        # budget has no extension within it
+        level: list[tuple[BarWord, int]] = [((), 0)]
         for q in range(1, q_max + 1):
-            for w in itertools.product(self.letters, repeat=q):
-                n = _bar_degree(A, w)
-                if n <= n_max:
-                    self.words.setdefault((q, n), []).append(w)
-        for key in self.words:
-            self.words[key].sort()
+            level = [(w + (i,), n + A.degrees[i] - 1) for w, n in level for i in self.letters
+                     if n + A.degrees[i] - 1 <= n_max]
+            for w, n in level:
+                self.words.setdefault((q, n), []).append(w)
         self._windex = {
             key: {w: i for i, w in enumerate(ws)} for key, ws in self.words.items()
         }

@@ -7,8 +7,9 @@ reduction step multiplies by the pivot's cofactor instead of dividing by
 it (fraction-free, in the manner of Bareiss).  With transform tracking, each
 stored row also carries the integer combination of the inputs that gives
 it; the content is taken over the row and its combination together, so
-both stay integral.  `reduce` and `solve_affine` are one left-to-right pass
-of the columns through a tracked echelon, and every quotient picks its
+both stay integral.  `reduce` and `solve_affine` read one left-to-right
+pass of the columns through a tracked echelon, `ColumnReduction`, which a
+caller may also keep to solve against again; every quotient picks its
 representatives through `Quotient`.
 
 `Fraction` remains at the edges: matrices take int or Fraction entries, and
@@ -321,15 +322,45 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _column_pass(m: SparseMatrix) -> IntEchelon:
-    """The columns of m inserted left to right into a tracked echelon: the
-    leftmost independent columns give pivots, and each other column gives
-    a relation, which is a kernel vector."""
-    ech = IntEchelon(track=True)
-    for j, col in enumerate(m.columns()):
-        if ech.insert(col) is None and ech.dim + len(ech.relations) != j + 1:
-            raise AssertionError("a column with a nonzero residual did not give a pivot")
-    return ech
+class ColumnReduction:
+    """The columns of a matrix inserted left to right into a tracked echelon.
+
+    The leftmost independent columns give pivots (`pivots[j]` is column j's
+    pivot row, None when it is dependent), and each other column gives a
+    relation, which is a kernel vector.  The kernel is built on first use,
+    so solving a x = b for many b costs one `express` each.
+    """
+
+    def __init__(self, m: SparseMatrix):
+        self.rows = m.rows
+        self.cols = m.cols
+        self.echelon = IntEchelon(track=True)
+        self.pivots: list[Optional[int]] = []
+        for j, col in enumerate(m.columns()):
+            p = self.echelon.insert(col)
+            if p is None and self.echelon.dim + len(self.echelon.relations) != j + 1:
+                raise AssertionError("a column with a nonzero residual did not give a pivot")
+            self.pivots.append(p)
+        self._kernel: Optional[Subspace] = None
+
+    @property
+    def rank(self) -> int:
+        return self.echelon.dim
+
+    def kernel(self) -> Subspace:
+        if self._kernel is None:
+            self._kernel = Subspace(self.cols, self.echelon.relations)
+        return self._kernel
+
+    def solve(self, b: dict) -> Optional[tuple[Vec, Subspace]]:
+        """(particular, kernel) for a x = b, or None; see `solve_affine`."""
+        for i in b:
+            if not (0 <= i < self.rows):
+                raise DimensionMismatch(f"rhs coordinate {i} outside {self.rows} rows")
+        particular = self.echelon.express(b)
+        if particular is None:
+            return None  # rank([A|b]) > rank(A)
+        return particular, self.kernel()
 
 
 def reduce(m: SparseMatrix) -> tuple[int, Subspace, Subspace]:
@@ -338,8 +369,8 @@ def reduce(m: SparseMatrix) -> tuple[int, Subspace, Subspace]:
     The kernel lives in Q^cols, the image in Q^rows; both come back as
     canonical reduced-echelon subspaces, so rank + kernel.dim == cols.
     """
-    ech = _column_pass(m)
-    return ech.dim, Subspace(m.cols, ech.relations), Subspace(m.rows, ech.rows.values())
+    red = ColumnReduction(m)
+    return red.rank, red.kernel(), Subspace(m.rows, red.echelon.rows.values())
 
 
 def solve_affine(a: SparseMatrix, b: dict) -> Optional[tuple[Vec, Subspace]]:
@@ -349,14 +380,7 @@ def solve_affine(a: SparseMatrix, b: dict) -> Optional[tuple[Vec, Subspace]]:
     set to zero: the one supported on the leftmost independent columns of
     a, which are the pivot columns of the reduced echelon form of [a | b].
     """
-    for i in b:
-        if not (0 <= i < a.rows):
-            raise DimensionMismatch(f"rhs coordinate {i} outside {a.rows} rows")
-    ech = _column_pass(a)
-    particular = ech.express(b)
-    if particular is None:
-        return None  # rank([A|b]) > rank(A)
-    return particular, Subspace(a.cols, ech.relations)
+    return ColumnReduction(a).solve(b)
 
 
 class QuotientInfo:

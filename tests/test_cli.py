@@ -348,6 +348,17 @@ def test_cli_boundary_validates_its_presentation(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "flag, value, least", [("--max-length", "1", 2), ("--max-degree", "0", 1), ("--stab-suffix", "0", 1)]
+)
+def test_cli_bound_below_its_least_value_names_the_option(flag, value, least, capsys):
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    code, out = run_cli(["tower", path, flag, value])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == f"parse error at 0:0: {flag} must be >= {least}, got {value}\n"
+
+
 @pytest.mark.parametrize("lengths", ["0..2", "3..1"])
 def test_cli_certify_lengths_outside_range_exit_code(lengths, capsys):
     path = os.path.join(FILES, "stubborn_cycle.dgl")

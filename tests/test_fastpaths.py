@@ -13,17 +13,23 @@
 * the tracked integer echelon behind `reduce`, `solve_affine` and
   `IntEchelon.express` against the Fraction `reduce`, the row reduction of
   [A | b] and the Fraction tracked echelon it replaced, and the boundary
-  solvers (integer columns from `d_image`) against Fraction assembly;
+  solvers (integer matrices of d) against Fraction assembly;
+* the presentation's matrices of d (`DglPresentation.d_matrix`) against
+  fresh uncached builds, repeated solves against the first ones (no column
+  of d derived or read again), and the kept `ColumnReduction` against
+  `solve_affine` and the Fraction row reduction;
 * the functors' one Koszul sign rule (`normalize_monomial` on positions)
   in `shuffle`, `_unshuffle` and `_ce_delta` against the crossing counters
-  it replaced, and the in-place derivation of `FreeCdgaWindow` against the
-  Leibniz rule on seeded mixed-parity algebras.
+  it replaced, the in-place derivation of `FreeCdgaWindow` against the
+  Leibniz rule on seeded mixed-parity algebras, and the bar words within
+  the degree budget against product-and-filter.
 
 Every invariant check that guards these paths must also hold under
 `python -O`, so they are exercised in a child interpreter started with -O.
 """
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -1010,6 +1016,127 @@ def test_stubborn_cycle_complex_matrices_are_integer():
     assert entries and all(type(c) is int for c in entries)
 
 
+# -- one matrix of d per (q, n): the presentation's cache against fresh builds
+
+def uncached_d_matrix(P, q, n_src, n_tgt, exact):
+    """(entries, denominator, rows, columns) of d from fresh slices, with no
+    cache: each column is the Fraction derivation of a basis element read
+    through `coords` (untruncated and strict when exact, else cut to
+    L/L^n_tgt), scaled by the least common denominator of the integer
+    images."""
+    src, tgt = DegreeSlice(P, q, n_src), DegreeSlice(P, q - 1, n_tgt)
+    den = math.lcm(*(d * P._diff_den for d, _ in src.forms))
+    entries = {}
+    for j, b in enumerate(src.elements):
+        img = TensorElt(P.gens, fraction_derivation(P, b))
+        col = tgt.coords(img if exact else img.truncate_length(n_tgt), strict=exact)
+        for i, c in col.items():
+            assert (c * den).denominator == 1
+            entries[(i, j)] = int(c * den)
+    return entries, den, tgt.dim, src.dim
+
+
+def cache_presentations():
+    """The stubborn cycle, a presentation with rational d, and seeded
+    members of the stubborn cycle's family (d z raises length by 2)."""
+    gen = perfbench_gen()
+    with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
+        yield cli.parse(fh.read()).to_dgl()
+    yield DglPresentation.from_strings(
+        [("x", 0), ("y", 0), ("z", 1), ("t", 1)], {"z": "1/2*x - [y, x]", "t": "2/3*[x, y]"}
+    )
+    for seed in (0, 1):
+        yield cli.parse(gen.seeded_dgl(seed)).to_dgl()
+
+
+def test_cached_d_matrices_match_uncached_builds():
+    from lietower.dgl import Truncation, boundary_solve, h0_table_bounded_window, top_length_obstruction
+
+    blocks = exact = rational = 0
+    for P in cache_presentations():
+        for q in (1, 2):
+            homology_tower(P, q, range(2, 6))
+        x = freelie.parse_element(P.gens, "x")
+        for exact_in_l in (False, True):
+            boundary_solve(P, x, Truncation(5), exact_in_l=exact_in_l)
+        if P.max_shift() <= 1:
+            top_length_obstruction(P, 1, range(1, 5))
+        h0_table_bounded_window(P, 2, 4)
+        FiniteDgl.from_presentation(P, 4, 2)
+        for (q, n_src, n_tgt), dm in P._matrix_cache.items():
+            got = (dm.matrix.entries, dm.den, dm.matrix.rows, dm.matrix.cols)
+            assert all(type(c) is int for c in dm.matrix.entries.values())
+            assert got == uncached_d_matrix(P, q, n_src, n_tgt, False), (P, q, n_src, n_tgt)
+            if n_tgt >= n_src + P.max_shift():
+                assert got == uncached_d_matrix(P, q, n_src, n_tgt, True), (P, q, n_src, n_tgt)
+                exact += 1
+            blocks += 1
+            rational += dm.den > 1
+    assert blocks >= 30 and exact >= 8 and rational >= 8
+
+
+def test_repeated_solves_read_the_cached_matrices(monkeypatch):
+    """A repeated call derives and reads no column of d again: the only
+    derivations are the d-cycle test and the witness check (untruncated,
+    through `extend_derivation`), and the only coordinates read are the
+    target's, once per boundary solve."""
+    from lietower import dgl
+    from lietower.dgl import Truncation, boundary_solve, top_length_obstruction, witness_direction_space
+
+    P = remark()
+    targets = [freelie.parse_element(P.gens, t) for t in ("x", "x - [y, x]", "[x, [x, y]]")]
+
+    def calls(t):
+        report = top_length_obstruction(P, 1, range(1, 6))
+        res, kernel, src = witness_direction_space(P, t, Truncation(6))
+        return (
+            boundary_solve(P, t, Truncation(6)).to_structured(),
+            boundary_solve(P, t, Truncation(6), exact_in_l=True).to_structured(),
+            res.to_structured(), kernel, src,
+            report.to_structured(), report.kernel_witness, report.excludes(t),
+        )
+
+    first = [calls(t) for t in targets]
+    cached = {key: (dm, dm.reduction()) for key, dm in P._matrix_cache.items()}
+    derived, read = [], []
+    derive, int_coords = dgl._derive_int, DegreeSlice.int_coords
+    monkeypatch.setattr(dgl, "_derive_int",
+                        lambda P, terms, n=None: derived.append(n) or derive(P, terms, n))
+    monkeypatch.setattr(DegreeSlice, "int_coords",
+                        lambda self, terms, strict=False: read.append(terms) or int_coords(self, terms, strict))
+    again = [calls(t) for t in targets]
+    assert again == first
+    assert derived and set(derived) == {None}
+    assert read == [freelie.integer_terms(t.terms)[1] for t in targets for _ in range(4)]
+    assert {key: (dm, dm.reduction()) for key, dm in P._matrix_cache.items()} == cached
+    assert {s for _, _, _, _, s, *_ in again} == {P.slice(1, 6)}
+
+
+def test_cached_column_reduction_solves_like_solve_affine():
+    from lietower.linalg import ColumnReduction
+
+    rng = random.Random(35)
+    systems = unsat = 0
+    for trial in range(60):
+        m = random_matrix(rng, rational=trial % 2 == 1)
+        reduced = ColumnReduction(m)
+        for _ in range(5):
+            if rng.random() < 0.5 or not m.rows:
+                b = m.apply({j: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for j in range(m.cols)})
+            else:
+                b = random_rows(rng, 1, m.rows, rational=True)[0]
+            got, want = reduced.solve(b), fraction_solve_affine(m, b)
+            assert got == solve_affine(m, b), trial
+            systems += 1
+            if want is None:
+                assert got is None, trial
+                unsat += 1
+                continue
+            assert got[0] == want[0] and got[1].basis == want[1], trial
+            assert got[1] is reduced.kernel()
+    assert systems == 300 and unsat > 40
+
+
 def test_verdict_outcome_check_survives_optimized_mode():
     done = run_optimized(
         """
@@ -1170,3 +1297,31 @@ def test_window_derivation_is_leibniz_on_seeded_mixed_parity_algebras():
                 assert lhs == rhs, (degrees, d_gen, a, b)
                 products += 1
     assert products > 500
+
+
+def product_bar_words(A, q_max, n_max):
+    """Every word of every length q <= q_max over the letters, kept when its
+    bar degree is within n_max: the enumeration `LieCoalgebraTrunc`
+    replaced."""
+    letters = [i for i in range(A.dim) if A.degrees[i] - 1 <= n_max]
+    words = {}
+    for q in range(1, q_max + 1):
+        for w in itertools.product(letters, repeat=q):
+            n = sum(A.degrees[i] - 1 for i in w)
+            if n <= n_max:
+                words.setdefault((q, n), []).append(w)
+    for ws in words.values():
+        ws.sort()
+    return words
+
+
+@pytest.mark.parametrize("name", ["even_line", "even_sphere", "heisenberg"])
+def test_bar_words_within_budget_match_product_and_filter(name):
+    from lietower.functors import bar_lie_coalgebra_E
+
+    with open(os.path.join(FILES, f"{name}.sullivan")) as fh:
+        S = cli.parse(fh.read()).to_sullivan()
+    for q_max, n_max in ((4, 6), (3, 8), (4, 14)):
+        E = bar_lie_coalgebra_E(S, q_max, n_max)
+        want = product_bar_words(E.A, q_max, n_max)
+        assert E.words == want and list(E.words) == list(want), (q_max, n_max)

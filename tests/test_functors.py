@@ -312,6 +312,12 @@ def test_bar_word_length_one_is_desuspension():
     }
 
 
+
+def test_cdga_table_rejects_degree_zero():
+    # bar words are enumerated by prefix, which needs every letter's bar degree >= 0
+    with pytest.raises(FunctorError, match="degrees must be >= 1"):
+        CdgaTable(["u", "a"], [0, 2], {}, {})
+
 def test_bar_zero_products_zero_differential():
     A = CdgaTable(["a", "b"], [2, 3], {}, {})
     E = LieCoalgebraTrunc(A, 3, 6)
