@@ -20,7 +20,8 @@ The input format is line-oriented with bracketed section headers:
 Comments run from '#' to end of line.  Rationals are written p/q.  Exit
 codes: 0 success, 2 parse or validation failure, 3 computation window
 insufficient (a `TruncationError` or `WindowError`, chosen by type), 4
-internal invariant breach (always a bug).
+internal invariant breach (always a bug: an `AssertionError`, a
+`LinalgError` or a `NameError_`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .dgl import (
     top_length_obstruction,
     validate as dgl_validate,
 )
-from .freelie import GeneratorSet, eval_bracket_expr
+from .freelie import GeneratorSet, NameError_, eval_bracket_expr
 from .functors import (
     Cdgc,
     FunctorError,
@@ -57,6 +58,7 @@ from .functors import (
     neisendorfer_model,
     poly_from_terms,
 )
+from .linalg import LinalgError
 from .pronil import FiniteLieData, TableError, definitional_pronilpotency, lemma1_audit
 
 KINDS = ("dgl", "sullivan", "coalgebra", "lie-table")
@@ -551,7 +553,7 @@ def run(command: str, doc: InputDocument, cfg: RunConfig) -> tuple[int, str]:
         if isinstance(err, UnsupportedModeError):
             return EXIT_INVALID, f"unsupported mode: {err}\n"
         return EXIT_INVALID, f"error: {err}\n"
-    except AssertionError as err:
+    except (AssertionError, LinalgError, NameError_) as err:
         return EXIT_BUG, f"internal invariant breach: {err}\n"
     payload.setdefault("command", command)
     return code, emit(payload, cfg.fmt)

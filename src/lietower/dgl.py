@@ -189,26 +189,19 @@ def extend_derivation(P: DglPresentation, u: TensorElt) -> TensorElt:
     return TensorElt(P.gens, {w: Fraction(c, den) for w, c in acc.items()})
 
 
-def d_image(P: DglPresentation, u, n: Optional[int] = None):
-    """d(u), cached on P, with words of length >= n dropped when n is given
-    (the image in L/L^n).
+def d_image(P: DglPresentation, u: TensorElt) -> TensorElt:
+    """d(u), cached on P.
 
-    u is a TensorElt, or an integer form (den, {word: int}) standing for
-    {word: int / den}; the result has the same type.  The key is the
-    integer form's words and numerators in term order, so no Fraction is
-    hashed; elements taken from a basis always list their terms in the same
-    order.
+    The key is u's integer form, its words and numerators in term order, so
+    no Fraction is hashed; elements taken from a basis always list their
+    terms in the same order.
     """
-    tensor = isinstance(u, TensorElt)
-    den, terms = integer_terms(u.terms) if tensor else u
-    key = (tensor, n, den, tuple(terms), tuple(terms.values()))
+    den, terms = integer_terms(u.terms)
+    key = (den, tuple(terms), tuple(terms.values()))
     cached = P._d_cache.get(key)
     if cached is None:
-        den, acc = den * P._diff_den, _derive_int(P, terms, n)
-        if tensor:
-            cached = TensorElt(P.gens, {w: Fraction(c, den) for w, c in acc.items()})
-        else:
-            cached = (den, acc)
+        den *= P._diff_den
+        cached = TensorElt(P.gens, {w: Fraction(c, den) for w, c in _derive_int(P, terms).items()})
         P._d_cache[key] = cached
     return cached
 
@@ -558,10 +551,10 @@ def homology_tower(
     surjective -- the projections are surjective and every degree-0 element
     is a cycle -- so the image dimension equals dim H(L/L^n)_0.
 
-    Other degrees build one quotient complex, at the top truncation
-    N = max(n) + 1.  Slice bases run shortest length first and d never
-    lowers length, so with R_n(k) the number of degree-k basis elements of
-    length < n, the differential D_q of L/L^n is the leading block
+    Other degrees read the presentation's kept matrices of d at the top
+    truncation N = max(n) + 1.  Slice bases run shortest length first and
+    d never lowers length, so with R_n(k) the number of degree-k basis
+    elements of length < n, the differential D_q of L/L^n is the leading block
     D_q[:R_n(q-1), :R_n(q)] of the one at N.  Reducing the columns of each D
     once, left to right on the topmost row, gives every leading block's rank,
     cycles and boundaries, so dim H and representatives for every n, and
@@ -578,43 +571,47 @@ def homology_tower(
     if not ns or ns[0] < 2:
         raise ValueError("tower range must consist of integers >= 2")
     if q == 0:
-        return _tower_degree0(P, ns, stab_suffix)
-    return _tower_general(P, q, ns, stab_suffix)
+        return _tower_report(0, _degree0_rows(P, ns), ns, stab_suffix, "bracket-closure")
+    return _tower_report(q, _tower_rows(P, q, ns), ns, stab_suffix, "quotient-complex")
 
 
-def _tower_degree0(P: DglPresentation, ns: list[int], stab_suffix: int) -> TowerReport:
+def _tower_report(
+    q: int, rows: Iterable[tuple], ns: list[int], stab_suffix: int, method: str
+) -> TowerReport:
+    """The report of tower rows (n, dim H, image dim, representatives)."""
+    rows = [
+        {"n": n, "dim_H": dim, "dim_image": image, "representatives": [r.pretty() for r in reps]}
+        for n, dim, image, reps in rows
+    ]
+    stab = _detect_stabilization([(r["dim_H"], r["dim_image"]) for r in rows], ns, stab_suffix)
+    return TowerReport(q, rows, stab, method)
+
+
+def _degree0_rows(P: DglPresentation, ns: list[int]):
+    """Yield the tower rows of H(L/L^n)_0 for each n in ns (see homology_tower)."""
     ech, sl = _degree0_boundary_closure(P, max(ns))
-    rows = []
     for n in ns:
         quotient = _degree0_quotient(ech, sl, n)
-        rows.append(
-            {
-                "n": n,
-                "dim_H": quotient.dim,
-                "dim_image": quotient.dim,
-                "representatives": [sl.elements[i].pretty() for i in quotient.kept],
-            }
-        )
-    pairs = [(r["dim_H"], r["dim_image"]) for r in rows]
-    stab = _detect_stabilization(pairs, ns, stab_suffix)
-    return TowerReport(0, rows, stab, "bracket-closure")
+        yield n, quotient.dim, quotient.dim, [sl.elements[i] for i in quotient.kept]
 
 
-def _tower_general(P: DglPresentation, q: int, ns: list[int], stab_suffix: int) -> TowerReport:
-    """One complex at the top truncation N = max(ns) + 1; every L/L^n is read
-    off one reduction per differential (see homology_tower)."""
-    cx = QuotientComplex(P, ns[-1] + 1, (q, q))
-    d_in, d_out = cx.differential(q + 1), cx.differential(q)
+def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
+    """Yield (n, dim H, image dim, representatives) of H(L/L^n)_q for each n
+    in ns, read off the presentation's kept matrices of d at the top
+    truncation N = max(ns) + 1 with one reduction each (see homology_tower)."""
+    top = ns[-1] + 1
+    kept_out = P.d_matrix(q, top, top)
+    d_in, d_out = P.d_matrix(q + 1, top, top).matrix, kept_out.matrix
     # each leading block of the product is the product of the leading blocks
     if not d_out.compose(d_in).is_zero():
         raise NotAComplexError("composite differential is nonzero")
-    above, mid, below = cx.slice(q + 1), cx.slice(q), cx.slice(q - 1)
+    above, mid, below = P.slice(q + 1, top), P.slice(q, top), P.slice(q - 1, top)
     # D_{q+1} needs no column combinations, and an untracked pass keeps its
     # rows primitive, which is much cheaper than a tracked one at large N
     reduced_in = IntEchelon()
     in_pivots = [reduced_in.insert(col) for col in d_in.columns()]
     out_cols = d_out.columns()
-    reduced_out = P.d_matrix(q, cx.n, cx.n).reduction()
+    reduced_out = kept_out.reduction()
     out_pivots = reduced_out.pivots
     relations = iter(reduced_out.echelon.relations)
     # reduced column j of D_q as a combination of the columns j' <= j
@@ -629,7 +626,6 @@ def _tower_general(P: DglPresentation, q: int, ns: list[int], stab_suffix: int) 
     def dim_h(n: int) -> int:
         return mid.count_below(n) - rank_out(n) - rank_in(n)
 
-    rows = []
     for n in ns:
         c_n, c_next, r_n = mid.count_below(n), mid.count_below(n + 1), below.count_below(n)
         # a reduced column whose pivot is not above r_n vanishes on the rows
@@ -654,17 +650,7 @@ def _tower_general(P: DglPresentation, q: int, ns: list[int], stab_suffix: int) 
         if not 0 <= image_dim <= min(dim, dim_h(n + 1)):
             raise AssertionError(f"connecting image dim {image_dim} at n = {n} is outside "
                                  f"[0, min(dim H(n), dim H(n+1))] = [0, {min(dim, dim_h(n + 1))}]")
-        rows.append(
-            {
-                "n": n,
-                "dim_H": dim,
-                "dim_image": image_dim,
-                "representatives": [mid.element_from_coords(r).pretty() for r in reps],
-            }
-        )
-    pairs = [(r["dim_H"], r["dim_image"]) for r in rows]
-    stab = _detect_stabilization(pairs, ns, stab_suffix)
-    return TowerReport(q, rows, stab, "quotient-complex")
+        yield n, dim, image_dim, [mid.element_from_coords(r) for r in reps]
 
 
 def _leading_rank(pivots: list[Optional[int]], rows: int, cols: int) -> int:
@@ -692,7 +678,8 @@ def exact_homology(P: DglPresentation, q: int) -> tuple[int, list[TensorElt]]:
     """H(L)_q when all generator degrees are >= 1 (degreewise finite).
 
     In that mode word length is bounded by degree, so L and every L/L^n with
-    n > q agree in degree q; the agreement is asserted against truncations.
+    n > q agree in degree q: the tower rows at n = q+1, q+2, q+3 must agree,
+    and the representatives are those of n = q+2.
     """
     if any(d == 0 for d in P.gens.degrees):
         raise UnsupportedModeError(
@@ -701,10 +688,9 @@ def exact_homology(P: DglPresentation, q: int) -> tuple[int, list[TensorElt]]:
         )
     if q < 0:
         return 0, []
-    cx = QuotientComplex(P, q + 2, (q, q))
-    dim, reps = cx.homology(q)
-    for n in (q + 1, q + 3):
-        alt, _ = QuotientComplex(P, n, (q, q)).homology(q)
+    rows = list(_tower_rows(P, q, [q + 1, q + 2, q + 3]))
+    _, dim, _, reps = rows[1]
+    for n, alt, _, _ in rows:
         if alt != dim:
             raise AssertionError(f"degreewise agreement with L/L^{n} failed at degree {q}")
     return dim, reps

@@ -338,6 +338,18 @@ def test_cli_exit_3_is_chosen_by_error_type(monkeypatch):
     assert run_cli(["validate", path]) == (2, "error: no window involved\n")
 
 
+def test_cli_exit_4_on_a_linalg_or_name_error(monkeypatch):
+    from lietower.freelie import NameError_
+    from lietower.linalg import NotAComplexError
+
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    for err in (NotAComplexError("composite differential is nonzero"), NameError_("unknown generator 'q'")):
+        def cmd(doc, cfg, err=err):
+            raise err
+        monkeypatch.setitem(cli.DISPATCH, "tower", cmd)
+        assert run_cli(["tower", path]) == (4, f"internal invariant breach: {err}\n")
+
+
 def test_cli_boundary_validates_its_presentation(tmp_path, capsys):
     # d y = [x, x] has degree 2, not 1: the solver never sees it
     p = tmp_path / "wrong_degree.dgl"

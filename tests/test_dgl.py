@@ -321,6 +321,98 @@ def test_exact_homology_rejects_degree_zero_generators():
         exact_homology(remark(), 0)
 
 
+# -- randomized comparisons against the dense oracle ---------------------------
+
+_COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+
+def bracket_trees(degrees, gens, max_length):
+    """Nonzero bracket trees over the given generator indices up to
+    max_length, as (tree, degree); a tree is an index or a pair of trees."""
+    by_length = {1: [(g, degrees[g]) for g in gens]}
+    for k in range(2, max_length + 1):
+        by_length[k] = [
+            ((left, right), dl + dr)
+            for i in range(1, k)
+            for left, dl in by_length[i]
+            for right, dr in by_length[k - i]
+        ]
+    return [(t, d) for trees in by_length.values() for t, d in trees if tree_words(degrees, t)]
+
+
+def tree_text(names, tree):
+    if isinstance(tree, int):
+        return names[tree]
+    return f"[{tree_text(names, tree[0])}, {tree_text(names, tree[1])}]"
+
+
+def tree_words(degrees, tree):
+    if isinstance(tree, int):
+        return {(tree,): Fraction(1)}
+    return o_bracket(degrees, tree_words(degrees, tree[0]), tree_words(degrees, tree[1]))
+
+
+def random_lie_polynomial(rng, degrees, names, trees):
+    """A random combination of the given trees, as (text, oracle word dict)."""
+    picked = [(t, rng.choice(_COEFFS)) for t in rng.sample(trees, min(len(trees), rng.randint(1, 3)))]
+    text = " + ".join(f"{c}*{tree_text(names, t)}" for t, c in picked).replace("+ -", "- ")
+    words = {}
+    for t, c in picked:
+        for w, v in tree_words(degrees, t).items():
+            words[w] = words.get(w, 0) + c * v
+    return text, {w: v for w, v in words.items() if v}
+
+
+def random_degree01_presentation(rng):
+    """Generators of degree 0 (d = 0) and 1 (d a Lie polynomial of degree 0):
+    d(d) = 0 by degree."""
+    n0, n1 = rng.randint(1, 2), rng.randint(1, 2)
+    names = [f"x{i}" for i in range(n0)] + [f"z{i}" for i in range(n1)]
+    degrees = [0] * n0 + [1] * n1
+    trees = [t for t, _ in bracket_trees(degrees, range(n0), 3)]
+    diffs, dmap = {}, {}
+    for g in range(n0, n0 + n1):
+        diffs[names[g]], dmap[g] = random_lie_polynomial(rng, degrees, names, trees)
+    return DglPresentation.from_strings(list(zip(names, degrees)), diffs), dmap
+
+
+def random_positive_presentation(rng):
+    """d-closed generators of degree 1 or 2, and one or two more, each with d
+    a homogeneous Lie polynomial in the closed ones: d(d) = 0."""
+    closed = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+    trees = bracket_trees(closed, range(len(closed)), 3)
+    targets = sorted({d for _, d in trees if d <= 4})
+    extra = [rng.choice(targets) for _ in range(rng.randint(1, 2))]
+    names = [f"a{i}" for i in range(len(closed))] + [f"e{i}" for i in range(len(extra))]
+    degrees = closed + [d + 1 for d in extra]
+    diffs, dmap = {}, {}
+    for k, d in enumerate(extra):
+        g = len(closed) + k
+        pool = [t for t, dt in trees if dt == d]
+        diffs[names[g]], dmap[g] = random_lie_polynomial(rng, degrees, names, pool)
+    return DglPresentation.from_strings(list(zip(names, degrees)), diffs), dmap
+
+
+def test_random_degree01_towers_match_the_dense_oracle():
+    rng = random.Random(31)
+    for _ in range(20):
+        P, dmap = random_degree01_presentation(rng)
+        for q in (0, 1):
+            want = [o_homology_dim(P.gens.degrees, dmap, n, q) for n in (2, 3, 4)]
+            assert homology_tower(P, q, range(2, 5)).dims() == want, (P, q)
+
+
+def test_random_exact_homology_matches_the_dense_oracle_and_per_n_complex():
+    rng = random.Random(32)
+    for _ in range(15):
+        P, dmap = random_positive_presentation(rng)
+        assert validate(P, Truncation(4)).ok, P
+        for q in (1, 2, 3, 4):
+            dim, reps = exact_homology(P, q)
+            assert dim == o_homology_dim(P.gens.degrees, dmap, q + 2, q), (P, q)
+            assert (dim, reps) == lcs_quotient_complex(P, q + 2, (q, q)).homology(q), (P, q)
+
+
 # -- lower central series layers ---------------------------------------------
 
 def test_lcs_basis_everything_at_p1():

@@ -306,19 +306,20 @@ def test_d_image_keys_hash_no_fractions(monkeypatch):
 
     for q in (1, 2):
         sl = DegreeSlice(P, q, 5)
-        for b, form in zip(sl.elements, sl.forms):
+        for b in sl.elements:
+            # a scaled copy lists the same words with other numerators: its own key
+            scaled = Fraction(-3, 2) * b
             with monkeypatch.context() as m:
                 m.setattr(Fraction, "__hash__", no_hash)
-                got = d_image(P, b)
                 size = len(P._d_cache)
-                assert d_image(P, b) is got
-                truncated = d_image(P, form, 4)
-                assert d_image(P, form, 4) is truncated
+                got = d_image(P, b)
                 assert len(P._d_cache) == size + 1
+                assert d_image(P, b) is got
+                other = d_image(P, scaled)
+                assert d_image(P, scaled) is other
+                assert len(P._d_cache) == size + 2
             assert got == extend_derivation(P, b)
-            den, terms = truncated
-            want = got.truncate_length(4)
-            assert TensorElt(P.gens, {w: Fraction(c, den) for w, c in terms.items()}) == want
+            assert other == extend_derivation(P, scaled)
 
 
 # -- quotient complexes and towers ---------------------------------------------
@@ -534,8 +535,11 @@ def test_complex_checks_survive_optimized_mode():
         patched(linalg, "reduce", off_by_one, lambda: linalg.homology_at(zero, zero))
 
         S = dgl.DglPresentation.from_strings([("a", 1)], {{}})
-        patched(dgl.QuotientComplex, "homology", lambda self, q: (self.n, []),
-                lambda: dgl.exact_homology(S, 1))
+        tower_rows = dgl._tower_rows
+        def off_at_the_bottom(P, q, ns):
+            for n, dim, image, reps in tower_rows(P, q, ns):
+                yield n, dim + (n == ns[0]), image, reps
+        patched(dgl, "_tower_rows", off_at_the_bottom, lambda: dgl.exact_homology(S, 1))
 
         def leaky(mat):
             cols = [j for j in range(mat.cols) if mat.column(j)][:1]
@@ -556,7 +560,7 @@ def test_complex_checks_survive_optimized_mode():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:-1]] == [
-        "insert", "insert", "reduce", "homology", "reduce", "_leading_rank", "_block_rank"
+        "insert", "insert", "reduce", "_tower_rows", "reduce", "_leading_rank", "_block_rank"
     ], done.stdout
     assert "did not give a pivot" in lines[0]
     assert "0 representatives for a quotient of dim 1" in lines[1]
@@ -937,22 +941,28 @@ def test_tower_rejects_a_non_complex():
         homology_tower(P, 1, range(2, 4))
 
 
-def test_exact_homology_builds_each_truncation_once(monkeypatch):
-    built = []
-    init = QuotientComplex.__init__
+def test_exact_homology_builds_one_top_complex(monkeypatch):
+    from lietower import dgl
 
-    def counting(self, P, n, q_window):
-        built.append(n)
-        init(self, P, n, q_window)
-
-    monkeypatch.setattr(QuotientComplex, "__init__", counting)
+    complexes, towers, matrices = [], [], []
+    init, rows, build = QuotientComplex.__init__, dgl._tower_rows, dgl.DMatrix.__init__
+    monkeypatch.setattr(QuotientComplex, "__init__", lambda self, *a: complexes.append(a) or init(self, *a))
+    monkeypatch.setattr(dgl, "_tower_rows", lambda P, q, ns: towers.append(list(ns)) or rows(P, q, ns))
+    monkeypatch.setattr(dgl.DMatrix, "__init__", lambda self, P, *key: matrices.append(key) or build(self, P, *key))
     P = DglPresentation.from_strings([("a", 1), ("b", 2), ("c", 3)], {"c": "[a, a]"})
     dim, reps = exact_homology(P, 2)
     assert (dim, [r.pretty() for r in reps]) == (1, ["b"])
-    assert built == [4, 3, 5]
+    # the tower rows at n = 3, 4, 5, off D_2 and D_3 at the top truncation N = 6
+    assert towers == [[3, 4, 5]]
+    assert sorted(matrices) == [(2, 6, 6), (3, 6, 6)]
+    assert exact_homology(P, 2)[0] == 1
+    assert towers == [[3, 4, 5]] * 2 and len(matrices) == 2
+    for q in (1, 2):
+        homology_tower(remark(), q, range(2, 6))
+    assert complexes == []
 
 
-def test_top_length_obstruction_reuses_the_d_image_cache(monkeypatch):
+def test_top_length_obstruction_reuses_the_kept_matrix(monkeypatch):
     from lietower import dgl
 
     P = remark()

@@ -1,10 +1,11 @@
 """Fuzzing the input contract: whatever a `.dgl`, `.sullivan` or `.lietable`
-file holds, `lietower validate` exits 0, 2, 3 or 4 and never ends in a
-traceback.
+file holds, every command exits 0, 2, 3 or 4 and never ends in a traceback.
 
-Inputs are arbitrary text, arbitrary bytes, and shipped files with a few
-short spans replaced by text over the input syntax's own characters, which
-reach past the header into the section parsers and the validators.
+`validate` gets arbitrary text, arbitrary bytes, and shipped files with a
+few short spans replaced by text over the input syntax's own characters,
+which reach past the header into the section parsers and the validators.
+Every other command gets the shipped files of its kind, as they are or
+mutated in the same way, with its options drawn at small bounds.
 """
 
 import glob
@@ -33,6 +34,15 @@ SYNTAX = "[](),:=*+-/^ \n#0123456789abcdxyzuvwdVkind"
 TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=200)
 
 
+def mutate(draw, text: str, spans: int) -> str:
+    """text with `spans` short spans replaced by text over SYNTAX."""
+    for _ in range(spans):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(st.text(alphabet=SYNTAX, max_size=8)) + text[j:]
+    return text
+
+
 @st.composite
 def inputs(draw) -> tuple[str, bytes]:
     suffix = draw(st.sampled_from(SUFFIXES))
@@ -42,11 +52,22 @@ def inputs(draw) -> tuple[str, bytes]:
     if kind == "bytes":
         return suffix, draw(st.binary(max_size=200))
     text = draw(st.sampled_from(SHIPPED[suffix]))
-    for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(text)))
-        j = draw(st.integers(i, min(len(text), i + 8)))
-        text = text[:i] + draw(st.text(alphabet=SYNTAX, max_size=8)) + text[j:]
-    return suffix, text.encode()
+    return suffix, mutate(draw, text, draw(st.integers(1, 3))).encode()
+
+
+def exit_code(argv: list[str], suffix: str, data: bytes) -> int:
+    """Exit code of `lietower` on argv with data written to an input file
+    that takes the place of the path.  argparse rejects an option value that
+    looks like an option, such as a target starting with '-', by exiting."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input" + suffix)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                return cli.main([argv[0], path, *argv[1:]])
+            except SystemExit as err:
+                return err.code
 
 
 def test_every_suffix_has_a_shipped_file():
@@ -57,10 +78,57 @@ def test_every_suffix_has_a_shipped_file():
 @given(inputs())
 def test_validate_exits_with_a_documented_code(case):
     suffix, data = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input" + suffix)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = cli.main(["validate", path])
-    assert code in (0, 2, 3, 4)
+    assert exit_code(["validate"], suffix, data) in (0, 2, 3, 4)
+
+
+# a positive-degree presentation, so that `homology` gets past its mode check
+POSITIVE_DGL = "kind: dgl\n[generators]\na : 1\nb : 2\nc : 3\n[differential]\nd c = [a, a]\n"
+TARGETS = ["x", "y", "x - [y, x]", "[y, x]", "[y, [y, x]]", "z", "a", "[a, a]", "0"]
+SUFFIX = {"tower": ".dgl", "homology": ".dgl", "boundary": ".dgl", "neisendorfer": ".sullivan",
+          "duality": ".sullivan", "lemma2": ".sullivan", "pronil": ".lietable"}
+
+
+def options(draw, command: str) -> list[str]:
+    """Options of a command, at small bounds."""
+    def value(flag: str, lo: int, hi: int) -> list[str]:
+        return [flag, str(draw(st.integers(lo, hi)))]
+
+    def span(flag: str, lo: int, hi: int) -> list[str]:
+        a, b = sorted(draw(st.integers(lo, hi)) for _ in range(2))
+        return [flag, f"{a}..{b}"]
+
+    if command == "tower":
+        return span("--degrees", 0, 2) + value("--max-length", 2, 4)
+    if command == "homology":
+        return span("--degrees", 0, 4)
+    if command == "boundary":
+        target = draw(st.one_of(st.sampled_from(TARGETS), st.text(alphabet=SYNTAX, max_size=10)))
+        exact = ["--exact"] if draw(st.booleans()) else []
+        certify = span("--certify-lengths", 1, 4) if draw(st.booleans()) else []
+        return ["--target", target, *value("--max-length", 2, 5), *exact, *certify]
+    if command == "neisendorfer":
+        return value("--max-degree", 1, 5) + value("--max-length", 2, 3)
+    if command == "duality":
+        return value("--max-degree", 1, 8) + value("--max-length", 2, 4)
+    if command == "lemma2":
+        return span("--degrees", 1, 6)
+    return value("--max-length", 2, 4)
+
+
+@st.composite
+def requests(draw, command: str) -> tuple[list[str], str, bytes]:
+    suffix = SUFFIX[command]
+    pool = SHIPPED[suffix] + ([POSITIVE_DGL] if suffix == ".dgl" else [])
+    text = mutate(draw, draw(st.sampled_from(pool)), draw(st.integers(0, 3)))
+    return [command, *options(draw, command)], suffix, text.encode()
+
+
+@pytest.mark.parametrize("command", sorted(SUFFIX))
+def test_every_command_exits_with_a_documented_code(command):
+    @settings(max_examples=60, deadline=None)
+    @given(requests(command))
+    def check(case):
+        argv, suffix, data = case
+        assert exit_code(argv, suffix, data) in (0, 2, 3, 4), argv
+
+    check()
