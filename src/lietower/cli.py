@@ -446,14 +446,13 @@ def cmd_neisendorfer(doc: InputDocument, cfg: RunConfig) -> tuple[int, dict]:
         },
     )
     payload = {"text": "model:\n" + model_doc.pretty(), "model": model_doc.pretty()}
-    if cfg.tower:
-        tower = _tower_payload(model, cfg)
-        payload["text"] += "\n" + tower["text"]
-        payload["reports"] = tower["reports"]
-        table, _ = h0_table_from_tower(model, cfg.tower[1])
-        audit = lemma1_audit(table)
-        payload["audit"] = audit.to_structured()
-        payload["text"] += "\naudit of the stabilized degree-0 table:\n" + audit.to_text()
+    tower = _tower_payload(model, cfg)
+    payload["text"] += "\n" + tower["text"]
+    payload["reports"] = tower["reports"]
+    table, _ = h0_table_from_tower(model, cfg.tower[1])
+    audit = lemma1_audit(table)
+    payload["audit"] = audit.to_structured()
+    payload["text"] += "\naudit of the stabilized degree-0 table:\n" + audit.to_text()
     return EXIT_OK, payload
 
 

@@ -26,11 +26,12 @@ from .freelie import (
     GeneratorSet,
     TensorElt,
     eval_bracket_expr,
+    form_element,
     gen_elt,
     graded_bracket,
     integer_terms,
     lie_basis,
-    words_of,
+    lie_basis_forms,
     zero,
 )
 from .linalg import (
@@ -90,6 +91,7 @@ class DglPresentation:
         self._d_cache: dict = {}
         self._slice_cache: dict[tuple[int, int], DegreeSlice] = {}
         self._matrix_cache: dict[tuple[int, int, int], DMatrix] = {}
+        self._positive = all(d >= 1 for d in gens.degrees)
         # d(g) = terms / _diff_den with integer terms, by generator index
         self._diff_den = lcm(*(c.denominator for v in self.diff.values() for c in v.terms.values()))
         self._int_diff = {
@@ -112,10 +114,14 @@ class DglPresentation:
         return cls(gens, differential)
 
     def slice(self, q: int, n: int) -> "DegreeSlice":
-        """The degree-q slice of L/L^n, built once per (q, n)."""
-        key = (q, n)
+        """The degree-q slice of L/L^n, built once per (q, n).
+
+        When every generator has degree >= 1, a degree-q word has length
+        <= q, so every n > q + 1 gives the slice of L/L^(q+1).
+        """
+        key = (q, self._length_cap(q, n))
         if key not in self._slice_cache:
-            self._slice_cache[key] = DegreeSlice(self, q, n)
+            self._slice_cache[key] = DegreeSlice(self, *key)
         return self._slice_cache[key]
 
     def d_matrix(self, q: int, n_src: int, n_tgt: int) -> "DMatrix":
@@ -124,12 +130,18 @@ class DglPresentation:
 
         Image words of length >= n_tgt are dropped: with n_tgt = n_src this
         is the differential of L/L^n, and with n_tgt >= n_src + max_shift()
-        it drops nothing, so it is d on the nose.
+        it drops nothing, so it is d on the nose.  Both lengths are capped
+        as in `slice`.
         """
-        key = (q, n_src, n_tgt)
+        key = (q, self._length_cap(q, n_src), self._length_cap(q - 1, n_tgt))
         if key not in self._matrix_cache:
-            self._matrix_cache[key] = DMatrix(self, q, n_src, n_tgt)
+            self._matrix_cache[key] = DMatrix(self, *key)
         return self._matrix_cache[key]
+
+    def _length_cap(self, q: int, n: int) -> int:
+        """min(n, q + 1) when every generator has degree >= 1, else n: the
+        degree-q slices of L/L^n and of L/L^(that) agree."""
+        return min(n, q + 1) if self._positive else n
 
     def max_shift(self) -> int:
         """Largest word-length raise of the differential (0 when d = 0)."""
@@ -278,8 +290,11 @@ class DegreeSlice:
     """Basis bookkeeping for the degree-q slice of L/L^n.
 
     Elements are ordered shortest length first, so the slice of L/L^m for
-    m <= n is the leading block of the first `count_below(m)` elements.
-    Each element is also kept as its integer form (den, {word: int}).
+    m <= n is the leading block of the first `count_below(m)` elements.  The
+    slice holds each element only as the integer form (pivot word, den,
+    terms) that `freelie.lie_basis_forms` keeps for its (length, degree)
+    piece, shared with every other slice of that piece, plus one map from
+    pivot word to index; `element(i)` builds a TensorElt on demand.
     Every vector of (L/L^n)_q is read in this basis; `P.slice(q, n)` builds
     each slice once.
     """
@@ -288,39 +303,29 @@ class DegreeSlice:
         self.P = P
         self.q = q
         self.n = n
-        self.elements: list[TensorElt] = []
-        self.forms: list[tuple[int, dict[tuple, int]]] = []
-        self.lengths: list[int] = []
-        self._windex: dict[int, dict] = {}
-        self._pivot: dict[tuple[int, int], int] = {}
-        if q >= 0:
-            for k in range(1, n):
-                words = words_of(P.gens, k, q)
-                if not words:
-                    continue
-                self._windex[k] = {w: i for i, w in enumerate(words)}
-                for b in lie_basis(P.gens, k, q):
-                    pivot_word = min(b.terms, key=lambda w: self._windex[k][w])
-                    self._pivot[(k, self._windex[k][pivot_word])] = len(self.elements)
-                    self.elements.append(b)
-                    self.forms.append(integer_terms(b.terms))
-                    self.lengths.append(k)
+        self.forms = [f for k in range(1, n) for f in lie_basis_forms(P.gens, k, q)] if q >= 0 else []
+        self.lengths = [len(pivot) for pivot, _, _ in self.forms]
+        self._pivot = {pivot: i for i, (pivot, _, _) in enumerate(self.forms)}
 
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return len(self.forms)
 
     def count_below(self, m: int) -> int:
         """Number of basis elements of word length < m."""
         return bisect_left(self.lengths, m)
 
-    def coords(self, u, strict: bool = False) -> dict[int, Fraction]:
+    def element(self, i: int) -> TensorElt:
+        """Basis element i as a TensorElt, built from its integer form."""
+        return form_element(self.P.gens, self.forms[i])
+
+    def coords(self, u: TensorElt, strict: bool = False) -> dict[int, Fraction]:
         """Coordinates of u in the echelon basis of the slice.
 
-        u is a TensorElt or an integer form (den, {word: int}).  Words of
-        length >= n are dropped, or raise TruncationError when strict.
+        Words of length >= n are dropped, or raise TruncationError when
+        strict.
         """
-        den, terms = integer_terms(u.terms) if isinstance(u, TensorElt) else u
+        den, terms = integer_terms(u.terms)
         return {i: Fraction(c, den) for i, c in self.int_coords(terms, strict).items()}
 
     def int_coords(self, terms: dict[tuple, int], strict: bool = False) -> dict[int, int]:
@@ -337,28 +342,28 @@ class DegreeSlice:
         terms = {w: c for w, c in terms.items() if len(w) < self.n}
         num: dict[int, int] = {}
         for w, c in terms.items():
-            k = len(w)
-            windex = self._windex.get(k)
-            if windex is None or w not in windex:
-                raise DglError(f"word of (length, degree) ({k}, {self.P.gens.word_degree(w)}) "
-                               f"is outside the degree-{self.q} slice")
-            pos = self._pivot.get((k, windex[w]))
+            pos = self._pivot.get(w)
             if pos is not None:
                 num[pos] = c
         scale, recon = self._combine(num)
         if len(recon) != len(terms) or any(
             recon.get(w, 0) != scale * c for w, c in terms.items()
         ):
+            gens = self.P.gens
+            for w in terms:
+                if gens.word_degree(w) != self.q:
+                    raise DglError(f"word of (length, degree) ({len(w)}, {gens.word_degree(w)}) "
+                                   f"is outside the degree-{self.q} slice")
             raise DglError(f"element is not in the degree-{self.q} slice of L/L^{self.n}")
         return num
 
     def _combine(self, num: dict[int, int]) -> tuple[int, dict[tuple, int]]:
-        """sum_i num[i] * elements[i] as (D, nonzero integer terms times D),
+        """sum_i num[i] * element(i) as (D, nonzero integer terms times D),
         accumulated in one dict."""
-        scale = lcm(*(self.forms[i][0] for i in num))
+        scale = lcm(*(self.forms[i][1] for i in num))
         acc: dict[tuple, int] = {}
         for i, c in num.items():
-            d, terms = self.forms[i]
+            _, d, terms = self.forms[i]
             f = c * (scale // d)
             for w, t in terms.items():
                 acc[w] = acc.get(w, 0) + f * t
@@ -458,7 +463,7 @@ def _degree0_boundary_closure(P: DglPresentation, n_top: int) -> tuple[IntEchelo
 def _degree0_quotient(ech: IntEchelon, sl: DegreeSlice, n: int) -> Quotient:
     """H(L/L^n)_0: the leading block of the slice modulo the closure rows
     whose pivot has retained length, represented by slice elements (the
-    candidates are the unit vectors, so `kept` indexes `sl.elements`)."""
+    candidates are the unit vectors, so `kept` indexes the slice basis)."""
     limit = sl.count_below(n)
     sub = [{i: c for i, c in row.items() if i < limit} for p, row in ech.rows.items() if p < limit]
     return Quotient(sub, ({i: 1} for i in range(limit)), limit=limit - len(sub))
@@ -592,7 +597,7 @@ def _degree0_rows(P: DglPresentation, ns: list[int]):
     ech, sl = _degree0_boundary_closure(P, max(ns))
     for n in ns:
         quotient = _degree0_quotient(ech, sl, n)
-        yield n, quotient.dim, quotient.dim, [sl.elements[i] for i in quotient.kept]
+        yield n, quotient.dim, quotient.dim, [sl.element(i) for i in quotient.kept]
 
 
 def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
@@ -819,7 +824,8 @@ class DMatrix:
     them, and its column reduction, built on first use."""
 
     def __init__(self, P: DglPresentation, q: int, n_src: int, n_tgt: int):
-        self.matrix, self.den = _image_matrix(P, P.slice(q, n_src).forms, P.slice(q - 1, n_tgt), n_tgt)
+        forms = ((d, terms) for _, d, terms in P.slice(q, n_src).forms)
+        self.matrix, self.den = _image_matrix(P, forms, P.slice(q - 1, n_tgt), n_tgt)
         self._reduction: Optional[ColumnReduction] = None
 
     def reduction(self) -> ColumnReduction:
@@ -829,11 +835,13 @@ class DMatrix:
 
 
 def _image_matrix(
-    P: DglPresentation, forms: list, target: DegreeSlice, n: Optional[int] = None
+    P: DglPresentation, forms: Iterable[tuple[int, dict]], target: DegreeSlice,
+    n: Optional[int] = None,
 ) -> tuple[SparseMatrix, int]:
-    """(D * M, D) for M the matrix whose column j is d(forms[j]), with words
-    of length >= n dropped when n is given, read in the basis of `target`,
-    and D the least common denominator of the integer images.  D * M is an
+    """(D * M, D) for M the matrix whose column j is d(terms / den) for the
+    j-th integer form (den, terms) of `forms`, with words of length >= n
+    dropped when n is given, read in the basis of `target`, and D the least
+    common denominator of the integer images.  D * M is an
     integer matrix with the kernel of M, and M x = b exactly when
     (D * M) x = D * b.  Every matrix of d is built here; `int_coords`
     checks each column once."""
@@ -1027,7 +1035,7 @@ def h0_table_from_tower(P: DglPresentation, n: int):
     """
     ech, sl = _degree0_boundary_closure(P, n)
     quotient = _degree0_quotient(ech, sl, n)
-    reps = [sl.elements[i] for i in quotient.kept]
+    reps = [sl.element(i) for i in quotient.kept]
     names = [f"h{i}" for i in range(len(reps))]
     brackets = {}
     for i, ri in enumerate(reps):
@@ -1070,7 +1078,7 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
             raise AssertionError("window intersection leaked long words")
         boundary_ech.insert(acc)
     quotient = Quotient(boundary_ech.rows.values(), ({i: 1} for i in range(limit)))
-    reps = [out.elements[i] for i in quotient.kept]
+    reps = [out.element(i) for i in quotient.kept]
     names = [f"c{i}" for i in range(len(reps))]
     brackets = {}
     closed = True

@@ -12,9 +12,10 @@ components in characteristic zero.  Bases of the (length, degree) pieces
 are the echelonized standard bracketings of Lyndon words (Reutenauer, Free
 Lie Algebras, 1993), together with the squares of odd-degree Lyndon
 bracketings (Bokut-Kang-Lee-Malcolmson, J. Algebra 217, 1999), computed in
-integer arithmetic; their dimensions are cross-checked against the
-necklace-style counting formula obtained by inverting the tensor-algebra
-Poincare series.
+integer arithmetic and held once per piece as integer forms (each element's
+pivot word, pivot coefficient and integer terms); their dimensions are
+cross-checked against the necklace-style counting formula obtained by
+inverting the tensor-algebra Poincare series.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from . import exprs
 from .linalg import IntEchelon
 
 Word = tuple[int, ...]
+# (pivot word, den, terms): the Lie element terms / den, with integer terms
+LieForm = tuple[Word, int, dict[Word, int]]
 
 
 class NameError_(ValueError):
@@ -435,13 +438,17 @@ def _lyndon_bracketing(gens: GeneratorSet, word: Word, memo: dict) -> dict[Word,
     return got
 
 
-def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
-    """Canonical basis of the (length, degree) piece, echelonized against the
-    lexicographic word order.
+def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> list[LieForm]:
+    """The canonical basis of the (length, degree) piece as integer forms.
 
-    Spanned by the standard bracketings of the Lyndon words of the piece,
-    plus the squares [P_u, P_u] of the odd-degree Lyndon words u of half
-    the length and degree; these are exactly lie_dim independent elements.
+    Element i of the basis is terms / den for its form (pivot, den, terms):
+    terms is the primitive integer row of the reduced echelon basis against
+    the lexicographic word order, pivot its least word and den its
+    coefficient there.  The basis is spanned by the standard bracketings of
+    the Lyndon words of the piece, plus the squares [P_u, P_u] of the
+    odd-degree Lyndon words u of half the length and degree; these are
+    exactly lie_dim independent elements.  Each piece is built once and
+    held only in this form.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -466,11 +473,24 @@ def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
     expected = lie_dim(gens, length, degree)
     if ech.dim != expected:
         raise AssertionError(f"basis rank {ech.dim} != counted dim {expected} at {key}")
-    basis = [
-        TensorElt(gens, {words[i]: c for i, c in row.items()}) for row in ech.rref()
+    forms = [
+        (words[p], row[p], {words[i]: c for i, c in row.items()}) for p, row in ech.reduced_rows()
     ]
-    _basis_cache[key] = basis
-    return basis
+    _basis_cache[key] = forms
+    return forms
+
+
+def form_element(gens: GeneratorSet, form: LieForm) -> TensorElt:
+    """The element terms / den of an integer form (pivot, den, terms)."""
+    _, den, terms = form
+    return TensorElt(gens, {w: Fraction(c, den) for w, c in terms.items()})
+
+
+def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
+    """Canonical basis of the (length, degree) piece, echelonized against the
+    lexicographic word order (pivot coefficient 1); built on each call from
+    the integer forms of `lie_basis_forms`."""
+    return [form_element(gens, f) for f in lie_basis_forms(gens, length, degree)]
 
 
 def pbw_euler_check(gens: GeneratorSet, max_length: int, max_degree: int) -> bool:

@@ -588,11 +588,12 @@ class FiniteDgl:
     @classmethod
     def from_presentation(cls, P: DglPresentation, n: int, max_degree: int) -> "FiniteDgl":
         slices = {q: P.slice(q, n) for q in range(0, max_degree + 1)}
+        elements = {q: [sl.element(k) for k in range(sl.dim)] for q, sl in slices.items()}
         names = []
         degrees = []
         pos: dict[tuple[int, int], int] = {}
         for q in range(0, max_degree + 1):
-            for k, b in enumerate(slices[q].elements):
+            for k in range(slices[q].dim):
                 pos[(q, k)] = len(names)
                 names.append(f"q{q}b{k}")
                 degrees.append(q)
@@ -604,7 +605,7 @@ class FiniteDgl:
                 qc = qa + qb
                 if qc > max_degree:
                     continue
-                val = graded_bracket(slices[qa].elements[ka], slices[qb].elements[kb])
+                val = graded_bracket(elements[qa][ka], elements[qb][kb])
                 val = val.truncate_length(n)
                 if val.is_zero():
                     continue

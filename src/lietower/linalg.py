@@ -175,13 +175,15 @@ class IntEchelon:
         lead = e.pop(-1)
         return {k: Fraction(-c, lead) for k, c in e.items()}
 
-    def rref(self) -> list[Vec]:
-        """Reduced echelon basis (pivot coefficient 1), sorted by pivot.
+    def reduced_rows(self) -> list[tuple[int, dict[int, int]]]:
+        """(pivot, row) of the reduced echelon basis, sorted by pivot, with
+        each row a primitive integer vector that is zero at every other pivot
+        and positive at its own.
 
-        Back-substitution runs on primitive integer rows; the only division
-        is by the pivot when a row is emitted.  A row reduced at pivot q is
-        zero at every other pivot, so clearing q from a row never brings
-        back a pivot column cleared before it.
+        Back-substitution runs on primitive integer rows and divides only by
+        contents.  A row reduced at pivot q is zero at every other pivot, so
+        clearing q from a row never brings back a pivot column cleared before
+        it.
         """
         pivots = sorted(self.rows)
         reduced: dict[int, dict[int, int]] = {}
@@ -192,8 +194,13 @@ class IntEchelon:
                 g = gcd(other[q], row[q])
                 # row <- a*row - b*other kills coordinate q; a > 0 keeps row[p] > 0
                 row = _primitive(_sub_multiple(row, other[q] // g, other, row[q] // g))
-            reduced[p] = row
-        return [{i: Fraction(c, reduced[p][p]) for i, c in reduced[p].items()} for p in pivots]
+            reduced[p] = _primitive(row)
+        return [(p, reduced[p]) for p in pivots]
+
+    def rref(self) -> list[Vec]:
+        """Reduced echelon basis (pivot coefficient 1), sorted by pivot: the
+        rows of `reduced_rows` divided by their pivot entries."""
+        return [{i: Fraction(c, row[p]) for i, c in row.items()} for p, row in self.reduced_rows()]
 
 
 class Subspace:

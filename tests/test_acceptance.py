@@ -281,7 +281,8 @@ def test_criterion_7_cli_contract():
     t0 = time.time()
     round_trip = True
     for path in sorted(glob.glob(os.path.join(FILES, "*"))):
-        doc = cli.parse(open(path).read())
+        with open(path) as fh:
+            doc = cli.parse(fh.read())
         if cli.parse(doc.pretty()) != doc:
             round_trip = False
 

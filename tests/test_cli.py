@@ -72,7 +72,8 @@ def test_parse_rejects_unknown_section():
 def test_round_trip_on_shipped_files():
     assert len(shipped_files()) >= 5
     for path in shipped_files():
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
         doc = cli.parse(text)
         again = cli.parse(doc.pretty())
         assert doc == again, path

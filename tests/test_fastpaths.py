@@ -4,7 +4,9 @@
   of the left-normed bracketing map on every tensor word;
 * `IntEchelon.rref` (integer back-substitution) against a Fraction
   Gauss-Jordan elimination;
-* `DegreeSlice.coords` / `element_from_coords` (one-pass reconstruction);
+* `DegreeSlice.coords` / `element_from_coords` (one-pass reconstruction),
+  and the slices' integer forms (`freelie.lie_basis_forms`) against
+  `lie_basis`, each held once and shared by the slices of its piece;
 * `QuotientComplex` matrices (d and coordinates on integer forms) against
   Fraction derivation images read through `coords`;
 * `homology_tower` in positive degrees (one complex, leading blocks) against
@@ -204,9 +206,79 @@ def test_integer_rref_matches_fraction_gauss_jordan():
         assert got == fraction_rref(rows)
         assert all(r[min(r)] == 1 for r in got)
         assert all(type(c) is Fraction for r in got for c in r.values())
+        # the integer rows behind it: primitive, positive at their pivot and
+        # equal to the rref rows once divided by the pivot entry
+        int_rows = ech.reduced_rows()
+        assert [p for p, _ in int_rows] == [min(r) for r in got]
+        assert [{i: Fraction(c, row[p]) for i, c in row.items()} for p, row in int_rows] == got
+        for p, row in int_rows:
+            assert min(row) == p and row[p] > 0 and math.gcd(*row.values()) == 1
+            assert all(type(c) is int for c in row.values())
 
 
 # -- slice coordinates ------------------------------------------------------
+
+@pytest.mark.parametrize("degrees", PROFILES, ids=lambda ds: "deg" + "-".join(map(str, ds)))
+def test_slice_elements_are_the_lie_basis_in_order(degrees):
+    gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
+    P = DglPresentation(gens, {})
+    n = 5 if len(degrees) == 3 else 6
+    for q in range(max(degrees) * (n - 1) + 1):
+        sl = P.slice(q, n)
+        want = [b for k in range(1, sl.n) for b in lie_basis(gens, k, q)]
+        got = [sl.element(i) for i in range(sl.dim)]
+        # equal elements, with their terms listed in the same order
+        assert got == want, q
+        assert [list(b.terms) for b in got] == [list(b.terms) for b in want], q
+        assert sl.lengths == [b.max_length() for b in want]
+
+
+def _held_objects(root, skip=()):
+    """Every object reachable from root through containers, instance
+    dicts and slots, not entering the objects in skip."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or any(obj is s for s in skip):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__") or hasattr(type(obj), "__slots__"):
+            stack.extend(vars(obj).values() if hasattr(obj, "__dict__") else ())
+            stack.extend(getattr(obj, a) for a in getattr(type(obj), "__slots__", ())
+                         if hasattr(obj, a))
+    return out
+
+
+def test_each_basis_element_is_held_once_as_an_integer_form():
+    P = remark()
+    homology_tower(P, 1, range(2, 7))
+    homology_tower(P, 0, range(2, 7))
+    assert P._slice_cache
+    for sl in P._slice_cache.values():
+        held = _held_objects(sl, skip=(P,))
+        assert not [o for o in held if isinstance(o, (Fraction, TensorElt))]
+        # one map, from pivot words only: no index of every word
+        assert len(sl._pivot) == sl.dim == len(sl.forms) == len(sl.lengths)
+        for pivot, den, terms in sl.forms:
+            assert terms[pivot] == den > 0 and min(terms) == pivot
+            assert math.gcd(*terms.values()) == 1
+    assert not [o for o in _held_objects(freelie._basis_cache) if isinstance(o, (Fraction, TensorElt))]
+    # slices sharing a (length, degree) piece share its form objects, with
+    # each other and with the free-Lie cache
+    small, large = P.slice(1, 5), P.slice(1, 7)
+    assert small.dim < large.dim
+    assert all(small.forms[i] is large.forms[i] for i in range(small.dim))
+    cached = [f for k in range(1, 7) for f in freelie._basis_cache[(P.gens, k, 1)]]
+    assert all(f is g for f, g in zip(large.forms, cached)) and len(cached) == large.dim
+    other = DglPresentation(P.gens, {}).slice(1, 7)
+    assert other is not large and all(f is g for f, g in zip(other.forms, large.forms))
+
 
 def remark():
     return DglPresentation.from_strings([("x", 0), ("y", 0), ("z", 1)], {"z": "x - [y, x]"})
@@ -306,7 +378,7 @@ def test_d_image_keys_hash_no_fractions(monkeypatch):
 
     for q in (1, 2):
         sl = DegreeSlice(P, q, 5)
-        for b in sl.elements:
+        for b in map(sl.element, range(sl.dim)):
             # a scaled copy lists the same words with other numerators: its own key
             scaled = Fraction(-3, 2) * b
             with monkeypatch.context() as m:
@@ -328,7 +400,7 @@ def fraction_matrix(cx, q):
     """D_q of a quotient complex from Fraction derivation images read
     through `coords`."""
     src, tgt = cx.slice(q), cx.slice(q - 1)
-    cols = [tgt.coords(extend_derivation(cx.P, b).truncate_length(cx.n)) for b in src.elements]
+    cols = [tgt.coords(extend_derivation(cx.P, b).truncate_length(cx.n)) for b in map(src.element, range(src.dim))]
     return SparseMatrix.from_columns(tgt.dim, cols)
 
 
@@ -798,7 +870,7 @@ def fraction_boundary_system(P, target, n, exact):
     src = DegreeSlice(P, target.homogeneous_degree() + 1, n)
     coords = WordCoords(P.gens, target.homogeneous_degree(), n + P.max_shift() if exact else n)
     cols = []
-    for b in src.elements:
+    for b in map(src.element, range(src.dim)):
         img = extend_derivation(P, b)
         cols.append(coords.vec(img if exact else img.truncate_length(n), strict=exact))
     rhs = coords.vec(target if exact else target.truncate_length(n), strict=True)
@@ -952,11 +1024,16 @@ def test_exact_homology_builds_one_top_complex(monkeypatch):
     P = DglPresentation.from_strings([("a", 1), ("b", 2), ("c", 3)], {"c": "[a, a]"})
     dim, reps = exact_homology(P, 2)
     assert (dim, [r.pretty() for r in reps]) == (1, ["b"])
-    # the tower rows at n = 3, 4, 5, off D_2 and D_3 at the top truncation N = 6
+    # the tower rows at n = 3, 4, 5, off D_2 and D_3 at the top truncation
+    # N = 6, kept under capped lengths: every degree is >= 1, so a degree-q
+    # word has length <= q and D_q is d from L/L^(q+1) to L/L^q
     assert towers == [[3, 4, 5]]
-    assert sorted(matrices) == [(2, 6, 6), (3, 6, 6)]
+    assert sorted(matrices) == [(2, 3, 2), (3, 4, 3)]
     assert exact_homology(P, 2)[0] == 1
     assert towers == [[3, 4, 5]] * 2 and len(matrices) == 2
+    # the next degree reuses D_3 and builds only D_4
+    exact_homology(P, 3)
+    assert sorted(matrices) == [(2, 3, 2), (3, 4, 3), (4, 5, 4)]
     for q in (1, 2):
         homology_tower(remark(), q, range(2, 6))
     assert complexes == []
@@ -1035,9 +1112,10 @@ def uncached_d_matrix(P, q, n_src, n_tgt, exact):
     L/L^n_tgt), scaled by the least common denominator of the integer
     images."""
     src, tgt = DegreeSlice(P, q, n_src), DegreeSlice(P, q - 1, n_tgt)
-    den = math.lcm(*(d * P._diff_den for d, _ in src.forms))
+    den = math.lcm(*(d * P._diff_den for _, d, _ in src.forms))
     entries = {}
-    for j, b in enumerate(src.elements):
+    for j in range(src.dim):
+        b = src.element(j)
         img = TensorElt(P.gens, fraction_derivation(P, b))
         col = tgt.coords(img if exact else img.truncate_length(n_tgt), strict=exact)
         for i, c in col.items():

@@ -171,7 +171,8 @@ def free_nilpotent_table(rng):
     slices = {}
     for q in range(0, max_deg + 1):
         slices[q] = DegreeSlice(P, q, cap + 1)
-        for i, b in enumerate(slices[q].elements):
+        for i in range(slices[q].dim):
+            b = slices[q].element(i)
             basis.append((f"q{q}e{i}", q, b))
     name_of = {}
     for name, q, b in basis:
