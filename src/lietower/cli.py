@@ -20,7 +20,7 @@ The input format is line-oriented with bracketed section headers:
 Comments run from '#' to end of line.  Rationals are written p/q.  Exit
 codes: 0 success, 2 parse or validation failure, 3 computation window
 insufficient (a `TruncationError` or `WindowError`, chosen by type), 4
-internal invariant breach (always a bug: an `AssertionError`, a
+internal invariant breach (always a bug: an `InvariantError`, a
 `LinalgError` or a `NameError_`).
 """
 
@@ -58,7 +58,7 @@ from .functors import (
     neisendorfer_model,
     poly_from_terms,
 )
-from .linalg import LinalgError
+from .linalg import InvariantError, LinalgError
 from .pronil import FiniteLieData, TableError, definitional_pronilpotency, lemma1_audit
 
 KINDS = ("dgl", "sullivan", "coalgebra", "lie-table")
@@ -552,7 +552,7 @@ def run(command: str, doc: InputDocument, cfg: RunConfig) -> tuple[int, str]:
         if isinstance(err, UnsupportedModeError):
             return EXIT_INVALID, f"unsupported mode: {err}\n"
         return EXIT_INVALID, f"error: {err}\n"
-    except (AssertionError, LinalgError, NameError_) as err:
+    except (InvariantError, LinalgError, NameError_) as err:
         return EXIT_BUG, f"internal invariant breach: {err}\n"
     payload.setdefault("command", command)
     return code, emit(payload, cfg.fmt)

@@ -24,9 +24,10 @@ from typing import Callable, Iterable, Optional
 from . import exprs
 from .freelie import (
     GeneratorSet,
+    LieForm,
     TensorElt,
+    combine_forms,
     eval_bracket_expr,
-    form_element,
     gen_elt,
     graded_bracket,
     integer_terms,
@@ -37,6 +38,7 @@ from .freelie import (
 from .linalg import (
     ColumnReduction,
     IntEchelon,
+    InvariantError,
     NotAComplexError,
     Quotient,
     SparseMatrix,
@@ -91,6 +93,7 @@ class DglPresentation:
         self._d_cache: dict = {}
         self._slice_cache: dict[tuple[int, int], DegreeSlice] = {}
         self._matrix_cache: dict[tuple[int, int, int], DMatrix] = {}
+        self._obstruction_cache: dict[tuple[int, tuple[int, ...]], ObstructionReport] = {}
         self._positive = all(d >= 1 for d in gens.degrees)
         # d(g) = terms / _diff_den with integer terms, by generator index
         self._diff_den = lcm(*(c.denominator for v in self.diff.values() for c in v.terms.values()))
@@ -289,23 +292,30 @@ def validate(P: DglPresentation, t: Truncation) -> ValidationReport:
 class DegreeSlice:
     """Basis bookkeeping for the degree-q slice of L/L^n.
 
-    Elements are ordered shortest length first, so the slice of L/L^m for
-    m <= n is the leading block of the first `count_below(m)` elements.  The
-    slice holds each element only as the integer form (pivot word, den,
-    terms) that `freelie.lie_basis_forms` keeps for its (length, degree)
-    piece, shared with every other slice of that piece, plus one map from
-    pivot word to index; `element(i)` builds a TensorElt on demand.
-    Every vector of (L/L^n)_q is read in this basis; `P.slice(q, n)` builds
-    each slice once.
+    The basis is the reduced echelon basis of each (length, degree) piece,
+    shortest length first, so the slice of L/L^m for m <= n is the leading
+    block of the first `count_below(m)` elements.  It is never stored: the
+    slice holds the pieces that `freelie.lie_basis_forms` keeps, shared with
+    every other slice of each piece, as their bracketings `forms` (pivot
+    word, integer terms) and the columns of S, plus one map from pivot word
+    to index.  Element i is sum_m S[m, i] * forms[m]; `element(i)` builds a
+    TensorElt on demand.  Every vector of (L/L^n)_q is read in this basis;
+    `P.slice(q, n)` builds each slice once.
     """
 
     def __init__(self, P: DglPresentation, q: int, n: int):
         self.P = P
         self.q = q
         self.n = n
-        self.forms = [f for k in range(1, n) for f in lie_basis_forms(P.gens, k, q)] if q >= 0 else []
-        self.lengths = [len(pivot) for pivot, _, _ in self.forms]
-        self._pivot = {pivot: i for i, (pivot, _, _) in enumerate(self.forms)}
+        self.forms: list[LieForm] = []
+        # column i of S as (offset of its piece in forms, column over the piece)
+        self._inverse: list[tuple[int, dict[int, int]]] = []
+        for k in range(1, n) if q >= 0 else ():
+            forms, inverse = lie_basis_forms(P.gens, k, q)
+            self._inverse += [(len(self.forms), col) for col in inverse]
+            self.forms += forms
+        self.lengths = [len(pivot) for pivot, _ in self.forms]
+        self._pivot = {pivot: i for i, (pivot, _) in enumerate(self.forms)}
 
     @property
     def dim(self) -> int:
@@ -316,8 +326,8 @@ class DegreeSlice:
         return bisect_left(self.lengths, m)
 
     def element(self, i: int) -> TensorElt:
-        """Basis element i as a TensorElt, built from its integer form."""
-        return form_element(self.P.gens, self.forms[i])
+        """Basis element i as a TensorElt, expanded through the bracketings."""
+        return TensorElt(self.P.gens, self._combine({i: 1}))
 
     def coords(self, u: TensorElt, strict: bool = False) -> dict[int, Fraction]:
         """Coordinates of u in the echelon basis of the slice.
@@ -333,7 +343,8 @@ class DegreeSlice:
 
         Pivot coordinates of a reduced echelon basis are exclusive to their
         basis vector and have coefficient 1, so this is a lookup; membership
-        in the slice is then verified exactly, by integer cross-multiplication.
+        in the slice is then verified exactly, by rebuilding the vector from
+        the bracketings and comparing every word.
         """
         if strict:
             for w in terms:
@@ -345,10 +356,7 @@ class DegreeSlice:
             pos = self._pivot.get(w)
             if pos is not None:
                 num[pos] = c
-        scale, recon = self._combine(num)
-        if len(recon) != len(terms) or any(
-            recon.get(w, 0) != scale * c for w, c in terms.items()
-        ):
+        if self._combine(num) != terms:
             gens = self.P.gens
             for w in terms:
                 if gens.word_degree(w) != self.q:
@@ -357,23 +365,22 @@ class DegreeSlice:
             raise DglError(f"element is not in the degree-{self.q} slice of L/L^{self.n}")
         return num
 
-    def _combine(self, num: dict[int, int]) -> tuple[int, dict[tuple, int]]:
-        """sum_i num[i] * element(i) as (D, nonzero integer terms times D),
-        accumulated in one dict."""
-        scale = lcm(*(self.forms[i][1] for i in num))
-        acc: dict[tuple, int] = {}
+    def basis_coeffs(self, num: dict[int, int]) -> dict[int, int]:
+        """S * num: sum_i num[i] * element(i) over the bracketings `forms`."""
+        acc: dict[int, int] = {}
         for i, c in num.items():
-            _, d, terms = self.forms[i]
-            f = c * (scale // d)
-            for w, t in terms.items():
-                acc[w] = acc.get(w, 0) + f * t
-        return scale, {w: t for w, t in acc.items() if t}
+            offset, col = self._inverse[i]
+            for m, s in col.items():
+                acc[offset + m] = acc.get(offset + m, 0) + c * s
+        return {m: c for m, c in acc.items() if c}
+
+    def _combine(self, num: dict[int, int]) -> dict[tuple, int]:
+        """sum_i num[i] * element(i) as nonzero integer terms."""
+        return combine_forms(self.forms, self.basis_coeffs(num))
 
     def element_from_coords(self, vec: dict[int, Fraction]) -> TensorElt:
         den, num = integer_terms(vec)
-        scale, terms = self._combine(num)
-        den *= scale
-        return TensorElt(self.P.gens, {w: Fraction(t, den) for w, t in terms.items()})
+        return TensorElt(self.P.gens, {w: Fraction(t, den) for w, t in self._combine(num).items()})
 
 
 class QuotientComplex:
@@ -647,13 +654,13 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
         reps = Quotient(boundaries, cycles.basis).representatives
         dim = len(reps)
         if dim != dim_h(n):
-            raise AssertionError(f"leading-block ranks give dim H = {dim_h(n)} at n = {n}, "
+            raise InvariantError(f"leading-block ranks give dim H = {dim_h(n)} at n = {n}, "
                                  f"the quotient of cycles by boundaries gives {dim}")
         # length-preserving part of d on the length-n elements
         delta = _block_rank(out_cols[c_n:c_next], r_n, below.count_below(n + 1))
         image_dim = c_n - rank_out(n + 1) - rank_in(n) + delta
         if not 0 <= image_dim <= min(dim, dim_h(n + 1)):
-            raise AssertionError(f"connecting image dim {image_dim} at n = {n} is outside "
+            raise InvariantError(f"connecting image dim {image_dim} at n = {n} is outside "
                                  f"[0, min(dim H(n), dim H(n+1))] = [0, {min(dim, dim_h(n + 1))}]")
         yield n, dim, image_dim, [mid.element_from_coords(r) for r in reps]
 
@@ -697,7 +704,7 @@ def exact_homology(P: DglPresentation, q: int) -> tuple[int, list[TensorElt]]:
     _, dim, _, reps = rows[1]
     for n, alt, _, _ in rows:
         if alt != dim:
-            raise AssertionError(f"degreewise agreement with L/L^{n} failed at degree {q}")
+            raise InvariantError(f"degreewise agreement with L/L^{n} failed at degree {q}")
     return dim, reps
 
 
@@ -802,7 +809,7 @@ def boundary_solve(
     want = target if exact_in_l else target.truncate_length(n)
     have = check if exact_in_l else check.truncate_length(n)
     if have != want:
-        raise AssertionError("witness verification failed; this is a bug")
+        raise InvariantError("witness verification failed; this is a bug")
     return BoundaryResult("SAT", witness, n, f"verified in {where}", kernel.dim)
 
 
@@ -819,39 +826,31 @@ def witness_direction_space(
 
 
 class DMatrix:
-    """One matrix of d, held by its presentation (`DglPresentation.d_matrix`):
-    `matrix` = D * M with denominator `den` = D, as `_image_matrix` builds
-    them, and its column reduction, built on first use."""
+    """One matrix of d, held by its presentation (`DglPresentation.d_matrix`).
+
+    M is the matrix of d from the degree-q slice of L/L^n_src to the
+    degree-(q-1) slice of L/L^n_tgt, image words of length >= n_tgt
+    dropped.  `matrix` = D * M is an integer matrix for D = `den`, the
+    common denominator of d on the generators: it has the kernel of M, and
+    M x = b exactly when (D * M) x = D * b.  It is built as C * S, with
+    column m of C the target coordinates of D * d(P_m) for the m-th
+    bracketing P_m of the source, which `int_coords` checks, and S the
+    source's inverse; no reduced echelon element is expanded.  The column
+    reduction is built on first use.
+    """
 
     def __init__(self, P: DglPresentation, q: int, n_src: int, n_tgt: int):
-        forms = ((d, terms) for _, d, terms in P.slice(q, n_src).forms)
-        self.matrix, self.den = _image_matrix(P, forms, P.slice(q - 1, n_tgt), n_tgt)
+        src, tgt = P.slice(q, n_src), P.slice(q - 1, n_tgt)
+        images = [tgt.int_coords(_derive_int(P, terms, n_tgt)) for _, terms in src.forms]
+        cols = [_combine_columns(images, src.basis_coeffs({j: 1})) for j in range(src.dim)]
+        self.matrix = SparseMatrix.from_columns(tgt.dim, cols)
+        self.den = P._diff_den
         self._reduction: Optional[ColumnReduction] = None
 
     def reduction(self) -> ColumnReduction:
         if self._reduction is None:
             self._reduction = ColumnReduction(self.matrix)
         return self._reduction
-
-
-def _image_matrix(
-    P: DglPresentation, forms: Iterable[tuple[int, dict]], target: DegreeSlice,
-    n: Optional[int] = None,
-) -> tuple[SparseMatrix, int]:
-    """(D * M, D) for M the matrix whose column j is d(terms / den) for the
-    j-th integer form (den, terms) of `forms`, with words of length >= n
-    dropped when n is given, read in the basis of `target`, and D the least
-    common denominator of the integer images.  D * M is an
-    integer matrix with the kernel of M, and M x = b exactly when
-    (D * M) x = D * b.  Every matrix of d is built here; `int_coords`
-    checks each column once."""
-    images = [(d * P._diff_den, _derive_int(P, terms, n)) for d, terms in forms]
-    den = lcm(*(d for d, _ in images))
-    cols = []
-    for d, terms in images:
-        col = target.int_coords(terms)
-        cols.append(col if d == den else {i: c * (den // d) for i, c in col.items()})
-    return SparseMatrix.from_columns(target.dim, cols), den
 
 
 # ---------------------------------------------------------------------------
@@ -933,11 +932,15 @@ def top_length_obstruction(
     the raising part is injective on the degree-`degree` length-l component
     (the classical descent certificate), and materializes the exact subspace
     of degree-(degree-1) elements that are boundaries of witnesses of top
-    length <= max(range).
+    length <= max(range).  Each report is built once per (degree, lengths)
+    and kept on P.
     """
     lengths = sorted(set(lengths))
     if not lengths or lengths[0] < 1:
         raise ValueError("length range must consist of integers >= 1")
+    key = (degree, tuple(lengths))
+    if key in P._obstruction_cache:
+        return P._obstruction_cache[key]
     shifts = set()
     for val in P.diff.values():
         shifts.update(k - 1 for k in val.lengths())
@@ -964,8 +967,10 @@ def top_length_obstruction(
         if not injective[l]:
             kernels[l] = src.element_from_coords(
                 {first + i: c for i, c in reduced.kernel().basis[0].items()})
-    return ObstructionReport(degree, lengths, injective, kernels, dm.reduction().echelon, out,
-                             bound, vacuous)
+    report = ObstructionReport(degree, lengths, injective, kernels, dm.reduction().echelon, out,
+                               bound, vacuous)
+    P._obstruction_cache[key] = report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1075,7 +1080,7 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
     for combo in kernel.basis:
         acc = _combine_columns(cols, combo)
         if any(i >= limit for i in acc):
-            raise AssertionError("window intersection leaked long words")
+            raise InvariantError("window intersection leaked long words")
         boundary_ech.insert(acc)
     quotient = Quotient(boundary_ech.rows.values(), ({i: 1} for i in range(limit)))
     reps = [out.element(i) for i in quotient.kept]

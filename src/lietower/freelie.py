@@ -8,12 +8,14 @@ plain word arithmetic.
 
 Word-length components of honest Lie elements are certified by the
 left-normed (Dynkin) bracketing map, which acts as n * id on length-n
-components in characteristic zero.  Bases of the (length, degree) pieces
-are the echelonized standard bracketings of Lyndon words (Reutenauer, Free
-Lie Algebras, 1993), together with the squares of odd-degree Lyndon
-bracketings (Bokut-Kang-Lee-Malcolmson, J. Algebra 217, 1999), computed in
-integer arithmetic and held once per piece as integer forms (each element's
-pivot word, pivot coefficient and integer terms); their dimensions are
+components in characteristic zero.  The canonical basis of a (length,
+degree) piece is the reduced echelon form of the standard bracketings of
+its Lyndon words (Reutenauer, Free Lie Algebras, 1993, Thm 5.1), together
+with the squares of odd-degree Lyndon bracketings (Bokut-Kang-Lee-
+Malcolmson, J. Algebra 217, 1999).  Each piece is held once, in integer
+arithmetic, as those bracketings, each with coefficient 1 at its pivot
+word, and the inverse S of their unitriangular matrix at the pivot words;
+the reduced echelon elements are the bracketings times S.  Dimensions are
 cross-checked against the necklace-style counting formula obtained by
 inverting the tensor-algebra Poincare series.
 """
@@ -25,11 +27,16 @@ from math import lcm
 from typing import Iterable, Optional
 
 from . import exprs
-from .linalg import IntEchelon
+from .linalg import InvariantError
 
 Word = tuple[int, ...]
-# (pivot word, den, terms): the Lie element terms / den, with integer terms
-LieForm = tuple[Word, int, dict[Word, int]]
+# (pivot word, terms): an integer Lie element with coefficient 1 at its pivot
+# word and only larger words otherwise
+LieForm = tuple[Word, dict[Word, int]]
+# (forms, inverse) of one (length, degree) piece: its bracketings, sorted by
+# pivot word, and the columns of S = T^-1, so reduced echelon element i is
+# sum_m inverse[i][m] * forms[m]
+LiePiece = tuple[list[LieForm], list[dict[int, int]]]
 
 
 class NameError_(ValueError):
@@ -376,7 +383,7 @@ def lie_dim(gens: GeneratorSet, length: int, degree: int) -> int:
         total -= Fraction(sub * eps * length, j)
     val = Fraction(total, length)
     if val.denominator != 1 or val < 0:
-        raise AssertionError(f"necklace inversion broke at {key}: {val}")
+        raise InvariantError(f"necklace inversion broke at {key}: {val}")
     _dim_cache[key] = int(val)
     return int(val)
 
@@ -438,17 +445,18 @@ def _lyndon_bracketing(gens: GeneratorSet, word: Word, memo: dict) -> dict[Word,
     return got
 
 
-def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> list[LieForm]:
-    """The canonical basis of the (length, degree) piece as integer forms.
+def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
+    """The basis of the (length, degree) piece, held as its bracketings.
 
-    Element i of the basis is terms / den for its form (pivot, den, terms):
-    terms is the primitive integer row of the reduced echelon basis against
-    the lexicographic word order, pivot its least word and den its
-    coefficient there.  The basis is spanned by the standard bracketings of
-    the Lyndon words of the piece, plus the squares [P_u, P_u] of the
-    odd-degree Lyndon words u of half the length and degree; these are
-    exactly lie_dim independent elements.  Each piece is built once and
-    held only in this form.
+    The forms are the standard bracketings P_w of the Lyndon words w of the
+    piece, plus P_u P_u = [P_u, P_u] / 2 for each odd-degree Lyndon word u
+    of half the length and degree, sorted by pivot word: w, resp. uu.  Each
+    has coefficient 1 at its pivot and only larger words otherwise, so the
+    matrix T of their coefficients at the pivot words is unitriangular, and
+    there are exactly lie_dim of them; both are checked.  The reduced
+    echelon basis against the lexicographic word order is the bracketings
+    times S = T^-1, an integer matrix, which is held by columns.  Each piece
+    is built once.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -457,40 +465,55 @@ def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> list[LieFor
     key = (gens, length, degree)
     if key in _basis_cache:
         return _basis_cache[key]
-    words = words_of(gens, length, degree)
-    index = {w: i for i, w in enumerate(words)}
     memo: dict = {}
-    spanning = [_lyndon_bracketing(gens, w, memo) for w in words if _is_lyndon(w)]
+    forms = [(w, _lyndon_bracketing(gens, w, memo)) for w in words_of(gens, length, degree)
+             if _is_lyndon(w)]
     half = degree // 2
     if length % 2 == 0 and degree % 2 == 0 and half % 2:
         for u in words_of(gens, length // 2, half):
             if _is_lyndon(u):
                 pu = _lyndon_bracketing(gens, u, memo)
-                spanning.append(_int_bracket(pu, half, pu, half))
-    ech = IntEchelon()
-    for vec in spanning:
-        ech.insert({index[w]: c for w, c in vec.items()})
+                # every coefficient of [P_u, P_u] = 2 P_u P_u is even
+                forms.append((u + u, {w: c // 2 for w, c in _int_bracket(pu, half, pu, half).items()}))
+    forms.sort(key=lambda form: form[0])
+    for m, (pivot, terms) in enumerate(forms):
+        if terms.get(pivot) != 1 or min(terms) != pivot or (m and forms[m - 1][0] == pivot):
+            raise InvariantError(f"bracketing {m} at {key} does not lead with 1 at its own pivot word")
     expected = lie_dim(gens, length, degree)
-    if ech.dim != expected:
-        raise AssertionError(f"basis rank {ech.dim} != counted dim {expected} at {key}")
-    forms = [
-        (words[p], row[p], {words[i]: c for i, c in row.items()}) for p, row in ech.reduced_rows()
-    ]
-    _basis_cache[key] = forms
-    return forms
+    if len(forms) != expected:
+        raise InvariantError(f"basis rank {len(forms)} != counted dim {expected} at {key}")
+    # back-substitution: element i = P_i - sum_k T[k, i] * element k over
+    # the pivots k of P_i above its own, which come later
+    index = {pivot: m for m, (pivot, _) in enumerate(forms)}
+    inverse: dict[int, dict[int, int]] = {}
+    for i in reversed(range(len(forms))):
+        col = {i: 1}
+        for w, t in forms[i][1].items():
+            k = index.get(w)
+            if k is not None and k != i:
+                for m, s in inverse[k].items():
+                    col[m] = col.get(m, 0) - t * s
+        inverse[i] = {m: s for m, s in col.items() if s}
+    piece = (forms, [inverse[i] for i in range(len(forms))])
+    _basis_cache[key] = piece
+    return piece
 
 
-def form_element(gens: GeneratorSet, form: LieForm) -> TensorElt:
-    """The element terms / den of an integer form (pivot, den, terms)."""
-    _, den, terms = form
-    return TensorElt(gens, {w: Fraction(c, den) for w, c in terms.items()})
+def combine_forms(forms: list[LieForm], coeffs: dict[int, int]) -> dict[Word, int]:
+    """sum_m coeffs[m] * forms[m] as integer terms, with no stored zeros."""
+    acc: dict[Word, int] = {}
+    for m, c in coeffs.items():
+        for w, t in forms[m][1].items():
+            acc[w] = acc.get(w, 0) + c * t
+    return {w: t for w, t in acc.items() if t}
 
 
 def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
     """Canonical basis of the (length, degree) piece, echelonized against the
-    lexicographic word order (pivot coefficient 1); built on each call from
-    the integer forms of `lie_basis_forms`."""
-    return [form_element(gens, f) for f in lie_basis_forms(gens, length, degree)]
+    lexicographic word order (pivot coefficient 1); built on each call by
+    expanding the columns of S through the bracketings of `lie_basis_forms`."""
+    forms, inverse = lie_basis_forms(gens, length, degree)
+    return [TensorElt(gens, combine_forms(forms, col)) for col in inverse]
 
 
 def pbw_euler_check(gens: GeneratorSet, max_length: int, max_degree: int) -> bool:

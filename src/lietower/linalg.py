@@ -48,6 +48,11 @@ class NotAComplexError(LinalgError):
     pass
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: always a bug.  Raised explicitly, so the
+    check holds under `python -O`; the CLI maps it to exit 4."""
+
+
 def _content(*vecs: dict[int, int]) -> int:
     """gcd of the entries of integer vectors taken together (0 when all empty)."""
     g = 0
@@ -346,7 +351,7 @@ class ColumnReduction:
         for j, col in enumerate(m.columns()):
             p = self.echelon.insert(col)
             if p is None and self.echelon.dim + len(self.echelon.relations) != j + 1:
-                raise AssertionError("a column with a nonzero residual did not give a pivot")
+                raise InvariantError("a column with a nonzero residual did not give a pivot")
             self.pivots.append(p)
         self._kernel: Optional[Subspace] = None
 
@@ -458,7 +463,7 @@ def quotient_dims(w: Subspace, u: Subspace) -> QuotientInfo:
         raise ContainmentError("U is not contained in W")
     reps = Quotient(u.basis, w.basis).representatives
     if len(reps) != w.dim - u.dim:
-        raise AssertionError(f"{len(reps)} representatives for a quotient of dim {w.dim - u.dim}")
+        raise InvariantError(f"{len(reps)} representatives for a quotient of dim {w.dim - u.dim}")
     return QuotientInfo(w.dim - u.dim, reps)
 
 
@@ -478,5 +483,5 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> tuple[int, list[Vec]
     reps = Quotient(image.basis, cycles.basis).representatives
     dim = cycles.dim - rank_in
     if dim != len(reps):
-        raise AssertionError(f"{len(reps)} homology representatives for dim {dim}")
+        raise InvariantError(f"{len(reps)} homology representatives for dim {dim}")
     return dim, reps

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .linalg import IntEchelon
+from .linalg import IntEchelon, InvariantError
 
 Vec = dict[int, Fraction]
 
@@ -211,7 +211,7 @@ class Verdict:
         vanishing_index: Optional[int] = None,
     ):
         if outcome not in ("holds", "fails", "undetermined"):
-            raise AssertionError(f"unknown verdict outcome {outcome!r}")
+            raise InvariantError(f"unknown verdict outcome {outcome!r}")
         self.outcome = outcome
         self.bound = bound
         self.detail = detail

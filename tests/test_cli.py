@@ -341,10 +341,11 @@ def test_cli_exit_3_is_chosen_by_error_type(monkeypatch):
 
 def test_cli_exit_4_on_a_linalg_or_name_error(monkeypatch):
     from lietower.freelie import NameError_
-    from lietower.linalg import NotAComplexError
+    from lietower.linalg import InvariantError, NotAComplexError
 
     path = os.path.join(FILES, "stubborn_cycle.dgl")
-    for err in (NotAComplexError("composite differential is nonzero"), NameError_("unknown generator 'q'")):
+    for err in (NotAComplexError("composite differential is nonzero"), NameError_("unknown generator 'q'"),
+                InvariantError("witness verification failed; this is a bug")):
         def cmd(doc, cfg, err=err):
             raise err
         monkeypatch.setitem(cli.DISPATCH, "tower", cmd)

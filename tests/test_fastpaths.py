@@ -1,7 +1,9 @@
 """The integer free-Lie core against the constructions it replaced.
 
 * `lie_basis` (standard Lyndon bracketings) against the echelonized image
-  of the left-normed bracketing map on every tensor word;
+  of the left-normed bracketing map on every tensor word, and the held
+  bracketings (`freelie.lie_basis_forms`: unitriangular at their pivot
+  words, with inverse S) against a Fraction Gauss-Jordan elimination;
 * `IntEchelon.rref` (integer back-substitution) against a Fraction
   Gauss-Jordan elimination;
 * `DegreeSlice.coords` / `element_from_coords` (one-pass reconstruction),
@@ -16,10 +18,12 @@
   `IntEchelon.express` against the Fraction `reduce`, the row reduction of
   [A | b] and the Fraction tracked echelon it replaced, and the boundary
   solvers (integer matrices of d) against Fraction assembly;
-* the presentation's matrices of d (`DglPresentation.d_matrix`) against
-  fresh uncached builds, repeated solves against the first ones (no column
-  of d derived or read again), and the kept `ColumnReduction` against
-  `solve_affine` and the Fraction row reduction;
+* the presentation's matrices of d (`DglPresentation.d_matrix`, built as
+  C * S from the bracketings) against Fraction derivations of the elements
+  of `IntEchelon.rref` of the bracketings, repeated solves and top-length
+  reports against the first ones (no column of d derived or read again),
+  and the kept `ColumnReduction` against `solve_affine` and the Fraction
+  row reduction;
 * the functors' one Koszul sign rule (`normalize_monomial` on positions)
   in `shuffle`, `_unshuffle` and `_ce_delta` against the crossing counters
   it replaced, the in-place derivation of `FreeCdgaWindow` against the
@@ -74,7 +78,7 @@ from lietower.functors import (
     normalize_monomial,
     shuffle,
 )
-from lietower.linalg import IntEchelon, NotAComplexError, SparseMatrix, reduce, solve_affine
+from lietower.linalg import IntEchelon, InvariantError, NotAComplexError, SparseMatrix, reduce, solve_affine
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
@@ -159,6 +163,39 @@ def test_lyndon_basis_matches_dynkin_image(degrees):
             assert len(got) == lie_dim(gens, n, d)
             checked += len(got)
     assert checked > 0
+
+
+@pytest.mark.parametrize("degrees", PROFILES + [[1, 1, 1], [3, 3], [1, 3], [0, 1, 2]],
+                         ids=lambda ds: "deg" + "-".join(map(str, ds)))
+def test_bracketings_are_unitriangular_and_s_inverts_t(degrees):
+    # T[k, m] is the coefficient of pivot word k in bracketing m; the held
+    # columns of S give S * T = I, and the bracketings times S are the
+    # Fraction Gauss-Jordan reduced echelon basis, in order
+    gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
+    max_length = 6 if len(degrees) == 3 else 7
+    checked = 0
+    for n in range(1, max_length + 1):
+        for d in range(min(degrees) * n, max(degrees) * n + 1):
+            forms, inverse = freelie.lie_basis_forms(gens, n, d)
+            assert forms == bracketings(gens, n, d) and len(inverse) == len(forms)
+            pivots = [w for w, _ in forms]
+            assert pivots == sorted(set(pivots))
+            for pivot, terms in forms:
+                assert terms[pivot] == 1 and min(terms) == pivot
+            for j, (_, terms) in enumerate(forms):
+                st = {}
+                for k, pivot in enumerate(pivots):
+                    for m, s in inverse[k].items():
+                        st[m] = st.get(m, 0) + s * terms.get(pivot, 0)
+                assert {m: c for m, c in st.items() if c} == {j: 1}, (n, d, j)
+            words = words_of(gens, n, d)
+            index = {w: i for i, w in enumerate(words)}
+            want = fraction_rref([{index[w]: c for w, c in terms.items()} for _, terms in forms])
+            assert [min(row) for row in want] == [index[p] for p in pivots]
+            got = lie_basis(gens, n, d)
+            assert [b.terms for b in got] == [{words[i]: c for i, c in row.items()} for row in want]
+            checked += len(forms)
+    assert checked >= 2
 
 
 def test_lyndon_basis_odd_squares():
@@ -264,24 +301,57 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
         held = _held_objects(sl, skip=(P,))
         assert not [o for o in held if isinstance(o, (Fraction, TensorElt))]
         # one map, from pivot words only: no index of every word
-        assert len(sl._pivot) == sl.dim == len(sl.forms) == len(sl.lengths)
-        for pivot, den, terms in sl.forms:
-            assert terms[pivot] == den > 0 and min(terms) == pivot
-            assert math.gcd(*terms.values()) == 1
-    assert not [o for o in _held_objects(freelie._basis_cache) if isinstance(o, (Fraction, TensorElt))]
-    # slices sharing a (length, degree) piece share its form objects, with
-    # each other and with the free-Lie cache
+        assert len(sl._pivot) == sl.dim == len(sl.forms) == len(sl._inverse) == len(sl.lengths)
+        # bracketings, not reduced echelon rows: each leads with 1 at its
+        # pivot word, and S is unitriangular
+        for i, (pivot, terms) in enumerate(sl.forms):
+            assert terms[pivot] == 1 and min(terms) == pivot
+            offset, col = sl._inverse[i]
+            assert col[i - offset] == 1 and min(col) == i - offset
+    held = _held_objects(freelie._basis_cache)
+    assert not [o for o in held if isinstance(o, (Fraction, TensorElt))]
+    # every piece holds the bracketings themselves, which in longer pieces
+    # are not the reduced echelon elements
+    differ = 0
+    for (gens, length, degree), (forms, _) in freelie._basis_cache.items():
+        if gens == P.gens:
+            assert forms == bracketings(gens, length, degree)
+            rref = rref_basis(gens, degree, length + 1)[-len(forms):]
+            differ += [terms for _, terms in forms] != [b.terms for b in rref]
+    assert differ >= 4
+    # slices sharing a (length, degree) piece share its forms and columns of
+    # S, with each other and with the free-Lie cache
     small, large = P.slice(1, 5), P.slice(1, 7)
     assert small.dim < large.dim
     assert all(small.forms[i] is large.forms[i] for i in range(small.dim))
-    cached = [f for k in range(1, 7) for f in freelie._basis_cache[(P.gens, k, 1)]]
+    assert all(small._inverse[i][1] is large._inverse[i][1] for i in range(small.dim))
+    pieces = [freelie._basis_cache[(P.gens, k, 1)] for k in range(1, 7)]
+    cached = [f for forms, _ in pieces for f in forms]
     assert all(f is g for f, g in zip(large.forms, cached)) and len(cached) == large.dim
+    columns = [col for _, inverse in pieces for col in inverse]
+    assert all(col is c for (_, col), c in zip(large._inverse, columns))
     other = DglPresentation(P.gens, {}).slice(1, 7)
     assert other is not large and all(f is g for f, g in zip(other.forms, large.forms))
 
 
 def remark():
     return DglPresentation.from_strings([("x", 0), ("y", 0), ("z", 1)], {"z": "x - [y, x]"})
+
+
+def test_int_coords_rejects_vectors_outside_the_slice():
+    # a pivot lookup alone would read yx as 0 and [x, y] + z as [x, y]
+    P = remark()
+    x, y, z = 0, 1, 2
+    sl = P.slice(0, 4)
+    assert sl.int_coords({(x, y): 1, (y, x): -1}) == {sl._pivot[(x, y)]: 1}
+    with pytest.raises(DglError, match="not in the degree-0 slice of L/L\\^4"):
+        sl.int_coords({(y, x): 1})
+    with pytest.raises(DglError, match="not in the degree-0 slice"):
+        sl.int_coords({(x, y): 1})
+    with pytest.raises(DglError, match=r"\(length, degree\) \(1, 1\) is outside the degree-0 slice"):
+        sl.int_coords({(x, y): 1, (y, x): -1, (z,): 1})
+    with pytest.raises(DglError, match="outside the degree-0 slice"):
+        sl.coords(freelie.parse_element(P.gens, "[x, z]"))
 
 
 def test_coords_round_trip():
@@ -525,6 +595,20 @@ def test_lie_basis_rank_check_raises(monkeypatch):
         lie_basis(gens, 2, 2)
 
 
+@pytest.mark.parametrize("bracketing", [
+    lambda w: {w: 2},  # leads with 2
+    lambda w: {w: -1, w[::-1]: 1},  # leads with -1
+    lambda w: {w[::-1]: 1},  # the pivot word is missing
+    lambda w: {w: 1, (0,) * len(w): 1},  # a word below the pivot
+])
+def test_bracketing_triangularity_check_raises(monkeypatch, bracketing):
+    gens = GeneratorSet(["x", "y"], [0, 0])
+    monkeypatch.setattr(freelie, "_basis_cache", {})
+    monkeypatch.setattr(freelie, "_lyndon_bracketing", lambda g, w, memo: bracketing(w))
+    with pytest.raises(InvariantError, match="does not lead with 1 at its own pivot word"):
+        freelie.lie_basis_forms(gens, 2, 0)
+
+
 def test_lie_basis_rank_check_maps_to_exit_4(monkeypatch, capsys):
     monkeypatch.setattr(freelie, "_basis_cache", {})
     monkeypatch.setattr(freelie, "lie_dim", lambda g, n, d: 1000)
@@ -561,11 +645,17 @@ def test_rank_checks_survive_optimized_mode():
             freelie.lie_basis(gens, 2, 2)
         except AssertionError as err:
             print("rank:", err)
+        freelie._lyndon_bracketing = lambda g, w, memo: {w: 2}
+        try:
+            freelie.lie_basis(gens, 3, 2)
+        except AssertionError as err:
+            print("triangular:", err)
         """
     )
     assert done.returncode == 0, done.stderr
     assert "necklace: necklace inversion broke" in done.stdout
     assert "rank: basis rank 1 != counted dim 7" in done.stdout
+    assert "triangular: bracketing 0 at" in done.stdout
 
 
 def test_complex_checks_survive_optimized_mode():
@@ -955,23 +1045,18 @@ def test_boundary_solves_match_fraction_assembly():
 
 
 def test_image_matrix_clears_mixed_denominators():
-    from lietower.dgl import _image_matrix
-
+    # d has denominators 2 and 3: the kept matrix is 6 * M, with integer
+    # entries, for M the matrix of d in the slices' coordinates
     P = DglPresentation.from_strings(
         [("x", 0), ("y", 0), ("z", 1), ("t", 1)], {"z": "1/2*x - [y, x]", "t": "2/3*[x, y]"}
     )
-    elements = [
-        TensorElt(P.gens, {(2,): Fraction(1, 2)}),
-        TensorElt(P.gens, {(3,): Fraction(5, 3), (2,): Fraction(-1, 4)}),
-        freelie.parse_element(P.gens, "[z, x]"),
-    ]
-    forms = [freelie.integer_terms(u.terms) for u in elements]
-    target = DegreeSlice(P, 0, 4)
-    mat, den = _image_matrix(P, forms, target)
-    assert all(type(c) is int for c in mat.entries.values())
-    for j, u in enumerate(elements):
-        want = target.coords(extend_derivation(P, u), strict=True)
-        assert {i: Fraction(c, den) for i, c in mat.column(j).items()} == want
+    dm = P.d_matrix(1, 5, 5)
+    src, target = P.slice(1, 5), P.slice(0, 5)
+    assert dm.den == 6 and dm.matrix.cols == src.dim > 4
+    assert all(type(c) is int for c in dm.matrix.entries.values())
+    for j in range(src.dim):
+        want = target.coords(extend_derivation(P, src.element(j)).truncate_length(5), strict=True)
+        assert {i: Fraction(c, dm.den) for i, c in dm.matrix.column(j).items()} == want
 
 
 def test_h0_tables_express_brackets_modulo_boundaries():
@@ -1052,6 +1137,28 @@ def test_top_length_obstruction_reuses_the_kept_matrix(monkeypatch):
     assert again.to_structured() == first.to_structured()
 
 
+def test_top_length_report_is_kept_on_the_presentation(monkeypatch):
+    from lietower import dgl
+
+    P = remark()
+    targets = [freelie.parse_element(P.gens, t)
+               for t in ("x", "x - [y, x]", "[x, [x, y]]", "[y, x] - [y, [y, x]]")]
+    first = dgl.top_length_obstruction(P, 1, range(1, 8))
+    built = []
+    reduction = dgl.ColumnReduction
+    monkeypatch.setattr(dgl, "ColumnReduction", lambda m: built.append(m) or reduction(m))
+    again = dgl.top_length_obstruction(P, 1, [7, 6, 5, 4, 3, 2, 1, 1])
+    assert again is first and built == []
+    answers = [again.excludes(t) for t in targets]
+    assert built == [] and True in answers and False in answers
+    # another range is another report
+    assert dgl.top_length_obstruction(P, 1, range(1, 7)).lengths == list(range(1, 7))
+    fresh = dgl.top_length_obstruction(remark(), 1, range(1, 8))
+    assert fresh is not first and built
+    assert [fresh.excludes(t) for t in targets] == answers
+    assert fresh.to_structured() == first.to_structured()
+
+
 def count_slice_builds(monkeypatch):
     built = []
     init = DegreeSlice.__init__
@@ -1105,23 +1212,62 @@ def test_stubborn_cycle_complex_matrices_are_integer():
 
 # -- one matrix of d per (q, n): the presentation's cache against fresh builds
 
+def bracketings(gens, length, degree):
+    """(pivot word, terms) of the standard bracketings P_w of the Lyndon
+    words w of a piece and of the products P_u P_u for the odd-degree
+    Lyndon words u of half its length and degree, sorted by pivot word."""
+    memo = {}
+    words = words_of(gens, length, degree)
+    out = [(w, freelie._lyndon_bracketing(gens, w, memo)) for w in words if freelie._is_lyndon(w)]
+    half = degree // 2
+    if length % 2 == 0 and degree % 2 == 0 and half % 2:
+        for u in words_of(gens, length // 2, half):
+            if freelie._is_lyndon(u):
+                pu = TensorElt(gens, freelie._lyndon_bracketing(gens, u, memo))
+                out.append((u + u, {w: int(c) for w, c in pu.concat(pu).terms.items()}))
+    return sorted(out, key=lambda form: form[0])
+
+
+def rref_basis(gens, q, n):
+    """The reduced echelon basis of the degree-q slice of L/L^n, shortest
+    length first, as `TensorElt`s: `IntEchelon.rref` of each piece's
+    `bracketings` over its words."""
+    basis = []
+    for k in range(1, n) if q >= 0 else ():
+        words = words_of(gens, k, q)
+        index = {w: i for i, w in enumerate(words)}
+        ech = IntEchelon()
+        for _, vec in bracketings(gens, k, q):
+            ech.insert({index[w]: c for w, c in vec.items()})
+        basis += [TensorElt(gens, {words[i]: c for i, c in row.items()}) for row in ech.rref()]
+    return basis
+
+
 def uncached_d_matrix(P, q, n_src, n_tgt, exact):
-    """(entries, denominator, rows, columns) of d from fresh slices, with no
-    cache: each column is the Fraction derivation of a basis element read
-    through `coords` (untruncated and strict when exact, else cut to
-    L/L^n_tgt), scaled by the least common denominator of the integer
-    images."""
-    src, tgt = DegreeSlice(P, q, n_src), DegreeSlice(P, q - 1, n_tgt)
-    den = math.lcm(*(d * P._diff_den for _, d, _ in src.forms))
+    """(entries, denominator, rows, columns) of d on the reduced echelon
+    bases of `rref_basis`, with no cache: each column is the Fraction
+    derivation of a source element (untruncated when exact, else cut to
+    L/L^n_tgt), read at the target's pivot words and checked to be that
+    combination of the target basis, and scaled by the common denominator
+    of d on the generators."""
+    src, tgt = rref_basis(P.gens, q, n_src), rref_basis(P.gens, q - 1, n_tgt)
+    den = math.lcm(*(c.denominator for v in P.diff.values() for c in v.terms.values()))
+    pivots = [min(b.terms) for b in tgt]
     entries = {}
-    for j in range(src.dim):
-        b = src.element(j)
+    for j, b in enumerate(src):
         img = TensorElt(P.gens, fraction_derivation(P, b))
-        col = tgt.coords(img if exact else img.truncate_length(n_tgt), strict=exact)
+        if not exact:
+            img = img.truncate_length(n_tgt)
+        col = {i: img.terms[p] for i, p in enumerate(pivots) if p in img.terms}
+        recon = {}
+        for i, c in col.items():
+            for w, t in tgt[i].terms.items():
+                recon[w] = recon.get(w, 0) + c * t
+        assert {w: c for w, c in recon.items() if c} == img.terms
         for i, c in col.items():
             assert (c * den).denominator == 1
             entries[(i, j)] = int(c * den)
-    return entries, den, tgt.dim, src.dim
+    return entries, den, len(tgt), len(src)
 
 
 def cache_presentations():
@@ -1161,6 +1307,20 @@ def test_cached_d_matrices_match_uncached_builds():
             blocks += 1
             rational += dm.den > 1
     assert blocks >= 30 and exact >= 8 and rational >= 8
+
+
+def test_d_matrices_match_the_rref_path_on_the_stubborn_cycle():
+    with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
+        P = cli.parse(fh.read()).to_dgl()
+    for n in (3, 5, 7, 9):
+        for q in (1, 2):
+            dm = P.d_matrix(q, n, n)
+            got = (dm.matrix.entries, dm.den, dm.matrix.rows, dm.matrix.cols)
+            assert got == uncached_d_matrix(P, q, n, n, False), (q, n)
+    assert dm.matrix.rows == 255 and dm.matrix.cols == 392
+    dm = P.d_matrix(2, 7, 8)
+    got = (dm.matrix.entries, dm.den, dm.matrix.rows, dm.matrix.cols)
+    assert got == uncached_d_matrix(P, 2, 7, 8, True)
 
 
 def test_repeated_solves_read_the_cached_matrices(monkeypatch):
