@@ -27,6 +27,8 @@ from .freelie import (
     LieForm,
     TensorElt,
     combine_forms,
+    decode_word,
+    encode_word,
     eval_bracket_expr,
     gen_elt,
     graded_bracket,
@@ -95,14 +97,16 @@ class DglPresentation:
         self._matrix_cache: dict[tuple[int, int, int], DMatrix] = {}
         self._obstruction_cache: dict[tuple[int, tuple[int, ...]], ObstructionReport] = {}
         self._positive = all(d >= 1 for d in gens.degrees)
-        # d(g) = terms / _diff_den with integer terms, by generator index
+        # d(g) = terms / _diff_den with integer terms, by the str letter of g
         self._diff_den = lcm(*(c.denominator for v in self.diff.values() for c in v.terms.values()))
         self._int_diff = {
-            gens.index[name]: [
-                (w, c.numerator * (self._diff_den // c.denominator)) for w, c in val.terms.items()
+            chr(gens.index[name]): [
+                (encode_word(w), c.numerator * (self._diff_den // c.denominator))
+                for w, c in val.terms.items()
             ]
             for name, val in self.diff.items()
         }
+        self._odd_letters = frozenset(chr(i) for i, d in enumerate(gens.degrees) if d % 2)
 
     @classmethod
     def from_strings(
@@ -159,26 +163,25 @@ class DglPresentation:
         return f"DglPresentation({self.gens!r}, d on {sorted(self.diff)})"
 
 
-def _derive_int(P: DglPresentation, terms: dict, n: Optional[int] = None) -> dict[tuple, int]:
-    """P._diff_den * d(terms) for an integer word combination, with words of
-    length >= n dropped when n is given.
+def _derive_int(P: DglPresentation, terms: dict[str, int], n: Optional[int] = None) -> dict[str, int]:
+    """P._diff_den * d(terms) for an integer combination of str words, with
+    words of length >= n dropped when n is given.
 
     The Koszul sign is the parity of the prefix the operator moves past.
     d never lowers word length, so replacing a letter by a word of length l
     gives a word of length len(word) - 1 + l.
     """
-    gens = P.gens
     int_diff = P._int_diff
+    odd = P._odd_letters
     if n is None:
         n = sys.maxsize
-    acc: dict[tuple, int] = {}
+    acc: dict[str, int] = {}
     for word, a in terms.items():
         room = n - len(word)
-        prefix_deg = 0
+        sign = a
         for i, g in enumerate(word):
             dg = int_diff.get(g)
             if dg is not None:
-                sign = -a if prefix_deg % 2 else a
                 for dw, dc in dg:
                     if len(dw) > room:
                         continue
@@ -188,8 +191,20 @@ def _derive_int(P: DglPresentation, terms: dict, n: Optional[int] = None) -> dic
                         acc[w] = s
                     else:
                         del acc[w]
-            prefix_deg += gens.degrees[g]
+            if g in odd:
+                sign = -sign
     return acc
+
+
+def _int_form(u: TensorElt) -> tuple[int, dict[str, int]]:
+    """(D, D * u) with str words, for D the least common denominator of u."""
+    den, terms = integer_terms(u.terms)
+    return den, {encode_word(w): c for w, c in terms.items()}
+
+
+def _elt(gens: GeneratorSet, terms: dict[str, int], den: int = 1) -> TensorElt:
+    """terms / den as a TensorElt, with tuple words."""
+    return TensorElt(gens, {decode_word(w): Fraction(c, den) for w, c in terms.items()})
 
 
 def extend_derivation(P: DglPresentation, u: TensorElt) -> TensorElt:
@@ -198,10 +213,8 @@ def extend_derivation(P: DglPresentation, u: TensorElt) -> TensorElt:
     Exact: the image of a finite element is finite.  Sums run over integers,
     with u and d scaled by their common denominators.
     """
-    den, scaled = integer_terms(u.terms)
-    acc = _derive_int(P, scaled)
-    den *= P._diff_den
-    return TensorElt(P.gens, {w: Fraction(c, den) for w, c in acc.items()})
+    den, scaled = _int_form(u)
+    return _elt(P.gens, _derive_int(P, scaled), den * P._diff_den)
 
 
 def d_image(P: DglPresentation, u: TensorElt) -> TensorElt:
@@ -211,12 +224,11 @@ def d_image(P: DglPresentation, u: TensorElt) -> TensorElt:
     no Fraction is hashed; elements taken from a basis always list their
     terms in the same order.
     """
-    den, terms = integer_terms(u.terms)
+    den, terms = _int_form(u)
     key = (den, tuple(terms), tuple(terms.values()))
     cached = P._d_cache.get(key)
     if cached is None:
-        den *= P._diff_den
-        cached = TensorElt(P.gens, {w: Fraction(c, den) for w, c in _derive_int(P, terms).items()})
+        cached = _elt(P.gens, _derive_int(P, terms), den * P._diff_den)
         P._d_cache[key] = cached
     return cached
 
@@ -298,9 +310,11 @@ class DegreeSlice:
     slice holds the pieces that `freelie.lie_basis_forms` keeps, shared with
     every other slice of each piece, as their bracketings `forms` (pivot
     word, integer terms) and the columns of S, plus one map from pivot word
-    to index.  Element i is sum_m S[m, i] * forms[m]; `element(i)` builds a
-    TensorElt on demand.  Every vector of (L/L^n)_q is read in this basis;
-    `P.slice(q, n)` builds each slice once.
+    to index.  Element i is sum_m S[m, i] * forms[m].  Words are str in the
+    slice (`int_coords`, `_combine`, the forms and the pivot map) and tuples
+    in a TensorElt: `element(i)`, `coords` and `element_from_coords` convert
+    one element's words, never the slice's.  Every vector of (L/L^n)_q is
+    read in this basis; `P.slice(q, n)` builds each slice once.
     """
 
     def __init__(self, P: DglPresentation, q: int, n: int):
@@ -327,7 +341,7 @@ class DegreeSlice:
 
     def element(self, i: int) -> TensorElt:
         """Basis element i as a TensorElt, expanded through the bracketings."""
-        return TensorElt(self.P.gens, self._combine({i: 1}))
+        return _elt(self.P.gens, self._combine({i: 1}))
 
     def coords(self, u: TensorElt, strict: bool = False) -> dict[int, Fraction]:
         """Coordinates of u in the echelon basis of the slice.
@@ -335,11 +349,11 @@ class DegreeSlice:
         Words of length >= n are dropped, or raise TruncationError when
         strict.
         """
-        den, terms = integer_terms(u.terms)
+        den, terms = _int_form(u)
         return {i: Fraction(c, den) for i, c in self.int_coords(terms, strict).items()}
 
-    def int_coords(self, terms: dict[tuple, int], strict: bool = False) -> dict[int, int]:
-        """Coordinates of an integer word combination, which are integers.
+    def int_coords(self, terms: dict[str, int], strict: bool = False) -> dict[int, int]:
+        """Coordinates of an integer combination of str words, which are integers.
 
         Pivot coordinates of a reduced echelon basis are exclusive to their
         basis vector and have coefficient 1, so this is a lookup; membership
@@ -358,7 +372,7 @@ class DegreeSlice:
                 num[pos] = c
         if self._combine(num) != terms:
             gens = self.P.gens
-            for w in terms:
+            for w in map(decode_word, terms):
                 if gens.word_degree(w) != self.q:
                     raise DglError(f"word of (length, degree) ({len(w)}, {gens.word_degree(w)}) "
                                    f"is outside the degree-{self.q} slice")
@@ -374,13 +388,18 @@ class DegreeSlice:
                 acc[offset + m] = acc.get(offset + m, 0) + c * s
         return {m: c for m, c in acc.items() if c}
 
-    def _combine(self, num: dict[int, int]) -> dict[tuple, int]:
+    def _combine(self, num: dict[int, int]) -> dict[str, int]:
         """sum_i num[i] * element(i) as nonzero integer terms."""
         return combine_forms(self.forms, self.basis_coeffs(num))
 
-    def element_from_coords(self, vec: dict[int, Fraction]) -> TensorElt:
+    def int_element(self, vec: dict[int, Fraction]) -> tuple[int, dict[str, int]]:
+        """(D, D * u) with str words for the element u with coordinates vec."""
         den, num = integer_terms(vec)
-        return TensorElt(self.P.gens, {w: Fraction(t, den) for w, t in self._combine(num).items()})
+        return den, self._combine(num)
+
+    def element_from_coords(self, vec: dict[int, Fraction]) -> TensorElt:
+        den, terms = self.int_element(vec)
+        return _elt(self.P.gens, terms, den)
 
 
 class QuotientComplex:
@@ -781,9 +800,10 @@ def boundary_solve(
     By default the equation is solved in L / L^{n_max}.  With exact_in_l the
     equation must hold on the nose in the free algebra (no truncation of the
     image), so UNSAT means: no witness supported in word lengths < n_max.
-    Every SAT witness is re-verified through the derivation.
+    Every SAT witness is re-verified through the derivation, on str words.
     """
-    if not extend_derivation(P, target).is_zero():
+    t_den, t_terms = _int_form(target)
+    if _derive_int(P, t_terms):
         raise DglError("target is not a d-cycle")
     degrees = target.degrees()
     if len(degrees) > 1:
@@ -794,7 +814,8 @@ def boundary_solve(
     src = P.slice(q + 1, n)
     n_tgt = n + P.max_shift() if exact_in_l else n
     dm = P.d_matrix(q + 1, n, n_tgt)
-    got = dm.reduction().solve(P.slice(q, n_tgt).coords(target, strict=exact_in_l))
+    num = P.slice(q, n_tgt).int_coords(t_terms, strict=exact_in_l)
+    got = dm.reduction().solve({i: Fraction(c, t_den) for i, c in num.items()})
     where = "L" if exact_in_l else f"L/L^{n}"
     if got is None:
         return BoundaryResult(
@@ -804,13 +825,16 @@ def boundary_solve(
             f"no witness of word length < {n} solves d(u) = target in {where}",
         )
     particular, kernel = got
-    witness = src.element_from_coords({j: c * dm.den for j, c in particular.items()})
-    check = extend_derivation(P, witness)
-    want = target if exact_in_l else target.truncate_length(n)
-    have = check if exact_in_l else check.truncate_length(n)
+    den, terms = src.int_element({j: c * dm.den for j, c in particular.items()})
+    # d(witness) = image / (den * P._diff_den) must equal target = t_terms / t_den,
+    # below length n unless exact_in_l
+    image = _derive_int(P, terms)
+    limit = sys.maxsize if exact_in_l else n
+    have = {w: c * t_den for w, c in image.items() if len(w) < limit}
+    want = {w: c * den * P._diff_den for w, c in t_terms.items() if len(w) < limit}
     if have != want:
         raise InvariantError("witness verification failed; this is a bug")
-    return BoundaryResult("SAT", witness, n, f"verified in {where}", kernel.dim)
+    return BoundaryResult("SAT", _elt(P.gens, terms, den), n, f"verified in {where}", kernel.dim)
 
 
 def witness_direction_space(

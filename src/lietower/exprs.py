@@ -17,7 +17,6 @@ form and re-parsing is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -32,26 +31,53 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
+class _Node:
+    """An immutable parse-tree node: equal to the nodes of its own class with
+    equal fields, hashed by its fields once, when it is made (parsing hashes
+    every node, and a bracket again at each enclosing level), and printed as
+    Class(field=value)."""
+
+    __slots__ = ("_values", "_hash")
+
+    def __init__(self, *values):
+        for field, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, field, value)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign {value!r} to field {field!r} of an immutable node")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r} of an immutable node")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._values == other._values
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        inner = ", ".join(f"{field}={value!r}" for field, value in zip(self.__slots__, self._values))
+        return f"{type(self).__name__}({inner})"
 
 
-@dataclass(frozen=True)
-class Bracket:
-    left: tuple
-    right: tuple
+class Gen(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple  # generator names, in written order
+class Bracket(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: str
-    right: str
+class Prod(_Node):
+    __slots__ = ("factors",)  # generator names, in written order
+
+
+class Tensor(_Node):
+    __slots__ = ("left", "right")
 
 
 Terms = tuple  # tuple[(Fraction, node), ...]

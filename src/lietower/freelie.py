@@ -15,15 +15,24 @@ with the squares of odd-degree Lyndon bracketings (Bokut-Kang-Lee-
 Malcolmson, J. Algebra 217, 1999).  Each piece is held once, in integer
 arithmetic, as those bracketings, each with coefficient 1 at its pivot
 word, and the inverse S of their unitriangular matrix at the pivot words;
-the reduced echelon elements are the bracketings times S.  Dimensions are
-cross-checked against the necklace-style counting formula obtained by
-inverting the tensor-algebra Poincare series.
+the reduced echelon elements are the bracketings times S.  The Lyndon
+bracketings of a piece are built from the pieces of their standard
+factors, so no piece enumerates its words.  Dimensions are cross-checked
+against the necklace-style counting formula obtained by inverting the
+tensor-algebra Poincare series.
+
+Words are tuples of generator indices in a `TensorElt` and str inside the
+integer layer (the pieces, `combine_forms` and the slices and matrices of
+`dgl`), one character chr(i) per index: str order is tuple order, and a str
+caches its hash.  `encode_word` and `decode_word` convert at the edge.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from . import exprs
@@ -31,12 +40,13 @@ from .linalg import InvariantError
 
 Word = tuple[int, ...]
 # (pivot word, terms): an integer Lie element with coefficient 1 at its pivot
-# word and only larger words otherwise
-LieForm = tuple[Word, dict[Word, int]]
+# word and only larger words otherwise, words as str
+LieForm = tuple[str, dict[str, int]]
 # (forms, inverse) of one (length, degree) piece: its bracketings, sorted by
 # pivot word, and the columns of S = T^-1, so reduced echelon element i is
 # sum_m inverse[i][m] * forms[m]
 LiePiece = tuple[list[LieForm], list[dict[int, int]]]
+_PIVOT = itemgetter(0)
 
 
 class NameError_(ValueError):
@@ -209,6 +219,16 @@ def integer_terms(terms: dict) -> tuple[int, dict[Word, int]]:
     return den, {w: c.numerator * (den // c.denominator) for w, c in terms.items()}
 
 
+def encode_word(word: Iterable[int]) -> str:
+    """The str word of the integer layer: one character chr(i) per index."""
+    return "".join(map(chr, word))
+
+
+def decode_word(word: str) -> Word:
+    """The tuple word of a `TensorElt`, from a str word of the integer layer."""
+    return tuple(map(ord, word))
+
+
 def zero(gens: GeneratorSet) -> TensorElt:
     return TensorElt(gens)
 
@@ -315,6 +335,7 @@ def parse_element(gens: GeneratorSet, text: str) -> TensorElt:
 # word enumeration and bases of the (length, degree) pieces
 
 _word_cache: dict = {}
+_lyndon_cache: dict = {}
 _basis_cache: dict = {}
 _dim_cache: dict = {}
 
@@ -407,15 +428,10 @@ def _log_coefficient(gens: GeneratorSet, length: int, degree: int) -> Fraction:
     return Fraction(ways, length)
 
 
-def _is_lyndon(word: Word) -> bool:
-    """Strictly smaller than each proper suffix, in generator-index order."""
-    return all(word < word[i:] for i in range(1, len(word)))
-
-
-def _int_bracket(u: dict, du: int, v: dict, dv: int) -> dict[Word, int]:
+def _int_bracket(u: dict, du: int, v: dict, dv: int) -> dict[str, int]:
     """Graded commutator of integer word combinations of degrees du and dv."""
     sign = -1 if (du * dv) % 2 else 1
-    out: dict[Word, int] = {}
+    out: dict[str, int] = {}
     for w1, c1 in u.items():
         for w2, c2 in v.items():
             c = c1 * c2
@@ -426,22 +442,44 @@ def _int_bracket(u: dict, du: int, v: dict, dv: int) -> dict[Word, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def _lyndon_bracketing(gens: GeneratorSet, word: Word, memo: dict) -> dict[Word, int]:
-    """Standard bracketing P_w = [P_u, P_v], v the longest proper Lyndon suffix."""
-    got = memo.get(word)
-    if got is None:
-        if len(word) == 1:
-            got = {word: 1}
-        else:
-            cut = next(i for i in range(1, len(word)) if _is_lyndon(word[i:]))
-            u, v = word[:cut], word[cut:]
-            got = _int_bracket(
-                _lyndon_bracketing(gens, u, memo),
-                gens.word_degree(u),
-                _lyndon_bracketing(gens, v, memo),
-                gens.word_degree(v),
-            )
-        memo[word] = got
+def _lyndon_forms(gens: GeneratorSet, length: int, degree: int) -> tuple[list[LieForm], list[int]]:
+    """The standard bracketings (w, P_w) of the Lyndon words w of a piece,
+    sorted by w, and the length of each w's standard left factor (0 for a
+    letter); built once per piece.
+
+    A Lyndon word w of length >= 2 is uv for its standard factorization (v
+    the longest proper Lyndon suffix), and P_w = [P_u, P_v].  Conversely,
+    for Lyndon words u < v, uv is a Lyndon word with standard factorization
+    (u, v) exactly when u is a letter or v <= the right factor of u
+    (Lothaire, Combinatorics on Words, Prop. 5.1.3-5.1.4).  So the piece is
+    read off the pieces of its factors: for each u, the v of the right
+    length and degree in (u, right factor of u] form one slice of their
+    sorted list.
+    """
+    key = (gens, length, degree)
+    got = _lyndon_cache.get(key)
+    if got is not None:
+        return got
+    found: list[tuple[str, int, dict[str, int]]] = []
+    if length == 1:
+        found = [(chr(i), 0, {chr(i): 1}) for i, d in enumerate(gens.degrees) if d == degree]
+    elif gens.degrees:
+        lo, hi = min(gens.degrees), max(gens.degrees)
+        for k in range(1, length):
+            rest = length - k
+            for du in range(max(lo * k, degree - hi * rest), min(hi * k, degree - lo * rest) + 1):
+                left, cuts = _lyndon_forms(gens, k, du)
+                if not left:
+                    continue
+                right = _lyndon_forms(gens, rest, degree - du)[0]
+                for (u, pu), cut in zip(left, cuts):
+                    start = bisect_right(right, u, key=_PIVOT)
+                    stop = bisect_right(right, u[cut:], key=_PIVOT) if cut else len(right)
+                    for v, pv in right[start:stop]:
+                        found.append((u + v, k, _int_bracket(pu, du, pv, degree - du)))
+        found.sort(key=_PIVOT)
+    got = ([(w, terms) for w, _, terms in found], [cut for _, cut, _ in found])
+    _lyndon_cache[key] = got
     return got
 
 
@@ -449,14 +487,16 @@ def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
     """The basis of the (length, degree) piece, held as its bracketings.
 
     The forms are the standard bracketings P_w of the Lyndon words w of the
-    piece, plus P_u P_u = [P_u, P_u] / 2 for each odd-degree Lyndon word u
-    of half the length and degree, sorted by pivot word: w, resp. uu.  Each
-    has coefficient 1 at its pivot and only larger words otherwise, so the
-    matrix T of their coefficients at the pivot words is unitriangular, and
-    there are exactly lie_dim of them; both are checked.  The reduced
-    echelon basis against the lexicographic word order is the bracketings
-    times S = T^-1, an integer matrix, which is held by columns.  Each piece
-    is built once.
+    piece, built from the pieces of the standard factors of w
+    (`_lyndon_forms`), plus P_u P_u = [P_u, P_u] / 2 for each odd-degree
+    Lyndon word u of half the length and degree, sorted by pivot word: w,
+    resp. uu.  Words are str, one character chr(i) per generator index, so
+    str order is the order of index tuples.  Each form has coefficient 1 at
+    its pivot and only larger words otherwise, so the matrix T of their
+    coefficients at the pivot words is unitriangular, and there are exactly
+    lie_dim of them; both are checked.  The reduced echelon basis against
+    the lexicographic word order is the bracketings times S = T^-1, an
+    integer matrix, which is held by columns.  Each piece is built once.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -465,17 +505,13 @@ def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
     key = (gens, length, degree)
     if key in _basis_cache:
         return _basis_cache[key]
-    memo: dict = {}
-    forms = [(w, _lyndon_bracketing(gens, w, memo)) for w in words_of(gens, length, degree)
-             if _is_lyndon(w)]
+    forms = list(_lyndon_forms(gens, length, degree)[0])
     half = degree // 2
     if length % 2 == 0 and degree % 2 == 0 and half % 2:
-        for u in words_of(gens, length // 2, half):
-            if _is_lyndon(u):
-                pu = _lyndon_bracketing(gens, u, memo)
-                # every coefficient of [P_u, P_u] = 2 P_u P_u is even
-                forms.append((u + u, {w: c // 2 for w, c in _int_bracket(pu, half, pu, half).items()}))
-    forms.sort(key=lambda form: form[0])
+        for u, pu in _lyndon_forms(gens, length // 2, half)[0]:
+            # every coefficient of [P_u, P_u] = 2 P_u P_u is even
+            forms.append((u + u, {w: c // 2 for w, c in _int_bracket(pu, half, pu, half).items()}))
+        forms.sort(key=_PIVOT)
     for m, (pivot, terms) in enumerate(forms):
         if terms.get(pivot) != 1 or min(terms) != pivot or (m and forms[m - 1][0] == pivot):
             raise InvariantError(f"bracketing {m} at {key} does not lead with 1 at its own pivot word")
@@ -499,9 +535,9 @@ def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
     return piece
 
 
-def combine_forms(forms: list[LieForm], coeffs: dict[int, int]) -> dict[Word, int]:
+def combine_forms(forms: list[LieForm], coeffs: dict[int, int]) -> dict[str, int]:
     """sum_m coeffs[m] * forms[m] as integer terms, with no stored zeros."""
-    acc: dict[Word, int] = {}
+    acc: dict[str, int] = {}
     for m, c in coeffs.items():
         for w, t in forms[m][1].items():
             acc[w] = acc.get(w, 0) + c * t
@@ -513,7 +549,8 @@ def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
     lexicographic word order (pivot coefficient 1); built on each call by
     expanding the columns of S through the bracketings of `lie_basis_forms`."""
     forms, inverse = lie_basis_forms(gens, length, degree)
-    return [TensorElt(gens, combine_forms(forms, col)) for col in inverse]
+    return [TensorElt(gens, {decode_word(w): c for w, c in combine_forms(forms, col).items()})
+            for col in inverse]
 
 
 def pbw_euler_check(gens: GeneratorSet, max_length: int, max_degree: int) -> bool:

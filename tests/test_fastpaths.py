@@ -3,7 +3,12 @@
 * `lie_basis` (standard Lyndon bracketings) against the echelonized image
   of the left-normed bracketing map on every tensor word, and the held
   bracketings (`freelie.lie_basis_forms`: unitriangular at their pivot
-  words, with inverse S) against a Fraction Gauss-Jordan elimination;
+  words, with inverse S) against a Fraction Gauss-Jordan elimination, and
+  the pieces built from the pieces of their standard factors against the
+  enumeration of every word with a Lyndon test on each and a per-call
+  memo of bracketings, with `_derive_int` on their str words against
+  `extend_derivation`; every `TensorElt` that leaves the integer layer has
+  tuple words (`freelie.encode_word` / `decode_word` convert at the edge);
 * `IntEchelon.rref` (integer back-substitution) against a Fraction
   Gauss-Jordan elimination;
 * `DegreeSlice.coords` / `element_from_coords` (one-pass reconstruction),
@@ -45,7 +50,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietower import cli, freelie
+from lietower import cli, dgl, freelie
 from lietower.dgl import (
     DegreeSlice,
     DglError,
@@ -62,7 +67,9 @@ from lietower.dgl import (
 from lietower.freelie import (
     GeneratorSet,
     TensorElt,
+    decode_word,
     dynkin,
+    encode_word,
     lie_basis,
     lie_dim,
     word_elt,
@@ -176,11 +183,13 @@ def test_bracketings_are_unitriangular_and_s_inverts_t(degrees):
     checked = 0
     for n in range(1, max_length + 1):
         for d in range(min(degrees) * n, max(degrees) * n + 1):
-            forms, inverse = freelie.lie_basis_forms(gens, n, d)
+            held, inverse = freelie.lie_basis_forms(gens, n, d)
+            forms = decoded(held)
             assert forms == bracketings(gens, n, d) and len(inverse) == len(forms)
             pivots = [w for w, _ in forms]
-            assert pivots == sorted(set(pivots))
-            for pivot, terms in forms:
+            # str order of the held words is tuple order
+            assert pivots == sorted(set(pivots)) and [w for w, _ in held] == sorted(w for w, _ in held)
+            for pivot, terms in held:
                 assert terms[pivot] == 1 and min(terms) == pivot
             for j, (_, terms) in enumerate(forms):
                 st = {}
@@ -196,6 +205,59 @@ def test_bracketings_are_unitriangular_and_s_inverts_t(degrees):
             assert [b.terms for b in got] == [{words[i]: c for i, c in row.items()} for row in want]
             checked += len(forms)
     assert checked >= 2
+
+
+PIECE_PROFILES = PROFILES + [[1, 1, 1], [3, 3], [1, 3], [0, 1, 2]]
+
+
+def profile_presentation(gens, rng):
+    """d on every generator, whatever its degree: a rational multiple of a
+    letter plus one of a bracket of two letters (`_derive_int` needs no
+    d^2 = 0 and no degree shift)."""
+    names = gens.names
+    diffs = {}
+    for name in names:
+        a, b, c = (rng.choice(names) for _ in range(3))
+        diffs[name] = f"{rng.choice(_COEFFS)}*{a} + {rng.choice(_COEFFS)}*[{b}, {c}]".replace("+ -", "- ")
+    return DglPresentation.from_strings(zip(names, gens.degrees), diffs)
+
+
+@pytest.mark.parametrize("degrees", PIECE_PROFILES, ids=lambda ds: "deg" + "-".join(map(str, ds)))
+def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
+    # every piece up to length 7 against the enumeration of its words with a
+    # Lyndon test on each and a per-call memo of bracketings: the same
+    # pivots, terms and S, and d of each bracketing on str words against
+    # extend_derivation and the Fraction derivation of the tuple bracketing
+    rng = random.Random(sum(degrees) * 31 + len(degrees))
+    gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
+    P = profile_presentation(gens, rng)
+    squares = forms_seen = 0
+    for n in range(1, 8):
+        for d in range(min(degrees) * n, max(degrees) * n + 1):
+            held, inverse = freelie.lie_basis_forms(gens, n, d)
+            want = bracketings(gens, n, d)
+            assert [decode_word(w) for w, _ in held] == [w for w, _ in want], (n, d)
+            assert decoded(held) == want, (n, d)
+            # S inverts the enumeration's unitriangular matrix T
+            for j, (_, terms) in enumerate(want):
+                st = {}
+                for k, (pivot, _) in enumerate(want):
+                    for m, s in inverse[k].items():
+                        st[m] = st.get(m, 0) + s * terms.get(pivot, 0)
+                assert {m: c for m, c in st.items() if c} == {j: 1}, (n, d, j)
+            squares += sum(not is_lyndon(w) for w, _ in want)
+            forms_seen += len(want)
+            for (_, terms), (_, old) in zip(held, want):
+                img = {decode_word(w): Fraction(c, P._diff_den) for w, c in dgl._derive_int(P, terms).items()}
+                cut = {decode_word(w): Fraction(c, P._diff_den)
+                       for w, c in dgl._derive_int(P, terms, n + 1).items()}
+                elt = TensorElt(gens, old)
+                full = extend_derivation(P, elt)
+                assert img == full.terms and cut == full.truncate_length(n + 1).terms
+                # the Fraction derivation is slow on the longest pieces
+                assert n > 5 or img == fraction_derivation(P, elt)
+    assert forms_seen > len(degrees)
+    assert squares > 0 or not any(d % 2 for d in degrees)
 
 
 def test_lyndon_basis_odd_squares():
@@ -305,7 +367,7 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
         # bracketings, not reduced echelon rows: each leads with 1 at its
         # pivot word, and S is unitriangular
         for i, (pivot, terms) in enumerate(sl.forms):
-            assert terms[pivot] == 1 and min(terms) == pivot
+            assert terms[pivot] == 1 and min(terms) == pivot and type(pivot) is str
             offset, col = sl._inverse[i]
             assert col[i - offset] == 1 and min(col) == i - offset
     held = _held_objects(freelie._basis_cache)
@@ -313,8 +375,9 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
     # every piece holds the bracketings themselves, which in longer pieces
     # are not the reduced echelon elements
     differ = 0
-    for (gens, length, degree), (forms, _) in freelie._basis_cache.items():
+    for (gens, length, degree), (held, _) in freelie._basis_cache.items():
         if gens == P.gens:
+            forms = decoded(held)
             assert forms == bracketings(gens, length, degree)
             rref = rref_basis(gens, degree, length + 1)[-len(forms):]
             differ += [terms for _, terms in forms] != [b.terms for b in rref]
@@ -342,16 +405,62 @@ def test_int_coords_rejects_vectors_outside_the_slice():
     # a pivot lookup alone would read yx as 0 and [x, y] + z as [x, y]
     P = remark()
     x, y, z = 0, 1, 2
+    xy, yx, z = encode_word((x, y)), encode_word((y, x)), encode_word((z,))
     sl = P.slice(0, 4)
-    assert sl.int_coords({(x, y): 1, (y, x): -1}) == {sl._pivot[(x, y)]: 1}
+    assert sl.int_coords({xy: 1, yx: -1}) == {sl._pivot[xy]: 1}
     with pytest.raises(DglError, match="not in the degree-0 slice of L/L\\^4"):
-        sl.int_coords({(y, x): 1})
+        sl.int_coords({yx: 1})
     with pytest.raises(DglError, match="not in the degree-0 slice"):
-        sl.int_coords({(x, y): 1})
+        sl.int_coords({xy: 1})
     with pytest.raises(DglError, match=r"\(length, degree\) \(1, 1\) is outside the degree-0 slice"):
-        sl.int_coords({(x, y): 1, (y, x): -1, (z,): 1})
+        sl.int_coords({xy: 1, yx: -1, z: 1})
     with pytest.raises(DglError, match="outside the degree-0 slice"):
         sl.coords(freelie.parse_element(P.gens, "[x, z]"))
+
+
+def assert_tuple_words(elt):
+    """elt is a TensorElt whose words are tuples of generator indices."""
+    assert isinstance(elt, TensorElt)
+    for w in elt.terms:
+        assert type(w) is tuple and all(type(g) is int and 0 <= g < len(elt.gens) for g in w), w
+
+
+def test_elements_leave_the_integer_layer_with_tuple_words():
+    # str words stay inside the integer layer: every TensorElt handed out
+    # has tuple-of-int words, which cli._elt_expr and the benchmark's
+    # witness check index generator names by
+    from lietower.dgl import (Truncation, _degree0_rows, _tower_rows, boundary_solve,
+                              h0_table_from_tower, lcs_basis, top_length_obstruction)
+
+    P = remark()
+    out = []
+    for q in (0, 1, 2):
+        sl = P.slice(q, 5)
+        out += [sl.element(i) for i in range(sl.dim)]
+        out.append(sl.element_from_coords({i: Fraction(i + 1, 2) for i in range(sl.dim)}))
+        for k in range(1, 5):
+            out += lie_basis(P.gens, k, q)
+    out += [extend_derivation(P, b) for b in out[:20]] + [d_image(P, b) for b in out[:20]]
+    for t in ("x", "x - [y, x]", "[x, [x, y]]"):
+        target = freelie.parse_element(P.gens, t)
+        for exact in (False, True):
+            res = boundary_solve(P, target, Truncation(6), exact_in_l=exact)
+            out += [res.witness] if res.witness is not None else []
+    assert sum(1 for e in out if e.gens is P.gens) == len(out)
+    witnesses = len(out)
+    for q in (1, 2):
+        out += [r for row in _tower_rows(P, q, [2, 3, 4, 5]) for r in row[3]]
+    out += [r for row in _degree0_rows(P, [2, 3, 4]) for r in row[3]]
+    out += h0_table_from_tower(P, 4)[1]
+    out += list(top_length_obstruction(P, 1, range(1, 6)).kernel_witness.values())
+    out += [b for basis in lcs_basis(P, 2, Truncation(5)).per_degree.values() for b in basis]
+    positive = DglPresentation.from_strings([("a", 1), ("b", 2), ("c", 3)], {"c": "[a, a]"})
+    for q in (1, 2, 3, 4):
+        out += exact_homology(positive, q)[1]
+    assert len(out) > witnesses + 20
+    assert any(not e.is_zero() for e in out)
+    for elt in out:
+        assert_tuple_words(elt)
 
 
 def test_coords_round_trip():
@@ -595,16 +704,25 @@ def test_lie_basis_rank_check_raises(monkeypatch):
         lie_basis(gens, 2, 2)
 
 
+def broken_lyndon_forms(bracketing):
+    """A stand-in for `freelie._lyndon_forms` that gives every piece one
+    Lyndon word, 0 1 ... of the piece's length, with the given bracketing."""
+    def forms(gens, length, degree):
+        w = encode_word(range(length))
+        return [(w, bracketing(w))], [length - 1]
+    return forms
+
+
 @pytest.mark.parametrize("bracketing", [
     lambda w: {w: 2},  # leads with 2
     lambda w: {w: -1, w[::-1]: 1},  # leads with -1
     lambda w: {w[::-1]: 1},  # the pivot word is missing
-    lambda w: {w: 1, (0,) * len(w): 1},  # a word below the pivot
+    lambda w: {w: 1, encode_word((0,) * len(w)): 1},  # a word below the pivot
 ])
 def test_bracketing_triangularity_check_raises(monkeypatch, bracketing):
     gens = GeneratorSet(["x", "y"], [0, 0])
     monkeypatch.setattr(freelie, "_basis_cache", {})
-    monkeypatch.setattr(freelie, "_lyndon_bracketing", lambda g, w, memo: bracketing(w))
+    monkeypatch.setattr(freelie, "_lyndon_forms", broken_lyndon_forms(bracketing))
     with pytest.raises(InvariantError, match="does not lead with 1 at its own pivot word"):
         freelie.lie_basis_forms(gens, 2, 0)
 
@@ -645,7 +763,7 @@ def test_rank_checks_survive_optimized_mode():
             freelie.lie_basis(gens, 2, 2)
         except AssertionError as err:
             print("rank:", err)
-        freelie._lyndon_bracketing = lambda g, w, memo: {w: 2}
+        freelie._lyndon_forms = lambda g, n, d: ([("\\x00\\x01\\x01", {"\\x00\\x01\\x01": 2})], [1])
         try:
             freelie.lie_basis(gens, 3, 2)
         except AssertionError as err:
@@ -1044,6 +1162,30 @@ def test_boundary_solves_match_fraction_assembly():
     assert obstructions == 3
 
 
+def test_boundary_solve_checks_its_target_and_its_witness(monkeypatch):
+    from lietower.dgl import Truncation, boundary_solve
+
+    P = remark()
+    with pytest.raises(DglError, match="target is not a d-cycle"):
+        boundary_solve(P, freelie.parse_element(P.gens, "z"), Truncation(5))
+    # d z = x - [y, x], so z solves it in both modes
+    target = freelie.parse_element(P.gens, "x - [y, x]")
+    for exact in (False, True):
+        got = boundary_solve(P, target, Truncation(5), exact_in_l=exact)
+        assert got.status == "SAT" and got.witness.pretty() == "z"
+    # a witness at half its size fails the check, in both modes
+    int_element = DegreeSlice.int_element
+
+    def halved(self, vec):
+        den, terms = int_element(self, vec)
+        return 2 * den, terms
+
+    monkeypatch.setattr(DegreeSlice, "int_element", halved)
+    for exact in (False, True):
+        with pytest.raises(InvariantError, match="witness verification failed"):
+            boundary_solve(P, target, Truncation(5), exact_in_l=exact)
+
+
 def test_image_matrix_clears_mixed_denominators():
     # d has denominators 2 and 3: the kept matrix is 6 * M, with integer
     # entries, for M the matrix of d in the slices' coordinates
@@ -1212,20 +1354,47 @@ def test_stubborn_cycle_complex_matrices_are_integer():
 
 # -- one matrix of d per (q, n): the presentation's cache against fresh builds
 
+def is_lyndon(word):
+    """Strictly smaller than each proper suffix, in generator-index order."""
+    return all(word < word[i:] for i in range(1, len(word)))
+
+
+def lyndon_bracketing(gens, word, memo):
+    """Standard bracketing P_w = [P_u, P_v] of a Lyndon tuple word, v its
+    longest proper Lyndon suffix, with sub-bracketings memoized per call."""
+    got = memo.get(word)
+    if got is None:
+        if len(word) == 1:
+            got = TensorElt(gens, {word: 1})
+        else:
+            cut = next(i for i in range(1, len(word)) if is_lyndon(word[i:]))
+            got = freelie.graded_bracket(lyndon_bracketing(gens, word[:cut], memo),
+                                         lyndon_bracketing(gens, word[cut:], memo))
+        memo[word] = got
+    return got
+
+
 def bracketings(gens, length, degree):
     """(pivot word, terms) of the standard bracketings P_w of the Lyndon
     words w of a piece and of the products P_u P_u for the odd-degree
-    Lyndon words u of half its length and degree, sorted by pivot word."""
+    Lyndon words u of half its length and degree, sorted by pivot word:
+    the enumeration of every word of the piece, tested one by one, that
+    `freelie.lie_basis_forms` replaced, with tuple words."""
     memo = {}
     words = words_of(gens, length, degree)
-    out = [(w, freelie._lyndon_bracketing(gens, w, memo)) for w in words if freelie._is_lyndon(w)]
+    out = [(w, lyndon_bracketing(gens, w, memo)) for w in words if is_lyndon(w)]
     half = degree // 2
     if length % 2 == 0 and degree % 2 == 0 and half % 2:
         for u in words_of(gens, length // 2, half):
-            if freelie._is_lyndon(u):
-                pu = TensorElt(gens, freelie._lyndon_bracketing(gens, u, memo))
-                out.append((u + u, {w: int(c) for w, c in pu.concat(pu).terms.items()}))
-    return sorted(out, key=lambda form: form[0])
+            if is_lyndon(u):
+                pu = lyndon_bracketing(gens, u, memo)
+                out.append((u + u, pu.concat(pu)))
+    return sorted(((w, {v: int(c) for v, c in p.terms.items()}) for w, p in out), key=lambda form: form[0])
+
+
+def decoded(forms):
+    """Held forms with tuple words, terms in their held order."""
+    return [(decode_word(p), {decode_word(w): c for w, c in terms.items()}) for p, terms in forms]
 
 
 def rref_basis(gens, q, n):
@@ -1326,8 +1495,8 @@ def test_d_matrices_match_the_rref_path_on_the_stubborn_cycle():
 def test_repeated_solves_read_the_cached_matrices(monkeypatch):
     """A repeated call derives and reads no column of d again: the only
     derivations are the d-cycle test and the witness check (untruncated,
-    through `extend_derivation`), and the only coordinates read are the
-    target's, once per boundary solve."""
+    on the str words of the target and the witness), and the only
+    coordinates read are the target's, once per boundary solve."""
     from lietower import dgl
     from lietower.dgl import Truncation, boundary_solve, top_length_obstruction, witness_direction_space
 
@@ -1355,7 +1524,8 @@ def test_repeated_solves_read_the_cached_matrices(monkeypatch):
     again = [calls(t) for t in targets]
     assert again == first
     assert derived and set(derived) == {None}
-    assert read == [freelie.integer_terms(t.terms)[1] for t in targets for _ in range(4)]
+    assert read == [{encode_word(w): c for w, c in freelie.integer_terms(t.terms)[1].items()}
+                    for t in targets for _ in range(4)]
     assert {key: (dm, dm.reduction()) for key, dm in P._matrix_cache.items()} == cached
     assert {s for _, _, _, _, s, *_ in again} == {P.slice(1, 6)}
 

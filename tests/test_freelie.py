@@ -232,3 +232,29 @@ def test_format_round_trip():
         t1 = exprs.parse_lie(text, known=known)
         t2 = exprs.parse_lie(exprs.format_terms(t1), known=known)
         assert t1 == t2
+
+
+def test_expression_nodes_are_immutable_values():
+    # parsing folds equal nodes into one coefficient, so equality and hash
+    # must follow the class and the fields
+    gx, gy = exprs.Gen("x"), exprs.Gen("y")
+    assert gx == exprs.Gen("x") and hash(gx) == hash(exprs.Gen("x")) and gx != gy
+    assert exprs.Gen("x") != exprs.Prod(("x",)) and exprs.Bracket(1, 2) != exprs.Tensor(1, 2)
+    assert exprs.Tensor("a", "b") == exprs.Tensor("a", "b") != exprs.Tensor("b", "a")
+    # hash(-1) == hash(-2) in CPython: equal hashes do not make equal nodes
+    assert hash(exprs.Gen(-1)) == hash(exprs.Gen(-2)) and exprs.Gen(-1) != exprs.Gen(-2)
+    assert repr(gx) == "Gen(name='x')"
+    assert repr(exprs.Prod(("x", "y"))) == "Prod(factors=('x', 'y'))"
+    assert repr(exprs.Tensor("a", "b")) == "Tensor(left='a', right='b')"
+    with pytest.raises(AttributeError):
+        gx.name = "y"
+    with pytest.raises(AttributeError):
+        gx.other = 1
+    with pytest.raises(AttributeError):
+        del gx.name
+    assert exprs.parse_lie("[x, y] + 2*[x, y] - x") == (
+        (Fraction(3), exprs.Bracket(((Fraction(1), gx),), ((Fraction(1), gy),))),
+        (Fraction(-1), gx),
+    )
+    assert len(exprs.parse_lie("x + y")) == 2
+    assert exprs.parse_poly("x*y + 2*x*y") == ((Fraction(3), exprs.Prod(("x", "y"))),)
