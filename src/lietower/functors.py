@@ -33,9 +33,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import exprs
-from .dgl import DglPresentation, Truncation, d_image, exact_homology, validate as dgl_validate
+from .dgl import DglPresentation, Truncation, exact_homology, validate as dgl_validate
 from .freelie import GeneratorSet, TensorElt, gen_elt, graded_bracket, lie_basis, lie_dim, zero
-from .linalg import Quotient, SparseMatrix, homology_at, reduce as m_reduce
+from .linalg import IntEchelon, SparseMatrix, homology_at, reduce as m_reduce
 from .pronil import FiniteLieData, IncompleteTableError
 
 Mono = tuple[int, ...]  # sorted generator indices, repeats allowed for even gens
@@ -825,10 +825,55 @@ def shuffle(A: CdgaTable, u: BarWord, v: BarWord) -> dict[BarWord, int]:
     return out
 
 
+class _ShufflePiece:
+    """The shuffle-decomposables of one bar piece, as a normal form.
+
+    Word i of the piece's sorted words has index len(words) - 1 - i, so each
+    row of the shuffle echelon has the last word of its support as pivot.
+    `_rows` holds the reduced rows by pivot: each is zero at every other
+    pivot.  The words that are not pivots, `kept` (positions in words, in
+    order), are the classes: they are the words that stay independent of
+    the shuffles and of the words before them.
+    """
+
+    def __init__(self, words: list[BarWord], shuffles: Iterable[dict[BarWord, int]]):
+        last = len(words) - 1
+        self._index = {w: last - i for i, w in enumerate(words)}
+        ech = IntEchelon()
+        for vec in shuffles:
+            ech.insert({self._index[w]: c for w, c in vec.items()})
+        self._rows = dict(ech.reduced_rows())
+        self.kept = [i for i in range(len(words)) if last - i not in self._rows]
+        self._class = {last - i: k for k, i in enumerate(self.kept)}
+
+    def coords(self, vec: dict[BarWord, Fraction]) -> dict[int, Fraction]:
+        """vec modulo the shuffles, over the classes: each pivot word the
+        vector touches is replaced by the rest of its reduced row."""
+        out: dict[int, Fraction] = {}
+        for w, c in vec.items():
+            j = self._index[w]
+            row = self._rows.get(j)
+            if row is None:
+                _add_term(out, self._class[j], c)
+                continue
+            f = Fraction(c) / row[j]
+            for i, r in row.items():
+                if i != j:
+                    _add_term(out, self._class[i], -f * r)
+        return out
+
+
 class LieCoalgebraTrunc:
     """Quotient of the tensor coalgebra on the desuspended augmentation ideal
     by shuffle-decomposables, per (word length, degree), with the induced
-    differential and cobracket."""
+    differential and cobracket.
+
+    Each piece (q, n) holds its sorted words in `words` and one
+    `_ShufflePiece`; `basis[(q, n)]` lists the positions of its class
+    representatives among the words.  Graded commutativity gives
+    u ш v = (-1)^{|u||v|} v ш u on bar degrees, so each unordered pair of
+    words is shuffled once.
+    """
 
     def __init__(self, A: CdgaTable, q_max: int, n_max: int):
         self.A = A
@@ -845,47 +890,32 @@ class LieCoalgebraTrunc:
                      if n + A.degrees[i] - 1 <= n_max]
             for w, n in level:
                 self.words.setdefault((q, n), []).append(w)
-        self._windex = {
-            key: {w: i for i, w in enumerate(ws)} for key, ws in self.words.items()
+        self._pieces = {
+            (q, n): _ShufflePiece(ws, (
+                shuffle(A, w1, w2)
+                for q1 in range(1, q // 2 + 1)
+                for n1 in range(0, n + 1)
+                for w1 in self.words.get((q1, n1), [])
+                for w2 in self.words.get((q - q1, n - n1), [])
+                if 2 * q1 < q or w1 <= w2
+            ))
+            for (q, n), ws in sorted(self.words.items())
         }
-        # shuffle-decomposable subspaces and quotient representatives
-        self._reducer: dict[tuple[int, int], Quotient] = {}
-        for (q, n), ws in sorted(self.words.items()):
-            shuffles = []
-            for q1 in range(1, q):
-                q2 = q - q1
-                for n1 in range(0, n + 1):
-                    for w1 in self.words.get((q1, n1), []):
-                        for w2 in self.words.get((q2, n - n1), []):
-                            vec = {}
-                            for w, c in shuffle(A, w1, w2).items():
-                                vec[self._windex[(q, n)][w]] = Fraction(c)
-                            if vec:
-                                shuffles.append(vec)
-            self._reducer[(q, n)] = Quotient(shuffles, ({i: 1} for i in range(len(ws))))
         self.basis: dict[tuple[int, int], list[int]] = {
-            key: red.kept for key, red in self._reducer.items()
+            key: piece.kept for key, piece in self._pieces.items()
         }
 
     def dim(self, q: int, n: int) -> int:
-        red = self._reducer.get((q, n))
-        return red.dim if red else 0
+        return len(self.basis.get((q, n), ()))
 
     def rep_words(self, q: int, n: int) -> list[BarWord]:
-        red = self._reducer.get((q, n))
-        if not red:
-            return []
-        return [self.words[(q, n)][i] for i in red.kept]
+        return [self.words[(q, n)][i] for i in self.basis.get((q, n), ())]
 
     def class_coords(self, q: int, n: int, vec: dict[BarWord, Fraction]) -> dict[int, Fraction]:
         """Coordinates of a word vector in the quotient basis."""
         if not vec:
             return {}
-        windex = self._windex[(q, n)]
-        got = self._reducer[(q, n)].coords({windex[w]: c for w, c in vec.items()})
-        if got is None:
-            raise FunctorError("vector escapes the quotient span")
-        return got
+        return self._pieces[(q, n)].coords(vec)
 
     def differential_matrix(self, q: int, n: int) -> dict[tuple[int, int], SparseMatrix]:
         """Induced differential on classes: (q, n) -> {(q, n+1), (q-1, n+1)}."""
@@ -910,25 +940,6 @@ class LieCoalgebraTrunc:
             colvecs = [cols.get(i, {}) for i in range(len(reps))]
             mats[key] = SparseMatrix.from_columns(self.dim(*key), colvecs)
         return mats
-
-    def shuffles_are_stable_under_d(self) -> bool:
-        """The differential of a shuffle stays shuffle-decomposable."""
-        for (q, n), ws in sorted(self.words.items()):
-            for q1 in range(1, q):
-                for n1 in range(0, n + 1):
-                    for w1 in self.words.get((q1, n1), [])[:4]:
-                        for w2 in self.words.get((q - q1, n - n1), [])[:4]:
-                            vec = shuffle(self.A, w1, w2)
-                            img = bar_differential(self.A, {w: Fraction(c) for w, c in vec.items()})
-                            by_key: dict[tuple[int, int], dict] = {}
-                            for ww, c in img.items():
-                                key = (len(ww), _bar_degree(self.A, ww))
-                                if key in self.words:
-                                    by_key.setdefault(key, {})[ww] = c
-                            for key, v in by_key.items():
-                                if self.class_coords(*key, v):
-                                    return False
-        return True
 
     def cobracket(self, q: int, n: int, rep_index: int):
         """Cobracket of a class: deconcatenation minus its graded flip,
@@ -957,8 +968,8 @@ class LieCoalgebraTrunc:
     def lie_coalgebra_axioms_ok(self) -> bool:
         """(1 + flip) of the cobracket vanishes and the cyclic co-Jacobi sum
         (1 + sigma + sigma^2)(1 x cob) cob vanishes, exactly, on every class."""
-        for (q, n), red in sorted(self._reducer.items()):
-            for idx in range(red.dim):
+        for (q, n), kept in sorted(self.basis.items()):
+            for idx in range(len(kept)):
                 cob = self.cobracket(q, n, idx)
                 if _koszul_sum(cob, ((0, 1), (1, 0))):
                     return False
@@ -1117,13 +1128,12 @@ def _pairing(E: LieCoalgebraTrunc, elements: Sequence[TensorElt], q: int, n: int
     """<u, w> for u in elements (rows) and w the class representatives at
     (q, n) (columns): tensor duals pair diagonally with words, so <u, w> is
     the coefficient of w in u times `_word_pairing_sign(w)`."""
-    reps = E.rep_words(q, n)
-    signs = [_word_pairing_sign(E.A, w) for w in reps]
-    return SparseMatrix(len(elements), len(reps), {
-        (r, c): u.terms[w] * sign
+    cols = {w: (c, _word_pairing_sign(E.A, w)) for c, w in enumerate(E.rep_words(q, n))}
+    return SparseMatrix(len(elements), len(cols), {
+        (r, cols[w][0]): coeff * cols[w][1]
         for r, u in enumerate(elements)
-        for c, (w, sign) in enumerate(zip(reps, signs))
-        if w in u.terms
+        for w, coeff in u.terms.items()
+        if w in cols
     })
 
 
@@ -1137,10 +1147,26 @@ def _pairing_matrices(E: LieCoalgebraTrunc, model: DglPresentation, q_max: int, 
     }
 
 
+def _lie_side(model: DglPresentation, top: int, pi: SparseMatrix, q: int, q2: int, n2: int) -> SparseMatrix:
+    """Pi(d_L basis_{q2, n2}, reps_{q, n2 - 1}) as D^T pi, for pi = Pi_{q, n2 - 1}
+    and D the block from length q2 to length q of the model's kept matrix of
+    d in degree n2 on L/L^top, over its `den`.  The slices order each
+    length's basis as `lie_basis` does, from `count_below` of that length."""
+    dm = model.d_matrix(n2, top, top)
+    src, tgt = model.slice(n2, top), model.slice(n2 - 1, top)
+    r0, c0 = tgt.count_below(q), src.count_below(q2)
+    rows = src.count_below(q2 + 1) - c0
+    return SparseMatrix(rows, pi.rows, {
+        (j - c0, i - r0): Fraction(c, dm.den) for (i, j), c in dm.matrix.entries.items()
+        if 0 <= i - r0 < pi.rows and 0 <= j - c0 < rows
+    }).compose(pi)
+
+
 def _differentials_match(E: LieCoalgebraTrunc, model: DglPresentation, pairings) -> bool:
     """<d_L u, w> = (-1)^{|u|} <u, D_E w>, the fixed adjointness convention,
     as one matrix identity per block M of D_E from (q, n) to (q2, n2):
-    Pi(d_L basis_{q2, n2}, reps_{q, n}) = (-1)^{n2} Pi_{q2, n2} M.  A block
+    Pi(d_L basis_{q2, n2}, reps_{q, n}) = (-1)^{n2} Pi_{q2, n2} M, the left
+    side read off the model's kept matrix of d by `_lie_side`.  A block
     whose target has no pairing matrix must be zero; any deviation anywhere
     fails the check."""
     for q, n in pairings:
@@ -1150,7 +1176,7 @@ def _differentials_match(E: LieCoalgebraTrunc, model: DglPresentation, pairings)
                 if not mat.is_zero():
                     return False
                 continue
-            lhs = _pairing(E, [d_image(model, u) for u in lie_basis(model.gens, q2, n2)], q, n)
+            lhs = _lie_side(model, E.q_max + 1, pairings[(q, n)], q, q2, n2)
             sign = -1 if n2 % 2 else 1
             if lhs.entries != {key: sign * c for key, c in target.compose(mat).entries.items()}:
                 return False

@@ -199,6 +199,17 @@ def test_cli_duality_sphere():
     assert "ok" in out
 
 
+@pytest.mark.parametrize("max_length, lengths", [("3", [1, 2, 3]), ("6", [1, 2, 3, 4])])
+def test_cli_duality_window_is_inclusive_and_capped_at_length_4(max_length, lengths):
+    # duality checks word lengths 1..min(--max-length, 4) and degrees 0..--max-degree, both inclusive
+    path = os.path.join(FILES, "even_sphere.sullivan")
+    code, out = run_cli(["duality", path, "--max-length", max_length, "--max-degree", "5",
+                         "--format", "structured"])
+    assert code == 0
+    dims = json.loads(out)["report"]["dims"]
+    assert [(r["q"], r["n"]) for r in dims] == [(q, n) for q in lengths for n in range(6)]
+
+
 def test_cli_lemma2_sphere():
     path = os.path.join(FILES, "even_sphere.sullivan")
     code, out = run_cli(["lemma2", path, "--degrees", "1..4", "--format", "structured"])

@@ -33,7 +33,12 @@
   in `shuffle`, `_unshuffle` and `_ce_delta` against the crossing counters
   it replaced, the in-place derivation of `FreeCdgaWindow` against the
   Leibniz rule on seeded mixed-parity algebras, and the bar words within
-  the degree budget against product-and-filter.
+  the degree budget against product-and-filter;
+* the bar quotient (each unordered pair of words shuffled once, class
+  coordinates as a normal form against the reduced shuffle rows) against
+  every ordered pair through `linalg.Quotient`, and the duality check's
+  left side read off the kept matrices of d against the `d_image`
+  pairing, with the verdict of the path they replaced.
 
 Every invariant check that guards these paths must also hold under
 `python -O`, so they are exercised in a child interpreter started with -O.
@@ -50,7 +55,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietower import cli, dgl, freelie
+from lietower import cli, dgl, freelie, functors
 from lietower.dgl import (
     DegreeSlice,
     DglError,
@@ -79,13 +84,22 @@ from lietower.functors import (
     CdgaTable,
     FiniteDgl,
     FreeCdgaWindow,
+    LieCoalgebraTrunc,
     _ce_delta,
     _unshuffle,
     monomials_up_to,
     normalize_monomial,
     shuffle,
 )
-from lietower.linalg import IntEchelon, InvariantError, NotAComplexError, SparseMatrix, reduce, solve_affine
+from lietower.linalg import (
+    IntEchelon,
+    InvariantError,
+    NotAComplexError,
+    Quotient,
+    SparseMatrix,
+    reduce,
+    solve_affine,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
@@ -1743,3 +1757,123 @@ def test_bar_words_within_budget_match_product_and_filter(name):
         E = bar_lie_coalgebra_E(S, q_max, n_max)
         want = product_bar_words(E.A, q_max, n_max)
         assert E.words == want and list(E.words) == list(want), (q_max, n_max)
+
+
+# -- functors: the bar quotient and the duality check against the paths they replaced
+
+
+class OrderedPairQuotient(LieCoalgebraTrunc):
+    """The bar quotient as it was built before: every ordered pair of words
+    shuffled with Fraction entries, the classes picked from the unit vectors
+    in word order by `linalg.Quotient`, and class coordinates read through
+    its tracked echelon.  The differential, the cobracket and the pairings
+    are `LieCoalgebraTrunc`'s."""
+
+    def __init__(self, A, q_max, n_max):
+        self.A, self.q_max, self.n_max = A, q_max, n_max
+        self.words = product_bar_words(A, q_max, n_max)
+        self.windex = {key: {w: i for i, w in enumerate(ws)} for key, ws in self.words.items()}
+        self.reducer = {}
+        for (q, n), ws in self.words.items():
+            shuffles = [
+                {self.windex[(q, n)][w]: Fraction(c) for w, c in shuffle(A, w1, w2).items()}
+                for q1 in range(1, q)
+                for n1 in range(0, n + 1)
+                for w1 in self.words.get((q1, n1), [])
+                for w2 in self.words.get((q - q1, n - n1), [])
+            ]
+            self.reducer[(q, n)] = Quotient([v for v in shuffles if v], ({i: 1} for i in range(len(ws))))
+        self.basis = {key: red.kept for key, red in self.reducer.items()}
+
+    def class_coords(self, q, n, vec):
+        if not vec:
+            return {}
+        got = self.reducer[(q, n)].coords({self.windex[(q, n)][w]: c for w, c in vec.items()})
+        assert got is not None, "vector escapes the quotient span"
+        return got
+
+
+def d_image_differentials_match(E, model, pairings):
+    """The block identities with the left side paired through `d_image`."""
+    for q, n in pairings:
+        for (q2, n2), mat in E.differential_matrix(q, n).items():
+            target = pairings.get((q2, n2))
+            if target is None:
+                if not mat.is_zero():
+                    return False
+                continue
+            lhs = functors._pairing(E, [d_image(model, u) for u in lie_basis(model.gens, q2, n2)], q, n)
+            sign = -1 if n2 % 2 else 1
+            if lhs.entries != {key: sign * c for key, c in target.compose(mat).entries.items()}:
+                return False
+    return True
+
+
+DUALITY_ALGEBRAS = {
+    "s3_times_s3": ([("a", 3), ("b", 3)], {}),
+    "s1_times_s2": ([("x", 1), ("e2", 2), ("e3", 3)], {"e3": "e2 * e2"}),
+    "cp2": ([("x", 2), ("y", 5)], {"y": "x * x * x"}),
+    "s3_times_s5": ([("a", 3), ("b", 5)], {}),
+    "s1_s1_s3": ([("x", 1), ("y", 1), ("z", 3)], {}),
+    "s2_times_s2": ([("x", 2), ("y", 3), ("u", 2), ("v", 3)], {"y": "x * x", "v": "u * u"}),
+    "filiform": ([("x", 1), ("y", 1), ("z", 1), ("t", 1)], {"z": "x * y", "t": "x * z"}),
+}
+
+
+def duality_algebra(name):
+    if name in DUALITY_ALGEBRAS:
+        return functors.SullivanAlgebra.from_strings(*DUALITY_ALGEBRAS[name])
+    with open(os.path.join(FILES, f"{name}.sullivan")) as fh:
+        return cli.parse(fh.read()).to_sullivan()
+
+
+@pytest.mark.parametrize("window", [(6, 4), (8, 3)], ids=["6-4", "8-3"])
+@pytest.mark.parametrize("name", ["even_line", "even_sphere", "heisenberg", *DUALITY_ALGEBRAS])
+def test_duality_matches_the_ordered_pair_quotient_and_d_image(monkeypatch, name, window):
+    n_window, q_max = window
+    S = duality_algebra(name)
+    E = functors.bar_lie_coalgebra_E(S, q_max, n_window)
+    ref = OrderedPairQuotient(E.A, q_max, n_window)
+    assert E.words == ref.words and E.basis == ref.basis
+    for key in E.words:
+        assert E.dim(*key) == ref.dim(*key) and E.rep_words(*key) == ref.rep_words(*key), key
+        for w in E.rep_words(*key):
+            by_key = {}
+            for ww, c in functors.bar_differential(E.A, {w: Fraction(1)}).items():
+                by_key.setdefault((len(ww), functors._bar_degree(E.A, ww)), {})[ww] = c
+            for img_key, vec in by_key.items():
+                if img_key in E.words:
+                    assert E.class_coords(*img_key, vec) == ref.class_coords(*img_key, vec), (key, w)
+
+    model = functors.neisendorfer_model(S, n_window + 1)
+    pairings = functors._pairing_matrices(E, model, q_max, n_window)
+    blocks = 0
+    for q, n in pairings:
+        for q2, n2 in E.differential_matrix(q, n):
+            if (q2, n2) in pairings:
+                want = functors._pairing(E, [d_image(model, u) for u in lie_basis(model.gens, q2, n2)], q, n)
+                got = functors._lie_side(model, q_max + 1, pairings[(q, n)], q, q2, n2)
+                assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries), (q, n, q2, n2)
+                blocks += 1
+
+    report = functors.duality_check(S, n_window, q_max).to_structured()
+    monkeypatch.setattr(functors, "bar_lie_coalgebra_E", lambda *args: ref)
+    monkeypatch.setattr(functors, "_differentials_match", d_image_differentials_match)
+    assert report == functors.duality_check(S, n_window, q_max).to_structured()
+    assert blocks or report["detail"].startswith("dimension")
+
+
+@pytest.mark.parametrize("name", ["even_line", "even_sphere", "heisenberg"])
+def test_shuffle_is_graded_commutative_on_bar_degrees(name):
+    """u ш v = (-1)^{|u||v|} v ш u on bar degrees: the reason the bar
+    quotient shuffles each unordered pair of words once."""
+    A = functors.bar_lie_coalgebra_E(duality_algebra(name), 4, 8).A
+    rng = random.Random(34)
+    signs = set()
+    for _ in range(300):
+        u = tuple(rng.randrange(A.dim) for _ in range(rng.randint(1, 3)))
+        v = tuple(rng.randrange(A.dim) for _ in range(rng.randint(1, 3)))
+        sign = -1 if functors._bar_degree(A, u) * functors._bar_degree(A, v) % 2 else 1
+        assert shuffle(A, u, v) == {w: sign * c for w, c in shuffle(A, v, u).items()}, (u, v)
+        signs.add(sign)
+    assert -1 in signs

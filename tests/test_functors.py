@@ -327,9 +327,30 @@ def test_bar_zero_products_zero_differential():
     assert E.lie_coalgebra_axioms_ok()
 
 
+def shuffles_are_stable_under_d(E):
+    """The bar differential of a shuffle of two words (the first four of
+    each piece) is zero in every class of the quotient it lands in."""
+    for (q, n) in sorted(E.words):
+        for q1 in range(1, q):
+            for n1 in range(0, n + 1):
+                for w1 in E.words.get((q1, n1), [])[:4]:
+                    for w2 in E.words.get((q - q1, n - n1), [])[:4]:
+                        vec = shuffle(E.A, w1, w2)
+                        img = bar_differential(E.A, {w: Fraction(c) for w, c in vec.items()})
+                        by_key = {}
+                        for ww, c in img.items():
+                            key = (len(ww), _bar_degree(E.A, ww))
+                            if key in E.words:
+                                by_key.setdefault(key, {})[ww] = c
+                        for key, v in by_key.items():
+                            if E.class_coords(*key, v):
+                                return False
+    return True
+
+
 def test_shuffle_subspace_stable_under_bar_differential():
-    assert bar_lie_coalgebra_E(sphere2(), 3, 6).shuffles_are_stable_under_d()
-    assert bar_lie_coalgebra_E(heisenberg(), 3, 3).shuffles_are_stable_under_d()
+    assert shuffles_are_stable_under_d(bar_lie_coalgebra_E(sphere2(), 3, 6))
+    assert shuffles_are_stable_under_d(bar_lie_coalgebra_E(heisenberg(), 3, 3))
 
 
 def test_lie_coalgebra_axioms_on_outputs():
