@@ -574,7 +574,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("path", help="input file, or - for standard input")
-    parser.add_argument("--max-length", type=int, default=6, help="retain word lengths below this")
+    parser.add_argument("--max-length", type=int, default=6,
+                        help="retain word lengths below this; duality checks word lengths "
+                        "1..min(MAX_LENGTH, 4) and degrees 0..MAX_DEGREE, both inclusive")
     parser.add_argument("--max-degree", type=int, default=8)
     parser.add_argument("--degrees", type=str, default="0..1", help="degree window A..B")
     parser.add_argument("--tower", type=str, default=None, help="tower range A..B")

@@ -46,6 +46,7 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     _combine_columns,
+    complement_basis,
     homology_at,
     reduce,
 )
@@ -96,6 +97,7 @@ class DglPresentation:
         self._slice_cache: dict[tuple[int, int], DegreeSlice] = {}
         self._matrix_cache: dict[tuple[int, int, int], DMatrix] = {}
         self._obstruction_cache: dict[tuple[int, tuple[int, ...]], ObstructionReport] = {}
+        self._closure_cache: dict[int, tuple[IntEchelon, DegreeSlice]] = {}
         self._positive = all(d >= 1 for d in gens.degrees)
         # d(g) = terms / _diff_den with integer terms, by the str letter of g
         self._diff_den = lcm(*(c.denominator for v in self.diff.values() for c in v.terms.values()))
@@ -461,12 +463,15 @@ def lcs_quotient_complex(
 # the algebra is the iterated-ad module on the degree-1 generators and d
 # commutes with bracketing by degree-0 elements.  The image of d in degree 0
 # is therefore the smallest bracket-stable subspace containing d(V_1).  It is
-# computed once at the top truncation; because the echelon is held in the
-# coordinates of the degree-0 slice (shortest length first), projecting to a
-# lower truncation keeps exactly the rows whose pivot has retained length.
+# computed once per presentation and top truncation; because the echelon is
+# held in the coordinates of the degree-0 slice (shortest length first),
+# projecting to a lower truncation keeps exactly the rows whose pivot has
+# retained length.
 
 
 def _degree0_boundary_closure(P: DglPresentation, n_top: int) -> tuple[IntEchelon, DegreeSlice]:
+    if n_top in P._closure_cache:
+        return P._closure_cache[n_top]
     gens = P.gens
     sl = P.slice(0, n_top)
     ech = IntEchelon()
@@ -483,16 +488,8 @@ def _degree0_boundary_closure(P: DglPresentation, n_top: int) -> tuple[IntEchelo
                 if p is not None:
                     new.append(sl.element_from_coords(ech.rows[p]))
         frontier = new
+    P._closure_cache[n_top] = ech, sl
     return ech, sl
-
-
-def _degree0_quotient(ech: IntEchelon, sl: DegreeSlice, n: int) -> Quotient:
-    """H(L/L^n)_0: the leading block of the slice modulo the closure rows
-    whose pivot has retained length, represented by slice elements (the
-    candidates are the unit vectors, so `kept` indexes the slice basis)."""
-    limit = sl.count_below(n)
-    sub = [{i: c for i, c in row.items() if i < limit} for p, row in ech.rows.items() if p < limit]
-    return Quotient(sub, ({i: 1} for i in range(limit)), limit=limit - len(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +619,10 @@ def _degree0_rows(P: DglPresentation, ns: list[int]):
     """Yield the tower rows of H(L/L^n)_0 for each n in ns (see homology_tower)."""
     ech, sl = _degree0_boundary_closure(P, max(ns))
     for n in ns:
-        quotient = _degree0_quotient(ech, sl, n)
+        # L_0 of L/L^n modulo the closure rows whose pivot has retained length
+        limit = sl.count_below(n)
+        sub = ({i: c for i, c in row.items() if i < limit} for p, row in ech.rows.items() if p < limit)
+        quotient = Quotient(sub, limit)
         yield n, quotient.dim, quotient.dim, [sl.element(i) for i in quotient.kept]
 
 
@@ -670,7 +670,8 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
             for p in in_pivots[: above.count_below(n)]
             if p is not None and p < c_n
         ]
-        reps = Quotient(boundaries, cycles.basis).representatives
+        # the boundaries lie in the cycles: d o d = 0 was checked exactly above
+        reps = complement_basis(cycles, boundaries)
         dim = len(reps)
         if dim != dim_h(n):
             raise InvariantError(f"leading-block ranks give dim H = {dim_h(n)} at n = {n}, "
@@ -1063,15 +1064,13 @@ def h0_table_from_tower(P: DglPresentation, n: int):
     table is that finite-dimensional Lie algebra on canonical representatives.
     """
     ech, sl = _degree0_boundary_closure(P, n)
-    quotient = _degree0_quotient(ech, sl, n)
+    quotient = Quotient(ech.rows.values(), sl.dim)
     reps = [sl.element(i) for i in quotient.kept]
     names = [f"h{i}" for i in range(len(reps))]
     brackets = {}
     for i, ri in enumerate(reps):
         for j in range(i, len(reps)):
             expr = quotient.coords(sl.coords(graded_bracket(ri, reps[j])))
-            if expr is None:
-                raise DglError("quotient bracket failed to close; this is a bug")
             entry = {names[k]: c for k, c in expr.items()}
             if entry:
                 brackets[(names[i], names[j])] = entry
@@ -1106,7 +1105,7 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
         if any(i >= limit for i in acc):
             raise InvariantError("window intersection leaked long words")
         boundary_ech.insert(acc)
-    quotient = Quotient(boundary_ech.rows.values(), ({i: 1} for i in range(limit)))
+    quotient = Quotient(boundary_ech.rows.values(), limit)
     reps = [out.element(i) for i in quotient.kept]
     names = [f"c{i}" for i in range(len(reps))]
     brackets = {}
@@ -1118,9 +1117,6 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
                 closed = False
                 continue
             expr = quotient.coords(out.coords(val))
-            if expr is None:
-                closed = False
-                continue
             entry = {names[k]: c for k, c in expr.items()}
             if entry:
                 brackets[(names[i], names[j])] = entry

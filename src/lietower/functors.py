@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import exprs
 from .dgl import DglPresentation, Truncation, exact_homology, validate as dgl_validate
 from .freelie import GeneratorSet, TensorElt, gen_elt, graded_bracket, lie_basis, lie_dim, zero
-from .linalg import IntEchelon, SparseMatrix, homology_at, reduce as m_reduce
+from .linalg import Quotient, SparseMatrix, _add_term, homology_at, reduce as m_reduce
 from .pronil import FiniteLieData, IncompleteTableError
 
 Mono = tuple[int, ...]  # sorted generator indices, repeats allowed for even gens
@@ -76,15 +76,6 @@ def normalize_monomial(degrees: Sequence[int], word: Iterable[int]) -> tuple[Opt
         if a == b and degrees[a] % 2:
             return None, 0
     return tuple(word), sign
-
-
-def _add_term(p: dict, m, c) -> None:
-    """p[m] += c in place, with no stored zeros."""
-    s = p.get(m, 0) + c
-    if s:
-        p[m] = s
-    else:
-        p.pop(m, None)
 
 
 def derive_monomial(
@@ -825,54 +816,16 @@ def shuffle(A: CdgaTable, u: BarWord, v: BarWord) -> dict[BarWord, int]:
     return out
 
 
-class _ShufflePiece:
-    """The shuffle-decomposables of one bar piece, as a normal form.
-
-    Word i of the piece's sorted words has index len(words) - 1 - i, so each
-    row of the shuffle echelon has the last word of its support as pivot.
-    `_rows` holds the reduced rows by pivot: each is zero at every other
-    pivot.  The words that are not pivots, `kept` (positions in words, in
-    order), are the classes: they are the words that stay independent of
-    the shuffles and of the words before them.
-    """
-
-    def __init__(self, words: list[BarWord], shuffles: Iterable[dict[BarWord, int]]):
-        last = len(words) - 1
-        self._index = {w: last - i for i, w in enumerate(words)}
-        ech = IntEchelon()
-        for vec in shuffles:
-            ech.insert({self._index[w]: c for w, c in vec.items()})
-        self._rows = dict(ech.reduced_rows())
-        self.kept = [i for i in range(len(words)) if last - i not in self._rows]
-        self._class = {last - i: k for k, i in enumerate(self.kept)}
-
-    def coords(self, vec: dict[BarWord, Fraction]) -> dict[int, Fraction]:
-        """vec modulo the shuffles, over the classes: each pivot word the
-        vector touches is replaced by the rest of its reduced row."""
-        out: dict[int, Fraction] = {}
-        for w, c in vec.items():
-            j = self._index[w]
-            row = self._rows.get(j)
-            if row is None:
-                _add_term(out, self._class[j], c)
-                continue
-            f = Fraction(c) / row[j]
-            for i, r in row.items():
-                if i != j:
-                    _add_term(out, self._class[i], -f * r)
-        return out
-
-
 class LieCoalgebraTrunc:
     """Quotient of the tensor coalgebra on the desuspended augmentation ideal
     by shuffle-decomposables, per (word length, degree), with the induced
     differential and cobracket.
 
     Each piece (q, n) holds its sorted words in `words` and one
-    `_ShufflePiece`; `basis[(q, n)]` lists the positions of its class
-    representatives among the words.  Graded commutativity gives
-    u ш v = (-1)^{|u||v|} v ш u on bar degrees, so each unordered pair of
-    words is shuffled once.
+    `linalg.Quotient` over their positions, modulo the shuffles;
+    `basis[(q, n)]` lists the positions of its class representatives among
+    the words.  Graded commutativity gives u ш v = (-1)^{|u||v|} v ш u on
+    bar degrees, so each unordered pair of words is shuffled once.
     """
 
     def __init__(self, A: CdgaTable, q_max: int, n_max: int):
@@ -890,15 +843,16 @@ class LieCoalgebraTrunc:
                      if n + A.degrees[i] - 1 <= n_max]
             for w, n in level:
                 self.words.setdefault((q, n), []).append(w)
+        self._position = {key: {w: i for i, w in enumerate(ws)} for key, ws in self.words.items()}
         self._pieces = {
-            (q, n): _ShufflePiece(ws, (
-                shuffle(A, w1, w2)
+            (q, n): Quotient((
+                {self._position[(q, n)][w]: c for w, c in shuffle(A, w1, w2).items()}
                 for q1 in range(1, q // 2 + 1)
                 for n1 in range(0, n + 1)
                 for w1 in self.words.get((q1, n1), [])
                 for w2 in self.words.get((q - q1, n - n1), [])
                 if 2 * q1 < q or w1 <= w2
-            ))
+            ), len(ws))
             for (q, n), ws in sorted(self.words.items())
         }
         self.basis: dict[tuple[int, int], list[int]] = {
@@ -915,7 +869,8 @@ class LieCoalgebraTrunc:
         """Coordinates of a word vector in the quotient basis."""
         if not vec:
             return {}
-        return self._pieces[(q, n)].coords(vec)
+        position = self._position[(q, n)]
+        return self._pieces[(q, n)].coords({position[w]: c for w, c in vec.items()})
 
     def differential_matrix(self, q: int, n: int) -> dict[tuple[int, int], SparseMatrix]:
         """Induced differential on classes: (q, n) -> {(q, n+1), (q-1, n+1)}."""

@@ -9,8 +9,10 @@ stored row also carries the integer combination of the inputs that gives
 it; the content is taken over the row and its combination together, so
 both stay integral.  `reduce` and `solve_affine` read one left-to-right
 pass of the columns through a tracked echelon, `ColumnReduction`, which a
-caller may also keep to solve against again; every quotient picks its
-representatives through `Quotient`.
+caller may also keep to solve against again.  Every quotient is one
+`Quotient`: Q^size modulo a subspace, represented by the unit vectors
+that are no row's last index in its echelon, with coordinates as the
+normal form against its reduced rows.
 
 `Fraction` remains at the edges: matrices take int or Fraction entries, and
 the public vectors that come out (reduced echelon bases, particular
@@ -77,6 +79,15 @@ def _clear_denominators(v: dict) -> tuple[int, dict[int, int]]:
     if den == 1:
         return 1, {i: c.numerator for i, c in v.items() if c}
     return den, {i: c.numerator * (den // c.denominator) for i, c in v.items() if c}
+
+
+def _add_term(p: dict, m, c) -> None:
+    """p[m] += c in place, with no stored zeros."""
+    s = p.get(m, 0) + c
+    if s:
+        p[m] = s
+    else:
+        p.pop(m, None)
 
 
 def _sub_multiple(u: dict[int, int], a: int, w: dict[int, int], b: int) -> dict[int, int]:
@@ -413,46 +424,62 @@ class QuotientInfo:
 
 
 class Quotient:
-    """span(sub + candidates) / span(sub), represented by candidates.
+    """Q^size modulo span(sub), represented by unit vectors.
 
-    The representatives are the candidates that stay independent modulo
-    span(sub), kept in order; `kept` holds their positions among the
-    candidates.  Candidates are read lazily, and reading stops as soon as
-    `limit` representatives are kept.
+    Unit vector i is kept when it is independent of sub and of the unit
+    vectors before it.  Index i is stored as size - 1 - i, so each row of
+    sub's echelon has its last index as pivot, and the kept indices, in
+    order, are exactly those that are no row's pivot.
     """
 
-    def __init__(self, sub: Iterable[dict], candidates: Iterable[dict], limit: Optional[int] = None):
-        ech = IntEchelon()
+    def __init__(self, sub: Iterable[dict], size: int):
+        self.size = size
+        last = size - 1
+        self._echelon = IntEchelon()
         for v in sub:
-            ech.insert(v)
-        self._sub = list(ech.rows.values())
-        self.representatives: list[dict] = []
-        self.kept: list[int] = []
-        for i, v in enumerate(candidates if limit != 0 else ()):
-            if ech.insert(v) is not None:
-                self.kept.append(i)
-                self.representatives.append(v)
-                if len(self.kept) == limit:
-                    break
-        self._tracked: Optional[IntEchelon] = None
+            self._check(v)
+            self._echelon.insert({last - i: c for i, c in v.items()})
+        self.kept = [i for i in range(size) if last - i not in self._echelon.rows]
+        self._class = {last - i: k for k, i in enumerate(self.kept)}
+        self._rows: Optional[dict[int, dict[int, int]]] = None
+
+    def _check(self, vec: dict) -> None:
+        """DimensionMismatch unless every coordinate of vec is in [0, size)."""
+        if vec and not (0 <= min(vec) and max(vec) < self.size):
+            raise DimensionMismatch(f"coordinates {sorted(vec)} outside quotient ambient dimension {self.size}")
 
     @property
     def dim(self) -> int:
-        return len(self.representatives)
+        return len(self.kept)
 
-    def coords(self, vec: dict) -> Optional[Vec]:
-        """vec over the representatives, its part in span(sub) dropped; None
-        when vec is outside span(sub + representatives).  The tracked echelon
-        (sub rows, then representatives) is built on the first call."""
-        if self._tracked is None:
-            self._tracked = IntEchelon(track=True)
-            for v in self._sub + self.representatives:
-                self._tracked.insert(v)
-        got = self._tracked.express(vec)
-        if got is None:
-            return None
-        k = len(self._sub)
-        return {i - k: c for i, c in got.items() if i >= k}
+    def coords(self, vec: dict) -> Vec:
+        """vec modulo span(sub), over the kept unit vectors: its normal form
+        against sub's reduced rows, each pivot entry replaced by the rest of
+        its row.  The reduced rows are built on the first call."""
+        self._check(vec)
+        if self._rows is None:
+            self._rows = dict(self._echelon.reduced_rows())
+        last = self.size - 1
+        out: Vec = {}
+        for i, c in vec.items():
+            j = last - i
+            row = self._rows.get(j)
+            if row is None:
+                _add_term(out, self._class[j], c)
+                continue
+            f = Fraction(c) / row[j]
+            for k, r in row.items():
+                if k != j:
+                    _add_term(out, self._class[k], -f * r)
+        return out
+
+
+def complement_basis(w: Subspace, sub: Iterable[dict]) -> list[Vec]:
+    """The elements of W's reduced echelon basis kept by W / span(sub), for
+    sub inside W.  Each basis element is 1 at its own pivot and 0 at the
+    others, so a vector of W has its entries at the pivots as coordinates."""
+    coords = ({k: v[p] for k, p in enumerate(w.pivots) if p in v} for v in sub)
+    return [w.basis[k] for k in Quotient(coords, w.dim).kept]
 
 
 def quotient_dims(w: Subspace, u: Subspace) -> QuotientInfo:
@@ -461,7 +488,7 @@ def quotient_dims(w: Subspace, u: Subspace) -> QuotientInfo:
         raise DimensionMismatch("ambient dimensions differ")
     if not w.contains_subspace(u):
         raise ContainmentError("U is not contained in W")
-    reps = Quotient(u.basis, w.basis).representatives
+    reps = complement_basis(w, u.basis)
     if len(reps) != w.dim - u.dim:
         raise InvariantError(f"{len(reps)} representatives for a quotient of dim {w.dim - u.dim}")
     return QuotientInfo(w.dim - u.dim, reps)
@@ -480,7 +507,7 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> tuple[int, list[Vec]
         raise NotAComplexError("composite differential is nonzero")
     rank_in, _, image = reduce(d_in)
     _, cycles, _ = reduce(d_out)
-    reps = Quotient(image.basis, cycles.basis).representatives
+    reps = complement_basis(cycles, image.basis)
     dim = cycles.dim - rank_in
     if dim != len(reps):
         raise InvariantError(f"{len(reps)} homology representatives for dim {dim}")

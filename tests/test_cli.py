@@ -192,6 +192,19 @@ def test_cli_neisendorfer_heisenberg():
     assert cli.parse(model_doc.pretty()) == model_doc
 
 
+def test_cli_neisendorfer_builds_the_degree0_closure_once(monkeypatch):
+    # the degree-0 tower rows and the stabilized table read one bracket closure of d(V_1)
+    from lietower import dgl
+
+    closures = []
+    build = dgl._degree0_boundary_closure
+    monkeypatch.setattr(dgl, "_degree0_boundary_closure",
+                        lambda P, n_top: closures.append(build(P, n_top)) or closures[-1])
+    path = os.path.join(FILES, "heisenberg.sullivan")
+    assert run_cli(["neisendorfer", path, "--max-length", "5"])[0] == 0
+    assert len(closures) == 2 and closures[0][0] is closures[1][0]
+
+
 def test_cli_duality_sphere():
     path = os.path.join(FILES, "even_sphere.sullivan")
     code, out = run_cli(["duality", path, "--max-degree", "6", "--max-length", "3"])

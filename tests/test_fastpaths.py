@@ -36,9 +36,9 @@
   the degree budget against product-and-filter;
 * the bar quotient (each unordered pair of words shuffled once, class
   coordinates as a normal form against the reduced shuffle rows) against
-  every ordered pair through `linalg.Quotient`, and the duality check's
-  left side read off the kept matrices of d against the `d_image`
-  pairing, with the verdict of the path they replaced.
+  every ordered pair through a candidate-insertion quotient, and the
+  duality check's left side read off the kept matrices of d against the
+  `d_image` pairing, with the verdict of the path they replaced.
 
 Every invariant check that guards these paths must also hold under
 `python -O`, so they are exercised in a child interpreter started with -O.
@@ -95,7 +95,6 @@ from lietower.linalg import (
     IntEchelon,
     InvariantError,
     NotAComplexError,
-    Quotient,
     SparseMatrix,
     reduce,
     solve_affine,
@@ -857,7 +856,7 @@ def test_complex_checks_survive_optimized_mode():
         "insert", "insert", "reduce", "_tower_rows", "reduce", "_leading_rank", "_block_rank"
     ], done.stdout
     assert "did not give a pivot" in lines[0]
-    assert "0 representatives for a quotient of dim 1" in lines[1]
+    assert "2 representatives for a quotient of dim 1" in lines[1]
     assert "homology representatives for dim" in lines[2]
     assert "degreewise agreement with L/L^2 failed at degree 1" in lines[3]
     assert "window intersection leaked long words" in lines[4]
@@ -1762,10 +1761,33 @@ def test_bar_words_within_budget_match_product_and_filter(name):
 # -- functors: the bar quotient and the duality check against the paths they replaced
 
 
+class CandidateQuotient:
+    """span(sub + candidates) / span(sub), represented by the candidates that
+    stay independent modulo span(sub), in order: each candidate is inserted
+    after sub, and `coords` reads a vector over the kept candidates through
+    one tracked echelon of the sub rows and then the kept candidates."""
+
+    def __init__(self, sub, candidates):
+        ech = IntEchelon()
+        for v in sub:
+            ech.insert(v)
+        sub_rows = list(ech.rows.values())
+        self.kept = [i for i, v in enumerate(candidates) if ech.insert(v) is not None]
+        self.tracked = IntEchelon(track=True)
+        for v in sub_rows + [candidates[i] for i in self.kept]:
+            self.tracked.insert(v)
+        self.offset = len(sub_rows)
+
+    def coords(self, vec):
+        got = self.tracked.express(vec)
+        assert got is not None, "vector escapes the quotient span"
+        return {i - self.offset: c for i, c in got.items() if i >= self.offset}
+
+
 class OrderedPairQuotient(LieCoalgebraTrunc):
     """The bar quotient as it was built before: every ordered pair of words
     shuffled with Fraction entries, the classes picked from the unit vectors
-    in word order by `linalg.Quotient`, and class coordinates read through
+    in word order by `CandidateQuotient`, and class coordinates read through
     its tracked echelon.  The differential, the cobracket and the pairings
     are `LieCoalgebraTrunc`'s."""
 
@@ -1782,15 +1804,13 @@ class OrderedPairQuotient(LieCoalgebraTrunc):
                 for w1 in self.words.get((q1, n1), [])
                 for w2 in self.words.get((q - q1, n - n1), [])
             ]
-            self.reducer[(q, n)] = Quotient([v for v in shuffles if v], ({i: 1} for i in range(len(ws))))
+            self.reducer[(q, n)] = CandidateQuotient([v for v in shuffles if v], [{i: 1} for i in range(len(ws))])
         self.basis = {key: red.kept for key, red in self.reducer.items()}
 
     def class_coords(self, q, n, vec):
         if not vec:
             return {}
-        got = self.reducer[(q, n)].coords({self.windex[(q, n)][w]: c for w, c in vec.items()})
-        assert got is not None, "vector escapes the quotient span"
-        return got
+        return self.reducer[(q, n)].coords({self.windex[(q, n)][w]: c for w, c in vec.items()})
 
 
 def d_image_differentials_match(E, model, pairings):

@@ -243,7 +243,6 @@ def _combination(vecs, coeffs):
 
 def test_quotient_matches_fraction_rank_oracle():
     rng = random.Random(31)
-    outside = 0
     for _ in range(300):
         n = rng.randint(1, 6)
 
@@ -254,40 +253,26 @@ def test_quotient_matches_fraction_rank_oracle():
         def rank(vecs):
             return brute_rank([[v.get(i, 0) for i in range(n)] for v in vecs])
 
-        sub = [vec() for _ in range(rng.randint(0, 3))]
-        cands = [vec() for _ in range(rng.randint(0, 6))]
+        sub = [vec() for _ in range(rng.randint(0, 4))]
         kept = []
-        for i, c in enumerate(cands):
-            base = sub + [cands[k] for k in kept]
-            if rank(base + [c]) > rank(base):
-                kept.append(i)
-        got = Quotient(sub, iter(cands))
-        assert got.kept == kept and got.dim == len(kept)
-        assert got.representatives == [cands[i] for i in kept]
-        limit = rng.randint(0, len(kept))
-        assert Quotient(sub, iter(cands), limit=limit).kept == kept[:limit]
-        # a span element comes back as its representative part
-        reps = got.representatives
-        want = [Fraction(rng.randint(-4, 4), rng.choice([1, 2])) for _ in reps]
-        sub_part = [Fraction(rng.randint(-4, 4)) for _ in sub]
-        v = _combination(sub + reps, sub_part + want)
-        assert got.coords(v) == {k: c for k, c in enumerate(want) if c}
         for i in range(n):
-            if rank(sub + reps + [{i: 1}]) > rank(sub + reps):
-                assert got.coords(_combination([v, {i: 1}], [1, 1])) is None
-                outside += 1
-    assert outside > 100
-
-
-def test_quotient_stops_reading_at_the_limit():
-    pulled = []
-
-    def cands():
-        for i in range(5):
-            pulled.append(i)
-            yield {i: 1}
-
-    got = Quotient([{0: 1}], cands(), limit=2)
-    assert got.kept == [1, 2]
-    assert pulled == [0, 1, 2]
-    assert Quotient([], cands(), limit=0).kept == [] and pulled == [0, 1, 2]
+            base = sub + [{k: 1} for k in kept]
+            if rank(base + [{i: 1}]) > rank(base):
+                kept.append(i)
+        got = Quotient(iter(sub), n)
+        assert got.kept == kept and got.dim == len(kept) == n - rank(sub)
+        # a combination of sub and the kept unit vectors comes back as its kept part
+        want = [Fraction(rng.randint(-4, 4), rng.choice([1, 2])) for _ in kept]
+        sub_part = [Fraction(rng.randint(-4, 4)) for _ in sub]
+        v = _combination(sub + [{i: 1} for i in kept], sub_part + want)
+        assert got.coords(v) == {k: c for k, c in enumerate(want) if c}
+        # any vector differs from its normal form by an element of span(sub)
+        x = vec()
+        normal = {kept[k]: c for k, c in got.coords(x).items()}
+        assert rank(sub + [_combination([x, normal], [1, -1])]) == rank(sub)
+        with pytest.raises(DimensionMismatch):
+            got.coords({n: 1})
+        with pytest.raises(DimensionMismatch):
+            got.coords({-1: 1})
+    with pytest.raises(DimensionMismatch):
+        Quotient([{2: 1}], 2)
