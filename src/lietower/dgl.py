@@ -45,8 +45,10 @@ from .linalg import (
     Quotient,
     SparseMatrix,
     Subspace,
+    _add_term,
     _combine_columns,
     complement_basis,
+    gf2_pivots,
     homology_at,
     reduce,
 )
@@ -165,36 +167,47 @@ class DglPresentation:
         return f"DglPresentation({self.gens!r}, d on {sorted(self.diff)})"
 
 
-def _derive_int(P: DglPresentation, terms: dict[str, int], n: Optional[int] = None) -> dict[str, int]:
+def _derive_int(
+    P: DglPresentation, terms: dict[str, int], n: Optional[int] = None,
+    memo: Optional[dict[str, dict[str, int]]] = None,
+) -> dict[str, int]:
     """P._diff_den * d(terms) for an integer combination of str words, with
     words of length >= n dropped when n is given.
 
-    The Koszul sign is the parity of the prefix the operator moves past.
-    d never lowers word length, so replacing a letter by a word of length l
-    gives a word of length len(word) - 1 + l.
+    Each word's image is derived once into `memo`, word -> image with the
+    same n; a caller that passes one memo to calls with the same n derives
+    every word once over all of them.  The Koszul sign is the parity of the
+    prefix the operator moves past.  d never lowers word length, so
+    replacing a letter by a word of length l gives a word of length
+    len(word) - 1 + l.
     """
     int_diff = P._int_diff
     odd = P._odd_letters
     if n is None:
         n = sys.maxsize
+    if memo is None:
+        memo = {}
     acc: dict[str, int] = {}
     for word, a in terms.items():
-        room = n - len(word)
-        sign = a
-        for i, g in enumerate(word):
-            dg = int_diff.get(g)
-            if dg is not None:
-                for dw, dc in dg:
-                    if len(dw) > room:
-                        continue
-                    w = word[:i] + dw + word[i + 1 :]
-                    s = acc.get(w, 0) + sign * dc
-                    if s:
-                        acc[w] = s
-                    else:
-                        del acc[w]
-            if g in odd:
-                sign = -sign
+        image = memo.get(word)
+        if image is None:
+            image = memo[word] = {}
+            room = n - len(word)
+            sign = 1
+            for i, g in enumerate(word):
+                dg = int_diff.get(g)
+                if dg is not None:
+                    for dw, dc in dg:
+                        if len(dw) <= room:
+                            _add_term(image, word[:i] + dw + word[i + 1 :], sign * dc)
+                if g in odd:
+                    sign = -sign
+        for w, c in image.items():
+            s = acc.get(w, 0) + a * c
+            if s:
+                acc[w] = s
+            else:
+                del acc[w]
     return acc
 
 
@@ -362,11 +375,12 @@ class DegreeSlice:
         in the slice is then verified exactly, by rebuilding the vector from
         the bracketings and comparing every word.
         """
-        if strict:
-            for w in terms:
-                if len(w) >= self.n:
-                    raise TruncationError(f"word length {len(w)} exceeds coordinate bound {self.n - 1}")
-        terms = {w: c for w, c in terms.items() if len(w) < self.n}
+        # matrix images are already cut at n: copy only when a word reaches it
+        if terms and max(map(len, terms)) >= self.n:
+            if strict:
+                w = next(w for w in terms if len(w) >= self.n)
+                raise TruncationError(f"word length {len(w)} exceeds coordinate bound {self.n - 1}")
+            terms = {w: c for w, c in terms.items() if len(w) < self.n}
         num: dict[int, int] = {}
         for w, c in terms.items():
             pos = self._pivot.get(w)
@@ -594,6 +608,11 @@ def homology_tower(
     on the length-n elements.  The projection maps the boundaries of
     L/L^{n+1} onto those of L/L^n, and its kernel on the cycles of L/L^{n+1}
     is ker Delta_n.
+
+    rank D_{q+1}^(n) lies between two exact bounds: its rank mod 2 below
+    and dim Z(n) = C_n - rank D_q^(n) above.  When they meet at every n of
+    the range and at n + 1, every dim H is 0 with no exact elimination of
+    D_{q+1}; any gap runs that elimination.
     """
     ns = sorted(set(n_range))
     if not ns or ns[0] < 2:
@@ -629,7 +648,16 @@ def _degree0_rows(P: DglPresentation, ns: list[int]):
 def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
     """Yield (n, dim H, image dim, representatives) of H(L/L^n)_q for each n
     in ns, read off the presentation's kept matrices of d at the top
-    truncation N = max(ns) + 1 with one reduction each (see homology_tower)."""
+    truncation N = max(ns) + 1 with at most one exact reduction each (see
+    homology_tower).
+
+    rank D_{q+1}^(n) has two exact bounds.  From below, its rank mod 2: the
+    matrix is an integer one, and a nonzero minor mod 2 is nonzero over Z.
+    From above, dim Z(n) = C_n - rank D_q^(n), read off the kept tracked
+    reduction of D_q, since D_q D_{q+1} = 0 is checked exactly.  When the
+    two meet at every n of the range and at n + 1, every dim H is 0 and
+    D_{q+1} is never eliminated over Q; otherwise its exact untracked
+    elimination gives the ranks and the boundaries."""
     top = ns[-1] + 1
     kept_out = P.d_matrix(q, top, top)
     d_in, d_out = P.d_matrix(q + 1, top, top).matrix, kept_out.matrix
@@ -637,10 +665,6 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
     if not d_out.compose(d_in).is_zero():
         raise NotAComplexError("composite differential is nonzero")
     above, mid, below = P.slice(q + 1, top), P.slice(q, top), P.slice(q - 1, top)
-    # D_{q+1} needs no column combinations, and an untracked pass keeps its
-    # rows primitive, which is much cheaper than a tracked one at large N
-    reduced_in = IntEchelon()
-    in_pivots = [reduced_in.insert(col) for col in d_in.columns()]
     out_cols = d_out.columns()
     reduced_out = kept_out.reduction()
     out_pivots = reduced_out.pivots
@@ -648,14 +672,32 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
     # reduced column j of D_q as a combination of the columns j' <= j
     combos = [next(relations) if p is None else reduced_out.echelon.combos[p] for p in out_pivots]
 
-    def rank_in(n: int) -> int:
-        return _leading_rank(in_pivots, mid.count_below(n), above.count_below(n))
-
     def rank_out(n: int) -> int:
         return _leading_rank(out_pivots, below.count_below(n), mid.count_below(n))
 
+    def cycle_dim(n: int) -> int:
+        return mid.count_below(n) - rank_out(n)
+
+    in_cols = d_in.columns()
+    in_pivots = gf2_pivots(in_cols)
+    certified = True
+    for n in sorted({*ns, *(n + 1 for n in ns)}):
+        lower = _leading_rank(in_pivots, mid.count_below(n), above.count_below(n))
+        if lower > cycle_dim(n):
+            raise InvariantError(f"D_{q + 1} of L/L^{n} has rank {lower} mod 2, "
+                                 f"above the cycle dimension {cycle_dim(n)}")
+        certified = certified and lower == cycle_dim(n)
+    if not certified:
+        # D_{q+1} needs no column combinations, and an untracked pass keeps
+        # its rows primitive, which is much cheaper than a tracked one at large N
+        reduced_in = IntEchelon()
+        in_pivots = [reduced_in.insert(col) for col in in_cols]
+
+    def rank_in(n: int) -> int:
+        return _leading_rank(in_pivots, mid.count_below(n), above.count_below(n))
+
     def dim_h(n: int) -> int:
-        return mid.count_below(n) - rank_out(n) - rank_in(n)
+        return cycle_dim(n) - rank_in(n)
 
     for n in ns:
         c_n, c_next, r_n = mid.count_below(n), mid.count_below(n + 1), below.count_below(n)
@@ -665,13 +707,19 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
         cycles = Subspace(
             c_n, [combos[j] for j in range(c_n) if out_pivots[j] is None or out_pivots[j] >= r_n]
         )
-        boundaries = [
-            {i: c for i, c in reduced_in.rows[p].items() if i < c_n}
-            for p in in_pivots[: above.count_below(n)]
-            if p is not None and p < c_n
-        ]
-        # the boundaries lie in the cycles: d o d = 0 was checked exactly above
-        reps = complement_basis(cycles, boundaries)
+        if certified:
+            if cycles.dim != cycle_dim(n):
+                raise InvariantError(f"the cycle combinations span {cycles.dim} dimensions at n = {n}, "
+                                     f"the pivots of D_{q} give {cycle_dim(n)}")
+            reps = []
+        else:
+            boundaries = [
+                {i: c for i, c in reduced_in.rows[p].items() if i < c_n}
+                for p in in_pivots[: above.count_below(n)]
+                if p is not None and p < c_n
+            ]
+            # the boundaries lie in the cycles: d o d = 0 was checked exactly above
+            reps = complement_basis(cycles, boundaries)
         dim = len(reps)
         if dim != dim_h(n):
             raise InvariantError(f"leading-block ranks give dim H = {dim_h(n)} at n = {n}, "
@@ -866,7 +914,14 @@ class DMatrix:
 
     def __init__(self, P: DglPresentation, q: int, n_src: int, n_tgt: int):
         src, tgt = P.slice(q, n_src), P.slice(q - 1, n_tgt)
-        images = [tgt.int_coords(_derive_int(P, terms, n_tgt)) for _, terms in src.forms]
+        # a bracketing's words all have its length: one memo per length, each
+        # word derived once, and the memo dropped before C * S is built
+        images, length, memo = [], 0, {}
+        for pivot, terms in src.forms:
+            if len(pivot) != length:
+                length, memo = len(pivot), {}
+            images.append(tgt.int_coords(_derive_int(P, terms, n_tgt, memo)))
+        del memo
         cols = [_combine_columns(images, src.basis_coeffs({j: 1})) for j in range(src.dim)]
         self.matrix = SparseMatrix.from_columns(tgt.dim, cols)
         self.den = P._diff_den

@@ -219,6 +219,36 @@ class IntEchelon:
         return [{i: Fraction(c, row[p]) for i, c in row.items()} for p, row in self.reduced_rows()]
 
 
+def gf2_pivots(cols: Iterable[dict[int, int]]) -> list[Optional[int]]:
+    """Column pivots of an integer matrix mod 2, left to right.
+
+    Each column is one Python int with bit i set when entry i is odd, and it
+    is reduced by XOR against the kept columns at its lowest set bit, the
+    pivot rule of `IntEchelon`; `pivots[j]` is column j's pivot row, None
+    when it is dependent mod 2.  A nonzero minor mod 2 is a nonzero minor
+    over Z, so every rank read off these pivots is a lower bound for the
+    rank over Q, and never a reported vector.
+    """
+    kept: dict[int, int] = {}
+    pivots: list[Optional[int]] = []
+    for col in cols:
+        v = 0
+        for i, c in col.items():
+            if c & 1:
+                v |= 1 << i
+        p = None
+        while v:
+            low = (v & -v).bit_length() - 1
+            row = kept.get(low)
+            if row is None:
+                kept[low] = v
+                p = low
+                break
+            v ^= row
+        pivots.append(p)
+    return pivots
+
+
 class Subspace:
     """A subspace of Q^n held as a reduced-echelon basis."""
 

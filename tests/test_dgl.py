@@ -1,8 +1,11 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 
 import pytest
+
+from lietower import cli, dgl, functors, linalg
 
 from lietower.dgl import (
     DglError,
@@ -24,7 +27,11 @@ from lietower.dgl import (
     witness_direction_space,
 )
 from lietower.freelie import GeneratorSet, TensorElt, ad_power, gen_elt, graded_bracket
+from lietower.linalg import InvariantError
 from lietower.pronil import lemma1_audit
+
+
+FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
 
 
 def remark():
@@ -412,6 +419,96 @@ def test_random_exact_homology_matches_the_dense_oracle_and_per_n_complex():
             dim, reps = exact_homology(P, q)
             assert dim == o_homology_dim(P.gens.degrees, dmap, q + 2, q), (P, q)
             assert (dim, reps) == lcs_quotient_complex(P, q + 2, (q, q)).homology(q), (P, q)
+
+
+# -- the mod-2 rank certificate of the tower ------------------------------------
+
+_FAMILY_COEFFS = ["1", "-1", "2", "-2", "1/2", "-1/2", "3", "-3", "2/3", "-3/2"]
+
+
+def family_member(rng):
+    """A member of the stubborn cycle's family: x, y of degree 0, z of degree
+    1, d z a word-length-1 term plus a Lyndon bracket of word length 3."""
+    dz = (f"{rng.choice(_FAMILY_COEFFS)}*{rng.choice(['x', 'y'])} + "
+          f"{rng.choice(_FAMILY_COEFFS)}*{rng.choice(['[x, [x, y]]', '[[x, y], y]'])}")
+    return DglPresentation.from_strings([("x", 0), ("y", 0), ("z", 1)], {"z": dz.replace("+ -", "- ")})
+
+
+def sullivan_model(name, bound=8):
+    with open(os.path.join(FILES, f"{name}.sullivan")) as fh:
+        return functors.neisendorfer_model(cli.parse(fh.read()).to_sullivan(), bound)
+
+
+def certified_and_exact(monkeypatch, P, q, ns, gf2=None):
+    """The tower rows of P with the mod-2 certificate (its GF(2) helper
+    replaced by gf2 when given), whether they were certified, and the rows
+    of a copy of P with no pivot mod 2, which always runs the exact path
+    unless every cycle space is 0."""
+    exact_runs = []
+    complement = dgl.complement_basis
+    with monkeypatch.context() as m:
+        m.setattr(dgl, "complement_basis", lambda *a: exact_runs.append(a) or complement(*a))
+        if gf2 is not None:
+            m.setattr(dgl, "gf2_pivots", gf2)
+        got = homology_tower(P, q, ns).to_structured()
+    copy = DglPresentation(P.gens, P.diff)
+    with monkeypatch.context() as m:
+        m.setattr(dgl, "gf2_pivots", lambda cols: [None] * len(cols))
+        want = homology_tower(copy, q, ns).to_structured()
+    return got, not exact_runs, want
+
+
+def test_certified_tower_rows_match_the_exact_path(monkeypatch):
+    rng = random.Random(33)
+    cases = [(remark(), q, range(2, 9)) for q in (1, 2)]
+    cases += [(family_member(rng), q, range(2, 8)) for _ in range(6) for q in (1, 2)]
+    cases += [(random_degree01_presentation(rng)[0], 1, range(2, 6)) for _ in range(20)]
+    cases += [(random_positive_presentation(rng)[0], q, range(q + 1, q + 4))
+              for _ in range(15) for q in (1, 2, 3)]
+    certified = 0
+    for P, q, ns in cases:
+        got, was_certified, want = certified_and_exact(monkeypatch, P, q, ns)
+        assert got == want, (P, q)
+        if was_certified:
+            certified += 1
+            assert all(r["dim_H"] == 0 and r["representatives"] == [] for r in got["rows"]), (P, q)
+    assert 10 < certified < len(cases)
+
+
+@pytest.mark.parametrize("name", ["heisenberg_dgl", "heisenberg", "even_sphere"])
+def test_towers_with_homology_fall_back_to_the_exact_path(monkeypatch, name):
+    P = heisenberg_dgl() if name == "heisenberg_dgl" else sullivan_model(name)
+    for q in (1, 2):
+        got, was_certified, want = certified_and_exact(monkeypatch, P, q, range(2, 7))
+        assert got == want and not was_certified
+        assert any(r["dim_H"] for r in got["rows"])
+
+
+def test_a_gap_mod_2_falls_back_with_identical_rows(monkeypatch):
+    def drop_one_pivot(cols):
+        pivots = linalg.gf2_pivots(cols)
+        pivots[next(j for j, p in enumerate(pivots) if p is not None)] = None
+        return pivots
+
+    got, was_certified, _ = certified_and_exact(monkeypatch, remark(), 1, range(2, 9))
+    assert was_certified
+    gapped, was_certified, _ = certified_and_exact(monkeypatch, remark(), 1, range(2, 9), drop_one_pivot)
+    assert gapped == got and not was_certified
+
+
+def test_a_rank_mod_2_above_the_cycle_bound_raises(monkeypatch):
+    monkeypatch.setattr(dgl, "gf2_pivots", lambda cols: list(range(len(cols))))
+    with pytest.raises(InvariantError, match=r"D_2 of L/L\^5 has rank 10 mod 2, above the cycle dimension 8"):
+        homology_tower(remark(), 1, range(2, 5))
+
+
+def test_certified_rows_check_the_span_of_the_cycles(monkeypatch):
+    # one cycle combination lost: the span falls short of C_n - rank D_1
+    subspace = dgl.Subspace
+    monkeypatch.setattr(dgl, "Subspace", lambda ambient, rows: subspace(ambient, rows[1:]))
+    with pytest.raises(InvariantError, match="the cycle combinations span 0 dimensions at n = 3, "
+                                             "the pivots of D_1 give 1"):
+        homology_tower(remark(), 1, range(2, 5))
 
 
 # -- lower central series layers ---------------------------------------------

@@ -273,6 +273,69 @@ def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
     assert squares > 0 or not any(d % 2 for d in degrees)
 
 
+def half_square(terms):
+    """x * x for x an integer combination of str words: half of [x, x] when
+    x is odd."""
+    out = {}
+    for (u, a), (v, b) in itertools.product(terms.items(), repeat=2):
+        out[u + v] = out.get(u + v, 0) + a * b
+    return {w: c for w, c in out.items() if c}
+
+
+def sullivan_model(name, bound=6):
+    with open(os.path.join(FILES, f"{name}.sullivan")) as fh:
+        return functors.neisendorfer_model(cli.parse(fh.read()).to_sullivan(), bound)
+
+
+def profile(degrees):
+    gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
+    return profile_presentation(gens, random.Random(sum(degrees) * 17 + len(degrees)))
+
+
+MEMO_CASES = [(f"deg{'-'.join(map(str, ds))}", lambda ds=ds: profile(ds)) for ds in PIECE_PROFILES] + [
+    ("stubborn", lambda: remark()),
+    ("family-shift-2", lambda: DglPresentation.from_strings(
+        [("x", 0), ("y", 0), ("z", 1)], {"z": "-1/2*y + 3*[[x, y], y]"})),
+] + [(name, lambda name=name: sullivan_model(name)) for name in ("even_line", "even_sphere", "heisenberg")]
+
+
+@pytest.mark.parametrize("make", [make for _, make in MEMO_CASES], ids=[name for name, _ in MEMO_CASES])
+def test_shared_derivation_memo_matches_the_memo_free_call(make):
+    # one memo per n over the bracketings and odd half squares of the
+    # lowest-degree slices (some 300 forms), against the memo-free call on
+    # each form, cut at every n and uncut
+    P = make()
+    top, forms = 6, []
+    for q in range(0, 4 * max(P.gens.degrees) + 1):
+        if len(forms) > 300:
+            break
+        for _, terms in P.slice(q, top).forms:
+            forms.append(terms)
+            if q % 2:
+                forms.append(half_square(terms))
+    assert forms
+    for n in [*range(1, 2 * top + 2), None]:
+        memo = {}
+        for terms in forms:
+            assert dgl._derive_int(P, terms, n, memo) == dgl._derive_int(P, terms, n), (n, terms)
+        assert set(memo) == {w for terms in forms for w in terms}
+    assert sum(map(len, forms)) > len(memo)
+
+
+def test_a_matrix_build_leaves_no_derivation_state_on_the_presentation():
+    P = remark()
+    for q in (1, 2):
+        P.slice(q, 8), P.slice(q - 1, 8)
+    state = {k: (v.copy() if isinstance(v, dict) else v) for k, v in vars(P).items()}
+    dm = P.d_matrix(2, 8, 8)
+    after = vars(P)
+    assert set(after) == set(state) and after["_d_cache"] == {}
+    assert {k: v for k, v in after.items() if k != "_matrix_cache"} == \
+        {k: v for k, v in state.items() if k != "_matrix_cache"}
+    assert after["_matrix_cache"] == {(2, 8, 8): dm}
+    assert set(vars(dm)) == {"matrix", "den", "_reduction"}
+
+
 def test_lyndon_basis_odd_squares():
     # one odd generator: [a, a] spans length 2, nothing at length 3
     a1 = GeneratorSet(["a"], [1])
@@ -843,6 +906,8 @@ def test_complex_checks_survive_optimized_mode():
                 lambda: dgl.homology_tower(P, 1, range(2, 5)))
         patched(dgl, "_block_rank", lambda cols, lo, hi: 10**6,
                 lambda: dgl.homology_tower(P, 1, range(2, 5)))
+        patched(dgl, "gf2_pivots", lambda cols: list(range(len(cols))),
+                lambda: dgl.homology_tower(P, 1, range(2, 5)))
         dgl._block_rank = lambda cols, lo, hi: -10**6
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = cli.main(["tower", {os.path.join(FILES, "stubborn_cycle.dgl")!r},
@@ -853,7 +918,8 @@ def test_complex_checks_survive_optimized_mode():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:-1]] == [
-        "insert", "insert", "reduce", "_tower_rows", "reduce", "_leading_rank", "_block_rank"
+        "insert", "insert", "reduce", "_tower_rows", "reduce", "_leading_rank", "_block_rank",
+        "gf2_pivots",
     ], done.stdout
     assert "did not give a pivot" in lines[0]
     assert "2 representatives for a quotient of dim 1" in lines[1]
@@ -862,6 +928,7 @@ def test_complex_checks_survive_optimized_mode():
     assert "window intersection leaked long words" in lines[4]
     assert "leading-block ranks give dim H" in lines[5]
     assert "connecting image dim" in lines[6] and "outside [0, min(" in lines[6]
+    assert "D_2 of L/L^5 has rank 10 mod 2, above the cycle dimension 8" in lines[7]
     assert lines[-1].startswith("exit 4 internal invariant breach: connecting image dim -")
 
 

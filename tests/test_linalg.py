@@ -10,6 +10,7 @@ from lietower.linalg import (
     Quotient,
     SparseMatrix,
     Subspace,
+    gf2_pivots,
     homology_at,
     quotient_dims,
     reduce,
@@ -276,3 +277,40 @@ def test_quotient_matches_fraction_rank_oracle():
             got.coords({-1: 1})
     with pytest.raises(DimensionMismatch):
         Quotient([{2: 1}], 2)
+
+
+def brute_rank_mod_2(rows):
+    """Rank over GF(2) of dense integer rows, by elimination on 0/1 lists."""
+    rows = [[c % 2 for c in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_gf2_pivots_give_every_leading_rank_mod_2():
+    # rank D[:R, :C] mod 2 is #{j < C : pivot_j < R}, never above the rank over Q
+    rng = random.Random(41)
+    below = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        dense_rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 4]) for _ in range(cols)] for _ in range(rows)]
+        m = SparseMatrix.from_dense(dense_rows)
+        pivots = gf2_pivots(m.columns())
+        assert len(pivots) == cols
+        for r in range(rows + 1):
+            for c in range(cols + 1):
+                block = [row[:c] for row in dense_rows[:r]]
+                got = sum(1 for p in pivots[:c] if p is not None and p < r)
+                assert got == brute_rank_mod_2(block), (dense_rows, r, c)
+                over_q = brute_rank(block) if r and c else 0
+                assert got <= over_q
+                below += got < over_q
+    assert below > 0
