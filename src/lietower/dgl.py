@@ -30,7 +30,6 @@ from .freelie import (
     decode_word,
     encode_word,
     eval_bracket_expr,
-    gen_elt,
     graded_bracket,
     integer_terms,
     lie_basis,
@@ -99,7 +98,6 @@ class DglPresentation:
         self._slice_cache: dict[tuple[int, int], DegreeSlice] = {}
         self._matrix_cache: dict[tuple[int, int, int], DMatrix] = {}
         self._obstruction_cache: dict[tuple[int, tuple[int, ...]], ObstructionReport] = {}
-        self._closure_cache: dict[int, tuple[IntEchelon, DegreeSlice]] = {}
         self._positive = all(d >= 1 for d in gens.degrees)
         # d(g) = terms / _diff_den with integer terms, by the str letter of g
         self._diff_den = lcm(*(c.denominator for v in self.diff.values() for c in v.terms.values()))
@@ -471,42 +469,6 @@ def lcs_quotient_complex(
 
 
 # ---------------------------------------------------------------------------
-# the degree-0 boundary space: iterated bracket closure of d(V_1)
-#
-# Degree-0 generators always have zero differential, so the degree-1 part of
-# the algebra is the iterated-ad module on the degree-1 generators and d
-# commutes with bracketing by degree-0 elements.  The image of d in degree 0
-# is therefore the smallest bracket-stable subspace containing d(V_1).  It is
-# computed once per presentation and top truncation; because the echelon is
-# held in the coordinates of the degree-0 slice (shortest length first),
-# projecting to a lower truncation keeps exactly the rows whose pivot has
-# retained length.
-
-
-def _degree0_boundary_closure(P: DglPresentation, n_top: int) -> tuple[IntEchelon, DegreeSlice]:
-    if n_top in P._closure_cache:
-        return P._closure_cache[n_top]
-    gens = P.gens
-    sl = P.slice(0, n_top)
-    ech = IntEchelon()
-    gen0 = [gen_elt(gens, name) for name, d in zip(gens.names, gens.degrees) if d == 0]
-    for name, d in zip(gens.names, gens.degrees):
-        if d == 1 and name in P.diff:
-            ech.insert(sl.coords(P.diff[name]))
-    frontier = [sl.element_from_coords(row) for row in ech.rows.values()]
-    while frontier:
-        new: list[TensorElt] = []
-        for elt in frontier:
-            for g in gen0:
-                p = ech.insert(sl.coords(graded_bracket(g, elt)))
-                if p is not None:
-                    new.append(sl.element_from_coords(ech.rows[p]))
-        frontier = new
-    P._closure_cache[n_top] = ech, sl
-    return ech, sl
-
-
-# ---------------------------------------------------------------------------
 # tower reports
 
 
@@ -588,12 +550,7 @@ def homology_tower(
 ) -> TowerReport:
     """Exact dims of H(L/L^n)_q over n, with connecting-map image dims.
 
-    Degree 0 uses the bracket closure of d(V_1) (a single elimination at the
-    top truncation, projected down).  In degree 0 the connecting maps are
-    surjective -- the projections are surjective and every degree-0 element
-    is a cycle -- so the image dimension equals dim H(L/L^n)_0.
-
-    Other degrees read the presentation's kept matrices of d at the top
+    Every degree reads the presentation's kept matrices of d at the top
     truncation N = max(n) + 1.  Slice bases run shortest length first and
     d never lowers length, so with R_n(k) the number of degree-k basis
     elements of length < n, the differential D_q of L/L^n is the leading block
@@ -613,13 +570,22 @@ def homology_tower(
     and dim Z(n) = C_n - rank D_q^(n) above.  When they meet at every n of
     the range and at n + 1, every dim H is 0 with no exact elimination of
     D_{q+1}; any gap runs that elimination.
+
+    In degree 0, D_0 maps into the empty degree -1 slice, so every element
+    of (L/L^n)_0 is a cycle, the cycle combinations are unit vectors and
+    the representatives are kept unit vectors of the slice.  The boundaries
+    are the column space of D_1: d is zero on the degree-0 generators, so
+    d(L_1) is the bracket closure of d(V_1) under ad(L_0).  The connecting
+    maps are surjective, dim_image(n) = C_n - rank D_1^(n) = dim H(L/L^n)_0,
+    and the certificate holds only when H(L/L^n)_0 = 0 at every n.  The
+    degree-0 report keeps the method label "bracket-closure": it still names
+    that closure, and every structured report carries it.
     """
     ns = sorted(set(n_range))
     if not ns or ns[0] < 2:
         raise ValueError("tower range must consist of integers >= 2")
-    if q == 0:
-        return _tower_report(0, _degree0_rows(P, ns), ns, stab_suffix, "bracket-closure")
-    return _tower_report(q, _tower_rows(P, q, ns), ns, stab_suffix, "quotient-complex")
+    method = "bracket-closure" if q == 0 else "quotient-complex"
+    return _tower_report(q, _tower_rows(P, q, ns), ns, stab_suffix, method)
 
 
 def _tower_report(
@@ -634,17 +600,6 @@ def _tower_report(
     return TowerReport(q, rows, stab, method)
 
 
-def _degree0_rows(P: DglPresentation, ns: list[int]):
-    """Yield the tower rows of H(L/L^n)_0 for each n in ns (see homology_tower)."""
-    ech, sl = _degree0_boundary_closure(P, max(ns))
-    for n in ns:
-        # L_0 of L/L^n modulo the closure rows whose pivot has retained length
-        limit = sl.count_below(n)
-        sub = ({i: c for i, c in row.items() if i < limit} for p, row in ech.rows.items() if p < limit)
-        quotient = Quotient(sub, limit)
-        yield n, quotient.dim, quotient.dim, [sl.element(i) for i in quotient.kept]
-
-
 def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
     """Yield (n, dim H, image dim, representatives) of H(L/L^n)_q for each n
     in ns, read off the presentation's kept matrices of d at the top
@@ -657,7 +612,10 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
     reduction of D_q, since D_q D_{q+1} = 0 is checked exactly.  When the
     two meet at every n of the range and at n + 1, every dim H is 0 and
     D_{q+1} is never eliminated over Q; otherwise its exact untracked
-    elimination gives the ranks and the boundaries."""
+    elimination gives the ranks and the boundaries.  At q = 0, D_0 is the
+    empty-target matrix, every reduced column is zero and every cycle
+    combination a unit vector, so the boundaries are D_1's columns and the
+    connecting maps are surjective."""
     top = ns[-1] + 1
     kept_out = P.d_matrix(q, top, top)
     d_in, d_out = P.d_matrix(q + 1, top, top).matrix, kept_out.matrix
@@ -704,12 +662,14 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
         # a reduced column whose pivot is not above r_n vanishes on the rows
         # of L/L^n, so its combination is a cycle there; a reduced D_{q+1}
         # column with pivot above c_n, cut to those rows, is a boundary
-        cycles = Subspace(
-            c_n, [combos[j] for j in range(c_n) if out_pivots[j] is None or out_pivots[j] >= r_n]
-        )
+        cycles = [combos[j] for j in range(c_n) if out_pivots[j] is None or out_pivots[j] >= r_n]
         if certified:
-            if cycles.dim != cycle_dim(n):
-                raise InvariantError(f"the cycle combinations span {cycles.dim} dimensions at n = {n}, "
+            # only the span's dimension is read; each combination has its own
+            # highest index, which is its pivot in a Quotient's reversed echelon,
+            # so building one takes no elimination step
+            span = c_n - Quotient(cycles, c_n).dim
+            if span != cycle_dim(n):
+                raise InvariantError(f"the cycle combinations span {span} dimensions at n = {n}, "
                                      f"the pivots of D_{q} give {cycle_dim(n)}")
             reps = []
         else:
@@ -719,7 +679,7 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
                 if p is not None and p < c_n
             ]
             # the boundaries lie in the cycles: d o d = 0 was checked exactly above
-            reps = complement_basis(cycles, boundaries)
+            reps = complement_basis(Subspace(c_n, cycles), boundaries)
         dim = len(reps)
         if dim != dim_h(n):
             raise InvariantError(f"leading-block ranks give dim H = {dim_h(n)} at n = {n}, "
@@ -908,12 +868,18 @@ class DMatrix:
     M x = b exactly when (D * M) x = D * b.  It is built as C * S, with
     column m of C the target coordinates of D * d(P_m) for the m-th
     bracketing P_m of the source, which `int_coords` checks, and S the
-    source's inverse; no reduced echelon element is expanded.  The column
-    reduction is built on first use.
+    source's inverse; no reduced echelon element is expanded.  With an
+    empty target slice every column is zero and nothing is derived.  The
+    column reduction is built on first use.
     """
 
     def __init__(self, P: DglPresentation, q: int, n_src: int, n_tgt: int):
         src, tgt = P.slice(q, n_src), P.slice(q - 1, n_tgt)
+        self.den = P._diff_den
+        self._reduction: Optional[ColumnReduction] = None
+        if not tgt.dim:
+            self.matrix = SparseMatrix(0, src.dim)
+            return
         # a bracketing's words all have its length: one memo per length, each
         # word derived once, and the memo dropped before C * S is built
         images, length, memo = [], 0, {}
@@ -922,10 +888,10 @@ class DMatrix:
                 length, memo = len(pivot), {}
             images.append(tgt.int_coords(_derive_int(P, terms, n_tgt, memo)))
         del memo
-        cols = [_combine_columns(images, src.basis_coeffs({j: 1})) for j in range(src.dim)]
+        # column j of S is the piece column src._inverse[j], at its piece's offset
+        cols = [_combine_columns(images, {offset + m: s for m, s in col.items()})
+                for offset, col in src._inverse]
         self.matrix = SparseMatrix.from_columns(tgt.dim, cols)
-        self.den = P._diff_den
-        self._reduction: Optional[ColumnReduction] = None
 
     def reduction(self) -> ColumnReduction:
         if self._reduction is None:
@@ -1114,12 +1080,17 @@ def completion_boundary_check(
 def h0_table_from_tower(P: DglPresentation, n: int):
     """Bracket table of the nilpotent Lie algebra H(L/L^n)_0.
 
-    The degree-0 homology of the truncation is the quotient of the free
-    nilpotent degree-0 part by the bracket closure of d(V_1); the returned
-    table is that finite-dimensional Lie algebra on canonical representatives.
+    The degree-0 homology of the truncation is the free nilpotent degree-0
+    part (L/L^n)_0 modulo the bracket closure of d(V_1) under ad(L_0), which
+    is the image of d.  It is read off the kept matrix of d out of degree 1
+    at n + 1, the one the degree-0 tower up to n reads: d never lowers
+    length, so its columns cut to the rows of (L/L^n)_0 span that image.
+    The returned table is that finite-dimensional Lie algebra on the kept
+    unit vectors of the quotient, the tower's representatives.
     """
-    ech, sl = _degree0_boundary_closure(P, n)
-    quotient = Quotient(ech.rows.values(), sl.dim)
+    sl = P.slice(0, n)
+    cols = P.d_matrix(1, n + 1, n + 1).matrix.columns()
+    quotient = Quotient(({i: c for i, c in col.items() if i < sl.dim} for col in cols), sl.dim)
     reps = [sl.element(i) for i in quotient.kept]
     names = [f"h{i}" for i in range(len(reps))]
     brackets = {}

@@ -193,16 +193,18 @@ def test_cli_neisendorfer_heisenberg():
 
 
 def test_cli_neisendorfer_builds_the_degree0_closure_once(monkeypatch):
-    # the degree-0 tower rows and the stabilized table read one bracket closure of d(V_1)
+    # the degree-0 tower rows and the stabilized table read one kept matrix
+    # of d out of degree 1, whose columns span the bracket closure of d(V_1)
     from lietower import dgl
 
-    closures = []
-    build = dgl._degree0_boundary_closure
-    monkeypatch.setattr(dgl, "_degree0_boundary_closure",
-                        lambda P, n_top: closures.append(build(P, n_top)) or closures[-1])
+    builds = []
+    build = dgl.DMatrix.__init__
+    monkeypatch.setattr(dgl.DMatrix, "__init__",
+                        lambda self, P, *key: builds.append(key) or build(self, P, *key))
     path = os.path.join(FILES, "heisenberg.sullivan")
     assert run_cli(["neisendorfer", path, "--max-length", "5"])[0] == 0
-    assert len(closures) == 2 and closures[0][0] is closures[1][0]
+    # the tower at n <= 5 reads D_0 and D_1 at N = 6, degree 1 also D_2; each is built once
+    assert sorted(builds) == [(0, 6, 6), (1, 6, 6), (2, 6, 6)]
 
 
 def test_cli_duality_sphere():

@@ -264,11 +264,17 @@ def test_tower_remark_degree0_matches_independent_oracle():
 
 
 def test_tower_fast_path_agrees_with_complex_path():
-    for P in (remark(), heisenberg_dgl()):
+    # whole degree-0 rows: the tower's kept unit vectors are the per-n complex's representatives
+    rng = random.Random(34)
+    cases = [remark(), heisenberg_dgl()]
+    cases += [random_degree01_presentation(rng)[0] for _ in range(10)]
+    cases += [family_member(rng) for _ in range(4)]
+    for P in cases:
         for n in (2, 3, 4):
-            fast = homology_tower(P, 0, [n]).rows[0]["dim_H"]
-            slow, _ = lcs_quotient_complex(P, n, (0, 0)).homology(0)
-            assert fast == slow
+            row = homology_tower(P, 0, [n]).rows[0]
+            dim, reps = lcs_quotient_complex(P, n, (0, 0)).homology(0)
+            assert (row["dim_H"], row["dim_image"]) == (dim, dim), (P, n)
+            assert row["representatives"] == [r.pretty() for r in reps], (P, n)
 
 
 def test_tower_heisenberg_stabilizes_at_three():
@@ -458,21 +464,30 @@ def certified_and_exact(monkeypatch, P, q, ns, gf2=None):
     return got, not exact_runs, want
 
 
+def h0_zero():
+    """d z = x and d w = y + [x, y]: x is a boundary, so is every bracket
+    with x, hence y, and H(L/L^n)_0 = 0 at every n."""
+    return DglPresentation.from_strings([("x", 0), ("y", 0), ("z", 1), ("w", 1)],
+                                        {"z": "x", "w": "y + [x, y]"})
+
+
 def test_certified_tower_rows_match_the_exact_path(monkeypatch):
     rng = random.Random(33)
-    cases = [(remark(), q, range(2, 9)) for q in (1, 2)]
+    cases = [(remark(), q, range(2, 9)) for q in (0, 1, 2)]
+    cases += [(h0_zero(), q, range(2, 8)) for q in (0, 1)]
     cases += [(family_member(rng), q, range(2, 8)) for _ in range(6) for q in (1, 2)]
-    cases += [(random_degree01_presentation(rng)[0], 1, range(2, 6)) for _ in range(20)]
+    cases += [(P, q, range(2, 6)) for P, _ in [random_degree01_presentation(rng) for _ in range(20)]
+              for q in (0, 1)]
     cases += [(random_positive_presentation(rng)[0], q, range(q + 1, q + 4))
               for _ in range(15) for q in (1, 2, 3)]
-    certified = 0
+    certified = []
     for P, q, ns in cases:
         got, was_certified, want = certified_and_exact(monkeypatch, P, q, ns)
         assert got == want, (P, q)
         if was_certified:
-            certified += 1
+            certified.append(q)
             assert all(r["dim_H"] == 0 and r["representatives"] == [] for r in got["rows"]), (P, q)
-    assert 10 < certified < len(cases)
+    assert 10 < len(certified) < len(cases) and 0 in certified
 
 
 @pytest.mark.parametrize("name", ["heisenberg_dgl", "heisenberg", "even_sphere"])
@@ -504,8 +519,8 @@ def test_a_rank_mod_2_above_the_cycle_bound_raises(monkeypatch):
 
 def test_certified_rows_check_the_span_of_the_cycles(monkeypatch):
     # one cycle combination lost: the span falls short of C_n - rank D_1
-    subspace = dgl.Subspace
-    monkeypatch.setattr(dgl, "Subspace", lambda ambient, rows: subspace(ambient, rows[1:]))
+    quotient = dgl.Quotient
+    monkeypatch.setattr(dgl, "Quotient", lambda rows, size: quotient(rows[1:], size))
     with pytest.raises(InvariantError, match="the cycle combinations span 0 dimensions at n = 3, "
                                              "the pivots of D_1 give 1"):
         homology_tower(remark(), 1, range(2, 5))

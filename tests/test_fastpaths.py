@@ -505,7 +505,7 @@ def test_elements_leave_the_integer_layer_with_tuple_words():
     # str words stay inside the integer layer: every TensorElt handed out
     # has tuple-of-int words, which cli._elt_expr and the benchmark's
     # witness check index generator names by
-    from lietower.dgl import (Truncation, _degree0_rows, _tower_rows, boundary_solve,
+    from lietower.dgl import (Truncation, _tower_rows, boundary_solve,
                               h0_table_from_tower, lcs_basis, top_length_obstruction)
 
     P = remark()
@@ -526,7 +526,7 @@ def test_elements_leave_the_integer_layer_with_tuple_words():
     witnesses = len(out)
     for q in (1, 2):
         out += [r for row in _tower_rows(P, q, [2, 3, 4, 5]) for r in row[3]]
-    out += [r for row in _degree0_rows(P, [2, 3, 4]) for r in row[3]]
+    out += [r for row in _tower_rows(P, 0, [2, 3, 4]) for r in row[3]]
     out += h0_table_from_tower(P, 4)[1]
     out += list(top_length_obstruction(P, 1, range(1, 6)).kernel_witness.values())
     out += [b for basis in lcs_basis(P, 2, Truncation(5)).per_degree.values() for b in basis]
@@ -1344,6 +1344,20 @@ def test_exact_homology_builds_one_top_complex(monkeypatch):
     for q in (1, 2):
         homology_tower(remark(), q, range(2, 6))
     assert complexes == []
+
+
+def test_a_matrix_into_an_empty_slice_derives_nothing(monkeypatch):
+    # D_0 maps into the empty degree -1 slice: every column is zero
+    from lietower import dgl
+
+    calls = []
+    derive = dgl._derive_int
+    monkeypatch.setattr(dgl, "_derive_int", lambda *a: calls.append(a) or derive(*a))
+    P = remark()
+    dm = P.d_matrix(0, 6, 6)
+    assert calls == [] and dm.matrix.is_zero()
+    assert (dm.matrix.rows, dm.matrix.cols) == (0, P.slice(0, 6).dim) and dm.matrix.cols > 10
+    assert dm.reduction().rank == 0
 
 
 def test_top_length_obstruction_reuses_the_kept_matrix(monkeypatch):
