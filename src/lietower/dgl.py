@@ -370,8 +370,10 @@ class DegreeSlice:
 
         Pivot coordinates of a reduced echelon basis are exclusive to their
         basis vector and have coefficient 1, so this is a lookup; membership
-        in the slice is then verified exactly, by rebuilding the vector from
-        the bracketings and comparing every word.
+        in the slice is then verified exactly, in one pass: the combination
+        sum_m a_m * forms[m], a = S * coordinates, is subtracted from a copy
+        of the terms, and every word must be left at zero.  The terms carry
+        no stored zeros.
         """
         # matrix images are already cut at n: copy only when a word reaches it
         if terms and max(map(len, terms)) >= self.n:
@@ -384,7 +386,11 @@ class DegreeSlice:
             pos = self._pivot.get(w)
             if pos is not None:
                 num[pos] = c
-        if self._combine(num) != terms:
+        rest = dict(terms)
+        for m, a in self.basis_coeffs(num).items():
+            for w, t in self.forms[m][1].items():
+                rest[w] = rest.get(w, 0) - a * t
+        if any(rest.values()):
             gens = self.P.gens
             for w in map(decode_word, terms):
                 if gens.word_degree(w) != self.q:

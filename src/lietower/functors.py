@@ -30,12 +30,13 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import exprs
 from .dgl import DglPresentation, Truncation, exact_homology, validate as dgl_validate
 from .freelie import GeneratorSet, TensorElt, gen_elt, graded_bracket, lie_basis, lie_dim, zero
-from .linalg import Quotient, SparseMatrix, _add_term, homology_at, reduce as m_reduce
+from .linalg import Quotient, SparseMatrix, _add_term, _scalar, homology_at, reduce as m_reduce
 from .pronil import FiniteLieData, IncompleteTableError
 
 Mono = tuple[int, ...]  # sorted generator indices, repeats allowed for even gens
@@ -191,7 +192,7 @@ class FreeCdgaWindow:
             for j in range(i, len(self.monos)):
                 got = self.product(i, j)
                 if got is not None:
-                    products[(i, j)] = {got[0]: Fraction(got[1])}
+                    products[(i, j)] = {got[0]: got[1]}
         names = [name(m) for m in self.monos]
         return CdgaTable(names, self.degrees, products, dict(enumerate(self.d_rows)))
 
@@ -701,7 +702,9 @@ class CdgaTable:
 
     products maps (i, j) -> {k: coefficient} for i <= j (commutative
     transport fills the flip); differential maps i -> {j: coefficient},
-    degree +1.  Degrees are >= 1.
+    degree +1.  Degrees are >= 1.  Each coefficient is stored by the scalar
+    rule of `linalg._scalar`: an int when it is integral, else a Fraction,
+    so the bar differential of an integral table stays in ints.
     """
 
     def __init__(
@@ -718,12 +721,12 @@ class CdgaTable:
         self.index = {n: i for i, n in enumerate(names)}
         self.products = {}
         for (i, j), row in products.items():
-            row = {k: Fraction(c) for k, c in row.items() if c}
+            row = {k: _scalar(c) for k, c in row.items() if c}
             if row:
                 self.products[(i, j)] = row
         self.d = {}
         for i, row in differential.items():
-            row = {j: Fraction(c) for j, c in row.items() if c}
+            row = {j: _scalar(c) for j, c in row.items() if c}
             if row:
                 self.d[i] = row
 
@@ -763,7 +766,7 @@ def _bar_d1(A: CdgaTable, w: BarWord) -> dict[BarWord, Fraction]:
     prefix = 0
     for i, letter in enumerate(w):
         row = A.d.get(letter, {})
-        sign = Fraction(1 if prefix % 2 else -1)
+        sign = 1 if prefix % 2 else -1
         for j, c in row.items():
             _add_term(out, w[:i] + (j,) + w[i + 1 :], sign * c)
         prefix += A.degrees[letter] - 1
@@ -777,7 +780,7 @@ def _bar_d2(A: CdgaTable, w: BarWord) -> dict[BarWord, Fraction]:
     prefix = 0
     for i in range(len(w) - 1):
         prefix += A.degrees[w[i]] - 1
-        sign = Fraction(-1 if prefix % 2 else 1)
+        sign = -1 if prefix % 2 else 1
         for k, c in A.product(w[i], w[i + 1]).items():
             _add_term(out, w[:i] + (k,) + w[i + 2 :], sign * c)
     return out
@@ -793,17 +796,21 @@ def bar_differential(A: CdgaTable, vec: dict[BarWord, Fraction]) -> dict[BarWord
 
 
 @functools.cache
-def _shuffles(parities: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _shuffles(parities: tuple[int, ...], n: int) -> tuple[tuple[Callable[[BarWord], BarWord], int], ...]:
     """The shuffles of the first n letters with the rest, for letters of
-    these degree parities: each as the order of the positions and its sign.
+    these degree parities: each as a getter that reads the shuffled word off
+    the concatenation, and its sign.
 
     Cached because the sign depends only on the parities, and a bar quotient
-    shuffles thousands of word pairs that share a few parity patterns."""
+    shuffles thousands of word pairs that share a few parity patterns.  The
+    getter is one `itemgetter` of the order of the positions; below two
+    letters the only order is the identity, and `tuple` reads it (an
+    itemgetter of one index returns a bare letter, and of none it raises)."""
     out = []
     for slots in itertools.combinations(range(len(parities)), n):
         first, second = iter(range(n)), iter(range(n, len(parities)))
         order = tuple(next(first) if p in slots else next(second) for p in range(len(parities)))
-        out.append((order, normalize_monomial(parities, order)[1]))
+        out.append((itemgetter(*order) if len(order) > 1 else tuple, normalize_monomial(parities, order)[1]))
     return tuple(out)
 
 
@@ -811,8 +818,8 @@ def shuffle(A: CdgaTable, u: BarWord, v: BarWord) -> dict[BarWord, int]:
     """Graded shuffle product of bar words (Koszul signs on bar degrees)."""
     w = u + v
     out: dict[BarWord, int] = {}
-    for order, sign in _shuffles(tuple((A.degrees[letter] - 1) % 2 for letter in w), len(u)):
-        _add_term(out, tuple(w[p] for p in order), sign)
+    for pick, sign in _shuffles(tuple((A.degrees[letter] - 1) % 2 for letter in w), len(u)):
+        _add_term(out, pick(w), sign)
     return out
 
 
@@ -877,7 +884,7 @@ class LieCoalgebraTrunc:
         out: dict[tuple[int, int], dict[int, dict[int, Fraction]]] = {}
         reps = self.rep_words(q, n)
         for col, w in enumerate(reps):
-            img = bar_differential(self.A, {w: Fraction(1)})
+            img = bar_differential(self.A, {w: 1})
             by_key: dict[tuple[int, int], dict[BarWord, Fraction]] = {}
             for ww, c in img.items():
                 key = (len(ww), _bar_degree(self.A, ww))
@@ -1082,10 +1089,11 @@ def _word_pairing_sign(A: CdgaTable, w: BarWord) -> int:
 def _pairing(E: LieCoalgebraTrunc, elements: Sequence[TensorElt], q: int, n: int) -> SparseMatrix:
     """<u, w> for u in elements (rows) and w the class representatives at
     (q, n) (columns): tensor duals pair diagonally with words, so <u, w> is
-    the coefficient of w in u times `_word_pairing_sign(w)`."""
+    the coefficient of w in u times `_word_pairing_sign(w)`, an int where
+    it is integral."""
     cols = {w: (c, _word_pairing_sign(E.A, w)) for c, w in enumerate(E.rep_words(q, n))}
     return SparseMatrix(len(elements), len(cols), {
-        (r, cols[w][0]): coeff * cols[w][1]
+        (r, cols[w][0]): _scalar(coeff) * cols[w][1]
         for r, u in enumerate(elements)
         for w, coeff in u.terms.items()
         if w in cols
@@ -1106,13 +1114,14 @@ def _lie_side(model: DglPresentation, top: int, pi: SparseMatrix, q: int, q2: in
     """Pi(d_L basis_{q2, n2}, reps_{q, n2 - 1}) as D^T pi, for pi = Pi_{q, n2 - 1}
     and D the block from length q2 to length q of the model's kept matrix of
     d in degree n2 on L/L^top, over its `den`.  The slices order each
-    length's basis as `lie_basis` does, from `count_below` of that length."""
+    length's basis as `lie_basis` does, from `count_below` of that length.
+    Each entry of D over `den` is an int where it is integral."""
     dm = model.d_matrix(n2, top, top)
     src, tgt = model.slice(n2, top), model.slice(n2 - 1, top)
     r0, c0 = tgt.count_below(q), src.count_below(q2)
     rows = src.count_below(q2 + 1) - c0
     return SparseMatrix(rows, pi.rows, {
-        (j - c0, i - r0): Fraction(c, dm.den) for (i, j), c in dm.matrix.entries.items()
+        (j - c0, i - r0): _scalar(c, dm.den) for (i, j), c in dm.matrix.entries.items()
         if 0 <= i - r0 < pi.rows and 0 <= j - c0 < rows
     }).compose(pi)
 

@@ -90,6 +90,16 @@ def _add_term(p: dict, m, c) -> None:
         p.pop(m, None)
 
 
+def _scalar(c, den: int = 1):
+    """c / den exactly, for an int or Fraction c: an int when the value is
+    integral, else a Fraction."""
+    if type(c) is int:
+        return Fraction(c, den) if c % den else c // den
+    if den != 1:
+        c = c / den
+    return c.numerator if c.denominator == 1 else c
+
+
 def _sub_multiple(u: dict[int, int], a: int, w: dict[int, int], b: int) -> dict[int, int]:
     """a*u - b*w for sparse integer vectors, with no stored zeros."""
     out = {i: a * c for i, c in u.items()}
@@ -485,7 +495,8 @@ class Quotient:
     def coords(self, vec: dict) -> Vec:
         """vec modulo span(sub), over the kept unit vectors: its normal form
         against sub's reduced rows, each pivot entry replaced by the rest of
-        its row.  The reduced rows are built on the first call."""
+        its row.  An int entry that its pivot divides stays an int.  The
+        reduced rows are built on the first call."""
         self._check(vec)
         if self._rows is None:
             self._rows = dict(self._echelon.reduced_rows())
@@ -497,7 +508,7 @@ class Quotient:
             if row is None:
                 _add_term(out, self._class[j], c)
                 continue
-            f = Fraction(c) / row[j]
+            f = c // row[j] if type(c) is int and not c % row[j] else Fraction(c) / row[j]
             for k, r in row.items():
                 if k != j:
                     _add_term(out, self._class[k], -f * r)

@@ -595,3 +595,100 @@ def test_duality_check_on_degree_one_generators(S):
     rep = duality_check(S, 6, 4)
     assert all(r["dim_E"] == r["dim_L"] for r in rep.dims)
     assert rep.ok
+
+
+# -- scalars of the duality check: ints where integral, Fractions where not ------------
+
+RATIONAL = {
+    "rational_sphere": ([("e2", 2), ("e3", 3)], {"e3": "1/2 * e2 * e2"}),
+    "rational_cp2": ([("x", 2), ("y", 5)], {"y": "2/3 * x * x * x"}),
+}
+
+
+def rational_sphere():
+    return SullivanAlgebra.from_strings(*RATIONAL["rational_sphere"])
+
+
+def rational_cp2():
+    return SullivanAlgebra.from_strings(*RATIONAL["rational_cp2"])
+
+
+def cp2():
+    return SullivanAlgebra.from_strings([("x", 2), ("y", 5)], {"y": "x * x * x"})
+
+
+@pytest.mark.parametrize("window", [(6, 4), (8, 3)], ids=["6-4", "8-3"])
+@pytest.mark.parametrize("name, S, twin", [("rational_sphere", rational_sphere(), sphere2()),
+                                            ("rational_cp2", rational_cp2(), cp2())],
+                         ids=["rational_sphere", "rational_cp2"])
+def test_duality_with_rational_coefficients_matches_its_integral_twin(tmp_path, name, S, twin, window):
+    import json
+
+    from lietower import cli
+
+    rep, twin_rep = duality_check(S, *window), duality_check(twin, *window)
+    assert rep.ok and twin_rep.ok, rep.detail
+    assert rep.dims == twin_rep.dims
+    gens, diffs = RATIONAL[name]
+    path = tmp_path / f"{name}.sullivan"
+    path.write_text("kind: sullivan\n[generators]\n" + "".join(f"{g} : {d}\n" for g, d in gens)
+                    + "[differential]\n" + "".join(f"d {g} = {text}\n" for g, text in diffs.items()))
+    n_window, q_max = window
+    args = ["duality", str(path), "--max-degree", str(n_window), "--max-length", str(q_max),
+            "--format", "structured", "--out", str(tmp_path / "report.json")]
+    assert cli.main(args) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["report"] == rep.to_structured()
+
+
+def test_integral_duality_scalars_stay_int():
+    """On an integral algebra every scalar of the check is an int: the cdga
+    table, the class coordinates of the bar differential, the pairings and
+    the Lie side of each block identity.  On a rational one the table keeps
+    its Fractions, and every pairing and Lie-side entry is an int or a
+    Fraction that is not integral."""
+    from lietower.functors import _lie_side, _pairing_matrices
+
+    for S, integral in ((sphere2(), True), (cp2(), True), (rational_sphere(), False), (rational_cp2(), False)):
+        E = bar_lie_coalgebra_E(S, 4, 8)
+        model = neisendorfer_model(S, 9)
+        table = [c for row in (*E.A.products.values(), *E.A.d.values()) for c in row.values()]
+        scalars = list(table)
+        pairings = _pairing_matrices(E, model, 4, 8)
+        blocks = 0
+        for (q, n), pi in pairings.items():
+            scalars += pi.entries.values()
+            for (q2, n2), mat in E.differential_matrix(q, n).items():
+                if integral:
+                    assert all(type(c) is int for c in mat.entries.values()), (q, n, q2, n2)
+                if (q2, n2) in pairings:
+                    scalars += _lie_side(model, 5, pi, q, q2, n2).entries.values()
+                    blocks += 1
+        assert blocks
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in scalars)
+        assert all(type(c) is int for c in table) == integral
+        if integral:
+            assert all(type(c) is int for c in scalars)
+
+
+@pytest.mark.parametrize("change", [lambda c: c + Fraction(1, 2), lambda c: -c], ids=["plus_half", "sign"])
+@pytest.mark.parametrize("S", [sphere2(), rational_cp2()], ids=["even_sphere", "rational_cp2"])
+def test_duality_check_fails_on_a_perturbed_lie_side(monkeypatch, S, change):
+    import lietower.functors as functors
+    from lietower.linalg import SparseMatrix
+
+    lie_side = functors._lie_side
+    changed = []
+
+    def perturbed(*args):
+        got = lie_side(*args)
+        if not changed and got.entries:
+            key = min(got.entries)
+            changed.append(key)
+            return SparseMatrix(got.rows, got.cols, {**got.entries, key: change(got.entries[key])})
+        return got
+
+    assert duality_check(S, 6, 4).ok
+    monkeypatch.setattr(functors, "_lie_side", perturbed)
+    rep = duality_check(S, 6, 4)
+    assert changed and not rep.ok
+    assert rep.detail == "differentials disagree under the pairing"

@@ -10,6 +10,7 @@ from lietower.linalg import (
     Quotient,
     SparseMatrix,
     Subspace,
+    _scalar,
     gf2_pivots,
     homology_at,
     quotient_dims,
@@ -277,6 +278,34 @@ def test_quotient_matches_fraction_rank_oracle():
             got.coords({-1: 1})
     with pytest.raises(DimensionMismatch):
         Quotient([{2: 1}], 2)
+
+
+def test_scalar_is_an_int_exactly_when_integral():
+    for c, den, want in ((6, 3, 2), (-6, 3, -2), (0, 5, 0), (7, 1, 7), (Fraction(4, 2), 1, 2),
+                         (Fraction(3, 2), 3, Fraction(1, 2)), (Fraction(-9, 2), Fraction(3, 2), -3),
+                         (3, 2, Fraction(3, 2)), (-1, 4, Fraction(-1, 4))):
+        got = _scalar(c, den)
+        assert got == want and type(got) is (int if want.denominator == 1 else Fraction), (c, den)
+
+
+def test_quotient_coords_stay_int_where_the_pivots_divide():
+    rng = random.Random(37)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        # each sub vector is 1 at its last index, so every reduced pivot entry is 1
+        tops = rng.sample(range(n), rng.randint(0, n - 1))
+        sub = [{**{i: rng.randint(-3, 3) for i in range(t)}, t: 1} for t in tops]
+        got = Quotient(sub, n)
+        x = {i: rng.randint(-5, 5) for i in range(n) if rng.random() < 0.7}
+        x = {i: c for i, c in x.items() if c}
+        coords = got.coords(x)
+        assert coords == got.coords({i: Fraction(c) for i, c in x.items()})
+        assert all(type(c) is int for c in coords.values()), coords
+    # a pivot entry of 2: an int it divides stays an int, any other int becomes a Fraction
+    got = Quotient([{0: 1, 1: 2}], 2)
+    assert got.kept == [0]
+    assert got.coords({1: 4}) == {0: -2} and type(got.coords({1: 4})[0]) is int
+    assert got.coords({1: 1}) == {0: Fraction(-1, 2)}
 
 
 def brute_rank_mod_2(rows):
