@@ -16,7 +16,7 @@ the truncations both computable and meaningful.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional
@@ -34,6 +34,7 @@ from .freelie import (
     integer_terms,
     lie_basis,
     lie_basis_forms,
+    lie_basis_inverse,
     zero,
 )
 from .linalg import (
@@ -311,23 +312,28 @@ def validate(P: DglPresentation, t: Truncation) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# coordinates for (L/L^n)_q in echelonized per-length Lie bases
+# coordinates for (L/L^n)_q in the bracketing and echelon bases of each piece
 
 
 class DegreeSlice:
     """Basis bookkeeping for the degree-q slice of L/L^n.
 
-    The basis is the reduced echelon basis of each (length, degree) piece,
-    shortest length first, so the slice of L/L^m for m <= n is the leading
-    block of the first `count_below(m)` elements.  It is never stored: the
-    slice holds the pieces that `freelie.lie_basis_forms` keeps, shared with
-    every other slice of each piece, as their bracketings `forms` (pivot
-    word, integer terms) and the columns of S, plus one map from pivot word
-    to index.  Element i is sum_m S[m, i] * forms[m].  Words are str in the
-    slice (`int_coords`, `_combine`, the forms and the pivot map) and tuples
-    in a TensorElt: `element(i)`, `coords` and `element_from_coords` convert
-    one element's words, never the slice's.  Every vector of (L/L^n)_q is
-    read in this basis; `P.slice(q, n)` builds each slice once.
+    The slice has two bases, both ordered by piece, shortest length first, so
+    the slice of L/L^m for m <= n is the leading block of the first
+    `count_below(m)` elements of either.  The bracketing basis is the Lyndon
+    bracketings `forms` (pivot word, integer terms) of each (length, degree)
+    piece, held by `freelie.lie_basis_forms` and shared with every other
+    slice of the piece, with T, their unitriangular matrix at the pivot
+    words, held by its columns below the diagonal.  The echelon basis is
+    the reduced echelon basis of each piece, element i = sum_m S[m, i] *
+    forms[m] with S = T^-1; its elements are never stored, and S is built
+    per piece on first request (`freelie.lie_basis_inverse`).  Matrices of d are
+    read in the bracketing basis (`int_coords`), and every vector a report
+    or a solver reads is in the echelon basis (`coords`,
+    `element_from_coords`); `echelon_coords` maps the first to the second.
+    Words are str in the slice and tuples in a TensorElt:
+    `element(i)`, `coords` and `element_from_coords` convert one element's
+    words, never the slice's.  `P.slice(q, n)` builds each slice once.
     """
 
     def __init__(self, P: DglPresentation, q: int, n: int):
@@ -335,11 +341,13 @@ class DegreeSlice:
         self.q = q
         self.n = n
         self.forms: list[LieForm] = []
-        # column i of S as (offset of its piece in forms, column over the piece)
-        self._inverse: list[tuple[int, dict[int, int]]] = []
+        # column i of T below its diagonal, as (offset of its piece in forms,
+        # column over the piece)
+        self._lower: list[tuple[int, dict[int, int]]] = []
+        self._inverse: Optional[list[tuple[int, dict[int, int]]]] = None
         for k in range(1, n) if q >= 0 else ():
-            forms, inverse = lie_basis_forms(P.gens, k, q)
-            self._inverse += [(len(self.forms), col) for col in inverse]
+            forms, lower = lie_basis_forms(P.gens, k, q)
+            self._lower += [(len(self.forms), col) for col in lower]
             self.forms += forms
         self.lengths = [len(pivot) for pivot, _ in self.forms]
         self._pivot = {pivot: i for i, (pivot, _) in enumerate(self.forms)}
@@ -353,7 +361,7 @@ class DegreeSlice:
         return bisect_left(self.lengths, m)
 
     def element(self, i: int) -> TensorElt:
-        """Basis element i as a TensorElt, expanded through the bracketings."""
+        """Echelon basis element i as a TensorElt, expanded through the bracketings."""
         return _elt(self.P.gens, self._combine({i: 1}))
 
     def coords(self, u: TensorElt, strict: bool = False) -> dict[int, Fraction]:
@@ -363,17 +371,18 @@ class DegreeSlice:
         strict.
         """
         den, terms = _int_form(u)
-        return {i: Fraction(c, den) for i, c in self.int_coords(terms, strict).items()}
+        num = self.echelon_coords(self.int_coords(terms, strict))
+        return {i: Fraction(c, den) for i, c in num.items()}
 
     def int_coords(self, terms: dict[str, int], strict: bool = False) -> dict[int, int]:
-        """Coordinates of an integer combination of str words, which are integers.
+        """Bracketing coordinates a of an integer combination of str words,
+        terms = sum_m a_m * forms[m], which are integers.
 
-        Pivot coordinates of a reduced echelon basis are exclusive to their
-        basis vector and have coefficient 1, so this is a lookup; membership
-        in the slice is then verified exactly, in one pass: the combination
-        sum_m a_m * forms[m], a = S * coordinates, is subtracted from a copy
-        of the terms, and every word must be left at zero.  The terms carry
-        no stored zeros.
+        Forward substitution over T: the smallest pivot index m left in the
+        terms is popped, a_m is the coefficient of its pivot word there, which
+        no later bracketing has, and a_m * forms[m] is subtracted.  Membership
+        in the slice is verified exactly in the same pass: every word must be
+        left at zero.
         """
         # matrix images are already cut at n: copy only when a word reaches it
         if terms and max(map(len, terms)) >= self.n:
@@ -381,15 +390,31 @@ class DegreeSlice:
                 w = next(w for w in terms if len(w) >= self.n)
                 raise TruncationError(f"word length {len(w)} exceeds coordinate bound {self.n - 1}")
             terms = {w: c for w, c in terms.items() if len(w) < self.n}
-        num: dict[int, int] = {}
-        for w, c in terms.items():
-            pos = self._pivot.get(w)
-            if pos is not None:
-                num[pos] = c
+        pivot, forms = self._pivot, self.forms
         rest = dict(terms)
-        for m, a in self.basis_coeffs(num).items():
-            for w, t in self.forms[m][1].items():
-                rest[w] = rest.get(w, 0) - a * t
+        # the pivot indices left to visit, in increasing order
+        todo = sorted(map(pivot.__getitem__, pivot.keys() & rest.keys()))
+        coords: dict[int, int] = {}
+        while todo:
+            m = todo.pop(0)
+            pivot_word, form = forms[m]
+            a = rest.get(pivot_word)
+            if not a:
+                continue
+            coords[m] = a
+            for w, t in form.items():
+                s = rest.get(w)
+                if s is None:
+                    rest[w] = -a * t
+                    k = pivot.get(w)
+                    if k is not None:
+                        insort(todo, k)
+                else:
+                    s -= a * t
+                    if s:
+                        rest[w] = s
+                    else:
+                        del rest[w]
         if any(rest.values()):
             gens = self.P.gens
             for w in map(decode_word, terms):
@@ -397,10 +422,33 @@ class DegreeSlice:
                     raise DglError(f"word of (length, degree) ({len(w)}, {gens.word_degree(w)}) "
                                    f"is outside the degree-{self.q} slice")
             raise DglError(f"element is not in the degree-{self.q} slice of L/L^{self.n}")
-        return num
+        return coords
+
+    def echelon_coords(self, vec: dict[int, int]) -> dict[int, int]:
+        """T * vec: echelon coordinates of the element with bracketing
+        coordinates vec.  T is block-diagonal by piece, so a vector cut to a
+        leading block maps into that block."""
+        acc = dict(vec)
+        for m, c in vec.items():
+            offset, col = self._lower[m]
+            for k, t in col.items():
+                k += offset
+                s = acc.get(k, 0) + c * t
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+        return acc
 
     def basis_coeffs(self, num: dict[int, int]) -> dict[int, int]:
-        """S * num: sum_i num[i] * element(i) over the bracketings `forms`."""
+        """S * num: sum_i num[i] * element(i) over the bracketings `forms`.
+        Column i of S is kept as (offset of its piece in forms, column over
+        the piece), read off each piece's S on the first call."""
+        if self._inverse is None:
+            self._inverse = []
+            for k in range(1, self.n) if self.q >= 0 else ():
+                offset = self.count_below(k)
+                self._inverse += [(offset, col) for col in lie_basis_inverse(self.P.gens, k, self.q)]
         acc: dict[int, int] = {}
         for i, c in num.items():
             offset, col = self._inverse[i]
@@ -413,7 +461,7 @@ class DegreeSlice:
         return combine_forms(self.forms, self.basis_coeffs(num))
 
     def int_element(self, vec: dict[int, Fraction]) -> tuple[int, dict[str, int]]:
-        """(D, D * u) with str words for the element u with coordinates vec."""
+        """(D, D * u) with str words for the element u with echelon coordinates vec."""
         den, num = integer_terms(vec)
         return den, self._combine(num)
 
@@ -612,29 +660,36 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
     truncation N = max(ns) + 1 with at most one exact reduction each (see
     homology_tower).
 
+    Every matrix is read in the bracketing bases (`DMatrix.columns`): B =
+    S * D * T for the echelon matrix D, with S and T block-diagonal by
+    length and unitriangular over Z.  So every leading block of B has the
+    rank of D's, over Q and mod 2, the length-preserving blocks too;
+    B_q B_{q+1} = 0 exactly when D_q D_{q+1} = 0; and the cycles and
+    boundaries of a leading block of D are T times those of B.
+
     rank D_{q+1}^(n) has two exact bounds.  From below, its rank mod 2: the
     matrix is an integer one, and a nonzero minor mod 2 is nonzero over Z.
-    From above, dim Z(n) = C_n - rank D_q^(n), read off the kept tracked
-    reduction of D_q, since D_q D_{q+1} = 0 is checked exactly.  When the
+    From above, dim Z(n) = C_n - rank D_q^(n), read off the tracked
+    reduction of B_q, since B_q B_{q+1} = 0 is checked exactly.  When the
     two meet at every n of the range and at n + 1, every dim H is 0 and
-    D_{q+1} is never eliminated over Q; otherwise its exact untracked
-    elimination gives the ranks and the boundaries.  At q = 0, D_0 is the
-    empty-target matrix, every reduced column is zero and every cycle
-    combination a unit vector, so the boundaries are D_1's columns and the
-    connecting maps are surjective."""
+    B_{q+1} is never eliminated over Q; otherwise its exact untracked
+    elimination gives the ranks and the boundaries, and the cycles and
+    boundaries go to the echelon basis through T, where the representatives
+    are chosen.  At q = 0, D_0 is the empty-target matrix, every reduced
+    column is zero and every cycle combination a unit vector, so the
+    boundaries are D_1's columns and the connecting maps are surjective."""
     top = ns[-1] + 1
-    kept_out = P.d_matrix(q, top, top)
-    d_in, d_out = P.d_matrix(q + 1, top, top).matrix, kept_out.matrix
+    out_cols = P.d_matrix(q, top, top).columns
+    in_cols = P.d_matrix(q + 1, top, top).columns
     # each leading block of the product is the product of the leading blocks
-    if not d_out.compose(d_in).is_zero():
+    if any(_combine_columns(out_cols, col) for col in in_cols):
         raise NotAComplexError("composite differential is nonzero")
     above, mid, below = P.slice(q + 1, top), P.slice(q, top), P.slice(q - 1, top)
-    out_cols = d_out.columns()
-    reduced_out = kept_out.reduction()
-    out_pivots = reduced_out.pivots
-    relations = iter(reduced_out.echelon.relations)
-    # reduced column j of D_q as a combination of the columns j' <= j
-    combos = [next(relations) if p is None else reduced_out.echelon.combos[p] for p in out_pivots]
+    reduced_out = IntEchelon(track=True)
+    out_pivots = [reduced_out.insert(col) for col in out_cols]
+    relations = iter(reduced_out.relations)
+    # reduced column j of B_q as a combination of the columns j' <= j
+    combos = [next(relations) if p is None else reduced_out.combos[p] for p in out_pivots]
 
     def rank_out(n: int) -> int:
         return _leading_rank(out_pivots, below.count_below(n), mid.count_below(n))
@@ -642,7 +697,6 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
     def cycle_dim(n: int) -> int:
         return mid.count_below(n) - rank_out(n)
 
-    in_cols = d_in.columns()
     in_pivots = gf2_pivots(in_cols)
     certified = True
     for n in sorted({*ns, *(n + 1 for n in ns)}):
@@ -652,7 +706,7 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
                                  f"above the cycle dimension {cycle_dim(n)}")
         certified = certified and lower == cycle_dim(n)
     if not certified:
-        # D_{q+1} needs no column combinations, and an untracked pass keeps
+        # B_{q+1} needs no column combinations, and an untracked pass keeps
         # its rows primitive, which is much cheaper than a tracked one at large N
         reduced_in = IntEchelon()
         in_pivots = [reduced_in.insert(col) for col in in_cols]
@@ -666,7 +720,7 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
     for n in ns:
         c_n, c_next, r_n = mid.count_below(n), mid.count_below(n + 1), below.count_below(n)
         # a reduced column whose pivot is not above r_n vanishes on the rows
-        # of L/L^n, so its combination is a cycle there; a reduced D_{q+1}
+        # of L/L^n, so its combination is a cycle there; a reduced B_{q+1}
         # column with pivot above c_n, cut to those rows, is a boundary
         cycles = [combos[j] for j in range(c_n) if out_pivots[j] is None or out_pivots[j] >= r_n]
         if certified:
@@ -679,13 +733,15 @@ def _tower_rows(P: DglPresentation, q: int, ns: list[int]):
                                      f"the pivots of D_{q} give {cycle_dim(n)}")
             reps = []
         else:
+            # in the echelon basis, where the representatives are the first
+            # cycles; Subspace and complement_basis read only the spans
             boundaries = [
-                {i: c for i, c in reduced_in.rows[p].items() if i < c_n}
+                mid.echelon_coords({i: c for i, c in reduced_in.rows[p].items() if i < c_n})
                 for p in in_pivots[: above.count_below(n)]
                 if p is not None and p < c_n
             ]
             # the boundaries lie in the cycles: d o d = 0 was checked exactly above
-            reps = complement_basis(Subspace(c_n, cycles), boundaries)
+            reps = complement_basis(Subspace(c_n, map(mid.echelon_coords, cycles)), boundaries)
         dim = len(reps)
         if dim != dim_h(n):
             raise InvariantError(f"leading-block ranks give dim H = {dim_h(n)} at n = {n}, "
@@ -829,7 +885,8 @@ def boundary_solve(
     src = P.slice(q + 1, n)
     n_tgt = n + P.max_shift() if exact_in_l else n
     dm = P.d_matrix(q + 1, n, n_tgt)
-    num = P.slice(q, n_tgt).int_coords(t_terms, strict=exact_in_l)
+    tgt = P.slice(q, n_tgt)
+    num = tgt.echelon_coords(tgt.int_coords(t_terms, strict=exact_in_l))
     got = dm.reduction().solve({i: Fraction(c, t_den) for i, c in num.items()})
     where = "L" if exact_in_l else f"L/L^{n}"
     if got is None:
@@ -869,35 +926,53 @@ class DMatrix:
 
     M is the matrix of d from the degree-q slice of L/L^n_src to the
     degree-(q-1) slice of L/L^n_tgt, image words of length >= n_tgt
-    dropped.  `matrix` = D * M is an integer matrix for D = `den`, the
-    common denominator of d on the generators: it has the kernel of M, and
-    M x = b exactly when (D * M) x = D * b.  It is built as C * S, with
-    column m of C the target coordinates of D * d(P_m) for the m-th
-    bracketing P_m of the source, which `int_coords` checks, and S the
-    source's inverse; no reduced echelon element is expanded.  With an
-    empty target slice every column is zero and nothing is derived.  The
-    column reduction is built on first use.
+    dropped, and D = `den` is the common denominator of d on the
+    generators.  It is built once, as B = D * M in the bracketing bases:
+    column m of `columns` holds the bracketing coordinates of D * d(P_m) for
+    the m-th bracketing P_m of the source, which `int_coords` computes and
+    checks, so B is an integer matrix and no reduced echelon element is
+    expanded.  With an empty target slice every column is zero and nothing
+    is derived.  `matrix` is D * M in the echelon bases, T_tgt * B * S_src,
+    formed on first use for the readers of echelon coordinates, by
+    back-substitution over the source's T, so S is not built for it: it has
+    the kernel of M, and M x = b exactly when (D * M) x = D * b.  Its column
+    reduction is built on first use too.  T and S are block-diagonal by
+    length and unitriangular over Z, so every leading block of B has the
+    rank of that of `matrix`, over Q and mod every prime.
     """
 
     def __init__(self, P: DglPresentation, q: int, n_src: int, n_tgt: int):
         src, tgt = P.slice(q, n_src), P.slice(q - 1, n_tgt)
         self.den = P._diff_den
+        self._slices = (src, tgt)
+        self._matrix: Optional[SparseMatrix] = None
         self._reduction: Optional[ColumnReduction] = None
         if not tgt.dim:
-            self.matrix = SparseMatrix(0, src.dim)
+            self.columns: list[dict[int, int]] = [{} for _ in range(src.dim)]
             return
         # a bracketing's words all have its length: one memo per length, each
-        # word derived once, and the memo dropped before C * S is built
-        images, length, memo = [], 0, {}
+        # word derived once, and the memo dropped with the build
+        self.columns, length, memo = [], 0, {}
         for pivot, terms in src.forms:
             if len(pivot) != length:
                 length, memo = len(pivot), {}
-            images.append(tgt.int_coords(_derive_int(P, terms, n_tgt, memo)))
-        del memo
-        # column j of S is the piece column src._inverse[j], at its piece's offset
-        cols = [_combine_columns(images, {offset + m: s for m, s in col.items()})
-                for offset, col in src._inverse]
-        self.matrix = SparseMatrix.from_columns(tgt.dim, cols)
+            self.columns.append(tgt.int_coords(_derive_int(P, terms, n_tgt, memo)))
+
+    @property
+    def matrix(self) -> SparseMatrix:
+        if self._matrix is None:
+            src, tgt = self._slices
+            # D = C * S_src for C = T_tgt * B, that is D * T_src = C: by
+            # back-substitution, column m of D is column m of C minus
+            # T_src[k, m] times column k of D for the k > m of its piece
+            cols = [tgt.echelon_coords(col) for col in self.columns]
+            for m in reversed(range(len(cols))):
+                offset, lower = src._lower[m]
+                for k, t in lower.items():
+                    for i, c in cols[offset + k].items():
+                        _add_term(cols[m], i, -t * c)
+            self._matrix = SparseMatrix.from_columns(tgt.dim, cols)
+        return self._matrix
 
     def reduction(self) -> ColumnReduction:
         if self._reduction is None:
@@ -1095,8 +1170,12 @@ def h0_table_from_tower(P: DglPresentation, n: int):
     unit vectors of the quotient, the tower's representatives.
     """
     sl = P.slice(0, n)
-    cols = P.d_matrix(1, n + 1, n + 1).matrix.columns()
-    quotient = Quotient(({i: c for i, c in col.items() if i < sl.dim} for col in cols), sl.dim)
+    # the columns of B cut to the rows of sl, in sl's echelon basis: T is
+    # block-diagonal by piece, and S is invertible, so they span what those
+    # of the echelon matrix of d do
+    cols = P.d_matrix(1, n + 1, n + 1).columns
+    quotient = Quotient((sl.echelon_coords({i: c for i, c in col.items() if i < sl.dim})
+                         for col in cols), sl.dim)
     reps = [sl.element(i) for i in quotient.kept]
     names = [f"h{i}" for i in range(len(reps))]
     brackets = {}

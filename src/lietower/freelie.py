@@ -14,10 +14,11 @@ its Lyndon words (Reutenauer, Free Lie Algebras, 1993, Thm 5.1), together
 with the squares of odd-degree Lyndon bracketings (Bokut-Kang-Lee-
 Malcolmson, J. Algebra 217, 1999).  Each piece is held once, in integer
 arithmetic, as those bracketings, each with coefficient 1 at its pivot
-word, and the inverse S of their unitriangular matrix at the pivot words;
-the reduced echelon elements are the bracketings times S.  The Lyndon
-bracketings of a piece are built from the pieces of their standard
-factors, so no piece enumerates its words.  Dimensions are cross-checked
+word, and the columns of their unitriangular matrix T at the pivot words;
+the reduced echelon elements are the bracketings times S = T^-1, which is
+built per piece on first request.  The Lyndon bracketings of a piece are
+built from the pieces of their standard factors, so no piece enumerates
+its words.  Dimensions are cross-checked
 against the necklace-style counting formula obtained by inverting the
 tensor-algebra Poincare series.
 
@@ -42,9 +43,9 @@ Word = tuple[int, ...]
 # (pivot word, terms): an integer Lie element with coefficient 1 at its pivot
 # word and only larger words otherwise, words as str
 LieForm = tuple[str, dict[str, int]]
-# (forms, inverse) of one (length, degree) piece: its bracketings, sorted by
-# pivot word, and the columns of S = T^-1, so reduced echelon element i is
-# sum_m inverse[i][m] * forms[m]
+# (forms, lower) of one (length, degree) piece: its bracketings, sorted by
+# pivot word, and T = I + L for T[k, m] the coefficient of pivot word k in
+# forms[m], with column m of L as lower[m] = {k: T[k, m]} over k > m
 LiePiece = tuple[list[LieForm], list[dict[int, int]]]
 _PIVOT = itemgetter(0)
 
@@ -337,6 +338,7 @@ def parse_element(gens: GeneratorSet, text: str) -> TensorElt:
 _word_cache: dict = {}
 _lyndon_cache: dict = {}
 _basis_cache: dict = {}
+_inverse_cache: dict = {}
 _dim_cache: dict = {}
 
 
@@ -494,9 +496,10 @@ def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
     str order is the order of index tuples.  Each form has coefficient 1 at
     its pivot and only larger words otherwise, so the matrix T of their
     coefficients at the pivot words is unitriangular, and there are exactly
-    lie_dim of them; both are checked.  The reduced echelon basis against
-    the lexicographic word order is the bracketings times S = T^-1, an
-    integer matrix, which is held by columns.  Each piece is built once.
+    lie_dim of them; both are checked.  The piece is the forms and the
+    columns of T below its diagonal.  The reduced echelon basis against the
+    lexicographic word order is the bracketings times S = T^-1
+    (`lie_basis_inverse`).  Each piece is built once.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -518,21 +521,34 @@ def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
     expected = lie_dim(gens, length, degree)
     if len(forms) != expected:
         raise InvariantError(f"basis rank {len(forms)} != counted dim {expected} at {key}")
-    # back-substitution: element i = P_i - sum_k T[k, i] * element k over
-    # the pivots k of P_i above its own, which come later
     index = {pivot: m for m, (pivot, _) in enumerate(forms)}
-    inverse: dict[int, dict[int, int]] = {}
-    for i in reversed(range(len(forms))):
-        col = {i: 1}
-        for w, t in forms[i][1].items():
-            k = index.get(w)
-            if k is not None and k != i:
-                for m, s in inverse[k].items():
-                    col[m] = col.get(m, 0) - t * s
-        inverse[i] = {m: s for m, s in col.items() if s}
-    piece = (forms, [inverse[i] for i in range(len(forms))])
+    lower = [{index[w]: t for w, t in terms.items() if w in index and w != pivot}
+             for pivot, terms in forms]
+    piece = (forms, lower)
     _basis_cache[key] = piece
     return piece
+
+
+def lie_basis_inverse(gens: GeneratorSet, length: int, degree: int) -> list[dict[int, int]]:
+    """The columns of S = T^-1 for the piece of `lie_basis_forms`, an integer
+    matrix: reduced echelon element i is sum_m S[m, i] * forms[m].  Built
+    once per piece, on first request, by back-substitution over T."""
+    key = (gens, length, degree)
+    got = _inverse_cache.get(key)
+    if got is not None:
+        return got
+    lower = lie_basis_forms(gens, length, degree)[1]
+    # element i = P_i - sum_k T[k, i] * element k over the pivots k of P_i
+    # above its own, which come later
+    inverse: dict[int, dict[int, int]] = {}
+    for i in reversed(range(len(lower))):
+        col = {i: 1}
+        for k, t in lower[i].items():
+            for m, s in inverse[k].items():
+                col[m] = col.get(m, 0) - t * s
+        inverse[i] = {m: s for m, s in col.items() if s}
+    got = _inverse_cache[key] = [inverse[i] for i in range(len(lower))]
+    return got
 
 
 def combine_forms(forms: list[LieForm], coeffs: dict[int, int]) -> dict[str, int]:
@@ -547,10 +563,11 @@ def combine_forms(forms: list[LieForm], coeffs: dict[int, int]) -> dict[str, int
 def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
     """Canonical basis of the (length, degree) piece, echelonized against the
     lexicographic word order (pivot coefficient 1); built on each call by
-    expanding the columns of S through the bracketings of `lie_basis_forms`."""
-    forms, inverse = lie_basis_forms(gens, length, degree)
+    expanding the columns of S (`lie_basis_inverse`) through the bracketings
+    of `lie_basis_forms`."""
+    forms = lie_basis_forms(gens, length, degree)[0]
     return [TensorElt(gens, {decode_word(w): c for w, c in combine_forms(forms, col).items()})
-            for col in inverse]
+            for col in lie_basis_inverse(gens, length, degree)]
 
 
 def pbw_euler_check(gens: GeneratorSet, max_length: int, max_degree: int) -> bool:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietower import cli, dgl, functors, linalg
+from lietower import cli, dgl, freelie, functors, linalg
 
 from lietower.dgl import (
     DglError,
@@ -524,6 +524,200 @@ def test_certified_rows_check_the_span_of_the_cycles(monkeypatch):
     with pytest.raises(InvariantError, match="the cycle combinations span 0 dimensions at n = 3, "
                                              "the pivots of D_1 give 1"):
         homology_tower(remark(), 1, range(2, 5))
+
+
+# -- matrices of d in the bracketing basis ---------------------------------------
+
+def stubborn():
+    with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
+        return cli.parse(fh.read()).to_dgl()
+
+
+def bracket_cases():
+    """(P, N, degrees): the stubborn cycle and members of its family at
+    N = 8, and the random presentations above at N = 6."""
+    rng = random.Random(36)
+    cases = [(stubborn(), 8, (0, 1, 2))] + [(family_member(rng), 8, (0, 1, 2)) for _ in range(3)]
+    cases += [(random_degree01_presentation(rng)[0], 6, (0, 1, 2)) for _ in range(8)]
+    cases += [(random_positive_presentation(rng)[0], 6, (1, 2, 3, 4)) for _ in range(8)]
+    return cases
+
+
+def t_columns(sl):
+    """T of a slice read off its forms: column m holds the coefficients of
+    the pivot words in forms[m]."""
+    index = {pivot: k for k, (pivot, _) in enumerate(sl.forms)}
+    return [{index[w]: c for w, c in terms.items() if w in index} for _, terms in sl.forms]
+
+
+def s_columns(sl):
+    """S of a slice, from each piece's S at its offset."""
+    return [{sl.count_below(k) + m: c for m, c in col.items()}
+            for k in range(1, sl.n) for col in freelie.lie_basis_inverse(sl.P.gens, k, sl.q)]
+
+
+def times(left, right):
+    """left * right for matrices held as lists of sparse columns."""
+    out = []
+    for col in right:
+        acc = {}
+        for k, c in col.items():
+            for i, t in left[k].items():
+                acc[i] = acc.get(i, 0) + c * t
+        out.append({i: c for i, c in acc.items() if c})
+    return out
+
+
+def rank_mod_2(cols):
+    """Rank over GF(2) by elimination of bit rows at their highest bit."""
+    kept = {}
+    for col in cols:
+        v = sum(1 << i for i, c in col.items() if c % 2)
+        while v and v.bit_length() in kept:
+            v ^= kept[v.bit_length()]
+        if v:
+            kept[v.bit_length()] = v
+    return len(kept)
+
+
+def rank_q(cols):
+    ech = linalg.IntEchelon()
+    for col in cols:
+        ech.insert(col)
+    return ech.dim
+
+
+def block(cols, rows, lo=0, col_lo=0):
+    return [{i: c for i, c in col.items() if lo <= i < rows} for col in cols[col_lo:]]
+
+
+def test_echelon_matrices_are_t_times_b_times_s():
+    # D = T_tgt * B * S_src exactly, so D * T_src = T_tgt * B, for the square
+    # matrices of every tower and the untruncated ones of the boundary solver
+    built = 0
+    for P, N, degrees in bracket_cases():
+        for q in degrees:
+            for n_src, n_tgt in ((N, N), (N - 1, N - 1 + P.max_shift())):
+                dm = P.d_matrix(q, n_src, n_tgt)
+                src, tgt = dm._slices
+                assert src is P.slice(q, n_src) and tgt is P.slice(q - 1, n_tgt)
+                B, D = dm.columns, dm.matrix.columns()
+                assert len(B) == len(D) == src.dim and dm.matrix.rows == tgt.dim
+                assert all(type(c) is int for col in B for c in col.values())
+                tb = times(t_columns(tgt), B)
+                assert D == times(tb, s_columns(src)), (P, q, n_src, n_tgt)
+                assert times(D, t_columns(src)) == tb, (P, q, n_src, n_tgt)
+                built += bool(tgt.dim and any(B))
+    assert built >= 40
+
+
+def test_leading_blocks_of_b_and_d_have_equal_ranks_over_q_and_mod_2():
+    # every leading block (word lengths < n on both sides) and every
+    # length-preserving block of B has the rank of D's, over Q and mod 2
+    compared = even = 0
+    for P, N, degrees in bracket_cases():
+        for q in degrees:
+            dm = P.d_matrix(q, N, N)
+            src, tgt = dm._slices
+            B, D = dm.columns, dm.matrix.columns()
+            for n in range(2, N + 1):
+                r, c = tgt.count_below(n), src.count_below(n)
+                lead_b, lead_d = block(B[:c], r), block(D[:c], r)
+                assert rank_q(lead_b) == rank_q(lead_d), (P, q, n)
+                assert rank_mod_2(lead_b) == rank_mod_2(lead_d), (P, q, n)
+                lo, hi, c_lo = tgt.count_below(n - 1), r, src.count_below(n - 1)
+                assert rank_q(block(B[:c], hi, lo, c_lo)) == rank_q(block(D[:c], hi, lo, c_lo))
+                compared += 1
+            even += any(c % 2 == 0 for col in B for c in col.values())
+    assert compared > 150 and even > 3
+
+
+def test_substitution_over_t_gives_s_times_echelon_coordinates():
+    # for random echelon coordinates c, the bracketing coordinates that
+    # int_coords reads off the expanded element are S * c, and T maps them back
+    rng = random.Random(37)
+    checked = 0
+    for P, N, degrees in bracket_cases()[::2]:
+        for q in degrees:
+            sl = P.slice(q, N)
+            for _ in range(6 if sl.dim else 0):
+                c = {i: rng.choice([-3, -1, 1, 2, 5]) for i in rng.sample(range(sl.dim), min(sl.dim, 4))}
+                terms = sl._combine(c)
+                a = sl.int_coords(terms)
+                assert a == sl.basis_coeffs(c) and sl.echelon_coords(a) == c
+                assert freelie.combine_forms(sl.forms, a) == terms
+                checked += 1
+    assert checked > 40
+
+
+def test_a_perturbed_image_word_fails_the_build(monkeypatch):
+    # one image with its coefficient at one word of no pivot raised by 1 is
+    # outside the slice, and the build of B raises
+    derive = dgl._derive_int
+    perturbed = []
+
+    def once(P, terms, n=None, memo=None):
+        image = derive(P, terms, n, memo)
+        tgt = P.slice(0, 8)
+        spare = [w for w in image if len(w) >= 2 and w not in tgt._pivot]
+        if spare and not perturbed:
+            perturbed.append(spare[0])
+            image[spare[0]] += 1
+        return image
+
+    for P in (stubborn(), family_member(random.Random(38))):
+        perturbed.clear()
+        monkeypatch.setattr(dgl, "_derive_int", once)
+        with pytest.raises(DglError, match="not in the degree-0 slice of L/L\\^8"):
+            P.d_matrix(1, 8, 8)
+        assert perturbed
+        monkeypatch.setattr(dgl, "_derive_int", derive)
+        assert DglPresentation(P.gens, P.diff).d_matrix(1, 8, 8).columns
+
+
+def test_a_forced_gap_mod_2_keeps_the_representatives(monkeypatch):
+    # with one pivot mod 2 dropped, the exact path on B gives the rows of the
+    # unforced run and of the path with no pivot mod 2, and the
+    # representatives of every row are those of the per-n complex on D
+    def drop_one_pivot(cols):
+        pivots = linalg.gf2_pivots(cols)
+        found = [j for j, p in enumerate(pivots) if p is not None]
+        if found:
+            pivots[found[0]] = None
+        return pivots
+
+    with_h = 0
+    for P, q in [(heisenberg_dgl(), 1), (heisenberg_dgl(), 0), (remark(), 0), (remark(), 1),
+                 (sullivan_model("even_sphere"), 1), (sullivan_model("heisenberg"), 2)]:
+        got, _, want = certified_and_exact(monkeypatch, P, q, range(2, 6))
+        gapped, was_certified, _ = certified_and_exact(monkeypatch, P, q, range(2, 6), drop_one_pivot)
+        assert gapped == got == want and not was_certified
+        for row in gapped["rows"]:
+            dim, reps = lcs_quotient_complex(P, row["n"], (q, q)).homology(q)
+            assert (row["dim_H"], row["representatives"]) == (dim, [r.pretty() for r in reps])
+            with_h += q >= 1 and dim > 0
+    assert with_h >= 4
+
+
+def test_a_cold_degree_1_tower_builds_no_s(monkeypatch):
+    # the stubborn cycle's degree-1 tower is certified mod 2 at every n and
+    # reads only B: no piece's S and no echelon matrix of d is built
+    for cache in ("_lyndon_cache", "_basis_cache", "_inverse_cache"):
+        monkeypatch.setattr(freelie, cache, {})
+    built = []
+    inverse = dgl.lie_basis_inverse
+    monkeypatch.setattr(dgl, "lie_basis_inverse", lambda *key: built.append(key) or inverse(*key))
+    P = stubborn()
+    report = homology_tower(P, 1, range(2, 9))
+    assert report.dims() == [0] * 7 and freelie._basis_cache
+    assert built == [] and freelie._inverse_cache == {}
+    assert all(dm._matrix is None and dm._reduction is None for dm in P._matrix_cache.values())
+    assert all(sl._inverse is None for sl in P._slice_cache.values())
+    # the degree-0 tower has H = y at every n, and expands its representatives
+    # through the S of the degree-0 pieces only
+    assert homology_tower(P, 0, range(2, 9)).rows[-1]["representatives"] == ["y"]
+    assert built and {q for _, _, q in built} == {0}
+    assert all(dm._matrix is None for dm in P._matrix_cache.values())
 
 
 # -- lower central series layers ---------------------------------------------

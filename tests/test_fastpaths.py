@@ -3,7 +3,8 @@
 * `lie_basis` (standard Lyndon bracketings) against the echelonized image
   of the left-normed bracketing map on every tensor word, and the held
   bracketings (`freelie.lie_basis_forms`: unitriangular at their pivot
-  words, with inverse S) against a Fraction Gauss-Jordan elimination, and
+  words, with T held below its diagonal and S = T^-1 built on request by
+  `freelie.lie_basis_inverse`) against a Fraction Gauss-Jordan elimination, and
   the pieces built from the pieces of their standard factors against the
   enumeration of every word with a Lyndon test on each and a per-call
   memo of bracketings, with `_derive_int` on their str words against
@@ -23,8 +24,9 @@
   `IntEchelon.express` against the Fraction `reduce`, the row reduction of
   [A | b] and the Fraction tracked echelon it replaced, and the boundary
   solvers (integer matrices of d) against Fraction assembly;
-* the presentation's matrices of d (`DglPresentation.d_matrix`, built as
-  C * S from the bracketings) against Fraction derivations of the elements
+* the presentation's matrices of d (`DglPresentation.d_matrix`, kept as B
+  in the bracketing bases, with the echelon matrix T * B * S formed on
+  first use) against Fraction derivations of the elements
   of `IntEchelon.rref` of the bracketings, repeated solves and top-length
   reports against the first ones (no column of d derived or read again),
   and the kept `ColumnReduction` against `solve_affine` and the Fraction
@@ -189,21 +191,28 @@ def test_lyndon_basis_matches_dynkin_image(degrees):
                          ids=lambda ds: "deg" + "-".join(map(str, ds)))
 def test_bracketings_are_unitriangular_and_s_inverts_t(degrees):
     # T[k, m] is the coefficient of pivot word k in bracketing m; the held
-    # columns of S give S * T = I, and the bracketings times S are the
-    # Fraction Gauss-Jordan reduced echelon basis, in order
+    # columns of T below its diagonal are exactly those coefficients, the
+    # columns of S built on request give S * T = I, and the bracketings
+    # times S are the Fraction Gauss-Jordan reduced echelon basis, in order
     gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
     max_length = 6 if len(degrees) == 3 else 7
     checked = 0
     for n in range(1, max_length + 1):
         for d in range(min(degrees) * n, max(degrees) * n + 1):
-            held, inverse = freelie.lie_basis_forms(gens, n, d)
+            held, lower = freelie.lie_basis_forms(gens, n, d)
+            inverse = freelie.lie_basis_inverse(gens, n, d)
+            assert freelie.lie_basis_inverse(gens, n, d) is inverse
             forms = decoded(held)
-            assert forms == bracketings(gens, n, d) and len(inverse) == len(forms)
+            assert forms == bracketings(gens, n, d) and len(inverse) == len(lower) == len(forms)
             pivots = [w for w, _ in forms]
             # str order of the held words is tuple order
             assert pivots == sorted(set(pivots)) and [w for w, _ in held] == sorted(w for w, _ in held)
             for pivot, terms in held:
                 assert terms[pivot] == 1 and min(terms) == pivot
+            # T is unitriangular: 1 on the diagonal, held below it only
+            for m, (_, terms) in enumerate(forms):
+                assert lower[m] == {k: terms[p] for k, p in enumerate(pivots) if p in terms and k != m}
+                assert all(k > m for k in lower[m]) and terms[pivots[m]] == 1
             for j, (_, terms) in enumerate(forms):
                 st = {}
                 for k, pivot in enumerate(pivots):
@@ -239,7 +248,7 @@ def profile_presentation(gens, rng):
 def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
     # every piece up to length 7 against the enumeration of its words with a
     # Lyndon test on each and a per-call memo of bracketings: the same
-    # pivots, terms and S, and d of each bracketing on str words against
+    # pivots, terms, T and S, and d of each bracketing on str words against
     # extend_derivation and the Fraction derivation of the tuple bracketing
     rng = random.Random(sum(degrees) * 31 + len(degrees))
     gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
@@ -247,11 +256,15 @@ def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
     squares = forms_seen = 0
     for n in range(1, 8):
         for d in range(min(degrees) * n, max(degrees) * n + 1):
-            held, inverse = freelie.lie_basis_forms(gens, n, d)
+            held, lower = freelie.lie_basis_forms(gens, n, d)
+            inverse = freelie.lie_basis_inverse(gens, n, d)
             want = bracketings(gens, n, d)
             assert [decode_word(w) for w, _ in held] == [w for w, _ in want], (n, d)
             assert decoded(held) == want, (n, d)
-            # S inverts the enumeration's unitriangular matrix T
+            # the held T is the enumeration's unitriangular matrix T, and S inverts it
+            pivots = [w for w, _ in want]
+            assert lower == [{k: terms[p] for k, p in enumerate(pivots) if p in terms and k != m}
+                             for m, (_, terms) in enumerate(want)], (n, d)
             for j, (_, terms) in enumerate(want):
                 st = {}
                 for k, (pivot, _) in enumerate(want):
@@ -333,7 +346,13 @@ def test_a_matrix_build_leaves_no_derivation_state_on_the_presentation():
     assert {k: v for k, v in after.items() if k != "_matrix_cache"} == \
         {k: v for k, v in state.items() if k != "_matrix_cache"}
     assert after["_matrix_cache"] == {(2, 8, 8): dm}
-    assert set(vars(dm)) == {"matrix", "den", "_reduction"}
+    # the build keeps B and its two slices; the echelon matrix and its
+    # reduction wait for a reader, and no derivation memo is kept
+    assert set(vars(dm)) == {"columns", "den", "_slices", "_matrix", "_reduction"}
+    assert dm._matrix is None and dm._reduction is None
+    assert dm._slices[0] is P.slice(2, 8) and dm._slices[1] is P.slice(1, 8)
+    assert len(dm.columns) == P.slice(2, 8).dim and all(type(col) is dict for col in dm.columns)
+    assert all(type(i) is int and type(c) is int for col in dm.columns for i, c in col.items())
 
 
 def test_lyndon_basis_odd_squares():
@@ -435,18 +454,28 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
     homology_tower(P, 1, range(2, 7))
     homology_tower(P, 0, range(2, 7))
     assert P._slice_cache
+    expanded = 0
     for sl in P._slice_cache.values():
         held = _held_objects(sl, skip=(P,))
         assert not [o for o in held if isinstance(o, (Fraction, TensorElt))]
         # one map, from pivot words only: no index of every word
-        assert len(sl._pivot) == sl.dim == len(sl.forms) == len(sl._inverse) == len(sl.lengths)
+        assert len(sl._pivot) == sl.dim == len(sl.forms) == len(sl._lower) == len(sl.lengths)
         # bracketings, not reduced echelon rows: each leads with 1 at its
-        # pivot word, and S is unitriangular
+        # pivot word, and T is unitriangular, held below its diagonal
         for i, (pivot, terms) in enumerate(sl.forms):
             assert terms[pivot] == 1 and min(terms) == pivot and type(pivot) is str
-            offset, col = sl._inverse[i]
-            assert col[i - offset] == 1 and min(col) == i - offset
-    held = _held_objects(freelie._basis_cache)
+            offset, col = sl._lower[i]
+            assert all(k > i - offset and sl.lengths[offset + k] == sl.lengths[i] for k in col)
+        # S only where an echelon element was expanded, and then S * T = I
+        if sl._inverse is not None:
+            expanded += 1
+            assert len(sl._inverse) == sl.dim
+            for j in range(sl.dim):
+                offset, col = sl._inverse[j]
+                st = sl.echelon_coords({offset + m: s for m, s in col.items()})
+                assert st == {j: 1}
+    assert expanded >= 1
+    held = _held_objects([freelie._basis_cache, freelie._inverse_cache])
     assert not [o for o in held if isinstance(o, (Fraction, TensorElt))]
     # every piece holds the bracketings themselves, which in longer pieces
     # are not the reduced echelon elements
@@ -459,16 +488,20 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
             differ += [terms for _, terms in forms] != [b.terms for b in rref]
     assert differ >= 4
     # slices sharing a (length, degree) piece share its forms and columns of
-    # S, with each other and with the free-Lie cache
+    # T and S, with each other and with the free-Lie caches
     small, large = P.slice(1, 5), P.slice(1, 7)
     assert small.dim < large.dim
+    small.element(0), large.element(0)
     assert all(small.forms[i] is large.forms[i] for i in range(small.dim))
+    assert all(small._lower[i][1] is large._lower[i][1] for i in range(small.dim))
     assert all(small._inverse[i][1] is large._inverse[i][1] for i in range(small.dim))
     pieces = [freelie._basis_cache[(P.gens, k, 1)] for k in range(1, 7)]
     cached = [f for forms, _ in pieces for f in forms]
     assert all(f is g for f, g in zip(large.forms, cached)) and len(cached) == large.dim
-    columns = [col for _, inverse in pieces for col in inverse]
-    assert all(col is c for (_, col), c in zip(large._inverse, columns))
+    columns = [col for _, lower in pieces for col in lower]
+    assert all(col is c for (_, col), c in zip(large._lower, columns)) and len(columns) == large.dim
+    columns = [col for k in range(1, 7) for col in freelie._inverse_cache[(P.gens, k, 1)]]
+    assert all(col is c for (_, col), c in zip(large._inverse, columns)) and len(columns) == large.dim
     other = DglPresentation(P.gens, {}).slice(1, 7)
     assert other is not large and all(f is g for f, g in zip(other.forms, large.forms))
 
