@@ -34,7 +34,7 @@ from .freelie import (
     integer_terms,
     lie_basis,
     lie_basis_forms,
-    lie_basis_inverse,
+    solve_unitriangular,
     zero,
 )
 from .linalg import (
@@ -326,9 +326,9 @@ class DegreeSlice:
     slice of the piece, with T, their unitriangular matrix at the pivot
     words, held by its columns below the diagonal.  The echelon basis is
     the reduced echelon basis of each piece, element i = sum_m S[m, i] *
-    forms[m] with S = T^-1; its elements are never stored, and S is built
-    per piece on first request (`freelie.lie_basis_inverse`).  Matrices of d are
-    read in the bracketing basis (`int_coords`), and every vector a report
+    forms[m] with S = T^-1; neither its elements nor S are stored, and
+    `basis_coeffs` applies S by forward substitution over T.  Matrices of d
+    are read in the bracketing basis (`int_coords`), and every vector a report
     or a solver reads is in the echelon basis (`coords`,
     `element_from_coords`); `echelon_coords` maps the first to the second.
     Words are str in the slice and tuples in a TensorElt:
@@ -344,7 +344,6 @@ class DegreeSlice:
         # column i of T below its diagonal, as (offset of its piece in forms,
         # column over the piece)
         self._lower: list[tuple[int, dict[int, int]]] = []
-        self._inverse: Optional[list[tuple[int, dict[int, int]]]] = None
         for k in range(1, n) if q >= 0 else ():
             forms, lower = lie_basis_forms(P.gens, k, q)
             self._lower += [(len(self.forms), col) for col in lower]
@@ -441,20 +440,9 @@ class DegreeSlice:
         return acc
 
     def basis_coeffs(self, num: dict[int, int]) -> dict[int, int]:
-        """S * num: sum_i num[i] * element(i) over the bracketings `forms`.
-        Column i of S is kept as (offset of its piece in forms, column over
-        the piece), read off each piece's S on the first call."""
-        if self._inverse is None:
-            self._inverse = []
-            for k in range(1, self.n) if self.q >= 0 else ():
-                offset = self.count_below(k)
-                self._inverse += [(offset, col) for col in lie_basis_inverse(self.P.gens, k, self.q)]
-        acc: dict[int, int] = {}
-        for i, c in num.items():
-            offset, col = self._inverse[i]
-            for m, s in col.items():
-                acc[offset + m] = acc.get(offset + m, 0) + c * s
-        return {m: c for m, c in acc.items() if c}
+        """S * num: sum_i num[i] * element(i) over the bracketings `forms`,
+        by forward substitution over T (`freelie.solve_unitriangular`)."""
+        return solve_unitriangular(self._lower, num)
 
     def _combine(self, num: dict[int, int]) -> dict[str, int]:
         """sum_i num[i] * element(i) as nonzero integer terms."""

@@ -16,11 +16,11 @@ Malcolmson, J. Algebra 217, 1999).  Each piece is held once, in integer
 arithmetic, as those bracketings, each with coefficient 1 at its pivot
 word, and the columns of their unitriangular matrix T at the pivot words;
 the reduced echelon elements are the bracketings times S = T^-1, which is
-built per piece on first request.  The Lyndon bracketings of a piece are
-built from the pieces of their standard factors, so no piece enumerates
-its words.  Dimensions are cross-checked
-against the necklace-style counting formula obtained by inverting the
-tensor-algebra Poincare series.
+applied by forward substitution over T (`solve_unitriangular`) and never
+stored.  The Lyndon bracketings of a piece are built from the pieces of
+their standard factors, so no piece enumerates its words.  Dimensions are
+cross-checked against the necklace-style counting formula obtained by
+inverting the tensor-algebra Poincare series.
 
 Words are tuples of generator indices in a `TensorElt` and str inside the
 integer layer (the pieces, `combine_forms` and the slices and matrices of
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -338,7 +339,6 @@ def parse_element(gens: GeneratorSet, text: str) -> TensorElt:
 _word_cache: dict = {}
 _lyndon_cache: dict = {}
 _basis_cache: dict = {}
-_inverse_cache: dict = {}
 _dim_cache: dict = {}
 
 
@@ -498,8 +498,9 @@ def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
     coefficients at the pivot words is unitriangular, and there are exactly
     lie_dim of them; both are checked.  The piece is the forms and the
     columns of T below its diagonal.  The reduced echelon basis against the
-    lexicographic word order is the bracketings times S = T^-1
-    (`lie_basis_inverse`).  Each piece is built once.
+    lexicographic word order is the bracketings times S = T^-1, applied by
+    forward substitution over T (`solve_unitriangular`).  Each piece is
+    built once.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -529,28 +530,6 @@ def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
     return piece
 
 
-def lie_basis_inverse(gens: GeneratorSet, length: int, degree: int) -> list[dict[int, int]]:
-    """The columns of S = T^-1 for the piece of `lie_basis_forms`, an integer
-    matrix: reduced echelon element i is sum_m S[m, i] * forms[m].  Built
-    once per piece, on first request, by back-substitution over T."""
-    key = (gens, length, degree)
-    got = _inverse_cache.get(key)
-    if got is not None:
-        return got
-    lower = lie_basis_forms(gens, length, degree)[1]
-    # element i = P_i - sum_k T[k, i] * element k over the pivots k of P_i
-    # above its own, which come later
-    inverse: dict[int, dict[int, int]] = {}
-    for i in reversed(range(len(lower))):
-        col = {i: 1}
-        for k, t in lower[i].items():
-            for m, s in inverse[k].items():
-                col[m] = col.get(m, 0) - t * s
-        inverse[i] = {m: s for m, s in col.items() if s}
-    got = _inverse_cache[key] = [inverse[i] for i in range(len(lower))]
-    return got
-
-
 def combine_forms(forms: list[LieForm], coeffs: dict[int, int]) -> dict[str, int]:
     """sum_m coeffs[m] * forms[m] as integer terms, with no stored zeros."""
     acc: dict[str, int] = {}
@@ -560,14 +539,38 @@ def combine_forms(forms: list[LieForm], coeffs: dict[int, int]) -> dict[str, int
     return {w: t for w, t in acc.items() if t}
 
 
+def solve_unitriangular(lower: list[tuple[int, dict[int, int]]], x: dict[int, int]) -> dict[int, int]:
+    """S * x for S = T^-1, T unitriangular over Z with column m held below its
+    diagonal as lower[m] = (offset, {k: T[offset + k, m]}): forward
+    substitution for T * c = x, popping the smallest open index m, whose c_m
+    is final because T[k, m] != 0 only for k > m.  No entry of S is formed."""
+    rest = dict(x)
+    todo = sorted(rest)
+    out: dict[int, int] = {}
+    while todo:
+        m = heappop(todo)
+        c = rest.pop(m)
+        if not c:
+            continue
+        out[m] = c
+        offset, col = lower[m]
+        for k, t in col.items():
+            k += offset
+            if k not in rest:
+                heappush(todo, k)
+            rest[k] = rest.get(k, 0) - c * t
+    return out
+
+
 def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
     """Canonical basis of the (length, degree) piece, echelonized against the
-    lexicographic word order (pivot coefficient 1); built on each call by
-    expanding the columns of S (`lie_basis_inverse`) through the bracketings
-    of `lie_basis_forms`."""
-    forms = lie_basis_forms(gens, length, degree)[0]
-    return [TensorElt(gens, {decode_word(w): c for w, c in combine_forms(forms, col).items()})
-            for col in lie_basis_inverse(gens, length, degree)]
+    lexicographic word order (pivot coefficient 1); built on each call, with
+    element j the bracketings of `lie_basis_forms` times S * e_j, applied by
+    forward substitution over T (S is never stored)."""
+    forms, lower = lie_basis_forms(gens, length, degree)
+    columns = [(0, col) for col in lower]
+    elements = (combine_forms(forms, solve_unitriangular(columns, {j: 1})) for j in range(len(forms)))
+    return [TensorElt(gens, {decode_word(w): c for w, c in terms.items()}) for terms in elements]
 
 
 def pbw_euler_check(gens: GeneratorSet, max_length: int, max_degree: int) -> bool:

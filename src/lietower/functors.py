@@ -472,7 +472,11 @@ def cdgc_homology(C: Cdgc, q: int) -> int:
 # the coalgebra-to-Lie functor
 
 
-def quillen_L(C: Cdgc, gen_prefix: str = "w_") -> DglPresentation:
+# the Quillen model's generator on the coalgebra basis element a is named _GEN_PREFIX + a
+_GEN_PREFIX = "w_"
+
+
+def quillen_L(C: Cdgc) -> DglPresentation:
     """Free Lie algebra on the desuspended reduced coalgebra.
 
     The linear part of the differential desuspends delta; the quadratic part
@@ -484,7 +488,7 @@ def quillen_L(C: Cdgc, gen_prefix: str = "w_") -> DglPresentation:
     problems = C.validate()
     if problems:
         raise FunctorError("coalgebra axioms fail: " + "; ".join(problems[:3]))
-    names = [gen_prefix + n for n in C.names]
+    names = [_GEN_PREFIX + n for n in C.names]
     degrees = [d - 1 for d in C.degrees]
     gens = GeneratorSet(names, degrees)
     diffs: dict[str, TensorElt] = {}

@@ -551,9 +551,8 @@ def t_columns(sl):
 
 
 def s_columns(sl):
-    """S of a slice, from each piece's S at its offset."""
-    return [{sl.count_below(k) + m: c for m, c in col.items()}
-            for k in range(1, sl.n) for col in freelie.lie_basis_inverse(sl.P.gens, k, sl.q)]
+    """S = T^-1 of a slice, column j as S * e_j by forward substitution over T."""
+    return [sl.basis_coeffs({j: 1}) for j in range(sl.dim)]
 
 
 def times(left, right):
@@ -701,22 +700,22 @@ def test_a_forced_gap_mod_2_keeps_the_representatives(monkeypatch):
 
 def test_a_cold_degree_1_tower_builds_no_s(monkeypatch):
     # the stubborn cycle's degree-1 tower is certified mod 2 at every n and
-    # reads only B: no piece's S and no echelon matrix of d is built
-    for cache in ("_lyndon_cache", "_basis_cache", "_inverse_cache"):
+    # reads only B: S is never applied and no echelon matrix of d is built
+    for cache in ("_lyndon_cache", "_basis_cache"):
         monkeypatch.setattr(freelie, cache, {})
-    built = []
-    inverse = dgl.lie_basis_inverse
-    monkeypatch.setattr(dgl, "lie_basis_inverse", lambda *key: built.append(key) or inverse(*key))
+    solved = []
+    solve = freelie.solve_unitriangular
+    for module in (dgl, freelie):
+        monkeypatch.setattr(module, "solve_unitriangular", lambda lower, x: solved.append(x) or solve(lower, x))
     P = stubborn()
     report = homology_tower(P, 1, range(2, 9))
     assert report.dims() == [0] * 7 and freelie._basis_cache
-    assert built == [] and freelie._inverse_cache == {}
+    assert solved == []
     assert all(dm._matrix is None and dm._reduction is None for dm in P._matrix_cache.values())
-    assert all(sl._inverse is None for sl in P._slice_cache.values())
     # the degree-0 tower has H = y at every n, and expands its representatives
-    # through the S of the degree-0 pieces only
+    # by forward substitution over the T of the degree-0 pieces
     assert homology_tower(P, 0, range(2, 9)).rows[-1]["representatives"] == ["y"]
-    assert built and {q for _, _, q in built} == {0}
+    assert solved
     assert all(dm._matrix is None for dm in P._matrix_cache.values())
 
 

@@ -3,8 +3,9 @@
 * `lie_basis` (standard Lyndon bracketings) against the echelonized image
   of the left-normed bracketing map on every tensor word, and the held
   bracketings (`freelie.lie_basis_forms`: unitriangular at their pivot
-  words, with T held below its diagonal and S = T^-1 built on request by
-  `freelie.lie_basis_inverse`) against a Fraction Gauss-Jordan elimination, and
+  words, with T held below its diagonal and S = T^-1 applied by forward
+  substitution over T, `freelie.solve_unitriangular`) against a Fraction
+  Gauss-Jordan elimination, and
   the pieces built from the pieces of their standard factors against the
   enumeration of every word with a Lyndon test on each and a per-call
   memo of bracketings, with `_derive_int` on their str words against
@@ -192,18 +193,17 @@ def test_lyndon_basis_matches_dynkin_image(degrees):
 def test_bracketings_are_unitriangular_and_s_inverts_t(degrees):
     # T[k, m] is the coefficient of pivot word k in bracketing m; the held
     # columns of T below its diagonal are exactly those coefficients, the
-    # columns of S built on request give S * T = I, and the bracketings
-    # times S are the Fraction Gauss-Jordan reduced echelon basis, in order
+    # forward substitution over them inverts T on both sides, and the
+    # bracketings times S are the Fraction Gauss-Jordan reduced echelon
+    # basis, in order
     gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
     max_length = 6 if len(degrees) == 3 else 7
     checked = 0
     for n in range(1, max_length + 1):
         for d in range(min(degrees) * n, max(degrees) * n + 1):
             held, lower = freelie.lie_basis_forms(gens, n, d)
-            inverse = freelie.lie_basis_inverse(gens, n, d)
-            assert freelie.lie_basis_inverse(gens, n, d) is inverse
             forms = decoded(held)
-            assert forms == bracketings(gens, n, d) and len(inverse) == len(lower) == len(forms)
+            assert forms == bracketings(gens, n, d) and len(lower) == len(forms)
             pivots = [w for w, _ in forms]
             # str order of the held words is tuple order
             assert pivots == sorted(set(pivots)) and [w for w, _ in held] == sorted(w for w, _ in held)
@@ -213,12 +213,7 @@ def test_bracketings_are_unitriangular_and_s_inverts_t(degrees):
             for m, (_, terms) in enumerate(forms):
                 assert lower[m] == {k: terms[p] for k, p in enumerate(pivots) if p in terms and k != m}
                 assert all(k > m for k in lower[m]) and terms[pivots[m]] == 1
-            for j, (_, terms) in enumerate(forms):
-                st = {}
-                for k, pivot in enumerate(pivots):
-                    for m, s in inverse[k].items():
-                        st[m] = st.get(m, 0) + s * terms.get(pivot, 0)
-                assert {m: c for m, c in st.items() if c} == {j: 1}, (n, d, j)
+            assert_solve_inverts_t(lower, pivots, [terms for _, terms in forms])
             words = words_of(gens, n, d)
             index = {w: i for i, w in enumerate(words)}
             want = fraction_rref([{index[w]: c for w, c in terms.items()} for _, terms in forms])
@@ -227,6 +222,21 @@ def test_bracketings_are_unitriangular_and_s_inverts_t(degrees):
             assert [b.terms for b in got] == [{words[i]: c for i, c in row.items()} for row in want]
             checked += len(forms)
     assert checked >= 2
+
+
+def assert_solve_inverts_t(lower, pivots, forms):
+    """S = T^-1 applied by `freelie.solve_unitriangular` over the held
+    columns `lower` of T: T * (S * e_j) = e_j and S * (T * e_j) = e_j, with T
+    read off the word terms `forms` at the pivot words."""
+    columns = [(0, col) for col in lower]
+    t = [{k: terms[p] for k, p in enumerate(pivots) if p in terms} for terms in forms]
+    for j in range(len(forms)):
+        acc = {}
+        for m, c in freelie.solve_unitriangular(columns, {j: 1}).items():
+            for k, tk in t[m].items():
+                acc[k] = acc.get(k, 0) + c * tk
+        assert {k: c for k, c in acc.items() if c} == {j: 1}, j
+        assert freelie.solve_unitriangular(columns, t[j]) == {j: 1}, j
 
 
 PIECE_PROFILES = PROFILES + [[1, 1, 1], [3, 3], [1, 3], [0, 1, 2]]
@@ -248,7 +258,8 @@ def profile_presentation(gens, rng):
 def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
     # every piece up to length 7 against the enumeration of its words with a
     # Lyndon test on each and a per-call memo of bracketings: the same
-    # pivots, terms, T and S, and d of each bracketing on str words against
+    # pivots, terms and T, inverted by the forward substitution over the held
+    # T, and d of each bracketing on str words against
     # extend_derivation and the Fraction derivation of the tuple bracketing
     rng = random.Random(sum(degrees) * 31 + len(degrees))
     gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
@@ -257,20 +268,15 @@ def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
     for n in range(1, 8):
         for d in range(min(degrees) * n, max(degrees) * n + 1):
             held, lower = freelie.lie_basis_forms(gens, n, d)
-            inverse = freelie.lie_basis_inverse(gens, n, d)
             want = bracketings(gens, n, d)
             assert [decode_word(w) for w, _ in held] == [w for w, _ in want], (n, d)
             assert decoded(held) == want, (n, d)
-            # the held T is the enumeration's unitriangular matrix T, and S inverts it
+            # the held T is the enumeration's unitriangular matrix T, and the
+            # forward substitution over it inverts it
             pivots = [w for w, _ in want]
             assert lower == [{k: terms[p] for k, p in enumerate(pivots) if p in terms and k != m}
                              for m, (_, terms) in enumerate(want)], (n, d)
-            for j, (_, terms) in enumerate(want):
-                st = {}
-                for k, (pivot, _) in enumerate(want):
-                    for m, s in inverse[k].items():
-                        st[m] = st.get(m, 0) + s * terms.get(pivot, 0)
-                assert {m: c for m, c in st.items() if c} == {j: 1}, (n, d, j)
+            assert_solve_inverts_t(lower, pivots, [terms for _, terms in want])
             squares += sum(not is_lyndon(w) for w, _ in want)
             forms_seen += len(want)
             for (_, terms), (_, old) in zip(held, want):
@@ -454,8 +460,14 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
     homology_tower(P, 1, range(2, 7))
     homology_tower(P, 0, range(2, 7))
     assert P._slice_cache
-    expanded = 0
+    # no slice and no free-Lie cache holds S = T^-1: a slice holds the shared
+    # pieces, its word lengths and one map from pivot word to index, and the
+    # free-Lie caches are the words, the Lyndon bracketings, the pieces and
+    # the dimensions
+    caches = {name for name, value in vars(freelie).items() if name.endswith("_cache")}
+    assert caches == {"_word_cache", "_lyndon_cache", "_basis_cache", "_dim_cache"}
     for sl in P._slice_cache.values():
+        assert set(vars(sl)) == {"P", "q", "n", "forms", "_lower", "lengths", "_pivot"}
         held = _held_objects(sl, skip=(P,))
         assert not [o for o in held if isinstance(o, (Fraction, TensorElt))]
         # one map, from pivot words only: no index of every word
@@ -466,16 +478,10 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
             assert terms[pivot] == 1 and min(terms) == pivot and type(pivot) is str
             offset, col = sl._lower[i]
             assert all(k > i - offset and sl.lengths[offset + k] == sl.lengths[i] for k in col)
-        # S only where an echelon element was expanded, and then S * T = I
-        if sl._inverse is not None:
-            expanded += 1
-            assert len(sl._inverse) == sl.dim
-            for j in range(sl.dim):
-                offset, col = sl._inverse[j]
-                st = sl.echelon_coords({offset + m: s for m, s in col.items()})
-                assert st == {j: 1}
-    assert expanded >= 1
-    held = _held_objects([freelie._basis_cache, freelie._inverse_cache])
+        # S * x by forward substitution over the held T: T * (S * e_j) = e_j
+        for j in range(sl.dim):
+            assert sl.echelon_coords(sl.basis_coeffs({j: 1})) == {j: 1}
+    held = _held_objects([freelie._basis_cache])
     assert not [o for o in held if isinstance(o, (Fraction, TensorElt))]
     # every piece holds the bracketings themselves, which in longer pieces
     # are not the reduced echelon elements
@@ -488,20 +494,16 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
             differ += [terms for _, terms in forms] != [b.terms for b in rref]
     assert differ >= 4
     # slices sharing a (length, degree) piece share its forms and columns of
-    # T and S, with each other and with the free-Lie caches
+    # T, with each other and with the free-Lie caches
     small, large = P.slice(1, 5), P.slice(1, 7)
     assert small.dim < large.dim
-    small.element(0), large.element(0)
     assert all(small.forms[i] is large.forms[i] for i in range(small.dim))
     assert all(small._lower[i][1] is large._lower[i][1] for i in range(small.dim))
-    assert all(small._inverse[i][1] is large._inverse[i][1] for i in range(small.dim))
     pieces = [freelie._basis_cache[(P.gens, k, 1)] for k in range(1, 7)]
     cached = [f for forms, _ in pieces for f in forms]
     assert all(f is g for f, g in zip(large.forms, cached)) and len(cached) == large.dim
     columns = [col for _, lower in pieces for col in lower]
     assert all(col is c for (_, col), c in zip(large._lower, columns)) and len(columns) == large.dim
-    columns = [col for k in range(1, 7) for col in freelie._inverse_cache[(P.gens, k, 1)]]
-    assert all(col is c for (_, col), c in zip(large._inverse, columns)) and len(columns) == large.dim
     other = DglPresentation(P.gens, {}).slice(1, 7)
     assert other is not large and all(f is g for f, g in zip(other.forms, large.forms))
 

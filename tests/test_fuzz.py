@@ -6,6 +6,10 @@ few short spans replaced by text over the input syntax's own characters,
 which reach past the header into the section parsers and the validators.
 Every other command gets the shipped files of its kind, as they are or
 mutated in the same way, with its options drawn at small bounds.
+
+`freelie.solve_unitriangular`, which applies S = T^-1 for the unitriangular
+T of each free-Lie piece, gets random block-diagonal unit lower-triangular
+integer matrices and is checked against T itself and a Fraction inverse.
 """
 
 import glob
@@ -13,6 +17,7 @@ import io
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,7 +27,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lietower import cli  # noqa: E402
+from lietower import cli, freelie  # noqa: E402
 
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
 SUFFIXES = (".dgl", ".sullivan", ".lietable")
@@ -132,3 +137,62 @@ def test_every_command_exits_with_a_documented_code(command):
         assert exit_code(argv, suffix, data) in (0, 2, 3, 4), argv
 
     check()
+
+
+NONZERO = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def unitriangular_systems(draw):
+    """(lower, x, y): the columns of a random unit lower-triangular integer T
+    below its diagonal, as (offset of its block, column over the block), with
+    blocks of 1 to 5 rows, some columns empty; and two integer vectors."""
+    lower = []
+    for size in draw(st.lists(st.integers(1, 5), max_size=5)):
+        offset = len(lower)
+        for m in range(size):
+            col = draw(st.dictionaries(st.integers(m + 1, size - 1), NONZERO)) if m < size - 1 else {}
+            lower.append((offset, col))
+    index = st.integers(0, max(len(lower) - 1, 0))
+    vectors = st.dictionaries(index, st.integers(-9, 9), max_size=len(lower))
+    return lower, draw(vectors), draw(vectors)
+
+
+def dense_t(lower):
+    t = [[int(i == j) for j in range(len(lower))] for i in range(len(lower))]
+    for m, (offset, col) in enumerate(lower):
+        for k, c in col.items():
+            t[offset + k][m] = c
+    return t
+
+
+def apply(matrix, vec):
+    out = {i: sum(row[j] * c for j, c in vec.items()) for i, row in enumerate(matrix)}
+    return {i: c for i, c in out.items() if c}
+
+
+def fraction_inverse(matrix):
+    """Gauss-Jordan elimination of [matrix | I] over Fractions."""
+    size = len(matrix)
+    rows = [[Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(size)]
+            for i, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [c / rows[col][col] for c in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    return [row[size:] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(unitriangular_systems())
+def test_forward_substitution_applies_the_inverse_of_t(case):
+    lower, x, y = case
+    t = dense_t(lower)
+    got = freelie.solve_unitriangular(lower, x)
+    assert all(type(c) is int and c for c in got.values())
+    assert apply(t, got) == {i: c for i, c in x.items() if c}
+    assert freelie.solve_unitriangular(lower, apply(t, y)) == {i: c for i, c in y.items() if c}
+    assert got == apply(fraction_inverse(t), x)
