@@ -16,8 +16,9 @@ the truncations both computable and meaningful.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import Callable, Iterable, Optional
 
@@ -26,6 +27,8 @@ from .freelie import (
     GeneratorSet,
     LieForm,
     TensorElt,
+    _int_bracket,
+    _standard_cut,
     combine_forms,
     decode_word,
     encode_word,
@@ -210,6 +213,13 @@ def _derive_int(
     return acc
 
 
+def _is_square(word: str) -> bool:
+    """Whether a bracketing's pivot word is an odd square uu: a Lyndon word
+    is never a square."""
+    half = len(word) // 2
+    return word[:half] * 2 == word
+
+
 def _int_form(u: TensorElt) -> tuple[int, dict[str, int]]:
     """(D, D * u) with str words, for D the least common denominator of u."""
     den, terms = integer_terms(u.terms)
@@ -391,11 +401,11 @@ class DegreeSlice:
             terms = {w: c for w, c in terms.items() if len(w) < self.n}
         pivot, forms = self._pivot, self.forms
         rest = dict(terms)
-        # the pivot indices left to visit, in increasing order
+        # the pivot indices left to visit, a heap: a sorted list is one
         todo = sorted(map(pivot.__getitem__, pivot.keys() & rest.keys()))
         coords: dict[int, int] = {}
         while todo:
-            m = todo.pop(0)
+            m = heappop(todo)
             pivot_word, form = forms[m]
             a = rest.get(pivot_word)
             if not a:
@@ -407,7 +417,7 @@ class DegreeSlice:
                     rest[w] = -a * t
                     k = pivot.get(w)
                     if k is not None:
-                        insort(todo, k)
+                        heappush(todo, k)
                 else:
                     s -= a * t
                     if s:
@@ -909,6 +919,28 @@ def witness_direction_space(
     return res, kernel, P.slice(q + 1, t.n_max)
 
 
+def _bracket_coords(tgt: DegreeSlice, x: str, dx: int, px: dict[str, int],
+                    y: str, dy: int, py: dict[str, int]) -> dict[int, int]:
+    """Bracketing coordinates in tgt of [P_x, P_y], for the bracketings P_x
+    and P_y of degrees dx and dy with pivot words x and y.
+
+    For Lyndon words x < y, xy is a Lyndon word with standard factorization
+    (x, y) exactly when x is a letter or y <= the right factor of x
+    (Lothaire, Combinatorics on Words, Prop. 5.1.3-5.1.4), and then
+    [P_x, P_y] = P_xy; [P_y, P_x] = -(-1)^{|x||y|} [P_x, P_y].  Any other
+    bracket, also one with an odd square, is expanded into words and read
+    back by `int_coords`, which checks it exactly.
+    """
+    lo, hi, dlo = (x, y, dx) if x < y else (y, x, dy)
+    unit = lo != hi and not _is_square(lo) and not _is_square(hi)
+    if unit:
+        cut = _standard_cut(tgt.P.gens, lo, dlo)
+        unit = not cut or lo[cut:] >= hi
+    if unit:
+        return {tgt._pivot[lo + hi]: 1 if x < y else (1 if dx * dy % 2 else -1)}
+    return tgt.int_coords(_int_bracket(px, dx, py, dy))
+
+
 class DMatrix:
     """One matrix of d, held by its presentation (`DglPresentation.d_matrix`).
 
@@ -917,16 +949,19 @@ class DMatrix:
     dropped, and D = `den` is the common denominator of d on the
     generators.  It is built once, as B = D * M in the bracketing bases:
     column m of `columns` holds the bracketing coordinates of D * d(P_m) for
-    the m-th bracketing P_m of the source, which `int_coords` computes and
-    checks, so B is an integer matrix and no reduced echelon element is
-    expanded.  With an empty target slice every column is zero and nothing
-    is derived.  `matrix` is D * M in the echelon bases, T_tgt * B * S_src,
-    formed on first use for the readers of echelon coordinates, by
-    back-substitution over the source's T, so S is not built for it: it has
-    the kernel of M, and M x = b exactly when (D * M) x = D * b.  Its column
-    reduction is built on first use too.  T and S are block-diagonal by
-    length and unitriangular over Z, so every leading block of B has the
-    rank of that of `matrix`, over Q and mod every prime.
+    the m-th bracketing P_m of the source, so B is an integer matrix and no
+    reduced echelon element is expanded.  A bracketing of length <= 2 is
+    derived on its words and read back by `int_coords`, which checks the
+    image exactly; a longer one is built from the columns of its standard
+    factors by the Leibniz rule (`_leibniz`), with no word expanded.  With
+    an empty target slice every column is zero and nothing is derived.
+    `matrix` is D * M in the echelon bases, T_tgt * B * S_src, formed on
+    first use for the readers of echelon coordinates, by back-substitution
+    over the source's T, so S is not built for it: it has the kernel of M,
+    and M x = b exactly when (D * M) x = D * b.  Its column reduction is
+    built on first use too.  T and S are block-diagonal by length and
+    unitriangular over Z, so every leading block of B has the rank of that
+    of `matrix`, over Q and mod every prime.
     """
 
     def __init__(self, P: DglPresentation, q: int, n_src: int, n_tgt: int):
@@ -938,13 +973,67 @@ class DMatrix:
         if not tgt.dim:
             self.columns: list[dict[int, int]] = [{} for _ in range(src.dim)]
             return
-        # a bracketing's words all have its length: one memo per length, each
-        # word derived once, and the memo dropped with the build
-        self.columns, length, memo = [], 0, {}
+        # a bracketing's words all have its length: one derivation memo per
+        # length, each word derived once, and one memo of brackets; both
+        # are dropped with the build
+        self.columns, length, memo, brackets = [], 0, {}, {}
         for pivot, terms in src.forms:
+            if len(pivot) > 2:
+                self.columns.append(self._leibniz(P, pivot, brackets))
+                continue
             if len(pivot) != length:
                 length, memo = len(pivot), {}
             self.columns.append(tgt.int_coords(_derive_int(P, terms, n_tgt, memo)))
+
+    def _leibniz(self, P: DglPresentation, pivot: str, brackets: dict) -> dict[int, int]:
+        """The column of the source bracketing with this pivot word, of
+        length >= 3, from the columns of its standard factors.
+
+        For P_m = [P_u, P_v] (`freelie._standard_cut`), d being a derivation
+        of degree -1,
+
+            B[:, m] = sum_a B_u[a] [P_a, P_v] + (-1)^{|u|} sum_b B_v[b] [P_u, P_b],
+
+        and for an odd square P_u P_u = [P_u, P_u] / 2 it is sum_a B_u[a]
+        [P_a, P_u].  B_u is u's column in the kept matrix of d of u's degree:
+        this one, built earlier since u is shorter, when |u| = q.  d is zero
+        in degree 0, and a bracket of length >= the target's n is dropped.
+        """
+        src, tgt = self._slices
+        q = src.q
+        if _is_square(pivot):
+            u = pivot[: len(pivot) // 2]
+            parts = [(u, q // 2, u, 1)]
+        else:
+            cut = _standard_cut(P.gens, pivot, q)
+            u, v = pivot[:cut], pivot[cut:]
+            du = sum(P.gens.degrees[ord(g)] for g in u)
+            dv = q - du
+            # (-1)^{|u|} [P_u, P_b] = -(-1)^{|u||v|} [P_b, P_u], since |b| = |v| - 1
+            parts = [(u, du, v, 1), (v, dv, u, 1 if du * dv % 2 else -1)]
+        col: dict[int, int] = {}
+        for f, df, g, sign in parts:
+            if not df:
+                continue
+            if df == q:
+                image, image_slice = self.columns[src._pivot[f]], tgt
+            else:
+                dm = P.d_matrix(df, src.n, tgt.n)
+                image, image_slice = dm.columns[dm._slices[0]._pivot[f]], dm._slices[1]
+            dg = q - df
+            g_slice = P.slice(dg, src.n)
+            pg = g_slice.forms[g_slice._pivot[g]][1]
+            room = tgt.n - len(g)
+            for a, c in image.items():
+                if image_slice.lengths[a] < room:
+                    x, px = image_slice.forms[a]
+                    got = brackets.get((x, g))
+                    if got is None:
+                        got = brackets[x, g] = _bracket_coords(tgt, x, df - 1, px, g, dg, pg)
+                    for i, t in got.items():
+                        _add_term(col, i, sign * c * t)
+        # in increasing index order, as int_coords gives the word-path columns
+        return dict(sorted(col.items()))
 
     @property
     def matrix(self) -> SparseMatrix:

@@ -30,7 +30,7 @@ caches its hash.  `encode_word` and `decode_word` convert at the edge.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
@@ -483,6 +483,13 @@ def _lyndon_forms(gens: GeneratorSet, length: int, degree: int) -> tuple[list[Li
     got = ([(w, terms) for w, _, terms in found], [cut for _, cut, _ in found])
     _lyndon_cache[key] = got
     return got
+
+
+def _standard_cut(gens: GeneratorSet, word: str, degree: int) -> int:
+    """The length of the standard left factor of a Lyndon word of the given
+    degree (0 for a letter), read off its piece (`_lyndon_forms`)."""
+    forms, cuts = _lyndon_forms(gens, len(word), degree)
+    return cuts[bisect_left(forms, word, key=_PIVOT)]
 
 
 def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> LiePiece:

@@ -1114,29 +1114,40 @@ def _pairing_matrices(E: LieCoalgebraTrunc, model: DglPresentation, q_max: int, 
     }
 
 
-def _lie_side(model: DglPresentation, top: int, pi: SparseMatrix, q: int, q2: int, n2: int) -> SparseMatrix:
-    """Pi(d_L basis_{q2, n2}, reps_{q, n2 - 1}) as D^T pi, for pi = Pi_{q, n2 - 1}
-    and D the block from length q2 to length q of the model's kept matrix of
-    d in degree n2 on L/L^top, over its `den`.  The slices order each
-    length's basis as `lie_basis` does, from `count_below` of that length.
-    Each entry of D over `den` is an int where it is integral."""
+def _length_blocks(model: DglPresentation, top: int, n2: int) -> dict[tuple[int, int], SparseMatrix]:
+    """The transposed blocks of the model's kept matrix D of d in degree n2
+    on L/L^top, over its `den`, read in one pass over D's entries: (q2, q)
+    holds D^T from the length-q2 basis of the source to the length-q basis
+    of the target.  The slices order each length's basis as `lie_basis`
+    does, from `count_below` of that length.  Each entry is an int where it
+    is integral."""
     dm = model.d_matrix(n2, top, top)
-    src, tgt = model.slice(n2, top), model.slice(n2 - 1, top)
-    r0, c0 = tgt.count_below(q), src.count_below(q2)
-    rows = src.count_below(q2 + 1) - c0
-    return SparseMatrix(rows, pi.rows, {
-        (j - c0, i - r0): _scalar(c, dm.den) for (i, j), c in dm.matrix.entries.items()
-        if 0 <= i - r0 < pi.rows and 0 <= j - c0 < rows
-    }).compose(pi)
+    src, tgt = dm._slices
+    starts = [{k: sl.count_below(k) for k in set(sl.lengths)} for sl in (src, tgt)]
+    entries: dict[tuple[int, int], dict] = {(q2, q): {} for q2 in starts[0] for q in starts[1]}
+    for (i, j), c in dm.matrix.entries.items():
+        q2, q = src.lengths[j], tgt.lengths[i]
+        entries[q2, q][j - starts[0][q2], i - starts[1][q]] = _scalar(c, dm.den)
+    return {(q2, q): SparseMatrix(src.count_below(q2 + 1) - starts[0][q2],
+                                  tgt.count_below(q + 1) - starts[1][q], block)
+            for (q2, q), block in entries.items()}
+
+
+def _lie_side(blocks: dict[tuple[int, int], SparseMatrix], pi: SparseMatrix, q: int, q2: int) -> SparseMatrix:
+    """Pi(d_L basis_{q2, n2}, reps_{q, n2 - 1}) as D^T pi, for pi = Pi_{q, n2 - 1}
+    and blocks the `_length_blocks` of the model's kept matrix of d in
+    degree n2."""
+    return blocks[q2, q].compose(pi)
 
 
 def _differentials_match(E: LieCoalgebraTrunc, model: DglPresentation, pairings) -> bool:
     """<d_L u, w> = (-1)^{|u|} <u, D_E w>, the fixed adjointness convention,
     as one matrix identity per block M of D_E from (q, n) to (q2, n2):
     Pi(d_L basis_{q2, n2}, reps_{q, n}) = (-1)^{n2} Pi_{q2, n2} M, the left
-    side read off the model's kept matrix of d by `_lie_side`.  A block
-    whose target has no pairing matrix must be zero; any deviation anywhere
-    fails the check."""
+    side read off the model's kept matrix of d by `_lie_side`, each matrix
+    cut into its length blocks once.  A block whose target has no pairing
+    matrix must be zero; any deviation anywhere fails the check."""
+    cut: dict[int, dict[tuple[int, int], SparseMatrix]] = {}
     for q, n in pairings:
         for (q2, n2), mat in E.differential_matrix(q, n).items():
             target = pairings.get((q2, n2))
@@ -1144,7 +1155,9 @@ def _differentials_match(E: LieCoalgebraTrunc, model: DglPresentation, pairings)
                 if not mat.is_zero():
                     return False
                 continue
-            lhs = _lie_side(model, E.q_max + 1, pairings[(q, n)], q, q2, n2)
+            if n2 not in cut:
+                cut[n2] = _length_blocks(model, E.q_max + 1, n2)
+            lhs = _lie_side(cut[n2], pairings[(q, n)], q, q2)
             sign = -1 if n2 % 2 else 1
             if lhs.entries != {key: sign * c for key, c in target.compose(mat).entries.items()}:
                 return False

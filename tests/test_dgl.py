@@ -719,6 +719,55 @@ def test_a_cold_degree_1_tower_builds_no_s(monkeypatch):
     assert all(dm._matrix is None for dm in P._matrix_cache.values())
 
 
+def word_path_columns(P, dm):
+    """B of a kept matrix of d on the word path: every source bracketing
+    expanded into words, derived and read back by `int_coords`."""
+    src, tgt = dm._slices
+    return [tgt.int_coords(dgl._derive_int(P, terms, tgt.n)) if tgt.dim else {} for _, terms in src.forms]
+
+
+def odd_square_presentations():
+    """Degree-0 and degree-1 generators, so the odd squares of the degree-1
+    Lyndon words are sources and targets of d."""
+    return [
+        DglPresentation.from_strings([("a", 1), ("x", 0)], {"a": "x"}),
+        DglPresentation.from_strings([("a", 1), ("b", 1), ("x", 0), ("y", 0)],
+                                     {"a": "x - [y, x]", "b": "2*[x, y]"}),
+    ]
+
+
+def test_leibniz_columns_equal_the_word_path(monkeypatch):
+    # every column of B, built from its standard factors' columns when the
+    # bracketing has length >= 3, equals the derivation of its words read
+    # back by int_coords, entry for entry and in the same order; the build
+    # derives only the words of bracketings of length <= 2
+    rng = random.Random(39)
+    cases = [(stubborn(), (1, 2), ((8, 8), (9, 9)))]
+    cases += [(family_member(rng), (1, 2), ((8, 8), (9, 9))) for _ in range(2)]
+    cases += [(P, (1, 2, 3), ((7, 7), (6, 8))) for P in odd_square_presentations()]
+    pairs = ((6, 6), (6, 8), (5, 8))
+    cases += [(random_degree01_presentation(rng)[0], (1, 2, 3, 4), pairs) for _ in range(6)]
+    cases += [(random_positive_presentation(rng)[0], (1, 2, 3, 4), pairs) for _ in range(6)]
+    derived = []
+    derive = dgl._derive_int
+    monkeypatch.setattr(dgl, "_derive_int", lambda P, terms, *a: derived.append(terms) or derive(P, terms, *a))
+    leibniz = squares = wider = 0
+    for P, degrees, ns in cases:
+        for q in degrees:
+            for n_src, n_tgt in ns:
+                derived.clear()
+                dm = P.d_matrix(q, n_src, n_tgt)
+                assert all(len(w) <= 2 for terms in derived for w in terms), (P, q, n_src, n_tgt)
+                want = word_path_columns(P, dm)
+                assert [list(col.items()) for col in dm.columns] == [list(col.items()) for col in want], \
+                    (P, q, n_src, n_tgt)
+                built = [pivot for (pivot, _), col in zip(dm._slices[0].forms, want) if len(pivot) > 2 and col]
+                leibniz += len(built)
+                squares += sum(dgl._is_square(pivot) for pivot in built)
+                wider += bool(built) and dm._slices[1].n > dm._slices[0].n
+    assert leibniz > 4000 and squares > 50 and wider > 30
+
+
 # -- lower central series layers ---------------------------------------------
 
 def test_lcs_basis_everything_at_p1():

@@ -351,7 +351,9 @@ def test_a_matrix_build_leaves_no_derivation_state_on_the_presentation():
     assert set(after) == set(state) and after["_d_cache"] == {}
     assert {k: v for k, v in after.items() if k != "_matrix_cache"} == \
         {k: v for k, v in state.items() if k != "_matrix_cache"}
-    assert after["_matrix_cache"] == {(2, 8, 8): dm}
+    # the Leibniz rule reads the columns of the degree-1 factors of the
+    # bracketings of length >= 3 out of D_1, which the build keeps too
+    assert after["_matrix_cache"] == {(2, 8, 8): dm, (1, 8, 8): P.d_matrix(1, 8, 8)}
     # the build keeps B and its two slices; the echelon matrix and its
     # reduction wait for a reader, and no derivation memo is kept
     assert set(vars(dm)) == {"columns", "den", "_slices", "_matrix", "_reduction"}
@@ -1373,9 +1375,10 @@ def test_exact_homology_builds_one_top_complex(monkeypatch):
     assert sorted(matrices) == [(2, 3, 2), (3, 4, 3)]
     assert exact_homology(P, 2)[0] == 1
     assert towers == [[3, 4, 5]] * 2 and len(matrices) == 2
-    # the next degree reuses D_3 and builds only D_4
+    # the next degree reuses D_3 and builds D_4, whose Leibniz columns (aab =
+    # [a, ab]) read the factors' columns out of D_1 and D_3
     exact_homology(P, 3)
-    assert sorted(matrices) == [(2, 3, 2), (3, 4, 3), (4, 5, 4)]
+    assert sorted(matrices) == [(1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4)]
     for q in (1, 2):
         homology_tower(remark(), q, range(2, 6))
     assert complexes == []
@@ -1988,7 +1991,7 @@ def test_duality_matches_the_ordered_pair_quotient_and_d_image(monkeypatch, name
         for q2, n2 in E.differential_matrix(q, n):
             if (q2, n2) in pairings:
                 want = functors._pairing(E, [d_image(model, u) for u in lie_basis(model.gens, q2, n2)], q, n)
-                got = functors._lie_side(model, q_max + 1, pairings[(q, n)], q, q2, n2)
+                got = functors._lie_side(functors._length_blocks(model, q_max + 1, n2), pairings[(q, n)], q, q2)
                 assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries), (q, n, q2, n2)
                 blocks += 1
 

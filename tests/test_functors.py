@@ -646,7 +646,7 @@ def test_integral_duality_scalars_stay_int():
     the Lie side of each block identity.  On a rational one the table keeps
     its Fractions, and every pairing and Lie-side entry is an int or a
     Fraction that is not integral."""
-    from lietower.functors import _lie_side, _pairing_matrices
+    from lietower.functors import _length_blocks, _lie_side, _pairing_matrices
 
     for S, integral in ((sphere2(), True), (cp2(), True), (rational_sphere(), False), (rational_cp2(), False)):
         E = bar_lie_coalgebra_E(S, 4, 8)
@@ -661,7 +661,7 @@ def test_integral_duality_scalars_stay_int():
                 if integral:
                     assert all(type(c) is int for c in mat.entries.values()), (q, n, q2, n2)
                 if (q2, n2) in pairings:
-                    scalars += _lie_side(model, 5, pi, q, q2, n2).entries.values()
+                    scalars += _lie_side(_length_blocks(model, 5, n2), pi, q, q2).entries.values()
                     blocks += 1
         assert blocks
         assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in scalars)

@@ -10,6 +10,12 @@ mutated in the same way, with its options drawn at small bounds.
 `freelie.solve_unitriangular`, which applies S = T^-1 for the unitriangular
 T of each free-Lie piece, gets random block-diagonal unit lower-triangular
 integer matrices and is checked against T itself and a Fraction inverse.
+
+`dgl._bracket_coords`, which writes a bracket of two bracketings as the
+bracketing of the concatenated Lyndon word when the standard-factorization
+rule allows it, gets pairs of bracketings over random graded alphabets, in
+both orders, and is checked against the bracket expanded into words and
+read back by `int_coords`.
 """
 
 import glob
@@ -27,7 +33,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lietower import cli, freelie  # noqa: E402
+from lietower import cli, dgl, freelie  # noqa: E402
 
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
 SUFFIXES = (".dgl", ".sullivan", ".lietable")
@@ -196,3 +202,27 @@ def test_forward_substitution_applies_the_inverse_of_t(case):
     assert apply(t, got) == {i: c for i, c in x.items() if c}
     assert freelie.solve_unitriangular(lower, apply(t, y)) == {i: c for i, c in y.items() if c}
     assert got == apply(fraction_inverse(t), x)
+
+
+@st.composite
+def bracketing_pairs(draw):
+    """Two bracketings (pivot word, terms, degree) of one random graded
+    alphabet, Lyndon bracketings or odd squares, of total length <= 6."""
+    degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    gens = freelie.GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
+    pieces = [(k, d) for k in range(1, 5) for d in range(3 * k + 1) if freelie.lie_basis_forms(gens, k, d)[0]]
+    k1, d1 = draw(st.sampled_from(pieces))
+    k2, d2 = draw(st.sampled_from([(k, d) for k, d in pieces if k1 + k <= 6]))
+    x, px = draw(st.sampled_from(freelie.lie_basis_forms(gens, k1, d1)[0]))
+    y, py = draw(st.sampled_from(freelie.lie_basis_forms(gens, k2, d2)[0]))
+    return gens, (x, px, d1), (y, py, d2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracketing_pairs())
+def test_bracket_coordinates_agree_with_the_word_expansion(case):
+    gens, first, second = case
+    tgt = dgl.DglPresentation(gens, {}).slice(first[2] + second[2], len(first[0]) + len(second[0]) + 1)
+    for (x, px, dx), (y, py, dy) in ((first, second), (second, first)):
+        want = tgt.int_coords(freelie._int_bracket(px, dx, py, dy))
+        assert dgl._bracket_coords(tgt, x, dx, px, y, dy, py) == want
