@@ -885,16 +885,16 @@ def boundary_solve(
     dm = P.d_matrix(q + 1, n, n_tgt)
     tgt = P.slice(q, n_tgt)
     num = tgt.echelon_coords(tgt.int_coords(t_terms, strict=exact_in_l))
-    got = dm.reduction().solve({i: Fraction(c, t_den) for i, c in num.items()})
+    red = dm.reduction()
+    particular = red.particular({i: Fraction(c, t_den) for i, c in num.items()})
     where = "L" if exact_in_l else f"L/L^{n}"
-    if got is None:
+    if particular is None:
         return BoundaryResult(
             "UNSAT-within-bound",
             None,
             n,
             f"no witness of word length < {n} solves d(u) = target in {where}",
         )
-    particular, kernel = got
     den, terms = src.int_element({j: c * dm.den for j, c in particular.items()})
     # d(witness) = image / (den * P._diff_den) must equal target = t_terms / t_den,
     # below length n unless exact_in_l
@@ -904,7 +904,7 @@ def boundary_solve(
     want = {w: c * den * P._diff_den for w, c in t_terms.items() if len(w) < limit}
     if have != want:
         raise InvariantError("witness verification failed; this is a bug")
-    return BoundaryResult("SAT", _elt(P.gens, terms, den), n, f"verified in {where}", kernel.dim)
+    return BoundaryResult("SAT", _elt(P.gens, terms, den), n, f"verified in {where}", red.cols - red.rank)
 
 
 def witness_direction_space(
@@ -1069,6 +1069,11 @@ class ObstructionReport:
     raising part has a kernel that certificate degenerates, so the report
     always carries the exact bounded-witness boundary space, from which
     `excludes(target)` decides "no witness of top length <= bound" outright.
+
+    `raising` maps each length l that is not injective to (first, columns):
+    the raising part's columns on the length-l basis elements of the
+    witness slice, which start at index first.  A kernel element of each is
+    computed on the first read of `kernel_witness`.
     """
 
     def __init__(
@@ -1076,7 +1081,8 @@ class ObstructionReport:
         degree: int,
         lengths: list[int],
         injective: dict[int, bool],
-        kernel_witness: dict[int, TensorElt],
+        raising: dict[int, tuple[int, list[dict[int, int]]]],
+        witness_slice: DegreeSlice,
         boundary_echelon: IntEchelon,
         boundary_slice: DegreeSlice,
         bound: int,
@@ -1085,11 +1091,25 @@ class ObstructionReport:
         self.degree = degree
         self.lengths = lengths
         self.injective = injective
-        self.kernel_witness = kernel_witness
+        self._raising = raising
+        self._witnesses = witness_slice
+        self._kernel_witness: Optional[dict[int, TensorElt]] = None
         self._boundaries = boundary_echelon
         self._slice = boundary_slice
         self.bound = bound
         self.vacuous = vacuous
+
+    @property
+    def kernel_witness(self) -> dict[int, TensorElt]:
+        """A kernel element of the raising part on each length where it is
+        not injective: the first vector of its kernel's reduced echelon basis."""
+        if self._kernel_witness is None:
+            self._kernel_witness = {}
+            for l, (first, cols) in self._raising.items():
+                kernel = ColumnReduction(SparseMatrix.from_columns(self._slice.dim, cols)).kernel()
+                self._kernel_witness[l] = self._witnesses.element_from_coords(
+                    {first + i: c for i, c in kernel.basis[0].items()})
+        return self._kernel_witness
 
     @property
     def certificate(self) -> bool:
@@ -1111,7 +1131,8 @@ class ObstructionReport:
         }
 
     def to_text(self) -> str:
-        lines = [f"top-length analysis at target degree {self.degree}, witness bound {self.bound}"]
+        lines = [f"top-length analysis at target degree {self.degree - 1}, witness degree {self.degree}, "
+                 f"witness bound {self.bound}"]
         for l in self.lengths:
             flag = "injective" if self.injective[l] else "NOT injective"
             extra = ""
@@ -1160,18 +1181,19 @@ def top_length_obstruction(
     cols = dm.matrix.columns()
     out = P.slice(degree - 1, n_out)
     injective: dict[int, bool] = {}
-    kernels: dict[int, TensorElt] = {}
+    blocks: dict[int, tuple[int, list[dict[int, int]]]] = {}
     for l in lengths:
         first, stop = src.count_below(l), src.count_below(l + 1)
         # every shift is 0 or 1, so the raising part of d(b) is its length-(l+1) part
         lo, hi = out.count_below(l + 1), out.count_below(l + 2)
         raising = [{i: c for i, c in col.items() if lo <= i < hi} for col in cols[first:stop]]
-        reduced = ColumnReduction(SparseMatrix.from_columns(out.dim, raising))
-        injective[l] = reduced.rank == stop - first
+        span = IntEchelon()
+        for col in raising:
+            span.insert(col)
+        injective[l] = span.dim == stop - first
         if not injective[l]:
-            kernels[l] = src.element_from_coords(
-                {first + i: c for i, c in reduced.kernel().basis[0].items()})
-    report = ObstructionReport(degree, lengths, injective, kernels, dm.reduction().echelon, out,
+            blocks[l] = first, raising
+    report = ObstructionReport(degree, lengths, injective, blocks, src, dm.reduction().echelon, out,
                                bound, vacuous)
     P._obstruction_cache[key] = report
     return report

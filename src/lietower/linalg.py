@@ -66,10 +66,14 @@ def _content(*vecs: dict[int, int]) -> int:
     return g
 
 
-def _primitive(v: dict[int, int]) -> dict[int, int]:
-    """Divide an integer vector by its content."""
-    g = _content(v)
-    return {i: c // g for i, c in v.items()} if g > 1 else v
+def _divide_content(v: dict[int, int], e: Optional[dict[int, int]] = None):
+    """(v, e) divided by the content of v and e taken together (e may be None)."""
+    g = _content(v) if e is None else _content(v, e)
+    if g > 1:
+        v = {i: c // g for i, c in v.items()}
+        if e is not None:
+            e = {i: c // g for i, c in e.items()}
+    return v, e
 
 
 def _clear_denominators(v: dict) -> tuple[int, dict[int, int]]:
@@ -100,15 +104,20 @@ def _scalar(c, den: int = 1):
     return c.numerator if c.denominator == 1 else c
 
 
+def _sub_in_place(u: dict[int, int], b: int, w: dict[int, int]) -> None:
+    """u -= b*w in place, for sparse integer vectors, with no stored zeros."""
+    for i, c in w.items():
+        s = u.get(i, 0) - b * c
+        if s:
+            u[i] = s
+        else:
+            del u[i]
+
+
 def _sub_multiple(u: dict[int, int], a: int, w: dict[int, int], b: int) -> dict[int, int]:
     """a*u - b*w for sparse integer vectors, with no stored zeros."""
     out = {i: a * c for i, c in u.items()}
-    for i, c in w.items():
-        s = out.get(i, 0) - b * c
-        if s:
-            out[i] = s
-        else:
-            del out[i]
+    _sub_in_place(out, b, w)
     return out
 
 
@@ -141,25 +150,35 @@ class IntEchelon:
     def _reduce(self, v: dict[int, int], e: Optional[dict[int, int]] = None):
         """Reduce the integer vector v against the rows, carrying the
         combination e along when tracking; the content is divided out of v
-        (and e) after every step."""
-        while True:
-            g = _content(v) if e is None else _content(v, e)
-            if g > 1:
-                v = {i: c // g for i, c in v.items()}
-                if e is not None:
-                    e = {i: c // g for i, c in e.items()}
-            if not v:
-                return v, e
+        (and e) at the end.
+
+        v and e belong to the caller and may be changed in place.  Against
+        a row with pivot 1 the step is v -= v[p] * row in place, with no
+        content taken; after any other step the content is divided out, as
+        the scale factors there grow.  Every step and every division is
+        linear with a positive factor, so the primitive result is the one
+        that dividing the content after every step would give.
+        """
+        rows, combos = self.rows, self.combos
+        while v:
             p = min(v)
-            row = self.rows.get(p)
+            row = rows.get(p)
             if row is None:
-                return v, e
-            g = gcd(row[p], v[p])
+                break
+            a, b = row[p], v[p]
+            if a == 1:
+                _sub_in_place(v, b, row)
+                if e is not None:
+                    _sub_in_place(e, b, combos[p])
+                continue
+            g = gcd(a, b)
             # v <- ca*v - cb*row  (kills coordinate p, stays integral)
-            ca, cb = row[p] // g, v[p] // g
+            ca, cb = a // g, b // g
             v = _sub_multiple(v, ca, row, cb)
             if e is not None:
-                e = _sub_multiple(e, ca, self.combos[p], cb)
+                e = _sub_multiple(e, ca, combos[p], cb)
+            v, e = _divide_content(v, e)
+        return _divide_content(v, e)
 
     def residual(self, vec: dict) -> dict[int, int]:
         """Reduce vec against the current rows; primitive integer residual."""
@@ -219,8 +238,8 @@ class IntEchelon:
                 other = reduced[q]
                 g = gcd(other[q], row[q])
                 # row <- a*row - b*other kills coordinate q; a > 0 keeps row[p] > 0
-                row = _primitive(_sub_multiple(row, other[q] // g, other, row[q] // g))
-            reduced[p] = _primitive(row)
+                row = _divide_content(_sub_multiple(row, other[q] // g, other, row[q] // g))[0]
+            reduced[p] = _divide_content(row)[0]
         return [(p, reduced[p]) for p in pivots]
 
     def rref(self) -> list[Vec]:
@@ -390,8 +409,11 @@ class ColumnReduction:
 
     The leftmost independent columns give pivots (`pivots[j]` is column j's
     pivot row, None when it is dependent), and each other column gives a
-    relation, which is a kernel vector.  The kernel is built on first use,
-    so solving a x = b for many b costs one `express` each.
+    relation, which is a kernel vector.  The relations are independent (each
+    is nonzero at its own column and at no later one), so the kernel has
+    dimension cols - rank without being built; the kernel `Subspace` is
+    built on first use, for the readers of its vectors.  Solving a x = b for
+    many b costs one `express` each.
     """
 
     def __init__(self, m: SparseMatrix):
@@ -415,15 +437,17 @@ class ColumnReduction:
             self._kernel = Subspace(self.cols, self.echelon.relations)
         return self._kernel
 
-    def solve(self, b: dict) -> Optional[tuple[Vec, Subspace]]:
-        """(particular, kernel) for a x = b, or None; see `solve_affine`."""
+    def particular(self, b: dict) -> Optional[Vec]:
+        """The particular solution of a x = b (see `solve_affine`), or None."""
         for i in b:
             if not (0 <= i < self.rows):
                 raise DimensionMismatch(f"rhs coordinate {i} outside {self.rows} rows")
-        particular = self.echelon.express(b)
-        if particular is None:
-            return None  # rank([A|b]) > rank(A)
-        return particular, self.kernel()
+        return self.echelon.express(b)  # None when rank([A|b]) > rank(A)
+
+    def solve(self, b: dict) -> Optional[tuple[Vec, Subspace]]:
+        """(particular, kernel) for a x = b, or None; see `solve_affine`."""
+        particular = self.particular(b)
+        return None if particular is None else (particular, self.kernel())
 
 
 def reduce(m: SparseMatrix) -> tuple[int, Subspace, Subspace]:

@@ -302,7 +302,7 @@ def test_cli_non_integer_range_exit_code(args, capsys):
     "args, digest",
     [
         (["--certify-lengths", "1..5", "--format", "structured"],
-         "78b9bfeff9e97699dd4a98ead99dd5fd52a45f1dd8d3397d09d5b6780098a214"),
+         "1d4109ada661fc551f11872f6797c8bd72576dd3ff955c5a254f7afead04f234"),
         (["--exact"], "2808fa82850ac51f899614b56fa60d6224e310fc51eff9f32046bdf8429f1e56"),
     ],
 )

@@ -95,10 +95,14 @@ from lietower.functors import (
     shuffle,
 )
 from lietower.linalg import (
+    ColumnReduction,
     IntEchelon,
     InvariantError,
     NotAComplexError,
     SparseMatrix,
+    Subspace,
+    _content,
+    _sub_multiple,
     reduce,
     solve_affine,
 )
@@ -1120,6 +1124,67 @@ def test_express_matches_fraction_tracked_echelon():
                 assert total == {i: Fraction(c) for i, c in vec.items() if c}
 
 
+class ContentEveryStepEchelon(IntEchelon):
+    """`IntEchelon` with the reduction it replaced: a fresh vector from every
+    step, and the content divided out before every step, whatever the pivot.
+    `steps` counts the steps against rows with pivot 1 and with pivot > 1."""
+
+    def __init__(self, track=False):
+        super().__init__(track)
+        self.steps = {"unit": 0, "other": 0}
+
+    def _reduce(self, v, e=None):
+        while True:
+            g = _content(v) if e is None else _content(v, e)
+            if g > 1:
+                v = {i: c // g for i, c in v.items()}
+                if e is not None:
+                    e = {i: c // g for i, c in e.items()}
+            if not v:
+                return v, e
+            p = min(v)
+            row = self.rows.get(p)
+            if row is None:
+                return v, e
+            self.steps["unit" if row[p] == 1 else "other"] += 1
+            g = math.gcd(row[p], v[p])
+            ca, cb = row[p] // g, v[p] // g
+            v = _sub_multiple(v, ca, row, cb)
+            if e is not None:
+                e = _sub_multiple(e, ca, self.combos[p], cb)
+
+
+def test_unit_pivot_steps_match_content_after_every_step():
+    """The in-place step against a pivot-1 row, with the content divided only
+    after other steps and at the end, stores the rows, combinations and
+    relations of the reduction it replaced, and reduces and expresses alike."""
+    rng = random.Random(36)
+    steps = {"unit": 0, "other": 0}
+    scaled = 0
+    for trial in range(300):
+        n = rng.randint(1, 8)
+        rows = random_rows(rng, rng.randint(1, 9), n, rational=trial % 2 == 1)
+        rows += [frac_axpy(rng.choice(rows), rng.choice(rows), Fraction(rng.randint(-3, 3)))]
+        # inputs whose content is > 1, so that division by it shows
+        for k in rng.sample(range(len(rows)), len(rows) // 2):
+            rows[k] = {i: c * rng.randint(2, 6) for i, c in rows[k].items()}
+            scaled += len(rows[k]) > 0
+        rows = [row if trial % 2 else {i: int(c) for i, c in row.items()} for row in rows]
+        for track in (False, True):
+            got, want = IntEchelon(track), ContentEveryStepEchelon(track)
+            for row in rows:
+                assert got.insert(row) == want.insert(row), trial
+            assert got.rows == want.rows and got.combos == want.combos, trial
+            assert got.relations == want.relations and got.inputs == want.inputs, trial
+            for probe in random_rows(rng, 3, n, rational=True) + rows:
+                assert got.residual(probe) == want.residual(probe), trial
+                if track:
+                    assert got.express(probe) == want.express(probe), trial
+            for kind in steps:
+                steps[kind] += want.steps[kind]
+    assert scaled > 300 and steps["unit"] > 1000 and steps["other"] > 1000
+
+
 def test_subspace_membership_echelon_is_built_once(monkeypatch):
     from lietower import linalg
 
@@ -1433,6 +1498,58 @@ def test_top_length_report_is_kept_on_the_presentation(monkeypatch):
     assert fresh.to_structured() == first.to_structured()
 
 
+def eager_kernel_witnesses(P, degree, lengths):
+    """`kernel_witness` as `top_length_obstruction` built it before it was
+    deferred: a tracked column reduction of every length's raising block,
+    and the first kernel vector of each one that is not injective."""
+    bound = max(lengths)
+    src, out = P.slice(degree, bound + 1), P.slice(degree - 1, bound + 1 + max(P.max_shift(), 1))
+    cols = P.d_matrix(degree, bound + 1, out.n).matrix.columns()
+    kernels = {}
+    for l in lengths:
+        first, stop = src.count_below(l), src.count_below(l + 1)
+        lo, hi = out.count_below(l + 1), out.count_below(l + 2)
+        raising = [{i: c for i, c in col.items() if lo <= i < hi} for col in cols[first:stop]]
+        reduced = ColumnReduction(SparseMatrix.from_columns(out.dim, raising))
+        if reduced.rank != stop - first:
+            kernels[l] = src.element_from_coords({first + i: c for i, c in reduced.kernel().basis[0].items()})
+    return kernels
+
+
+def test_kernel_witnesses_are_built_on_first_read(monkeypatch):
+    """A report runs no tracked reduction on its raising blocks until its
+    kernel witnesses are read, and they are then those of one tracked
+    reduction per block, on the stubborn cycle and random presentations."""
+    from lietower import dgl
+
+    built = []
+    reduction = dgl.ColumnReduction
+    monkeypatch.setattr(dgl, "ColumnReduction", lambda m: built.append(m) or reduction(m))
+    with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
+        stubborn = cli.parse(fh.read()).to_dgl()
+    rng = random.Random(37)
+    cases = [(stubborn, 1, range(1, 8)), (stubborn, 1, range(2, 6)), (remark(), 1, range(1, 6)),
+             (stubborn, 2, range(1, 5))]
+    cases += [(P, q, range(1, rng.randint(3, 5))) for P in (random_presentation(rng) for _ in range(30))
+              if P.max_shift() <= 1 for q in (1, 2)]
+    blocks = 0
+    for P, q, lengths in cases:
+        report = dgl.top_length_obstruction(P, q, lengths)
+        matrix = P.d_matrix(q, max(lengths) + 1, max(lengths) + 1 + max(P.max_shift(), 1)).matrix
+        x = freelie.parse_element(P.gens, "x") if q == 1 else freelie.zero(P.gens)
+        report.to_structured()
+        report.excludes(x)
+        assert all(m is matrix for m in built), (P.diff, q)
+        del built[:]
+        want = eager_kernel_witnesses(P, q, list(lengths))
+        assert report.kernel_witness == want and len(built) == len(want), (P.diff, q)
+        assert set(want) == {l for l in lengths if not report.injective[l]}
+        assert report.kernel_witness is report.kernel_witness
+        blocks += len(want)
+        del built[:]
+    assert len(cases) == 26 and blocks > 50
+
+
 def count_slice_builds(monkeypatch):
     built = []
     init = DegreeSlice.__init__
@@ -1663,8 +1780,6 @@ def test_repeated_solves_read_the_cached_matrices(monkeypatch):
 
 
 def test_cached_column_reduction_solves_like_solve_affine():
-    from lietower.linalg import ColumnReduction
-
     rng = random.Random(35)
     systems = unsat = 0
     for trial in range(60):
@@ -1677,6 +1792,7 @@ def test_cached_column_reduction_solves_like_solve_affine():
                 b = random_rows(rng, 1, m.rows, rational=True)[0]
             got, want = reduced.solve(b), fraction_solve_affine(m, b)
             assert got == solve_affine(m, b), trial
+            assert reduced.particular(b) == (got and got[0]), trial
             systems += 1
             if want is None:
                 assert got is None, trial
@@ -1684,7 +1800,32 @@ def test_cached_column_reduction_solves_like_solve_affine():
                 continue
             assert got[0] == want[0] and got[1].basis == want[1], trial
             assert got[1] is reduced.kernel()
+        # the kernel dimension a boundary solve reports, with no kernel built
+        assert reduced.cols - reduced.rank == len(reduced.echelon.relations) == reduced.kernel().dim, trial
     assert systems == 300 and unsat > 40
+
+
+def test_cold_boundary_solves_build_no_kernel(monkeypatch):
+    """A cold boundary solve reports its kernel dimension as columns minus
+    rank and builds no `Subspace`; `witness_direction_space` still builds
+    the kernel, the one of the relations of the kept reduction."""
+    from lietower.dgl import Truncation, boundary_solve, witness_direction_space
+
+    built = []
+    init = Subspace.__init__
+    monkeypatch.setattr(Subspace, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
+        P = cli.parse(fh.read()).to_dgl()
+    t = freelie.parse_element(P.gens, "[x, x - [y, x]]")
+    results = [boundary_solve(P, t, Truncation(8), exact_in_l=exact) for exact in (False, True)]
+    assert built == [] and [r.status for r in results] == ["SAT", "SAT"]
+    for exact, res in zip((False, True), results):
+        red = P.d_matrix(1, 8, 8 + exact).reduction()
+        assert red._kernel is None and res.kernel_dim == red.cols - red.rank > 0
+    _, kernel, _ = witness_direction_space(P, t, Truncation(8))
+    red = P.d_matrix(1, 8, 8).reduction()
+    assert len(built) == 1 and kernel is red.kernel()
+    assert kernel == Subspace(red.cols, red.echelon.relations) and kernel.dim == results[0].kernel_dim
 
 
 def test_verdict_outcome_check_survives_optimized_mode():
