@@ -169,47 +169,25 @@ class DglPresentation:
         return f"DglPresentation({self.gens!r}, d on {sorted(self.diff)})"
 
 
-def _derive_int(
-    P: DglPresentation, terms: dict[str, int], n: Optional[int] = None,
-    memo: Optional[dict[str, dict[str, int]]] = None,
-) -> dict[str, int]:
-    """P._diff_den * d(terms) for an integer combination of str words, with
-    words of length >= n dropped when n is given.
+def _derive_int(P: DglPresentation, terms: dict[str, int]) -> dict[str, int]:
+    """P._diff_den * d(terms) for an integer combination of str words, none
+    dropped: a matrix of d derives only its generators' words, and
+    `int_coords` drops the image words past the truncation.
 
-    Each word's image is derived once into `memo`, word -> image with the
-    same n; a caller that passes one memo to calls with the same n derives
-    every word once over all of them.  The Koszul sign is the parity of the
-    prefix the operator moves past.  d never lowers word length, so
-    replacing a letter by a word of length l gives a word of length
-    len(word) - 1 + l.
+    The Koszul sign is the parity of the prefix the operator moves past.
     """
     int_diff = P._int_diff
     odd = P._odd_letters
-    if n is None:
-        n = sys.maxsize
-    if memo is None:
-        memo = {}
     acc: dict[str, int] = {}
     for word, a in terms.items():
-        image = memo.get(word)
-        if image is None:
-            image = memo[word] = {}
-            room = n - len(word)
-            sign = 1
-            for i, g in enumerate(word):
-                dg = int_diff.get(g)
-                if dg is not None:
-                    for dw, dc in dg:
-                        if len(dw) <= room:
-                            _add_term(image, word[:i] + dw + word[i + 1 :], sign * dc)
-                if g in odd:
-                    sign = -sign
-        for w, c in image.items():
-            s = acc.get(w, 0) + a * c
-            if s:
-                acc[w] = s
-            else:
-                del acc[w]
+        sign = a
+        for i, g in enumerate(word):
+            dg = int_diff.get(g)
+            if dg is not None:
+                for dw, dc in dg:
+                    _add_term(acc, word[:i] + dw + word[i + 1 :], sign * dc)
+            if g in odd:
+                sign = -sign
     return acc
 
 
@@ -950,11 +928,11 @@ class DMatrix:
     generators.  It is built once, as B = D * M in the bracketing bases:
     column m of `columns` holds the bracketing coordinates of D * d(P_m) for
     the m-th bracketing P_m of the source, so B is an integer matrix and no
-    reduced echelon element is expanded.  A bracketing of length <= 2 is
-    derived on its words and read back by `int_coords`, which checks the
-    image exactly; a longer one is built from the columns of its standard
-    factors by the Leibniz rule (`_leibniz`), with no word expanded.  With
-    an empty target slice every column is zero and nothing is derived.
+    reduced echelon element is expanded.  A generator's column is d(g) read
+    back by `int_coords`, which checks the image exactly; every longer
+    bracketing's column is built from the columns of its standard factors
+    by the Leibniz rule (`_leibniz`), with no word of it expanded.  With an
+    empty target slice every column is zero and nothing is derived.
     `matrix` is D * M in the echelon bases, T_tgt * B * S_src, formed on
     first use for the readers of echelon coordinates, by back-substitution
     over the source's T, so S is not built for it: it has the kernel of M,
@@ -973,21 +951,17 @@ class DMatrix:
         if not tgt.dim:
             self.columns: list[dict[int, int]] = [{} for _ in range(src.dim)]
             return
-        # a bracketing's words all have its length: one derivation memo per
-        # length, each word derived once, and one memo of brackets; both
-        # are dropped with the build
-        self.columns, length, memo, brackets = [], 0, {}, {}
+        # one memo of brackets, dropped with the build
+        self.columns, brackets = [], {}
         for pivot, terms in src.forms:
-            if len(pivot) > 2:
+            if len(pivot) > 1:
                 self.columns.append(self._leibniz(P, pivot, brackets))
-                continue
-            if len(pivot) != length:
-                length, memo = len(pivot), {}
-            self.columns.append(tgt.int_coords(_derive_int(P, terms, n_tgt, memo)))
+            else:
+                self.columns.append(tgt.int_coords(_derive_int(P, terms)))
 
     def _leibniz(self, P: DglPresentation, pivot: str, brackets: dict) -> dict[int, int]:
         """The column of the source bracketing with this pivot word, of
-        length >= 3, from the columns of its standard factors.
+        length >= 2, from the columns of its standard factors.
 
         For P_m = [P_u, P_v] (`freelie._standard_cut`), d being a derivation
         of degree -1,
@@ -1275,16 +1249,7 @@ def h0_table_from_tower(P: DglPresentation, n: int):
     cols = P.d_matrix(1, n + 1, n + 1).columns
     quotient = Quotient((sl.echelon_coords({i: c for i, c in col.items() if i < sl.dim})
                          for col in cols), sl.dim)
-    reps = [sl.element(i) for i in quotient.kept]
-    names = [f"h{i}" for i in range(len(reps))]
-    brackets = {}
-    for i, ri in enumerate(reps):
-        for j in range(i, len(reps)):
-            expr = quotient.coords(sl.coords(graded_bracket(ri, reps[j])))
-            entry = {names[k]: c for k, c in expr.items()}
-            if entry:
-                brackets[(names[i], names[j])] = entry
-    table = FiniteLieData([(nm, 0) for nm in names], brackets, complete_degrees={0: True})
+    table, reps, _ = _h0_bracket_table(sl, quotient, "h", None)
     return table, reps
 
 
@@ -1315,19 +1280,25 @@ def h0_table_bounded_window(P: DglPresentation, window: int, witness_bound: int)
         if any(i >= limit for i in acc):
             raise InvariantError("window intersection leaked long words")
         boundary_ech.insert(acc)
-    quotient = Quotient(boundary_ech.rows.values(), limit)
-    reps = [out.element(i) for i in quotient.kept]
-    names = [f"c{i}" for i in range(len(reps))]
+    return _h0_bracket_table(out, Quotient(boundary_ech.rows.values(), limit), "c", window)
+
+
+def _h0_bracket_table(sl: DegreeSlice, quotient: Quotient, prefix: str, window: Optional[int]):
+    """(table, reps, closed): the bracket table of the degree-0 quotient on
+    the kept unit vectors of `quotient`, the elements reps of the slice sl
+    named prefix + index.  With a window, a bracket with a word longer than
+    it is left out of the table, and closed is False."""
+    reps = [sl.element(i) for i in quotient.kept]
+    names = [f"{prefix}{i}" for i in range(len(reps))]
     brackets = {}
     closed = True
     for i, ri in enumerate(reps):
         for j in range(i, len(reps)):
             val = graded_bracket(ri, reps[j])
-            if (val.max_length() or 0) > window:
+            if window is not None and (val.max_length() or 0) > window:
                 closed = False
                 continue
-            expr = quotient.coords(out.coords(val))
-            entry = {names[k]: c for k, c in expr.items()}
+            entry = {names[k]: c for k, c in quotient.coords(sl.coords(val)).items()}
             if entry:
                 brackets[(names[i], names[j])] = entry
     table = FiniteLieData([(nm, 0) for nm in names], brackets, complete_degrees={0: closed})

@@ -407,25 +407,22 @@ class SparseMatrix:
 class ColumnReduction:
     """The columns of a matrix inserted left to right into a tracked echelon.
 
-    The leftmost independent columns give pivots (`pivots[j]` is column j's
-    pivot row, None when it is dependent), and each other column gives a
-    relation, which is a kernel vector.  The relations are independent (each
-    is nonzero at its own column and at no later one), so the kernel has
-    dimension cols - rank without being built; the kernel `Subspace` is
-    built on first use, for the readers of its vectors.  Solving a x = b for
-    many b costs one `express` each.
+    The leftmost independent columns give pivots, and each other column
+    gives a relation, which is a kernel vector.  The relations are
+    independent (each is nonzero at its own column and at no later one), so
+    the kernel has dimension cols - rank without being built; the kernel
+    `Subspace` is built on first use, for the readers of its vectors.
+    Solving a x = b for many b costs one `express` each.
     """
 
     def __init__(self, m: SparseMatrix):
         self.rows = m.rows
         self.cols = m.cols
         self.echelon = IntEchelon(track=True)
-        self.pivots: list[Optional[int]] = []
         for j, col in enumerate(m.columns()):
             p = self.echelon.insert(col)
             if p is None and self.echelon.dim + len(self.echelon.relations) != j + 1:
                 raise InvariantError("a column with a nonzero residual did not give a pivot")
-            self.pivots.append(p)
         self._kernel: Optional[Subspace] = None
 
     @property

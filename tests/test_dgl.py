@@ -650,13 +650,13 @@ def test_substitution_over_t_gives_s_times_echelon_coordinates():
 
 
 def test_a_perturbed_image_word_fails_the_build(monkeypatch):
-    # one image with its coefficient at one word of no pivot raised by 1 is
-    # outside the slice, and the build of B raises
+    # one generator's image with its coefficient at one word of no pivot
+    # raised by 1 is outside the slice, and the build of B raises
     derive = dgl._derive_int
     perturbed = []
 
-    def once(P, terms, n=None, memo=None):
-        image = derive(P, terms, n, memo)
+    def once(P, terms):
+        image = derive(P, terms)
         tgt = P.slice(0, 8)
         spare = [w for w in image if len(w) >= 2 and w not in tgt._pivot]
         if spare and not perturbed:
@@ -721,9 +721,10 @@ def test_a_cold_degree_1_tower_builds_no_s(monkeypatch):
 
 def word_path_columns(P, dm):
     """B of a kept matrix of d on the word path: every source bracketing
-    expanded into words, derived and read back by `int_coords`."""
+    expanded into words, derived and read back by `int_coords`, which drops
+    the words of length >= the target's n."""
     src, tgt = dm._slices
-    return [tgt.int_coords(dgl._derive_int(P, terms, tgt.n)) if tgt.dim else {} for _, terms in src.forms]
+    return [tgt.int_coords(dgl._derive_int(P, terms)) if tgt.dim else {} for _, terms in src.forms]
 
 
 def odd_square_presentations():
@@ -736,36 +737,108 @@ def odd_square_presentations():
     ]
 
 
-def test_leibniz_columns_equal_the_word_path(monkeypatch):
-    # every column of B, built from its standard factors' columns when the
-    # bracketing has length >= 3, equals the derivation of its words read
-    # back by int_coords, entry for entry and in the same order; the build
-    # derives only the words of bracketings of length <= 2
-    rng = random.Random(39)
-    cases = [(stubborn(), (1, 2), ((8, 8), (9, 9)))]
-    cases += [(family_member(rng), (1, 2), ((8, 8), (9, 9))) for _ in range(2)]
-    cases += [(P, (1, 2, 3), ((7, 7), (6, 8))) for P in odd_square_presentations()]
-    pairs = ((6, 6), (6, 8), (5, 8))
-    cases += [(random_degree01_presentation(rng)[0], (1, 2, 3, 4), pairs) for _ in range(6)]
-    cases += [(random_positive_presentation(rng)[0], (1, 2, 3, 4), pairs) for _ in range(6)]
+def lowering_presentation(degrees, rng):
+    """Generators of the given degrees, d of each a random combination of
+    the bracket trees of length <= 3 one degree lower, where there are any:
+    d is a derivation of degree -1, which is all the build of B needs
+    (d^2 = 0 is not)."""
+    names = [f"g{i}" for i in range(len(degrees))]
+    trees = bracket_trees(degrees, range(len(degrees)), 3)
+    diffs = {}
+    for name, k in zip(names, degrees):
+        pool = [t for t, d in trees if d == k - 1]
+        if pool:
+            diffs[name] = random_lie_polynomial(rng, degrees, names, pool)[0]
+    return DglPresentation.from_strings(list(zip(names, degrees)), diffs)
+
+
+_PAIRS = ((6, 6), (6, 8), (5, 8))
+
+# (id, presentations from a seeded rng, source degrees, (n_src, n_tgt) pairs,
+# least counts of nonzero Leibniz columns: of length 2, odd squares xx among
+# them, of length >= 3, odd squares among those, and of the matrices with a
+# longer target than source whose Leibniz columns include one of length >= 3)
+WORD_PATH_CASES = [
+    ("family", lambda rng: [family_member(rng) for _ in range(2)], (1, 2), ((8, 8), (9, 9)),
+     (12, 4, 1373, 27, 0)),
+    ("odd-squares", lambda rng: odd_square_presentations(), (1, 2, 3), ((7, 7), (6, 8)), (16, 6, 770, 11, 5)),
+    ("degree01", lambda rng: [random_degree01_presentation(rng)[0] for _ in range(6)], (1, 2, 3, 4), _PAIRS,
+     (72, 33, 1323, 17, 39)),
+    ("positive", lambda rng: [random_positive_presentation(rng)[0] for _ in range(6)], (1, 2, 3, 4), _PAIRS,
+     (9, 0, 0, 0, 0)),
+]
+
+# the same, one test case each: the stubborn cycle, a member of its family,
+# presentations of the pieces' generator degree profiles and Neisendorfer
+# models
+LEIBNIZ_CASES = [
+    ("stubborn", lambda rng: [stubborn()], (1, 2), ((8, 8), (9, 9)), (6, 2, 776, 16, 0)),
+    ("family-shift-2", lambda rng: [DglPresentation.from_strings(
+        [("x", 0), ("y", 0), ("z", 1)], {"z": "-1/2*y + 3*[[x, y], y]"})], (1, 2), ((8, 8), (9, 9)),
+     (6, 2, 668, 13, 0)),
+] + [
+    # d is zero on the profiles with no letter or bracket one degree lower
+    # than a generator
+    ("deg" + "-".join(map(str, ds)), lambda rng, ds=ds: [lowering_presentation(ds, rng)], range(1, 8), _PAIRS,
+     least)
+    for ds, least in (
+        ([0, 0], (0,) * 5), ([0, 0, 0], (0,) * 5), ([1], (0,) * 5), ([1, 1], (0,) * 5),
+        ([0, 1], (3, 3, 17, 0, 5)), ([0, 0, 1], (9, 3, 94, 4, 7)), ([1, 2], (3, 0, 16, 3, 3)),
+        ([2, 3], (3, 3, 0, 0, 0)), ([1, 1, 1], (0,) * 5), ([3, 3], (0,) * 5), ([1, 3], (3, 3, 3, 0, 2)),
+        ([0, 1, 2], (9, 3, 150, 3, 12)),
+    )
+] + [
+    (name, lambda rng, name=name: [sullivan_model(name, 6)], degrees, _PAIRS, least)
+    for name, degrees, least in (("even_line", range(1, 10), (9, 3, 20, 0, 6)),
+                                 ("even_sphere", range(1, 10), (30, 3, 170, 0, 7)),
+                                 ("heisenberg", (1, 2, 3), (63, 9, 3776, 27, 6)))
+]
+
+
+def leibniz_column_counts(monkeypatch, presentations, degrees, ns):
+    """Checks every matrix of d of the presentations at the source degrees
+    and (n_src, n_tgt) pairs against the word path; returns the counts of
+    nonzero Leibniz columns that `WORD_PATH_CASES` describes."""
     derived = []
     derive = dgl._derive_int
-    monkeypatch.setattr(dgl, "_derive_int", lambda P, terms, *a: derived.append(terms) or derive(P, terms, *a))
-    leibniz = squares = wider = 0
-    for P, degrees, ns in cases:
+    monkeypatch.setattr(dgl, "_derive_int", lambda P, terms: derived.append(terms) or derive(P, terms))
+    counts = [0] * 5
+    for P in presentations:
         for q in degrees:
             for n_src, n_tgt in ns:
                 derived.clear()
                 dm = P.d_matrix(q, n_src, n_tgt)
-                assert all(len(w) <= 2 for terms in derived for w in terms), (P, q, n_src, n_tgt)
+                assert all(len(w) == 1 for terms in derived for w in terms), (P, q, n_src, n_tgt)
                 want = word_path_columns(P, dm)
                 assert [list(col.items()) for col in dm.columns] == [list(col.items()) for col in want], \
                     (P, q, n_src, n_tgt)
-                built = [pivot for (pivot, _), col in zip(dm._slices[0].forms, want) if len(pivot) > 2 and col]
-                leibniz += len(built)
-                squares += sum(dgl._is_square(pivot) for pivot in built)
-                wider += bool(built) and dm._slices[1].n > dm._slices[0].n
-    assert leibniz > 4000 and squares > 50 and wider > 30
+                built = [pivot for (pivot, _), col in zip(dm._slices[0].forms, want) if len(pivot) > 1 and col]
+                pairs = [pivot for pivot in built if len(pivot) == 2]
+                longer = [pivot for pivot in built if len(pivot) > 2]
+                counts[0] += len(pairs)
+                counts[1] += sum(map(dgl._is_square, pairs))
+                counts[2] += len(longer)
+                counts[3] += sum(map(dgl._is_square, longer))
+                counts[4] += bool(longer) and dm._slices[1].n > dm._slices[0].n
+    monkeypatch.undo()
+    return counts
+
+
+def test_leibniz_columns_equal_the_word_path(monkeypatch):
+    # every column of B above the generators, built from its standard
+    # factors' columns by the Leibniz rule, equals the derivation of its words
+    # read back by int_coords, entry for entry and in the same order; the
+    # build derives only the words of generators
+    for name, make, degrees, ns, least in WORD_PATH_CASES:
+        counts = leibniz_column_counts(monkeypatch, make(random.Random(39)), degrees, ns)
+        assert all(c >= floor for c, floor in zip(counts, least)), (name, counts)
+
+
+@pytest.mark.parametrize("make, degrees, ns, least", [case[1:] for case in LEIBNIZ_CASES],
+                         ids=[case[0] for case in LEIBNIZ_CASES])
+def test_leibniz_columns_equal_the_word_path_per_presentation(monkeypatch, make, degrees, ns, least):
+    counts = leibniz_column_counts(monkeypatch, make(random.Random(39)), degrees, ns)
+    assert all(c >= floor for c, floor in zip(counts, least)), counts
 
 
 # -- lower central series layers ---------------------------------------------

@@ -285,8 +285,7 @@ def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
             forms_seen += len(want)
             for (_, terms), (_, old) in zip(held, want):
                 img = {decode_word(w): Fraction(c, P._diff_den) for w, c in dgl._derive_int(P, terms).items()}
-                cut = {decode_word(w): Fraction(c, P._diff_den)
-                       for w, c in dgl._derive_int(P, terms, n + 1).items()}
+                cut = {w: c for w, c in img.items() if len(w) <= n}
                 elt = TensorElt(gens, old)
                 full = extend_derivation(P, elt)
                 assert img == full.terms and cut == full.truncate_length(n + 1).terms
@@ -294,55 +293,6 @@ def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
                 assert n > 5 or img == fraction_derivation(P, elt)
     assert forms_seen > len(degrees)
     assert squares > 0 or not any(d % 2 for d in degrees)
-
-
-def half_square(terms):
-    """x * x for x an integer combination of str words: half of [x, x] when
-    x is odd."""
-    out = {}
-    for (u, a), (v, b) in itertools.product(terms.items(), repeat=2):
-        out[u + v] = out.get(u + v, 0) + a * b
-    return {w: c for w, c in out.items() if c}
-
-
-def sullivan_model(name, bound=6):
-    with open(os.path.join(FILES, f"{name}.sullivan")) as fh:
-        return functors.neisendorfer_model(cli.parse(fh.read()).to_sullivan(), bound)
-
-
-def profile(degrees):
-    gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
-    return profile_presentation(gens, random.Random(sum(degrees) * 17 + len(degrees)))
-
-
-MEMO_CASES = [(f"deg{'-'.join(map(str, ds))}", lambda ds=ds: profile(ds)) for ds in PIECE_PROFILES] + [
-    ("stubborn", lambda: remark()),
-    ("family-shift-2", lambda: DglPresentation.from_strings(
-        [("x", 0), ("y", 0), ("z", 1)], {"z": "-1/2*y + 3*[[x, y], y]"})),
-] + [(name, lambda name=name: sullivan_model(name)) for name in ("even_line", "even_sphere", "heisenberg")]
-
-
-@pytest.mark.parametrize("make", [make for _, make in MEMO_CASES], ids=[name for name, _ in MEMO_CASES])
-def test_shared_derivation_memo_matches_the_memo_free_call(make):
-    # one memo per n over the bracketings and odd half squares of the
-    # lowest-degree slices (some 300 forms), against the memo-free call on
-    # each form, cut at every n and uncut
-    P = make()
-    top, forms = 6, []
-    for q in range(0, 4 * max(P.gens.degrees) + 1):
-        if len(forms) > 300:
-            break
-        for _, terms in P.slice(q, top).forms:
-            forms.append(terms)
-            if q % 2:
-                forms.append(half_square(terms))
-    assert forms
-    for n in [*range(1, 2 * top + 2), None]:
-        memo = {}
-        for terms in forms:
-            assert dgl._derive_int(P, terms, n, memo) == dgl._derive_int(P, terms, n), (n, terms)
-        assert set(memo) == {w for terms in forms for w in terms}
-    assert sum(map(len, forms)) > len(memo)
 
 
 def test_a_matrix_build_leaves_no_derivation_state_on_the_presentation():
@@ -356,7 +306,8 @@ def test_a_matrix_build_leaves_no_derivation_state_on_the_presentation():
     assert {k: v for k, v in after.items() if k != "_matrix_cache"} == \
         {k: v for k, v in state.items() if k != "_matrix_cache"}
     # the Leibniz rule reads the columns of the degree-1 factors of the
-    # bracketings of length >= 3 out of D_1, which the build keeps too
+    # bracketings of length >= 2 (the odd square zz too) out of D_1, which
+    # the build keeps too
     assert after["_matrix_cache"] == {(2, 8, 8): dm, (1, 8, 8): P.d_matrix(1, 8, 8)}
     # the build keeps B and its two slices; the echelon matrix and its
     # reduction wait for a reader, and no derivation memo is kept
@@ -1435,13 +1386,14 @@ def test_exact_homology_builds_one_top_complex(monkeypatch):
     assert (dim, [r.pretty() for r in reps]) == (1, ["b"])
     # the tower rows at n = 3, 4, 5, off D_2 and D_3 at the top truncation
     # N = 6, kept under capped lengths: every degree is >= 1, so a degree-q
-    # word has length <= q and D_q is d from L/L^(q+1) to L/L^q
+    # word has length <= q and D_q is d from L/L^(q+1) to L/L^q; the Leibniz
+    # column of ab in D_3 reads a's column out of D_1
     assert towers == [[3, 4, 5]]
-    assert sorted(matrices) == [(2, 3, 2), (3, 4, 3)]
+    assert sorted(matrices) == [(1, 2, 1), (2, 3, 2), (3, 4, 3)]
     assert exact_homology(P, 2)[0] == 1
-    assert towers == [[3, 4, 5]] * 2 and len(matrices) == 2
-    # the next degree reuses D_3 and builds D_4, whose Leibniz columns (aab =
-    # [a, ab]) read the factors' columns out of D_1 and D_3
+    assert towers == [[3, 4, 5]] * 2 and len(matrices) == 3
+    # the next degree reuses D_1 and D_3 and builds D_4, whose Leibniz
+    # columns (aab = [a, ab]) read the factors' columns out of them
     exact_homology(P, 3)
     assert sorted(matrices) == [(1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4)]
     for q in (1, 2):
@@ -1743,8 +1695,8 @@ def test_d_matrices_match_the_rref_path_on_the_stubborn_cycle():
 
 def test_repeated_solves_read_the_cached_matrices(monkeypatch):
     """A repeated call derives and reads no column of d again: the only
-    derivations are the d-cycle test and the witness check (untruncated,
-    on the str words of the target and the witness), and the only
+    derivations are the d-cycle test and the witness check of each boundary
+    solve, on the str words of the target and the witness, and the only
     coordinates read are the target's, once per boundary solve."""
     from lietower import dgl
     from lietower.dgl import Truncation, boundary_solve, top_length_obstruction, witness_direction_space
@@ -1762,19 +1714,32 @@ def test_repeated_solves_read_the_cached_matrices(monkeypatch):
             report.to_structured(), report.kernel_witness, report.excludes(t),
         )
 
+    def int_terms(u):
+        return {encode_word(w): c for w, c in freelie.integer_terms(u.terms)[1].items()}
+
+    def primitive(terms):
+        g = math.gcd(*terms.values())
+        return {w: c // g for w, c in terms.items()}
+
     first = [calls(t) for t in targets]
     cached = {key: (dm, dm.reduction()) for key, dm in P._matrix_cache.items()}
     derived, read = [], []
     derive, int_coords = dgl._derive_int, DegreeSlice.int_coords
-    monkeypatch.setattr(dgl, "_derive_int",
-                        lambda P, terms, n=None: derived.append(n) or derive(P, terms, n))
+    monkeypatch.setattr(dgl, "_derive_int", lambda P, terms: derived.append(primitive(terms)) or derive(P, terms))
     monkeypatch.setattr(DegreeSlice, "int_coords",
                         lambda self, terms, strict=False: read.append(terms) or int_coords(self, terms, strict))
     again = [calls(t) for t in targets]
     assert again == first
-    assert derived and set(derived) == {None}
-    assert read == [{encode_word(w): c for w, c in freelie.integer_terms(t.terms)[1].items()}
-                    for t in targets for _ in range(4)]
+    assert read == [int_terms(t) for t in targets for _ in range(4)]
+    monkeypatch.undo()
+    # per target: the solve of witness_direction_space, then the truncated
+    # and the exact solve
+    want = []
+    for t in targets:
+        for exact in (False, False, True):
+            res = boundary_solve(P, t, Truncation(6), exact_in_l=exact)
+            want += [primitive(int_terms(u)) for u in (t, res.witness) if u is not None]
+    assert derived == want and len(want) > len(targets) * 3
     assert {key: (dm, dm.reduction()) for key, dm in P._matrix_cache.items()} == cached
     assert {s for _, _, _, _, s, *_ in again} == {P.slice(1, 6)}
 
