@@ -27,7 +27,6 @@ from .freelie import (
     GeneratorSet,
     LieForm,
     TensorElt,
-    _int_bracket,
     _standard_cut,
     combine_forms,
     decode_word,
@@ -36,7 +35,7 @@ from .freelie import (
     graded_bracket,
     integer_terms,
     lie_basis,
-    lie_basis_forms,
+    lie_piece,
     solve_unitriangular,
     zero,
 )
@@ -101,6 +100,8 @@ class DglPresentation:
         self._d_cache: dict = {}
         self._slice_cache: dict[tuple[int, int], DegreeSlice] = {}
         self._matrix_cache: dict[tuple[int, int, int], DMatrix] = {}
+        # [P_x, P_y] in the Lyndon basis by pivot words (x, y): `_bracket_coords`
+        self._bracket_cache: dict[tuple[str, str], dict[str, int]] = {}
         self._obstruction_cache: dict[tuple[int, tuple[int, ...]], ObstructionReport] = {}
         self._positive = all(d >= 1 for d in gens.degrees)
         # d(g) = terms / _diff_den with integer terms, by the str letter of g
@@ -309,39 +310,53 @@ class DegreeSlice:
     The slice has two bases, both ordered by piece, shortest length first, so
     the slice of L/L^m for m <= n is the leading block of the first
     `count_below(m)` elements of either.  The bracketing basis is the Lyndon
-    bracketings `forms` (pivot word, integer terms) of each (length, degree)
-    piece, held by `freelie.lie_basis_forms` and shared with every other
-    slice of the piece, with T, their unitriangular matrix at the pivot
-    words, held by its columns below the diagonal.  The echelon basis is
-    the reduced echelon basis of each piece, element i = sum_m S[m, i] *
-    forms[m] with S = T^-1; neither its elements nor S are stored, and
-    `basis_coeffs` applies S by forward substitution over T.  Matrices of d
-    are read in the bracketing basis (`int_coords`), and every vector a report
-    or a solver reads is in the echelon basis (`coords`,
-    `element_from_coords`); `echelon_coords` maps the first to the second.
-    Words are str in the slice and tuples in a TensorElt:
-    `element(i)`, `coords` and `element_from_coords` convert one element's
-    words, never the slice's.  `P.slice(q, n)` builds each slice once.
+    bracketings and odd squares of each (length, degree) piece
+    (`freelie.LiePiece`, shared with every other slice of the piece), named
+    by their `pivots`.  Their word terms and T, their unitriangular matrix
+    at the pivot words, held by its columns below the diagonal, are filled
+    in per piece (`_forms`, `_lower`) on the first read of a piece that
+    needs them (`_expand`).  The echelon basis is the reduced echelon
+    basis of each piece, element i = sum_m S[m, i] * P_m with S = T^-1;
+    neither its elements nor S are stored, and `basis_coeffs` applies S by
+    forward substitution over T.  Matrices of d are read in the bracketing
+    basis (`int_coords`), and every vector a report or a solver reads is in
+    the echelon basis (`coords`, `element_from_coords`); `echelon_coords`
+    maps the first to the second.  Words are str in the slice and tuples in
+    a TensorElt: `element(i)`, `coords` and `element_from_coords` convert
+    one element's words, never the slice's.  `P.slice(q, n)` builds each
+    slice once.
     """
 
     def __init__(self, P: DglPresentation, q: int, n: int):
         self.P = P
         self.q = q
         self.n = n
-        self.forms: list[LieForm] = []
-        # column i of T below its diagonal, as (offset of its piece in forms,
-        # column over the piece)
-        self._lower: list[tuple[int, dict[int, int]]] = []
-        for k in range(1, n) if q >= 0 else ():
-            forms, lower = lie_basis_forms(P.gens, k, q)
-            self._lower += [(len(self.forms), col) for col in lower]
-            self.forms += forms
-        self.lengths = [len(pivot) for pivot, _ in self.forms]
-        self._pivot = {pivot: i for i, (pivot, _) in enumerate(self.forms)}
+        # the piece of each length 1 .. n - 1
+        self._pieces = [lie_piece(P.gens, k, q) for k in range(1, n)] if q >= 0 else []
+        self.pivots = [pivot for piece in self._pieces for pivot in piece.pivots]
+        self.lengths = [len(pivot) for pivot in self.pivots]
+        self._pivot = {pivot: i for i, pivot in enumerate(self.pivots)}
+        # forms[i] and column i of T below its diagonal, as (offset of its
+        # piece, column over the piece), once its piece is expanded
+        self._forms: list[Optional[LieForm]] = [None] * self.dim
+        self._lower: list[Optional[tuple[int, dict[int, int]]]] = [None] * self.dim
+        # the lengths of the nonempty pieces not expanded yet
+        self._pending = {k for k, piece in enumerate(self._pieces, 1) if piece.pivots}
 
     @property
     def dim(self) -> int:
-        return len(self.forms)
+        return len(self.pivots)
+
+    def _expand(self, lengths: Iterable[int]) -> None:
+        """Fill in the forms and T of the pieces of these word lengths, each
+        built on its first demand (`freelie.LiePiece.expand`)."""
+        for k in self._pending.intersection(lengths):
+            forms, lower = self._pieces[k - 1].expand()
+            offset = self.count_below(k)
+            stop = offset + len(forms)
+            self._forms[offset:stop] = forms
+            self._lower[offset:stop] = [(offset, col) for col in lower]
+            self._pending.discard(k)
 
     def count_below(self, m: int) -> int:
         """Number of basis elements of word length < m."""
@@ -369,7 +384,8 @@ class DegreeSlice:
         terms is popped, a_m is the coefficient of its pivot word there, which
         no later bracketing has, and a_m * forms[m] is subtracted.  Membership
         in the slice is verified exactly in the same pass: every word must be
-        left at zero.
+        left at zero.  Only the pieces of the terms' word lengths are
+        expanded: the substitution never leaves them.
         """
         # matrix images are already cut at n: copy only when a word reaches it
         if terms and max(map(len, terms)) >= self.n:
@@ -377,7 +393,9 @@ class DegreeSlice:
                 w = next(w for w in terms if len(w) >= self.n)
                 raise TruncationError(f"word length {len(w)} exceeds coordinate bound {self.n - 1}")
             terms = {w: c for w, c in terms.items() if len(w) < self.n}
-        pivot, forms = self._pivot, self.forms
+        if self._pending:
+            self._expand(map(len, terms))
+        pivot, forms = self._pivot, self._forms
         rest = dict(terms)
         # the pivot indices left to visit, a heap: a sorted list is one
         todo = sorted(map(pivot.__getitem__, pivot.keys() & rest.keys()))
@@ -415,6 +433,8 @@ class DegreeSlice:
         """T * vec: echelon coordinates of the element with bracketing
         coordinates vec.  T is block-diagonal by piece, so a vector cut to a
         leading block maps into that block."""
+        if self._pending:
+            self._expand(map(self.lengths.__getitem__, vec))
         acc = dict(vec)
         for m, c in vec.items():
             offset, col = self._lower[m]
@@ -428,13 +448,16 @@ class DegreeSlice:
         return acc
 
     def basis_coeffs(self, num: dict[int, int]) -> dict[int, int]:
-        """S * num: sum_i num[i] * element(i) over the bracketings `forms`,
-        by forward substitution over T (`freelie.solve_unitriangular`)."""
+        """S * num: sum_i num[i] * element(i) over the bracketings,
+        by forward substitution over T (`freelie.solve_unitriangular`),
+        which never leaves the pieces of num's indices."""
+        if self._pending:
+            self._expand(map(self.lengths.__getitem__, num))
         return solve_unitriangular(self._lower, num)
 
     def _combine(self, num: dict[int, int]) -> dict[str, int]:
         """sum_i num[i] * element(i) as nonzero integer terms."""
-        return combine_forms(self.forms, self.basis_coeffs(num))
+        return combine_forms(self._forms, self.basis_coeffs(num))
 
     def int_element(self, vec: dict[int, Fraction]) -> tuple[int, dict[str, int]]:
         """(D, D * u) with str words for the element u with echelon coordinates vec."""
@@ -897,26 +920,72 @@ def witness_direction_space(
     return res, kernel, P.slice(q + 1, t.n_max)
 
 
-def _bracket_coords(tgt: DegreeSlice, x: str, dx: int, px: dict[str, int],
-                    y: str, dy: int, py: dict[str, int]) -> dict[int, int]:
-    """Bracketing coordinates in tgt of [P_x, P_y], for the bracketings P_x
-    and P_y of degrees dx and dy with pivot words x and y.
+def _bracket_coords(P: DglPresentation, x: str, dx: int, y: str, dy: int) -> dict[str, int]:
+    """Bracketing coordinates of [P_x, P_y], as integer coefficients by
+    pivot word, for the basis elements P_x and P_y of degrees dx and dy
+    with pivot words x and y: Lyndon bracketings, or odd squares uu for
+    P_u P_u = [P_u, P_u] / 2.  Memoized on P (`_bracket_cache`); no word is
+    expanded.
 
-    For Lyndon words x < y, xy is a Lyndon word with standard factorization
-    (x, y) exactly when x is a letter or y <= the right factor of x
-    (Lothaire, Combinatorics on Words, Prop. 5.1.3-5.1.4), and then
-    [P_x, P_y] = P_xy; [P_y, P_x] = -(-1)^{|x||y|} [P_x, P_y].  Any other
-    bracket, also one with an odd square, is expanded into words and read
-    back by `int_coords`, which checks it exactly.
+    The classical rewrite on Hall and Lyndon bases (Reutenauer, Free Lie
+    Algebras, 1993, Sec. 4-5), graded, by the Jacobi identity on standard
+    factorizations (`freelie._standard_cut`):
+      1. x = y: 2 P_xx when x has odd degree, so that x is a Lyndon word,
+         else 0;
+      2. x > y: -(-1)^{|x||y|} [P_y, P_x];
+      3. y = xx: 0, since [u, [u, u]] = 0 for odd u;
+      4. x = uu: [P_u, [P_u, P_y]], since [[u, u], y] = 2 [u, [u, y]];
+      5. y = vv: -[P_v, [P_v, P_x]], since [x, [v, v]] = -2 [v, [v, x]];
+      6. x a letter or x's right standard factor >= y: P_xy, since xy is
+         then a Lyndon word with standard factorization (x, y) (Lothaire,
+         Combinatorics on Words, Prop. 5.1.3-5.1.4);
+      7. else x = ab, its standard factorization, and
+         [P_x, P_y] = [P_a, [P_b, P_y]] + (-1)^{|b||y|} [[P_a, P_y], P_b].
+    Inner brackets are rewritten first and the outer ones term by term, so
+    every coefficient stays an integer.
     """
-    lo, hi, dlo = (x, y, dx) if x < y else (y, x, dy)
-    unit = lo != hi and not _is_square(lo) and not _is_square(hi)
-    if unit:
-        cut = _standard_cut(tgt.P.gens, lo, dlo)
-        unit = not cut or lo[cut:] >= hi
-    if unit:
-        return {tgt._pivot[lo + hi]: 1 if x < y else (1 if dx * dy % 2 else -1)}
-    return tgt.int_coords(_int_bracket(px, dx, py, dy))
+    memo = P._bracket_cache
+    got = memo.get((x, y))
+    if got is not None:
+        return got
+    if x == y:
+        got = {x + x: 2} if dx % 2 else {}
+    elif x > y:
+        sign = 1 if dx * dy % 2 else -1
+        got = {w: sign * c for w, c in _bracket_coords(P, y, dy, x, dx).items()}
+    elif y == x + x:
+        got = {}
+    elif _is_square(x):
+        u, du = x[: len(x) // 2], dx // 2
+        got = _outer_brackets(P, u, du, _bracket_coords(P, u, du, y, dy), du + dy, 1)
+    elif _is_square(y):
+        v, dv = y[: len(y) // 2], dy // 2
+        got = _outer_brackets(P, v, dv, _bracket_coords(P, v, dv, x, dx), dv + dx, -1)
+    else:
+        cut = _standard_cut(P.gens, x, dx)
+        if not cut or x[cut:] >= y:
+            got = {x + y: 1}
+        else:
+            a, b = x[:cut], x[cut:]
+            da = P.gens.word_degree(map(ord, a))
+            db = dx - da
+            got = _outer_brackets(P, a, da, _bracket_coords(P, b, db, y, dy), db + dy, 1)
+            for w, c in _bracket_coords(P, a, da, y, dy).items():
+                for z, t in _bracket_coords(P, w, da + dy, b, db).items():
+                    _add_term(got, z, (-c if db * dy % 2 else c) * t)
+    memo[x, y] = got
+    return got
+
+
+def _outer_brackets(P: DglPresentation, u: str, du: int, inner: dict[str, int], dw: int,
+                    sign: int) -> dict[str, int]:
+    """sign * sum_w inner[w] [P_u, P_w] in the Lyndon basis, for inner by
+    pivot words w of degree dw."""
+    out: dict[str, int] = {}
+    for w, c in inner.items():
+        for z, t in _bracket_coords(P, u, du, w, dw).items():
+            _add_term(out, z, sign * c * t)
+    return out
 
 
 class DMatrix:
@@ -931,7 +1000,9 @@ class DMatrix:
     reduced echelon element is expanded.  A generator's column is d(g) read
     back by `int_coords`, which checks the image exactly; every longer
     bracketing's column is built from the columns of its standard factors
-    by the Leibniz rule (`_leibniz`), with no word of it expanded.  With an
+    by the Leibniz rule (`_leibniz`), with each bracket of two basis
+    elements rewritten in the Lyndon basis (`_bracket_coords`), so no word
+    of it is expanded and the source's pieces build no word terms.  With an
     empty target slice every column is zero and nothing is derived.
     `matrix` is D * M in the echelon bases, T_tgt * B * S_src, formed on
     first use for the readers of echelon coordinates, by back-substitution
@@ -951,15 +1022,14 @@ class DMatrix:
         if not tgt.dim:
             self.columns: list[dict[int, int]] = [{} for _ in range(src.dim)]
             return
-        # one memo of brackets, dropped with the build
-        self.columns, brackets = [], {}
-        for pivot, terms in src.forms:
+        self.columns = []
+        for pivot in src.pivots:
             if len(pivot) > 1:
-                self.columns.append(self._leibniz(P, pivot, brackets))
+                self.columns.append(self._leibniz(P, pivot))
             else:
-                self.columns.append(tgt.int_coords(_derive_int(P, terms)))
+                self.columns.append(tgt.int_coords(_derive_int(P, {pivot: 1})))
 
-    def _leibniz(self, P: DglPresentation, pivot: str, brackets: dict) -> dict[int, int]:
+    def _leibniz(self, P: DglPresentation, pivot: str) -> dict[int, int]:
         """The column of the source bracketing with this pivot word, of
         length >= 2, from the columns of its standard factors.
 
@@ -972,9 +1042,11 @@ class DMatrix:
         [P_a, P_u].  B_u is u's column in the kept matrix of d of u's degree:
         this one, built earlier since u is shorter, when |u| = q.  d is zero
         in degree 0, and a bracket of length >= the target's n is dropped.
+        Each bracket is rewritten in the Lyndon basis by pivot words
+        (`_bracket_coords`) and read at the target's indices of those words.
         """
         src, tgt = self._slices
-        q = src.q
+        q, pivot_index = src.q, tgt._pivot
         if _is_square(pivot):
             u = pivot[: len(pivot) // 2]
             parts = [(u, q // 2, u, 1)]
@@ -994,18 +1066,11 @@ class DMatrix:
             else:
                 dm = P.d_matrix(df, src.n, tgt.n)
                 image, image_slice = dm.columns[dm._slices[0]._pivot[f]], dm._slices[1]
-            dg = q - df
-            g_slice = P.slice(dg, src.n)
-            pg = g_slice.forms[g_slice._pivot[g]][1]
             room = tgt.n - len(g)
             for a, c in image.items():
                 if image_slice.lengths[a] < room:
-                    x, px = image_slice.forms[a]
-                    got = brackets.get((x, g))
-                    if got is None:
-                        got = brackets[x, g] = _bracket_coords(tgt, x, df - 1, px, g, dg, pg)
-                    for i, t in got.items():
-                        _add_term(col, i, sign * c * t)
+                    for w, t in _bracket_coords(P, image_slice.pivots[a], df - 1, g, q - df).items():
+                        _add_term(col, pivot_index[w], sign * c * t)
         # in increasing index order, as int_coords gives the word-path columns
         return dict(sorted(col.items()))
 
@@ -1017,6 +1082,7 @@ class DMatrix:
             # back-substitution, column m of D is column m of C minus
             # T_src[k, m] times column k of D for the k > m of its piece
             cols = [tgt.echelon_coords(col) for col in self.columns]
+            src._expand(range(1, src.n))
             for m in reversed(range(len(cols))):
                 offset, lower = src._lower[m]
                 for k, t in lower.items():

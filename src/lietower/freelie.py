@@ -12,13 +12,14 @@ components in characteristic zero.  The canonical basis of a (length,
 degree) piece is the reduced echelon form of the standard bracketings of
 its Lyndon words (Reutenauer, Free Lie Algebras, 1993, Thm 5.1), together
 with the squares of odd-degree Lyndon bracketings (Bokut-Kang-Lee-
-Malcolmson, J. Algebra 217, 1999).  Each piece is held once, in integer
-arithmetic, as those bracketings, each with coefficient 1 at its pivot
-word, and the columns of their unitriangular matrix T at the pivot words;
-the reduced echelon elements are the bracketings times S = T^-1, which is
+Malcolmson, J. Algebra 217, 1999).  Each piece is held once, as the pivot
+words of those bracketings; their integer word terms, each with
+coefficient 1 at its pivot word, and the columns of their unitriangular
+matrix T at the pivot words are built on first demand (`LiePiece`).  The
+reduced echelon elements are the bracketings times S = T^-1, which is
 applied by forward substitution over T (`solve_unitriangular`) and never
-stored.  The Lyndon bracketings of a piece are built from the pieces of
-their standard factors, so no piece enumerates its words.  Dimensions are
+stored.  The Lyndon words of a piece are read off the pieces of their
+standard factors, so no piece enumerates its words.  Dimensions are
 cross-checked against the necklace-style counting formula obtained by
 inverting the tensor-algebra Poincare series.
 
@@ -44,10 +45,6 @@ Word = tuple[int, ...]
 # (pivot word, terms): an integer Lie element with coefficient 1 at its pivot
 # word and only larger words otherwise, words as str
 LieForm = tuple[str, dict[str, int]]
-# (forms, lower) of one (length, degree) piece: its bracketings, sorted by
-# pivot word, and T = I + L for T[k, m] the coefficient of pivot word k in
-# forms[m], with column m of L as lower[m] = {k: T[k, m]} over k > m
-LiePiece = tuple[list[LieForm], list[dict[int, int]]]
 _PIVOT = itemgetter(0)
 
 
@@ -444,10 +441,9 @@ def _int_bracket(u: dict, du: int, v: dict, dv: int) -> dict[str, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def _lyndon_forms(gens: GeneratorSet, length: int, degree: int) -> tuple[list[LieForm], list[int]]:
-    """The standard bracketings (w, P_w) of the Lyndon words w of a piece,
-    sorted by w, and the length of each w's standard left factor (0 for a
-    letter); built once per piece.
+def _lyndon_forms(gens: GeneratorSet, length: int, degree: int) -> tuple[list[str], list[int]]:
+    """The Lyndon words w of a piece, sorted, and the length of each w's
+    standard left factor (0 for a letter); built once per piece.
 
     A Lyndon word w of length >= 2 is uv for its standard factorization (v
     the longest proper Lyndon suffix), and P_w = [P_u, P_v].  Conversely,
@@ -456,15 +452,15 @@ def _lyndon_forms(gens: GeneratorSet, length: int, degree: int) -> tuple[list[Li
     (Lothaire, Combinatorics on Words, Prop. 5.1.3-5.1.4).  So the piece is
     read off the pieces of its factors: for each u, the v of the right
     length and degree in (u, right factor of u] form one slice of their
-    sorted list.
+    sorted list.  No word is expanded.
     """
     key = (gens, length, degree)
     got = _lyndon_cache.get(key)
     if got is not None:
         return got
-    found: list[tuple[str, int, dict[str, int]]] = []
+    found: list[tuple[str, int]] = []
     if length == 1:
-        found = [(chr(i), 0, {chr(i): 1}) for i, d in enumerate(gens.degrees) if d == degree]
+        found = [(chr(i), 0) for i, d in enumerate(gens.degrees) if d == degree]
     elif gens.degrees:
         lo, hi = min(gens.degrees), max(gens.degrees)
         for k in range(1, length):
@@ -474,66 +470,118 @@ def _lyndon_forms(gens: GeneratorSet, length: int, degree: int) -> tuple[list[Li
                 if not left:
                     continue
                 right = _lyndon_forms(gens, rest, degree - du)[0]
-                for (u, pu), cut in zip(left, cuts):
-                    start = bisect_right(right, u, key=_PIVOT)
-                    stop = bisect_right(right, u[cut:], key=_PIVOT) if cut else len(right)
-                    for v, pv in right[start:stop]:
-                        found.append((u + v, k, _int_bracket(pu, du, pv, degree - du)))
-        found.sort(key=_PIVOT)
-    got = ([(w, terms) for w, _, terms in found], [cut for _, cut, _ in found])
+                for u, cut in zip(left, cuts):
+                    start = bisect_right(right, u)
+                    stop = bisect_right(right, u[cut:]) if cut else len(right)
+                    found += [(u + v, k) for v in right[start:stop]]
+        found.sort()
+    got = ([w for w, _ in found], [cut for _, cut in found])
     _lyndon_cache[key] = got
     return got
 
 
 def _standard_cut(gens: GeneratorSet, word: str, degree: int) -> int:
     """The length of the standard left factor of a Lyndon word of the given
-    degree (0 for a letter), read off its piece (`_lyndon_forms`)."""
-    forms, cuts = _lyndon_forms(gens, len(word), degree)
-    return cuts[bisect_left(forms, word, key=_PIVOT)]
+    degree (0 for a letter), read off its piece (`_lyndon_forms`); a word
+    that is no Lyndon word of that degree raises `InvariantError`."""
+    words, cuts = _lyndon_forms(gens, len(word), degree)
+    i = bisect_left(words, word)
+    if i == len(words) or words[i] != word:
+        raise InvariantError(f"{word!r} is not a Lyndon word of degree {degree}")
+    return cuts[i]
 
 
-def lie_basis_forms(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
+class LiePiece:
     """The basis of the (length, degree) piece, held as its bracketings.
 
-    The forms are the standard bracketings P_w of the Lyndon words w of the
-    piece, built from the pieces of the standard factors of w
-    (`_lyndon_forms`), plus P_u P_u = [P_u, P_u] / 2 for each odd-degree
-    Lyndon word u of half the length and degree, sorted by pivot word: w,
-    resp. uu.  Words are str, one character chr(i) per generator index, so
-    str order is the order of index tuples.  Each form has coefficient 1 at
-    its pivot and only larger words otherwise, so the matrix T of their
-    coefficients at the pivot words is unitriangular, and there are exactly
-    lie_dim of them; both are checked.  The piece is the forms and the
-    columns of T below its diagonal.  The reduced echelon basis against the
-    lexicographic word order is the bracketings times S = T^-1, applied by
-    forward substitution over T (`solve_unitriangular`).  Each piece is
-    built once.
+    The bracketings are the standard bracketings P_w of the Lyndon words w
+    of the piece, plus P_u P_u = [P_u, P_u] / 2 for each odd-degree Lyndon
+    word u of half the length and degree, sorted by pivot word: w, resp.
+    uu.  Words are str, one character chr(i) per generator index, so str
+    order is the order of index tuples.  `pivots` is built with the piece,
+    from the Lyndon words and cuts of its factors' pieces (`_lyndon_forms`),
+    and there are exactly lie_dim of them, which is checked.
+
+    The word terms of the bracketings and T, their matrix of coefficients
+    at the pivot words, are built on the first `expand`, from the word terms
+    of the standard factors, whose pieces are expanded for it.  Each
+    bracketing has coefficient 1 at its pivot and only larger words
+    otherwise, so T is unitriangular, which is checked then.  The reduced
+    echelon basis against the lexicographic word order is the bracketings
+    times S = T^-1, applied by forward substitution over T
+    (`solve_unitriangular`).
     """
+
+    __slots__ = ("key", "pivots", "_expanded")
+
+    def __init__(self, gens: GeneratorSet, length: int, degree: int):
+        self.key = (gens, length, degree)
+        self.pivots = list(_lyndon_forms(gens, length, degree)[0])
+        half = degree // 2
+        if length % 2 == 0 and degree % 2 == 0 and half % 2:
+            self.pivots += [u + u for u in _lyndon_forms(gens, length // 2, half)[0]]
+            self.pivots.sort()
+        expected = lie_dim(gens, length, degree)
+        if len(self.pivots) != expected:
+            raise InvariantError(f"basis rank {len(self.pivots)} != counted dim {expected} at {self.key}")
+        self._expanded: Optional[tuple[list[LieForm], list[dict[int, int]]]] = None
+
+    def expand(self) -> tuple[list[LieForm], list[dict[int, int]]]:
+        """(forms, lower): the bracketings (pivot word, word terms) and the
+        columns of T below its diagonal, lower[m] = {k: T[k, m]} over k > m
+        for T[k, m] the coefficient of pivot word k in forms[m]; built on
+        the first call."""
+        if self._expanded is None:
+            gens, length, degree = self.key
+            letter_degree = {chr(i): d for i, d in enumerate(gens.degrees)}
+            # (pivots, forms) of each factor's expanded piece, by (length, degree)
+            factors: dict[tuple[int, int], tuple[list[str], list[LieForm]]] = {}
+
+            def factor_terms(word: str, deg: int) -> dict[str, int]:
+                got = factors.get((len(word), deg))
+                if got is None:
+                    piece = lie_piece(gens, len(word), deg)
+                    got = factors[len(word), deg] = (piece.pivots, piece.expand()[0])
+                return got[1][bisect_left(got[0], word)][1]
+
+            forms = []
+            for w, cut in zip(*_lyndon_forms(gens, length, degree)):
+                if cut:
+                    u, v = w[:cut], w[cut:]
+                    du = sum(map(letter_degree.__getitem__, u))
+                    pu, pv = factor_terms(u, du), factor_terms(v, degree - du)
+                    forms.append((w, _int_bracket(pu, du, pv, degree - du)))
+                else:
+                    forms.append((w, {w: 1}))
+            if len(forms) < len(self.pivots):
+                half = degree // 2
+                for u in _lyndon_forms(gens, length // 2, half)[0]:
+                    pu = factor_terms(u, half)
+                    # every coefficient of [P_u, P_u] = 2 P_u P_u is even
+                    forms.append((u + u, {w: c // 2 for w, c in _int_bracket(pu, half, pu, half).items()}))
+                forms.sort(key=_PIVOT)
+            for m, (pivot, terms) in enumerate(forms):
+                if terms.get(pivot) != 1 or min(terms) != pivot or (m and forms[m - 1][0] == pivot):
+                    raise InvariantError(f"bracketing {m} at {self.key} does not lead with 1 "
+                                         "at its own pivot word")
+            index = {pivot: m for m, (pivot, _) in enumerate(forms)}
+            lower = [{index[w]: t for w, t in terms.items() if w in index and w != pivot}
+                     for pivot, terms in forms]
+            self._expanded = (forms, lower)
+        return self._expanded
+
+
+def lie_piece(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
+    """The (length, degree) piece (`LiePiece`), built once, with its word
+    terms and T left for its first `expand`."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if degree < 0:
         raise ValueError("degree must be >= 0")
     key = (gens, length, degree)
-    if key in _basis_cache:
-        return _basis_cache[key]
-    forms = list(_lyndon_forms(gens, length, degree)[0])
-    half = degree // 2
-    if length % 2 == 0 and degree % 2 == 0 and half % 2:
-        for u, pu in _lyndon_forms(gens, length // 2, half)[0]:
-            # every coefficient of [P_u, P_u] = 2 P_u P_u is even
-            forms.append((u + u, {w: c // 2 for w, c in _int_bracket(pu, half, pu, half).items()}))
-        forms.sort(key=_PIVOT)
-    for m, (pivot, terms) in enumerate(forms):
-        if terms.get(pivot) != 1 or min(terms) != pivot or (m and forms[m - 1][0] == pivot):
-            raise InvariantError(f"bracketing {m} at {key} does not lead with 1 at its own pivot word")
-    expected = lie_dim(gens, length, degree)
-    if len(forms) != expected:
-        raise InvariantError(f"basis rank {len(forms)} != counted dim {expected} at {key}")
-    index = {pivot: m for m, (pivot, _) in enumerate(forms)}
-    lower = [{index[w]: t for w, t in terms.items() if w in index and w != pivot}
-             for pivot, terms in forms]
-    piece = (forms, lower)
-    _basis_cache[key] = piece
+    piece = _basis_cache.get(key)
+    if piece is None:
+        piece = _basis_cache[key] = LiePiece(gens, length, degree)
     return piece
 
 
@@ -572,9 +620,9 @@ def solve_unitriangular(lower: list[tuple[int, dict[int, int]]], x: dict[int, in
 def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
     """Canonical basis of the (length, degree) piece, echelonized against the
     lexicographic word order (pivot coefficient 1); built on each call, with
-    element j the bracketings of `lie_basis_forms` times S * e_j, applied by
+    element j the bracketings of `lie_piece` times S * e_j, applied by
     forward substitution over T (S is never stored)."""
-    forms, lower = lie_basis_forms(gens, length, degree)
+    forms, lower = lie_piece(gens, length, degree).expand()
     columns = [(0, col) for col in lower]
     elements = (combine_forms(forms, solve_unitriangular(columns, {j: 1})) for j in range(len(forms)))
     return [TensorElt(gens, {decode_word(w): c for w, c in terms.items()}) for terms in elements]

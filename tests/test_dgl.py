@@ -543,11 +543,18 @@ def bracket_cases():
     return cases
 
 
+def slice_forms(sl):
+    """The bracketings (pivot word, word terms) of a slice, with every piece
+    expanded."""
+    sl._expand(range(1, sl.n))
+    return sl._forms
+
+
 def t_columns(sl):
     """T of a slice read off its forms: column m holds the coefficients of
     the pivot words in forms[m]."""
-    index = {pivot: k for k, (pivot, _) in enumerate(sl.forms)}
-    return [{index[w]: c for w, c in terms.items() if w in index} for _, terms in sl.forms]
+    index = {pivot: k for k, pivot in enumerate(sl.pivots)}
+    return [{index[w]: c for w, c in terms.items() if w in index} for _, terms in slice_forms(sl)]
 
 
 def s_columns(sl):
@@ -644,7 +651,7 @@ def test_substitution_over_t_gives_s_times_echelon_coordinates():
                 terms = sl._combine(c)
                 a = sl.int_coords(terms)
                 assert a == sl.basis_coeffs(c) and sl.echelon_coords(a) == c
-                assert freelie.combine_forms(sl.forms, a) == terms
+                assert freelie.combine_forms(slice_forms(sl), a) == terms
                 checked += 1
     assert checked > 40
 
@@ -719,12 +726,71 @@ def test_a_cold_degree_1_tower_builds_no_s(monkeypatch):
     assert all(dm._matrix is None for dm in P._matrix_cache.values())
 
 
+def eager_lyndon(gens, length, degree, memo):
+    """(w, cut, word terms) of the standard bracketings of the Lyndon words
+    of a piece, sorted by w, built eagerly, as every piece was before its
+    words were built on demand: each from the bracketings of its standard
+    factors by `freelie._int_bracket`; memo holds them by piece."""
+    key = (length, degree)
+    if key not in memo:
+        found = []
+        if length == 1:
+            found = [(chr(i), 0, {chr(i): 1}) for i, d in enumerate(gens.degrees) if d == degree]
+        else:
+            for k in range(1, length):
+                for du in range(degree + 1):
+                    right = eager_lyndon(gens, length - k, degree - du, memo)
+                    for u, cut, pu in eager_lyndon(gens, k, du, memo):
+                        found += [(u + v, k, freelie._int_bracket(pu, du, pv, degree - du))
+                                  for v, _, pv in right if u < v and (not cut or v <= u[cut:])]
+        memo[key] = sorted(found, key=lambda form: form[0])
+    return memo[key]
+
+
+def eager_piece(gens, length, degree, memo):
+    """(forms, lower) of a piece, as `freelie.LiePiece.expand` gives them,
+    built eagerly from `eager_lyndon`."""
+    forms = [(w, terms) for w, _, terms in eager_lyndon(gens, length, degree, memo)]
+    half = degree // 2
+    if length % 2 == 0 and degree % 2 == 0 and half % 2:
+        for u, _, pu in eager_lyndon(gens, length // 2, half, memo):
+            forms.append((u + u, {w: c // 2 for w, c in freelie._int_bracket(pu, half, pu, half).items()}))
+        forms.sort(key=lambda form: form[0])
+    index = {pivot: m for m, (pivot, _) in enumerate(forms)}
+    return forms, [{index[w]: t for w, t in terms.items() if w in index and w != pivot} for pivot, terms in forms]
+
+
+def test_pieces_built_on_demand_equal_the_eager_build(monkeypatch):
+    # the towers of the stubborn family and of the random presentations,
+    # from cold caches, build the word terms and T of a piece only where a
+    # reader needs them; those, and then every other piece of the runs,
+    # equal the eager build, word for word and in the same order
+    built = lazy = 0
+    for P, N, degrees in bracket_cases():
+        monkeypatch.setattr(freelie, "_lyndon_cache", {})
+        monkeypatch.setattr(freelie, "_basis_cache", {})
+        for q in degrees:
+            homology_tower(P, q, range(2, N))
+        pieces = freelie._basis_cache.items()
+        read = [key for key, piece in pieces if piece._expanded is not None]
+        assert read and len(read) < len(pieces)
+        memo = {}
+        for (gens, length, degree), piece in pieces:
+            forms, lower = piece.expand()
+            want = eager_piece(gens, length, degree, memo)
+            assert [list(terms.items()) for _, terms in forms] == [list(terms.items()) for _, terms in want[0]]
+            assert ([pivot for pivot, _ in forms], lower) == (piece.pivots, want[1]), (gens, length, degree)
+        built += len(read)
+        lazy += len(pieces) - len(read)
+    assert built > 100 and lazy > 200
+
+
 def word_path_columns(P, dm):
     """B of a kept matrix of d on the word path: every source bracketing
     expanded into words, derived and read back by `int_coords`, which drops
     the words of length >= the target's n."""
     src, tgt = dm._slices
-    return [tgt.int_coords(dgl._derive_int(P, terms)) if tgt.dim else {} for _, terms in src.forms]
+    return [tgt.int_coords(dgl._derive_int(P, terms)) if tgt.dim else {} for _, terms in slice_forms(src)]
 
 
 def odd_square_presentations():
@@ -812,7 +878,7 @@ def leibniz_column_counts(monkeypatch, presentations, degrees, ns):
                 want = word_path_columns(P, dm)
                 assert [list(col.items()) for col in dm.columns] == [list(col.items()) for col in want], \
                     (P, q, n_src, n_tgt)
-                built = [pivot for (pivot, _), col in zip(dm._slices[0].forms, want) if len(pivot) > 1 and col]
+                built = [pivot for pivot, col in zip(dm._slices[0].pivots, want) if len(pivot) > 1 and col]
                 pairs = [pivot for pivot in built if len(pivot) == 2]
                 longer = [pivot for pivot in built if len(pivot) > 2]
                 counts[0] += len(pairs)

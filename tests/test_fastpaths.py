@@ -205,7 +205,7 @@ def test_bracketings_are_unitriangular_and_s_inverts_t(degrees):
     checked = 0
     for n in range(1, max_length + 1):
         for d in range(min(degrees) * n, max(degrees) * n + 1):
-            held, lower = freelie.lie_basis_forms(gens, n, d)
+            held, lower = freelie.lie_piece(gens, n, d).expand()
             forms = decoded(held)
             assert forms == bracketings(gens, n, d) and len(lower) == len(forms)
             pivots = [w for w, _ in forms]
@@ -271,7 +271,7 @@ def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
     squares = forms_seen = 0
     for n in range(1, 8):
         for d in range(min(degrees) * n, max(degrees) * n + 1):
-            held, lower = freelie.lie_basis_forms(gens, n, d)
+            held, lower = freelie.lie_piece(gens, n, d).expand()
             want = bracketings(gens, n, d)
             assert [decode_word(w) for w, _ in held] == [w for w, _ in want], (n, d)
             assert decoded(held) == want, (n, d)
@@ -303,8 +303,14 @@ def test_a_matrix_build_leaves_no_derivation_state_on_the_presentation():
     dm = P.d_matrix(2, 8, 8)
     after = vars(P)
     assert set(after) == set(state) and after["_d_cache"] == {}
-    assert {k: v for k, v in after.items() if k != "_matrix_cache"} == \
-        {k: v for k, v in state.items() if k != "_matrix_cache"}
+    kept = ("_matrix_cache", "_bracket_cache")
+    assert {k: v for k, v in after.items() if k not in kept} == {k: v for k, v in state.items() if k not in kept}
+    # next to the matrices, the presentation keeps the brackets of basis
+    # elements the build rewrote in the Lyndon basis, by pivot words, with
+    # integer coefficients at pivot words of the bracket's length
+    assert state["_bracket_cache"] == {} and after["_bracket_cache"]
+    for (x, y), got in after["_bracket_cache"].items():
+        assert all(len(w) == len(x) + len(y) and type(c) is int and c for w, c in got.items())
     # the Leibniz rule reads the columns of the degree-1 factors of the
     # bracketings of length >= 2 (the odd square zz too) out of D_1, which
     # the build keeps too
@@ -418,21 +424,24 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
     homology_tower(P, 0, range(2, 7))
     assert P._slice_cache
     # no slice and no free-Lie cache holds S = T^-1: a slice holds the shared
-    # pieces, its word lengths and one map from pivot word to index, and the
-    # free-Lie caches are the words, the Lyndon bracketings, the pieces and
-    # the dimensions
+    # pieces, their pivot words, its word lengths, one map from pivot word to
+    # index, and the forms and columns of T of the pieces it has expanded;
+    # the free-Lie caches are the words, the Lyndon words and cuts, the
+    # pieces and the dimensions
     caches = {name for name, value in vars(freelie).items() if name.endswith("_cache")}
     assert caches == {"_word_cache", "_lyndon_cache", "_basis_cache", "_dim_cache"}
     for sl in P._slice_cache.values():
-        assert set(vars(sl)) == {"P", "q", "n", "forms", "_lower", "lengths", "_pivot"}
+        assert set(vars(sl)) == {"P", "q", "n", "_pieces", "pivots", "_forms", "_lower", "_pending", "lengths", "_pivot"}
         held = _held_objects(sl, skip=(P,))
         assert not [o for o in held if isinstance(o, (Fraction, TensorElt))]
         # one map, from pivot words only: no index of every word
-        assert len(sl._pivot) == sl.dim == len(sl.forms) == len(sl._lower) == len(sl.lengths)
+        assert len(sl._pivot) == sl.dim == len(sl._forms) == len(sl._lower) == len(sl.lengths)
+        assert sl.pivots == [pivot for piece in sl._pieces for pivot in piece.pivots]
         # bracketings, not reduced echelon rows: each leads with 1 at its
         # pivot word, and T is unitriangular, held below its diagonal
-        for i, (pivot, terms) in enumerate(sl.forms):
-            assert terms[pivot] == 1 and min(terms) == pivot and type(pivot) is str
+        sl._expand(range(1, sl.n))
+        for i, (pivot, terms) in enumerate(sl._forms):
+            assert pivot == sl.pivots[i] and terms[pivot] == 1 and min(terms) == pivot and type(pivot) is str
             offset, col = sl._lower[i]
             assert all(k > i - offset and sl.lengths[offset + k] == sl.lengths[i] for k in col)
         # S * x by forward substitution over the held T: T * (S * e_j) = e_j
@@ -443,9 +452,9 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
     # every piece holds the bracketings themselves, which in longer pieces
     # are not the reduced echelon elements
     differ = 0
-    for (gens, length, degree), (held, _) in freelie._basis_cache.items():
+    for (gens, length, degree), piece in freelie._basis_cache.items():
         if gens == P.gens:
-            forms = decoded(held)
+            forms = decoded(piece.expand()[0])
             assert forms == bracketings(gens, length, degree)
             rref = rref_basis(gens, degree, length + 1)[-len(forms):]
             differ += [terms for _, terms in forms] != [b.terms for b in rref]
@@ -454,15 +463,34 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
     # T, with each other and with the free-Lie caches
     small, large = P.slice(1, 5), P.slice(1, 7)
     assert small.dim < large.dim
-    assert all(small.forms[i] is large.forms[i] for i in range(small.dim))
+    assert all(small._pieces[k] is large._pieces[k] for k in range(4))
+    small._expand(range(1, 5))
+    assert all(small._forms[i] is large._forms[i] for i in range(small.dim))
     assert all(small._lower[i][1] is large._lower[i][1] for i in range(small.dim))
-    pieces = [freelie._basis_cache[(P.gens, k, 1)] for k in range(1, 7)]
+    pieces = [freelie._basis_cache[(P.gens, k, 1)].expand() for k in range(1, 7)]
     cached = [f for forms, _ in pieces for f in forms]
-    assert all(f is g for f, g in zip(large.forms, cached)) and len(cached) == large.dim
+    assert all(f is g for f, g in zip(large._forms, cached)) and len(cached) == large.dim
     columns = [col for _, lower in pieces for col in lower]
     assert all(col is c for (_, col), c in zip(large._lower, columns)) and len(columns) == large.dim
     other = DglPresentation(P.gens, {}).slice(1, 7)
-    assert other is not large and all(f is g for f, g in zip(other.forms, large.forms))
+    other._expand(range(1, 7))
+    assert other is not large and all(f is g for f, g in zip(other._forms, large._forms))
+
+
+def test_a_cold_certified_tower_expands_only_the_generator_images(monkeypatch):
+    # the degree-1 stubborn tower at n <= 8 is certified mod 2 at every n:
+    # it reads the pivot words and cuts of every piece and builds the word
+    # terms and T only of the pieces that d(z) = x - [y, x] is read back in,
+    # of length <= 2; the eager build held 27,172 word terms over 24 pieces
+    monkeypatch.setattr(freelie, "_lyndon_cache", {})
+    monkeypatch.setattr(freelie, "_basis_cache", {})
+    P = remark()
+    assert homology_tower(P, 1, range(2, 9)).dims() == [0] * 7
+    assert max(length for _, length, _ in freelie._basis_cache) == 8
+    expanded = {key[1:]: piece.expand()[0] for key, piece in freelie._basis_cache.items()
+                if piece._expanded is not None}
+    assert expanded == {(1, 0): [("\x00", {"\x00": 1}), ("\x01", {"\x01": 1})],
+                        (2, 0): [("\x00\x01", {"\x00\x01": 1, "\x01\x00": -1})]}
 
 
 def remark():
@@ -772,13 +800,10 @@ def test_lie_basis_rank_check_raises(monkeypatch):
         lie_basis(gens, 2, 2)
 
 
-def broken_lyndon_forms(bracketing):
-    """A stand-in for `freelie._lyndon_forms` that gives every piece one
-    Lyndon word, 0 1 ... of the piece's length, with the given bracketing."""
-    def forms(gens, length, degree):
-        w = encode_word(range(length))
-        return [(w, bracketing(w))], [length - 1]
-    return forms
+def broken_bracket(bracketing):
+    """A stand-in for `freelie._int_bracket` that gives the bracket of two
+    bracketings the given terms at the concatenation of their pivot words."""
+    return lambda u, du, v, dv: bracketing(min(u) + min(v))
 
 
 @pytest.mark.parametrize("bracketing", [
@@ -790,9 +815,11 @@ def broken_lyndon_forms(bracketing):
 def test_bracketing_triangularity_check_raises(monkeypatch, bracketing):
     gens = GeneratorSet(["x", "y"], [0, 0])
     monkeypatch.setattr(freelie, "_basis_cache", {})
-    monkeypatch.setattr(freelie, "_lyndon_forms", broken_lyndon_forms(bracketing))
+    monkeypatch.setattr(freelie, "_int_bracket", broken_bracket(bracketing))
+    piece = freelie.lie_piece(gens, 2, 0)
+    assert piece.pivots == [encode_word((0, 1))]
     with pytest.raises(InvariantError, match="does not lead with 1 at its own pivot word"):
-        freelie.lie_basis_forms(gens, 2, 0)
+        piece.expand()
 
 
 def test_lie_basis_rank_check_maps_to_exit_4(monkeypatch, capsys):
@@ -821,17 +848,19 @@ def test_rank_checks_survive_optimized_mode():
         from fractions import Fraction
         from lietower import freelie
         gens = freelie.GeneratorSet(["p", "r"], [0, 2])
+        log_coefficient, lie_dim = freelie._log_coefficient, freelie.lie_dim
         freelie._log_coefficient = lambda g, n, d: Fraction(1, 7)
         try:
             freelie.lie_dim(gens, 2, 2)
         except AssertionError as err:
             print("necklace:", err)
-        freelie.lie_dim = lambda g, n, d: 7
+        freelie._log_coefficient, freelie.lie_dim = log_coefficient, lambda g, n, d: 7
         try:
             freelie.lie_basis(gens, 2, 2)
         except AssertionError as err:
             print("rank:", err)
-        freelie._lyndon_forms = lambda g, n, d: ([("\\x00\\x01\\x01", {"\\x00\\x01\\x01": 2})], [1])
+        freelie.lie_dim = lie_dim
+        freelie._int_bracket = lambda u, du, v, dv: {min(u) + min(v): 2}
         try:
             freelie.lie_basis(gens, 3, 2)
         except AssertionError as err:
@@ -1580,7 +1609,7 @@ def bracketings(gens, length, degree):
     words w of a piece and of the products P_u P_u for the odd-degree
     Lyndon words u of half its length and degree, sorted by pivot word:
     the enumeration of every word of the piece, tested one by one, that
-    `freelie.lie_basis_forms` replaced, with tuple words."""
+    `freelie._lyndon_forms` replaced, with tuple words."""
     memo = {}
     words = words_of(gens, length, degree)
     out = [(w, lyndon_bracketing(gens, w, memo)) for w in words if is_lyndon(w)]

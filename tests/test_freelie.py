@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from lietower import exprs
+from lietower import exprs, freelie
 from lietower.freelie import (
     GeneratorSet,
     TensorElt,
@@ -22,6 +22,7 @@ from lietower.freelie import (
     words_of,
     zero,
 )
+from lietower.linalg import InvariantError
 
 XY = GeneratorSet(["x", "y"], [0, 0])
 A1 = GeneratorSet(["a"], [1])
@@ -258,3 +259,16 @@ def test_expression_nodes_are_immutable_values():
     )
     assert len(exprs.parse_lie("x + y")) == 2
     assert exprs.parse_poly("x*y + 2*x*y") == ((Fraction(3), exprs.Prod(("x", "y"))),)
+
+
+def test_standard_cut_raises_on_a_word_outside_its_piece():
+    # xyz is a Lyndon word with standard factorization x.yz; yxz is no Lyndon
+    # word, and xyz would be found in its place; a word past the last
+    # Lyndon word of its piece has no place at all
+    gens = GeneratorSet(["x", "y", "z"], [0, 0, 1])
+    assert freelie._standard_cut(gens, "\x00\x01\x02", 1) == 1
+    for word in ("\x01\x00\x02", "\x02\x02\x02"):
+        with pytest.raises(InvariantError, match="is not a Lyndon word of degree 1"):
+            freelie._standard_cut(gens, word, 1)
+    with pytest.raises(InvariantError):
+        freelie._standard_cut(gens, "\x00\x01\x02", 2)

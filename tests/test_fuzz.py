@@ -11,11 +11,13 @@ mutated in the same way, with its options drawn at small bounds.
 T of each free-Lie piece, gets random block-diagonal unit lower-triangular
 integer matrices and is checked against T itself and a Fraction inverse.
 
-`dgl._bracket_coords`, which writes a bracket of two bracketings as the
-bracketing of the concatenated Lyndon word when the standard-factorization
-rule allows it, gets pairs of bracketings over random graded alphabets, in
-both orders, and is checked against the bracket expanded into words and
-read back by `int_coords`.
+`dgl._bracket_coords`, which rewrites a bracket of two basis elements in
+the Lyndon basis from their pivot words and degrees alone, gets pairs of Lyndon bracketings and odd squares over random graded
+alphabets, in both orders, with [u, uu] for odd u among them, and is
+checked against the bracket expanded into words and read back by
+`int_coords`, the path it replaced; a deterministic sweep over small graded
+alphabets does the same for every pair up to total length 6 and counts
+which of the rewrite's seven cases each call takes.
 """
 
 import glob
@@ -204,25 +206,92 @@ def test_forward_substitution_applies_the_inverse_of_t(case):
     assert got == apply(fraction_inverse(t), x)
 
 
+def rewritten(tgt, first, second):
+    """`dgl._bracket_coords` of (pivot word, degree) pairs x and y, read at
+    tgt's indices of its pivot words."""
+    (x, dx), (y, dy) = first, second
+    return {tgt._pivot[w]: c for w, c in dgl._bracket_coords(tgt.P, x, dx, y, dy).items()}
+
+
+def word_path(tgt, first, second):
+    """[P_x, P_y] expanded into words (`freelie._int_bracket`) and read back
+    by `int_coords`, for (pivot word, degree) pairs x and y."""
+    (x, dx), (y, dy) = first, second
+    return tgt.int_coords(freelie._int_bracket(form_terms(tgt.P.gens, x, dx), dx,
+                                               form_terms(tgt.P.gens, y, dy), dy))
+
+
+def form_terms(gens, word, degree):
+    piece = freelie.lie_piece(gens, len(word), degree)
+    return piece.expand()[0][piece.pivots.index(word)][1]
+
+
 @st.composite
 def bracketing_pairs(draw):
-    """Two bracketings (pivot word, terms, degree) of one random graded
-    alphabet, Lyndon bracketings or odd squares, of total length <= 6."""
+    """Two basis elements (pivot word, degree) of one random graded
+    alphabet, Lyndon bracketings or odd squares, of total length <= 6; the
+    second is sometimes the square of the first, when that is odd."""
     degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     gens = freelie.GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
-    pieces = [(k, d) for k in range(1, 5) for d in range(3 * k + 1) if freelie.lie_basis_forms(gens, k, d)[0]]
+    pieces = [(k, d) for k in range(1, 5) for d in range(3 * k + 1) if freelie.lie_piece(gens, k, d).pivots]
     k1, d1 = draw(st.sampled_from(pieces))
+    x = draw(st.sampled_from(freelie.lie_piece(gens, k1, d1).pivots))
+    if d1 % 2 and k1 < 3 and draw(st.booleans()):
+        return gens, (x, d1), (x + x, 2 * d1)
     k2, d2 = draw(st.sampled_from([(k, d) for k, d in pieces if k1 + k <= 6]))
-    x, px = draw(st.sampled_from(freelie.lie_basis_forms(gens, k1, d1)[0]))
-    y, py = draw(st.sampled_from(freelie.lie_basis_forms(gens, k2, d2)[0]))
-    return gens, (x, px, d1), (y, py, d2)
+    return gens, (x, d1), (draw(st.sampled_from(freelie.lie_piece(gens, k2, d2).pivots)), d2)
 
 
 @settings(max_examples=300, deadline=None)
 @given(bracketing_pairs())
 def test_bracket_coordinates_agree_with_the_word_expansion(case):
     gens, first, second = case
-    tgt = dgl.DglPresentation(gens, {}).slice(first[2] + second[2], len(first[0]) + len(second[0]) + 1)
-    for (x, px, dx), (y, py, dy) in ((first, second), (second, first)):
-        want = tgt.int_coords(freelie._int_bracket(px, dx, py, dy))
-        assert dgl._bracket_coords(tgt, x, dx, px, y, dy, py) == want
+    tgt = dgl.DglPresentation(gens, {}).slice(first[1] + second[1], len(first[0]) + len(second[0]) + 1)
+    for x, y in ((first, second), (second, first)):
+        assert rewritten(tgt, x, y) == word_path(tgt, x, y)
+
+
+def rewrite_case(gens, x, dx, y):
+    """The case of `dgl._bracket_coords`' docstring that [P_x, P_y] takes."""
+    if x == y:
+        return 1
+    if x > y:
+        return 2
+    if y == x + x:
+        return 3
+    if dgl._is_square(x):
+        return 4
+    if dgl._is_square(y):
+        return 5
+    cut = freelie._standard_cut(gens, x, dx)
+    return 6 if not cut or x[cut:] >= y else 7
+
+
+SWEEP_ALPHABETS = [[0, 0], [1], [1, 1], [0, 1], [1, 2], [2, 3], [1, 3], [0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1], [0, 1, 2], [1, 1, 2], [1, 2, 3]]
+
+
+def test_every_case_of_the_bracket_rewrite_agrees_with_the_word_expansion(monkeypatch):
+    # every pair of basis elements of total length <= 6 over small graded
+    # alphabets, in both orders; each call of the rewrite, the recursive ones
+    # too, is counted by its case, and every case is reached
+    hits = dict.fromkeys(range(1, 8), 0)
+    rewrite = dgl._bracket_coords
+
+    def counted(P, x, dx, y, dy):
+        hits[rewrite_case(P.gens, x, dx, y)] += 1
+        return rewrite(P, x, dx, y, dy)
+
+    monkeypatch.setattr(dgl, "_bracket_coords", counted)
+    pairs = 0
+    for degrees in SWEEP_ALPHABETS:
+        gens = freelie.GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
+        P = dgl.DglPresentation(gens, {})
+        basis = [(x, d) for k in range(1, 6) for d in range(max(degrees) * k + 1)
+                 for x in freelie.lie_piece(gens, k, d).pivots]
+        for x, dx in basis:
+            for y, dy in basis:
+                if len(x) + len(y) <= 6:
+                    tgt = P.slice(dx + dy, 7)
+                    assert rewritten(tgt, (x, dx), (y, dy)) == word_path(tgt, (x, dx), (y, dy)), (degrees, x, y)
+                    pairs += 1
+    assert pairs > 6000 and min(hits.values()) > 50, (pairs, hits)
