@@ -18,7 +18,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from heapq import heappop, heappush
 from math import lcm
 from typing import Callable, Iterable, Optional
 
@@ -33,7 +32,6 @@ from .freelie import (
     encode_word,
     eval_bracket_expr,
     graded_bracket,
-    integer_terms,
     lie_basis,
     lie_piece,
     solve_unitriangular,
@@ -48,6 +46,7 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     _add_term,
+    _clear_denominators,
     _combine_columns,
     complement_basis,
     gf2_pivots,
@@ -201,7 +200,7 @@ def _is_square(word: str) -> bool:
 
 def _int_form(u: TensorElt) -> tuple[int, dict[str, int]]:
     """(D, D * u) with str words, for D the least common denominator of u."""
-    den, terms = integer_terms(u.terms)
+    den, terms = _clear_denominators(u.terms)
     return den, {encode_word(w): c for w, c in terms.items()}
 
 
@@ -318,10 +317,13 @@ class DegreeSlice:
     needs them (`_expand`).  The echelon basis is the reduced echelon
     basis of each piece, element i = sum_m S[m, i] * P_m with S = T^-1;
     neither its elements nor S are stored, and `basis_coeffs` applies S by
-    forward substitution over T.  Matrices of d are read in the bracketing
-    basis (`int_coords`), and every vector a report or a solver reads is in
-    the echelon basis (`coords`, `element_from_coords`); `echelon_coords`
-    maps the first to the second.  Words are str in the slice and tuples in
+    forward substitution over T.  Element i has coefficient 1 at pivot word
+    i and 0 at every other pivot word, so an element's echelon coordinates
+    are its coefficients at the pivot words and its bracketing coordinates
+    are S times those.  Matrices of d are read in the bracketing basis
+    (`int_coords`), and every vector a report or a solver reads is in the
+    echelon basis (`coords`, `element_from_coords`); `echelon_coords` maps
+    the first to the second.  Words are str in the slice and tuples in
     a TensorElt: `element(i)`, `coords` and `element_from_coords` convert
     one element's words, never the slice's.  `P.slice(q, n)` builds each
     slice once.
@@ -367,25 +369,30 @@ class DegreeSlice:
         return _elt(self.P.gens, self._combine({i: 1}))
 
     def coords(self, u: TensorElt, strict: bool = False) -> dict[int, Fraction]:
-        """Coordinates of u in the echelon basis of the slice.
+        """Coordinates of u in the echelon basis of the slice, read off its
+        pivot words once `int_coords` has checked that u is in the slice.
 
         Words of length >= n are dropped, or raise TruncationError when
         strict.
         """
         den, terms = _int_form(u)
-        num = self.echelon_coords(self.int_coords(terms, strict))
-        return {i: Fraction(c, den) for i, c in num.items()}
+        self.int_coords(terms, strict)
+        return {i: Fraction(c, den) for i, c in self._pivot_coeffs(terms).items()}
+
+    def _pivot_coeffs(self, terms: dict[str, int]) -> dict[int, int]:
+        """The coefficients of terms at the pivot words, by index: its
+        echelon coordinates when terms is in the slice, since T * S = 1."""
+        pivot = self._pivot
+        return dict(sorted((pivot[w], c) for w, c in terms.items() if w in pivot))
 
     def int_coords(self, terms: dict[str, int], strict: bool = False) -> dict[int, int]:
-        """Bracketing coordinates a of an integer combination of str words,
-        terms = sum_m a_m * forms[m], which are integers.
+        """Bracketing coordinates a of an integer combination of str words
+        with no stored zeros, terms = sum_m a_m * forms[m], which are
+        integers: a = S * x for x its coefficients at the pivot words.
 
-        Forward substitution over T: the smallest pivot index m left in the
-        terms is popped, a_m is the coefficient of its pivot word there, which
-        no later bracketing has, and a_m * forms[m] is subtracted.  Membership
-        in the slice is verified exactly in the same pass: every word must be
-        left at zero.  Only the pieces of the terms' word lengths are
-        expanded: the substitution never leaves them.
+        Membership in the slice is verified exactly: the bracketings times a
+        must give terms back.  Only the pieces of x's word lengths are
+        expanded.
         """
         # matrix images are already cut at n: copy only when a word reaches it
         if terms and max(map(len, terms)) >= self.n:
@@ -393,34 +400,8 @@ class DegreeSlice:
                 w = next(w for w in terms if len(w) >= self.n)
                 raise TruncationError(f"word length {len(w)} exceeds coordinate bound {self.n - 1}")
             terms = {w: c for w, c in terms.items() if len(w) < self.n}
-        if self._pending:
-            self._expand(map(len, terms))
-        pivot, forms = self._pivot, self._forms
-        rest = dict(terms)
-        # the pivot indices left to visit, a heap: a sorted list is one
-        todo = sorted(map(pivot.__getitem__, pivot.keys() & rest.keys()))
-        coords: dict[int, int] = {}
-        while todo:
-            m = heappop(todo)
-            pivot_word, form = forms[m]
-            a = rest.get(pivot_word)
-            if not a:
-                continue
-            coords[m] = a
-            for w, t in form.items():
-                s = rest.get(w)
-                if s is None:
-                    rest[w] = -a * t
-                    k = pivot.get(w)
-                    if k is not None:
-                        heappush(todo, k)
-                else:
-                    s -= a * t
-                    if s:
-                        rest[w] = s
-                    else:
-                        del rest[w]
-        if any(rest.values()):
+        coords = self.basis_coeffs(self._pivot_coeffs(terms))
+        if combine_forms(self._forms, coords) != terms:
             gens = self.P.gens
             for w in map(decode_word, terms):
                 if gens.word_degree(w) != self.q:
@@ -461,7 +442,7 @@ class DegreeSlice:
 
     def int_element(self, vec: dict[int, Fraction]) -> tuple[int, dict[str, int]]:
         """(D, D * u) with str words for the element u with echelon coordinates vec."""
-        den, num = integer_terms(vec)
+        den, num = _clear_denominators(vec)
         return den, self._combine(num)
 
     def element_from_coords(self, vec: dict[int, Fraction]) -> TensorElt:
@@ -885,7 +866,8 @@ def boundary_solve(
     n_tgt = n + P.max_shift() if exact_in_l else n
     dm = P.d_matrix(q + 1, n, n_tgt)
     tgt = P.slice(q, n_tgt)
-    num = tgt.echelon_coords(tgt.int_coords(t_terms, strict=exact_in_l))
+    tgt.int_coords(t_terms, strict=exact_in_l)
+    num = tgt._pivot_coeffs(t_terms)
     red = dm.reduction()
     particular = red.particular({i: Fraction(c, t_den) for i, c in num.items()})
     where = "L" if exact_in_l else f"L/L^{n}"

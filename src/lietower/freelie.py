@@ -12,16 +12,16 @@ components in characteristic zero.  The canonical basis of a (length,
 degree) piece is the reduced echelon form of the standard bracketings of
 its Lyndon words (Reutenauer, Free Lie Algebras, 1993, Thm 5.1), together
 with the squares of odd-degree Lyndon bracketings (Bokut-Kang-Lee-
-Malcolmson, J. Algebra 217, 1999).  Each piece is held once, as the pivot
-words of those bracketings; their integer word terms, each with
+Malcolmson, J. Algebra 217, 1999).  Each piece is held once, in one record
+(`LiePiece`): its Lyndon words and their standard cuts, read off the
+pieces of their standard factors, so no piece enumerates its words, and
+its pivot words.  The integer word terms of its bracketings, each with
 coefficient 1 at its pivot word, and the columns of their unitriangular
-matrix T at the pivot words are built on first demand (`LiePiece`).  The
-reduced echelon elements are the bracketings times S = T^-1, which is
-applied by forward substitution over T (`solve_unitriangular`) and never
-stored.  The Lyndon words of a piece are read off the pieces of their
-standard factors, so no piece enumerates its words.  Dimensions are
-cross-checked against the necklace-style counting formula obtained by
-inverting the tensor-algebra Poincare series.
+matrix T at the pivot words are built on first demand.  The reduced
+echelon elements are the bracketings times S = T^-1, which is applied by
+forward substitution over T (`solve_unitriangular`) and never stored.
+Dimensions are cross-checked against the necklace-style counting formula
+obtained by inverting the tensor-algebra Poincare series.
 
 Words are tuples of generator indices in a `TensorElt` and str inside the
 integer layer (the pieces, `combine_forms` and the slices and matrices of
@@ -34,8 +34,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from . import exprs
@@ -45,7 +43,6 @@ Word = tuple[int, ...]
 # (pivot word, terms): an integer Lie element with coefficient 1 at its pivot
 # word and only larger words otherwise, words as str
 LieForm = tuple[str, dict[str, int]]
-_PIVOT = itemgetter(0)
 
 
 class NameError_(ValueError):
@@ -65,6 +62,8 @@ class GeneratorSet:
         if any(d < 0 for d in self.degrees):
             raise ValueError("generator degrees must be >= 0")
         self.index = {n: i for i, n in enumerate(self.names)}
+        # every free-Lie cache is keyed by the generator set
+        self._hash = hash((self.names, self.degrees))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "GeneratorSet":
@@ -88,7 +87,7 @@ class GeneratorSet:
         )
 
     def __hash__(self):
-        return hash((self.names, self.degrees))
+        return self._hash
 
     def __repr__(self):
         inner = ", ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
@@ -212,12 +211,6 @@ class TensorElt:
         return f"<{self.pretty()}>"
 
 
-def integer_terms(terms: dict) -> tuple[int, dict[Word, int]]:
-    """(D, {w: D * c}) for D the least common denominator of the Fractions c."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, {w: c.numerator * (den // c.denominator) for w, c in terms.items()}
-
-
 def encode_word(word: Iterable[int]) -> str:
     """The str word of the integer layer: one character chr(i) per index."""
     return "".join(map(chr, word))
@@ -334,7 +327,6 @@ def parse_element(gens: GeneratorSet, text: str) -> TensorElt:
 # word enumeration and bases of the (length, degree) pieces
 
 _word_cache: dict = {}
-_lyndon_cache: dict = {}
 _basis_cache: dict = {}
 _dim_cache: dict = {}
 
@@ -441,54 +433,18 @@ def _int_bracket(u: dict, du: int, v: dict, dv: int) -> dict[str, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def _lyndon_forms(gens: GeneratorSet, length: int, degree: int) -> tuple[list[str], list[int]]:
-    """The Lyndon words w of a piece, sorted, and the length of each w's
-    standard left factor (0 for a letter); built once per piece.
-
-    A Lyndon word w of length >= 2 is uv for its standard factorization (v
-    the longest proper Lyndon suffix), and P_w = [P_u, P_v].  Conversely,
-    for Lyndon words u < v, uv is a Lyndon word with standard factorization
-    (u, v) exactly when u is a letter or v <= the right factor of u
-    (Lothaire, Combinatorics on Words, Prop. 5.1.3-5.1.4).  So the piece is
-    read off the pieces of its factors: for each u, the v of the right
-    length and degree in (u, right factor of u] form one slice of their
-    sorted list.  No word is expanded.
-    """
-    key = (gens, length, degree)
-    got = _lyndon_cache.get(key)
-    if got is not None:
-        return got
-    found: list[tuple[str, int]] = []
-    if length == 1:
-        found = [(chr(i), 0) for i, d in enumerate(gens.degrees) if d == degree]
-    elif gens.degrees:
-        lo, hi = min(gens.degrees), max(gens.degrees)
-        for k in range(1, length):
-            rest = length - k
-            for du in range(max(lo * k, degree - hi * rest), min(hi * k, degree - lo * rest) + 1):
-                left, cuts = _lyndon_forms(gens, k, du)
-                if not left:
-                    continue
-                right = _lyndon_forms(gens, rest, degree - du)[0]
-                for u, cut in zip(left, cuts):
-                    start = bisect_right(right, u)
-                    stop = bisect_right(right, u[cut:]) if cut else len(right)
-                    found += [(u + v, k) for v in right[start:stop]]
-        found.sort()
-    got = ([w for w, _ in found], [cut for _, cut in found])
-    _lyndon_cache[key] = got
-    return got
-
-
 def _standard_cut(gens: GeneratorSet, word: str, degree: int) -> int:
     """The length of the standard left factor of a Lyndon word of the given
-    degree (0 for a letter), read off its piece (`_lyndon_forms`); a word
-    that is no Lyndon word of that degree raises `InvariantError`."""
-    words, cuts = _lyndon_forms(gens, len(word), degree)
+    degree (0 for a letter), read off its piece (`LiePiece`); a word that
+    is no Lyndon word of that degree raises `InvariantError`."""
+    piece = _basis_cache.get((gens, len(word), degree))
+    if piece is None:
+        piece = lie_piece(gens, len(word), degree)
+    words = piece.words
     i = bisect_left(words, word)
     if i == len(words) or words[i] != word:
         raise InvariantError(f"{word!r} is not a Lyndon word of degree {degree}")
-    return cuts[i]
+    return piece.cuts[i]
 
 
 class LiePiece:
@@ -498,9 +454,19 @@ class LiePiece:
     of the piece, plus P_u P_u = [P_u, P_u] / 2 for each odd-degree Lyndon
     word u of half the length and degree, sorted by pivot word: w, resp.
     uu.  Words are str, one character chr(i) per generator index, so str
-    order is the order of index tuples.  `pivots` is built with the piece,
-    from the Lyndon words and cuts of its factors' pieces (`_lyndon_forms`),
-    and there are exactly lie_dim of them, which is checked.
+    order is the order of index tuples.  `words`, the sorted Lyndon words,
+    `cuts`, the length of each word's standard left factor (0 for a
+    letter), and `pivots`, the words merged with the odd squares, are built
+    with the piece, and there are exactly lie_dim pivots, which is checked.
+
+    A Lyndon word w of length >= 2 is uv for its standard factorization (v
+    the longest proper Lyndon suffix), and P_w = [P_u, P_v].  Conversely,
+    for Lyndon words u < v, uv is a Lyndon word with standard factorization
+    (u, v) exactly when u is a letter or v <= the right factor of u
+    (Lothaire, Combinatorics on Words, Prop. 5.1.3-5.1.4).  So the piece is
+    read off the pieces of its factors (`lie_piece`): for each u, the v of
+    the right length and degree in (u, right factor of u] form one slice of
+    their sorted list.  No word is expanded.
 
     The word terms of the bracketings and T, their matrix of coefficients
     at the pivot words, are built on the first `expand`, from the word terms
@@ -512,15 +478,33 @@ class LiePiece:
     (`solve_unitriangular`).
     """
 
-    __slots__ = ("key", "pivots", "_expanded")
+    __slots__ = ("key", "words", "cuts", "pivots", "_expanded")
 
     def __init__(self, gens: GeneratorSet, length: int, degree: int):
         self.key = (gens, length, degree)
-        self.pivots = list(_lyndon_forms(gens, length, degree)[0])
+        found: list[tuple[str, int]] = []
+        if length == 1:
+            found = [(chr(i), 0) for i, d in enumerate(gens.degrees) if d == degree]
+        elif gens.degrees:
+            lo, hi = min(gens.degrees), max(gens.degrees)
+            for k in range(1, length):
+                rest = length - k
+                for du in range(max(lo * k, degree - hi * rest), min(hi * k, degree - lo * rest) + 1):
+                    left = lie_piece(gens, k, du)
+                    if not left.words:
+                        continue
+                    right = lie_piece(gens, rest, degree - du).words
+                    for u, cut in zip(left.words, left.cuts):
+                        start = bisect_right(right, u)
+                        stop = bisect_right(right, u[cut:]) if cut else len(right)
+                        found += [(u + v, k) for v in right[start:stop]]
+            found.sort()
+        self.words = [w for w, _ in found]
+        self.cuts = [cut for _, cut in found]
+        self.pivots = self.words
         half = degree // 2
         if length % 2 == 0 and degree % 2 == 0 and half % 2:
-            self.pivots += [u + u for u in _lyndon_forms(gens, length // 2, half)[0]]
-            self.pivots.sort()
+            self.pivots = sorted(self.words + [u + u for u in lie_piece(gens, length // 2, half).words])
         expected = lie_dim(gens, length, degree)
         if len(self.pivots) != expected:
             raise InvariantError(f"basis rank {len(self.pivots)} != counted dim {expected} at {self.key}")
@@ -530,7 +514,7 @@ class LiePiece:
         """(forms, lower): the bracketings (pivot word, word terms) and the
         columns of T below its diagonal, lower[m] = {k: T[k, m]} over k > m
         for T[k, m] the coefficient of pivot word k in forms[m]; built on
-        the first call."""
+        the first call, in pivot order."""
         if self._expanded is None:
             gens, length, degree = self.key
             letter_degree = {chr(i): d for i, d in enumerate(gens.degrees)}
@@ -544,27 +528,26 @@ class LiePiece:
                     got = factors[len(word), deg] = (piece.pivots, piece.expand()[0])
                 return got[1][bisect_left(got[0], word)][1]
 
+            cut_of = dict(zip(self.words, self.cuts))
+            half = degree // 2
             forms = []
-            for w, cut in zip(*_lyndon_forms(gens, length, degree)):
-                if cut:
+            for m, w in enumerate(self.pivots):
+                cut = cut_of.get(w)
+                if cut is None:
+                    # an odd square uu: every coefficient of [P_u, P_u] = 2 P_u P_u is even
+                    pu = factor_terms(w[: length // 2], half)
+                    terms = {z: c // 2 for z, c in _int_bracket(pu, half, pu, half).items()}
+                elif cut:
                     u, v = w[:cut], w[cut:]
                     du = sum(map(letter_degree.__getitem__, u))
-                    pu, pv = factor_terms(u, du), factor_terms(v, degree - du)
-                    forms.append((w, _int_bracket(pu, du, pv, degree - du)))
+                    terms = _int_bracket(factor_terms(u, du), du, factor_terms(v, degree - du), degree - du)
                 else:
-                    forms.append((w, {w: 1}))
-            if len(forms) < len(self.pivots):
-                half = degree // 2
-                for u in _lyndon_forms(gens, length // 2, half)[0]:
-                    pu = factor_terms(u, half)
-                    # every coefficient of [P_u, P_u] = 2 P_u P_u is even
-                    forms.append((u + u, {w: c // 2 for w, c in _int_bracket(pu, half, pu, half).items()}))
-                forms.sort(key=_PIVOT)
-            for m, (pivot, terms) in enumerate(forms):
-                if terms.get(pivot) != 1 or min(terms) != pivot or (m and forms[m - 1][0] == pivot):
+                    terms = {w: 1}
+                if terms.get(w) != 1 or min(terms) != w:
                     raise InvariantError(f"bracketing {m} at {self.key} does not lead with 1 "
                                          "at its own pivot word")
-            index = {pivot: m for m, (pivot, _) in enumerate(forms)}
+                forms.append((w, terms))
+            index = {pivot: m for m, pivot in enumerate(self.pivots)}
             lower = [{index[w]: t for w, t in terms.items() if w in index and w != pivot}
                      for pivot, terms in forms]
             self._expanded = (forms, lower)

@@ -26,7 +26,7 @@ from lietower.dgl import (
     validate,
     witness_direction_space,
 )
-from lietower.freelie import GeneratorSet, TensorElt, ad_power, gen_elt, graded_bracket
+from lietower.freelie import GeneratorSet, TensorElt, ad_power, decode_word, gen_elt, graded_bracket
 from lietower.linalg import InvariantError
 from lietower.pronil import lemma1_audit
 
@@ -656,6 +656,31 @@ def test_substitution_over_t_gives_s_times_echelon_coordinates():
     assert checked > 40
 
 
+def test_echelon_coordinates_are_the_coefficients_at_the_pivot_words():
+    # T * S = 1 on words: echelon element i has coefficient 1 at pivot word i
+    # and 0 at every other pivot word, so the echelon coordinates that
+    # coords gives a random integer combination u are u's coefficients at
+    # the pivot words
+    rng = random.Random(39)
+    checked = 0
+    for P, N, degrees in bracket_cases():
+        for q in degrees:
+            sl = P.slice(q, N)
+            words = [decode_word(pivot) for pivot in sl.pivots]
+            for i in range(sl.dim):
+                terms = sl.element(i).terms
+                assert [terms.get(w, 0) for w in words] == [int(k == i) for k in range(sl.dim)], (P, q, i)
+            for _ in range(4 if sl.dim else 0):
+                picked = rng.sample(range(sl.dim), min(sl.dim, 5))
+                u = freelie.zero(P.gens)
+                for i in picked:
+                    u = u + rng.choice([-3, -1, 1, 2, 5]) * sl.element(i)
+                want = {k: u.terms[w] for k, w in enumerate(words) if w in u.terms}
+                assert sl.coords(u) == want and set(want) == set(picked), (P, q)
+                checked += 1
+    assert checked > 100
+
+
 def test_a_perturbed_image_word_fails_the_build(monkeypatch):
     # one generator's image with its coefficient at one word of no pivot
     # raised by 1 is outside the slice, and the build of B raises
@@ -707,9 +732,10 @@ def test_a_forced_gap_mod_2_keeps_the_representatives(monkeypatch):
 
 def test_a_cold_degree_1_tower_builds_no_s(monkeypatch):
     # the stubborn cycle's degree-1 tower is certified mod 2 at every n and
-    # reads only B: S is never applied and no echelon matrix of d is built
-    for cache in ("_lyndon_cache", "_basis_cache"):
-        monkeypatch.setattr(freelie, cache, {})
+    # reads only B: S is applied only where int_coords reads d(z) back, to
+    # its pivot coefficients in the pieces of length <= 2, and no echelon
+    # matrix of d is built
+    monkeypatch.setattr(freelie, "_basis_cache", {})
     solved = []
     solve = freelie.solve_unitriangular
     for module in (dgl, freelie):
@@ -717,10 +743,12 @@ def test_a_cold_degree_1_tower_builds_no_s(monkeypatch):
     P = stubborn()
     report = homology_tower(P, 1, range(2, 9))
     assert report.dims() == [0] * 7 and freelie._basis_cache
-    assert solved == []
+    short = P.slice(0, 8).count_below(3)
+    assert solved and all(i < short for x in solved for i in x), solved
     assert all(dm._matrix is None and dm._reduction is None for dm in P._matrix_cache.values())
     # the degree-0 tower has H = y at every n, and expands its representatives
     # by forward substitution over the T of the degree-0 pieces
+    solved.clear()
     assert homology_tower(P, 0, range(2, 9)).rows[-1]["representatives"] == ["y"]
     assert solved
     assert all(dm._matrix is None for dm in P._matrix_cache.values())
@@ -767,7 +795,6 @@ def test_pieces_built_on_demand_equal_the_eager_build(monkeypatch):
     # equal the eager build, word for word and in the same order
     built = lazy = 0
     for P, N, degrees in bracket_cases():
-        monkeypatch.setattr(freelie, "_lyndon_cache", {})
         monkeypatch.setattr(freelie, "_basis_cache", {})
         for q in degrees:
             homology_tower(P, q, range(2, N))

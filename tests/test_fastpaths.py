@@ -101,6 +101,7 @@ from lietower.linalg import (
     NotAComplexError,
     SparseMatrix,
     Subspace,
+    _clear_denominators,
     _content,
     _sub_multiple,
     reduce,
@@ -262,18 +263,26 @@ def profile_presentation(gens, rng):
 def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
     # every piece up to length 7 against the enumeration of its words with a
     # Lyndon test on each and a per-call memo of bracketings: the same
-    # pivots, terms and T, inverted by the forward substitution over the held
-    # T, and d of each bracketing on str words against
-    # extend_derivation and the Fraction derivation of the tuple bracketing
+    # Lyndon words and cuts, pivots, terms and T, inverted by the forward
+    # substitution over the held T, and d of each bracketing on str words
+    # against extend_derivation and the Fraction derivation of the tuple
+    # bracketing
     rng = random.Random(sum(degrees) * 31 + len(degrees))
     gens = GeneratorSet([f"g{i}" for i in range(len(degrees))], degrees)
     P = profile_presentation(gens, rng)
     squares = forms_seen = 0
     for n in range(1, 8):
         for d in range(min(degrees) * n, max(degrees) * n + 1):
-            held, lower = freelie.lie_piece(gens, n, d).expand()
+            piece = freelie.lie_piece(gens, n, d)
+            held, lower = piece.expand()
             want = bracketings(gens, n, d)
             assert [decode_word(w) for w, _ in held] == [w for w, _ in want], (n, d)
+            # the Lyndon words and their standard cuts: v of w = uv is the
+            # longest proper Lyndon suffix, and a letter has cut 0
+            lyndon = [w for w, _ in want if is_lyndon(w)]
+            assert [decode_word(w) for w in piece.words] == lyndon, (n, d)
+            assert piece.cuts == [next((i for i in range(1, len(w)) if is_lyndon(w[i:])), 0)
+                                  for w in lyndon], (n, d)
             assert decoded(held) == want, (n, d)
             # the held T is the enumeration's unitriangular matrix T, and the
             # forward substitution over it inverts it
@@ -426,10 +435,10 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
     # no slice and no free-Lie cache holds S = T^-1: a slice holds the shared
     # pieces, their pivot words, its word lengths, one map from pivot word to
     # index, and the forms and columns of T of the pieces it has expanded;
-    # the free-Lie caches are the words, the Lyndon words and cuts, the
-    # pieces and the dimensions
+    # the free-Lie caches are the words, the pieces (each with its Lyndon
+    # words and cuts) and the dimensions
     caches = {name for name, value in vars(freelie).items() if name.endswith("_cache")}
-    assert caches == {"_word_cache", "_lyndon_cache", "_basis_cache", "_dim_cache"}
+    assert caches == {"_word_cache", "_basis_cache", "_dim_cache"}
     for sl in P._slice_cache.values():
         assert set(vars(sl)) == {"P", "q", "n", "_pieces", "pivots", "_forms", "_lower", "_pending", "lengths", "_pivot"}
         held = _held_objects(sl, skip=(P,))
@@ -482,7 +491,6 @@ def test_a_cold_certified_tower_expands_only_the_generator_images(monkeypatch):
     # it reads the pivot words and cuts of every piece and builds the word
     # terms and T only of the pieces that d(z) = x - [y, x] is read back in,
     # of length <= 2; the eager build held 27,172 word terms over 24 pieces
-    monkeypatch.setattr(freelie, "_lyndon_cache", {})
     monkeypatch.setattr(freelie, "_basis_cache", {})
     P = remark()
     assert homology_tower(P, 1, range(2, 9)).dims() == [0] * 7
@@ -1609,7 +1617,7 @@ def bracketings(gens, length, degree):
     words w of a piece and of the products P_u P_u for the odd-degree
     Lyndon words u of half its length and degree, sorted by pivot word:
     the enumeration of every word of the piece, tested one by one, that
-    `freelie._lyndon_forms` replaced, with tuple words."""
+    `freelie.LiePiece` replaced, with tuple words."""
     memo = {}
     words = words_of(gens, length, degree)
     out = [(w, lyndon_bracketing(gens, w, memo)) for w in words if is_lyndon(w)]
@@ -1744,7 +1752,7 @@ def test_repeated_solves_read_the_cached_matrices(monkeypatch):
         )
 
     def int_terms(u):
-        return {encode_word(w): c for w, c in freelie.integer_terms(u.terms)[1].items()}
+        return {encode_word(w): c for w, c in _clear_denominators(u.terms)[1].items()}
 
     def primitive(terms):
         g = math.gcd(*terms.values())

@@ -42,6 +42,17 @@ def oracle_bracket(degrees, u, v):
     return {w: c for w, c in out.items() if c}
 
 
+def test_generator_set_hash_is_computed_once_and_agrees_with_equality():
+    # every free-Lie cache is keyed by the generator set, so its hash is
+    # taken once, at construction, as the hash of (names, degrees)
+    a = GeneratorSet(["x", "y", "z"], [0, 0, 1])
+    b = GeneratorSet.from_pairs([("x", 0), ("y", 0), ("z", 1)])
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert hash(a) == hash((("x", "y", "z"), (0, 0, 1)))
+    assert len({a: 1, b: 2}) == 1
+    assert a != GeneratorSet(["x", "y", "z"], [0, 0, 2])
+
+
 def test_bracket_even_commutator():
     x, y = gen_elt(XY, "x"), gen_elt(XY, "y")
     assert graded_bracket(x, y).terms == {(0, 1): 1, (1, 0): -1}
