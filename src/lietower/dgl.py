@@ -48,6 +48,7 @@ from .linalg import (
     _add_term,
     _clear_denominators,
     _combine_columns,
+    _sub_in_place,
     complement_basis,
     gf2_pivots,
     homology_at,
@@ -865,11 +866,11 @@ def boundary_solve(
     src = P.slice(q + 1, n)
     n_tgt = n + P.max_shift() if exact_in_l else n
     dm = P.d_matrix(q + 1, n, n_tgt)
-    tgt = P.slice(q, n_tgt)
-    tgt.int_coords(t_terms, strict=exact_in_l)
-    num = tgt._pivot_coeffs(t_terms)
+    # the reduction is over B * S_src, so the right-hand side is S_tgt times
+    # the target's echelon coordinates: its bracketing coordinates
+    rhs = P.slice(q, n_tgt).int_coords(t_terms, strict=exact_in_l)
     red = dm.reduction()
-    particular = red.particular({i: Fraction(c, t_den) for i, c in num.items()})
+    particular = red.particular({i: Fraction(c, t_den) for i, c in rhs.items()})
     where = "L" if exact_in_l else f"L/L^{n}"
     if particular is None:
         return BoundaryResult(
@@ -986,19 +987,30 @@ class DMatrix:
     elements rewritten in the Lyndon basis (`_bracket_coords`), so no word
     of it is expanded and the source's pieces build no word terms.  With an
     empty target slice every column is zero and nothing is derived.
-    `matrix` is D * M in the echelon bases, T_tgt * B * S_src, formed on
-    first use for the readers of echelon coordinates, by back-substitution
-    over the source's T, so S is not built for it: it has the kernel of M,
-    and M x = b exactly when (D * M) x = D * b.  Its column reduction is
-    built on first use too.  T and S are block-diagonal by length and
-    unitriangular over Z, so every leading block of B has the rank of that
-    of `matrix`, over Q and mod every prime.
+
+    Its one derived form is `bs_columns`, B * S_src: D * M from the source's
+    echelon basis to the target's bracketing basis, built on first use by
+    back-substitution over the source's T, so S is not built for it.  The
+    echelon matrix T_tgt * B * S_src differs from it by T_tgt on the left,
+    which is invertible, so the two have the same linear relations among
+    their columns: the same pivot columns and kernel, and (B * S_src) y =
+    S_tgt * x exactly when (T_tgt * B * S_src) y = x, with the same
+    solution supported on the pivot columns.  So `reduction`, the tracked
+    column reduction of every solve, runs over B * S_src and expands no
+    target piece, and `matrix`, T_tgt applied to those columns, is formed
+    on first use only for the readers of echelon coordinates.  Both have
+    the kernel of M, and M x = b exactly when (D * M) x = D * b.  T and S
+    are block-diagonal by length and unitriangular over Z, so every leading
+    block of B has the rank of that of `matrix`, over Q and mod every
+    prime, and the length blocks of B * S_src have the ranks and kernels of
+    those of `matrix`.
     """
 
     def __init__(self, P: DglPresentation, q: int, n_src: int, n_tgt: int):
         src, tgt = P.slice(q, n_src), P.slice(q - 1, n_tgt)
         self.den = P._diff_den
         self._slices = (src, tgt)
+        self._bs: Optional[list[dict[int, int]]] = None
         self._matrix: Optional[SparseMatrix] = None
         self._reduction: Optional[ColumnReduction] = None
         if not tgt.dim:
@@ -1057,25 +1069,47 @@ class DMatrix:
         return dict(sorted(col.items()))
 
     @property
-    def matrix(self) -> SparseMatrix:
-        if self._matrix is None:
-            src, tgt = self._slices
-            # D = C * S_src for C = T_tgt * B, that is D * T_src = C: by
-            # back-substitution, column m of D is column m of C minus
-            # T_src[k, m] times column k of D for the k > m of its piece
-            cols = [tgt.echelon_coords(col) for col in self.columns]
+    def bs_columns(self) -> list[dict[int, int]]:
+        """B * S_src by its columns, built on first use."""
+        if self._bs is None:
+            src = self._slices[0]
+            # C = B * S_src, that is C * T_src = B: by back-substitution,
+            # column m of C is column m of B minus T_src[k, m] times column k
+            # of C for the k > m of its piece
+            cols = [dict(col) for col in self.columns]
             src._expand(range(1, src.n))
             for m in reversed(range(len(cols))):
                 offset, lower = src._lower[m]
                 for k, t in lower.items():
-                    for i, c in cols[offset + k].items():
-                        _add_term(cols[m], i, -t * c)
-            self._matrix = SparseMatrix.from_columns(tgt.dim, cols)
+                    _sub_in_place(cols[m], t, cols[offset + k])
+            self._bs = cols
+        return self._bs
+
+    @property
+    def matrix(self) -> SparseMatrix:
+        """The echelon matrix T_tgt * B * S_src, formed on first use."""
+        if self._matrix is None:
+            tgt = self._slices[1]
+            self._matrix = SparseMatrix.from_columns(tgt.dim, list(map(tgt.echelon_coords, self.bs_columns)))
         return self._matrix
 
     def reduction(self) -> ColumnReduction:
+        """The tracked column reduction of B * S_src, built on first use.
+
+        The matrix with the same source and a shorter target n' is this one
+        cut to its rows of length < n', since the target bases nest: when
+        the presentation keeps such a reduction, the tallest one is extended
+        to this one (`ColumnReduction.extend`) instead of a pass over these
+        columns."""
         if self._reduction is None:
-            self._reduction = ColumnReduction(self.matrix)
+            src, tgt = self._slices
+            shorter = [dm for (q, n_src, n_tgt), dm in src.P._matrix_cache.items()
+                       if (q, n_src) == (src.q, src.n) and n_tgt < tgt.n and dm._reduction is not None]
+            if shorter:
+                kept = max(shorter, key=lambda dm: dm._slices[1].n)._reduction
+                self._reduction = ColumnReduction.extend(kept, tgt.dim, self.bs_columns)
+            else:
+                self._reduction = ColumnReduction(tgt.dim, self.bs_columns)
         return self._reduction
 
 
@@ -1128,7 +1162,7 @@ class ObstructionReport:
         if self._kernel_witness is None:
             self._kernel_witness = {}
             for l, (first, cols) in self._raising.items():
-                kernel = ColumnReduction(SparseMatrix.from_columns(self._slice.dim, cols)).kernel()
+                kernel = ColumnReduction(self._slice.dim, cols).kernel()
                 self._kernel_witness[l] = self._witnesses.element_from_coords(
                     {first + i: c for i, c in kernel.basis[0].items()})
         return self._kernel_witness
@@ -1139,8 +1173,10 @@ class ObstructionReport:
         return not self.vacuous and all(self.injective.values())
 
     def excludes(self, target: TensorElt) -> bool:
-        """Exactly decide: target has no witness of top length <= bound."""
-        return not self._boundaries.contains(self._slice.coords(target, strict=True))
+        """Exactly decide: target has no witness of top length <= bound.
+        The boundary space is the echelon of the reduction of B * S_src, so
+        it is read in bracketing coordinates."""
+        return not self._boundaries.contains(self._slice.int_coords(_int_form(target)[1], strict=True))
 
     def to_structured(self) -> dict:
         return {
@@ -1200,7 +1236,9 @@ def top_length_obstruction(
     src = P.slice(degree, bound + 1)
     n_out = bound + 1 + max(P.max_shift(), 1)
     dm = P.d_matrix(degree, bound + 1, n_out)
-    cols = dm.matrix.columns()
+    # T_tgt is block-diagonal by length: a length block of B * S_src has the
+    # rank and the kernel of that of the echelon matrix
+    cols = dm.bs_columns
     out = P.slice(degree - 1, n_out)
     injective: dict[int, bool] = {}
     blocks: dict[int, tuple[int, list[dict[int, int]]]] = {}

@@ -188,13 +188,17 @@ class IntEchelon:
         """Insert a vector; returns the new pivot index or None if dependent."""
         den, v = _clear_denominators(vec)
         if self.combos is None:
-            v, e = self._reduce(v)
-        else:
-            v, e = self._reduce(v, {self.inputs: den})
-            self.inputs += 1
-            if not v:
-                self.relations.append(e)
+            return self._store(*self._reduce(v))
+        self.inputs += 1
+        return self._store(*self._reduce(v, {self.inputs - 1: den}))
+
+    def _store(self, v: dict[int, int], e: Optional[dict[int, int]]) -> Optional[int]:
+        """Keep a reduced vector v, with its combination e when tracking: as
+        a row with a positive pivot, returned, or, when v is zero, e as a
+        relation."""
         if not v:
+            if e is not None:
+                self.relations.append(e)
             return None
         p = min(v)
         if v[p] < 0:
@@ -405,7 +409,8 @@ class SparseMatrix:
 
 
 class ColumnReduction:
-    """The columns of a matrix inserted left to right into a tracked echelon.
+    """The columns of a matrix with `rows` rows, sparse int or Fraction
+    vectors, inserted left to right into a tracked echelon.
 
     The leftmost independent columns give pivots, and each other column
     gives a relation, which is a kernel vector.  The relations are
@@ -415,15 +420,54 @@ class ColumnReduction:
     Solving a x = b for many b costs one `express` each.
     """
 
-    def __init__(self, m: SparseMatrix):
-        self.rows = m.rows
-        self.cols = m.cols
+    def __init__(self, rows: int, columns: list[dict]):
+        self.rows = rows
+        self.cols = len(columns)
         self.echelon = IntEchelon(track=True)
-        for j, col in enumerate(m.columns()):
+        for j, col in enumerate(columns):
             p = self.echelon.insert(col)
             if p is None and self.echelon.dim + len(self.echelon.relations) != j + 1:
                 raise InvariantError("a column with a nonzero residual did not give a pivot")
         self._kernel: Optional[Subspace] = None
+
+    @classmethod
+    def extend(cls, kept: "ColumnReduction", rows: int, columns: list[dict]) -> "ColumnReduction":
+        """The reduction of the matrix with these rows and columns, built
+        from the kept reduction of its leading `kept.rows` rows, with no
+        pass over its columns.
+
+        A kept row is sum_k combo[k] * column_k on the leading rows, so it
+        keeps its combination and gains that sum on the rows below, and its
+        pivot.  A kept relation's image is zero on the leading rows; the
+        images on the rows below are reduced in input order, each with its
+        relation as combination, and give the new rows, whose pivots are
+        below the leading rows, and the new relations.  A column is
+        independent of the columns before it exactly when it was on the
+        leading rows or its relation's image is independent of the images
+        before it, so the pivot columns, the kernel and every particular
+        solution are those of a direct pass, and every stored combination
+        involves pivot columns only (a relation also its own column), as
+        there.
+        """
+        top = kept.rows
+        if len(columns) != kept.cols or rows < top:
+            raise DimensionMismatch(f"a {rows}x{len(columns)} matrix does not extend a reduction "
+                                    f"of {top}x{kept.cols}")
+        below = [{i: c for i, c in col.items() if i >= top} for col in columns]
+        red = cls.__new__(cls)
+        red.rows, red.cols, red._kernel = rows, kept.cols, None
+        old = kept.echelon
+        red.echelon = ech = IntEchelon(track=True)
+        ech.inputs = old.inputs
+        for p, row in old.rows.items():
+            combo = old.combos[p]
+            den, extra = _clear_denominators(_combine_columns(below, combo))
+            ech.rows[p], ech.combos[p] = _divide_content({**{i: den * c for i, c in row.items()}, **extra},
+                                                         {k: den * c for k, c in combo.items()})
+        for relation in old.relations:
+            den, v = _clear_denominators(_combine_columns(below, relation))
+            ech._store(*ech._reduce(v, {k: den * c for k, c in relation.items()}))
+        return red
 
     @property
     def rank(self) -> int:
@@ -453,7 +497,7 @@ def reduce(m: SparseMatrix) -> tuple[int, Subspace, Subspace]:
     The kernel lives in Q^cols, the image in Q^rows; both come back as
     canonical reduced-echelon subspaces, so rank + kernel.dim == cols.
     """
-    red = ColumnReduction(m)
+    red = ColumnReduction(m.rows, m.columns())
     return red.rank, red.kernel(), Subspace(m.rows, red.echelon.rows.values())
 
 
@@ -464,7 +508,7 @@ def solve_affine(a: SparseMatrix, b: dict) -> Optional[tuple[Vec, Subspace]]:
     set to zero: the one supported on the leftmost independent columns of
     a, which are the pivot columns of the reduced echelon form of [a | b].
     """
-    return ColumnReduction(a).solve(b)
+    return ColumnReduction(a.rows, a.columns()).solve(b)
 
 
 class QuotientInfo:

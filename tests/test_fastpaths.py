@@ -324,10 +324,10 @@ def test_a_matrix_build_leaves_no_derivation_state_on_the_presentation():
     # bracketings of length >= 2 (the odd square zz too) out of D_1, which
     # the build keeps too
     assert after["_matrix_cache"] == {(2, 8, 8): dm, (1, 8, 8): P.d_matrix(1, 8, 8)}
-    # the build keeps B and its two slices; the echelon matrix and its
-    # reduction wait for a reader, and no derivation memo is kept
-    assert set(vars(dm)) == {"columns", "den", "_slices", "_matrix", "_reduction"}
-    assert dm._matrix is None and dm._reduction is None
+    # the build keeps B and its two slices; B * S_src, the echelon matrix
+    # and the reduction wait for a reader, and no derivation memo is kept
+    assert set(vars(dm)) == {"columns", "den", "_slices", "_bs", "_matrix", "_reduction"}
+    assert dm._bs is None and dm._matrix is None and dm._reduction is None
     assert dm._slices[0] is P.slice(2, 8) and dm._slices[1] is P.slice(1, 8)
     assert len(dm.columns) == P.slice(2, 8).dim and all(type(col) is dict for col in dm.columns)
     assert all(type(i) is int and type(c) is int for col in dm.columns for i, c in col.items())
@@ -1474,7 +1474,7 @@ def test_top_length_report_is_kept_on_the_presentation(monkeypatch):
     first = dgl.top_length_obstruction(P, 1, range(1, 8))
     built = []
     reduction = dgl.ColumnReduction
-    monkeypatch.setattr(dgl, "ColumnReduction", lambda m: built.append(m) or reduction(m))
+    monkeypatch.setattr(dgl, "ColumnReduction", lambda rows, cols: built.append(cols) or reduction(rows, cols))
     again = dgl.top_length_obstruction(P, 1, [7, 6, 5, 4, 3, 2, 1, 1])
     assert again is first and built == []
     answers = [again.excludes(t) for t in targets]
@@ -1499,7 +1499,7 @@ def eager_kernel_witnesses(P, degree, lengths):
         first, stop = src.count_below(l), src.count_below(l + 1)
         lo, hi = out.count_below(l + 1), out.count_below(l + 2)
         raising = [{i: c for i, c in col.items() if lo <= i < hi} for col in cols[first:stop]]
-        reduced = ColumnReduction(SparseMatrix.from_columns(out.dim, raising))
+        reduced = ColumnReduction(out.dim, raising)
         if reduced.rank != stop - first:
             kernels[l] = src.element_from_coords({first + i: c for i, c in reduced.kernel().basis[0].items()})
     return kernels
@@ -1513,7 +1513,7 @@ def test_kernel_witnesses_are_built_on_first_read(monkeypatch):
 
     built = []
     reduction = dgl.ColumnReduction
-    monkeypatch.setattr(dgl, "ColumnReduction", lambda m: built.append(m) or reduction(m))
+    monkeypatch.setattr(dgl, "ColumnReduction", lambda rows, cols: built.append(cols) or reduction(rows, cols))
     with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
         stubborn = cli.parse(fh.read()).to_dgl()
     rng = random.Random(37)
@@ -1524,11 +1524,14 @@ def test_kernel_witnesses_are_built_on_first_read(monkeypatch):
     blocks = 0
     for P, q, lengths in cases:
         report = dgl.top_length_obstruction(P, q, lengths)
-        matrix = P.d_matrix(q, max(lengths) + 1, max(lengths) + 1 + max(P.max_shift(), 1)).matrix
+        dm = P.d_matrix(q, max(lengths) + 1, max(lengths) + 1 + max(P.max_shift(), 1))
         x = freelie.parse_element(P.gens, "x") if q == 1 else freelie.zero(P.gens)
         report.to_structured()
         report.excludes(x)
-        assert all(m is matrix for m in built), (P.diff, q)
+        # the one reduction, of the boundary space, runs over B * S_src, and
+        # the echelon matrix is never formed
+        assert len(built) == 1 and built[0] is dm.bs_columns, (P.diff, q)
+        assert dm._matrix is None, (P.diff, q)
         del built[:]
         want = eager_kernel_witnesses(P, q, list(lengths))
         assert report.kernel_witness == want and len(built) == len(want), (P.diff, q)
@@ -1786,7 +1789,7 @@ def test_cached_column_reduction_solves_like_solve_affine():
     systems = unsat = 0
     for trial in range(60):
         m = random_matrix(rng, rational=trial % 2 == 1)
-        reduced = ColumnReduction(m)
+        reduced = ColumnReduction(m.rows, m.columns())
         for _ in range(5):
             if rng.random() < 0.5 or not m.rows:
                 b = m.apply({j: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for j in range(m.cols)})
@@ -1828,6 +1831,216 @@ def test_cold_boundary_solves_build_no_kernel(monkeypatch):
     red = P.d_matrix(1, 8, 8).reduction()
     assert len(built) == 1 and kernel is red.kernel()
     assert kernel == Subspace(red.cols, red.echelon.relations) and kernel.dim == results[0].kernel_dim
+
+
+# -- boundary requests in the target's bracketing coordinates ---------------
+
+def echelon_matrix(dm):
+    """T_tgt * B * S_src as the boundary path formed it before it reduced
+    B * S_src: T applied to each column of B, then back-substitution over
+    the source's T."""
+    src, tgt = dm._slices
+    cols = [tgt.echelon_coords(col) for col in dm.columns]
+    src._expand(range(1, src.n))
+    for m in reversed(range(len(cols))):
+        offset, lower = src._lower[m]
+        for k, t in lower.items():
+            for i, c in cols[offset + k].items():
+                cols[m][i] = cols[m].get(i, 0) - t * c
+        cols[m] = {i: c for i, c in cols[m].items() if c}
+    return SparseMatrix.from_columns(tgt.dim, cols)
+
+
+def echelon_boundary_solve(P, t, n, exact):
+    """`boundary_solve` on the reduction of the echelon matrix, with the
+    target's echelon coordinates (its coefficients at the pivot words) as
+    right-hand side."""
+    q = t.homogeneous_degree()
+    dm = P.d_matrix(q + 1, n, n + P.max_shift() if exact else n)
+    src, tgt = dm._slices
+    matrix = echelon_matrix(dm)
+    red = ColumnReduction(matrix.rows, matrix.columns())
+    particular = red.particular(tgt.coords(t, strict=exact))
+    where = "L" if exact else f"L/L^{n}"
+    if particular is None:
+        return dgl.BoundaryResult("UNSAT-within-bound", None, n,
+                                  f"no witness of word length < {n} solves d(u) = target in {where}")
+    witness = src.element_from_coords({j: c * dm.den for j, c in particular.items()})
+    return dgl.BoundaryResult("SAT", witness, n, f"verified in {where}", red.cols - red.rank)
+
+
+def echelon_obstruction(P, degree, lengths):
+    """(injective, kernel witnesses, excludes) of `top_length_obstruction`
+    read off the echelon matrix: its raising blocks, and its column space
+    tested against the target's echelon coordinates."""
+    bound = max(lengths)
+    dm = P.d_matrix(degree, bound + 1, bound + 1 + max(P.max_shift(), 1))
+    src, out = dm._slices
+    matrix = echelon_matrix(dm)
+    cols = matrix.columns()
+    injective, kernels = {}, {}
+    for l in lengths:
+        first, stop = src.count_below(l), src.count_below(l + 1)
+        lo, hi = out.count_below(l + 1), out.count_below(l + 2)
+        raising = [{i: c for i, c in col.items() if lo <= i < hi} for col in cols[first:stop]]
+        reduced = ColumnReduction(out.dim, raising)
+        injective[l] = reduced.rank == stop - first
+        if not injective[l]:
+            kernels[l] = src.element_from_coords({first + i: c for i, c in reduced.kernel().basis[0].items()})
+    boundaries = ColumnReduction(out.dim, cols).echelon
+    return injective, kernels, lambda t: not boundaries.contains(out.coords(t, strict=True))
+
+
+def bracketing_oracle_cases():
+    """(P, targets, n, obstruction degree) for the stubborn cycle with the
+    sweep targets of seeds 0-2 (all three classes) at n = 6 and 8, and for
+    the random presentations of test_dgl.py with d-cycles of one degree:
+    images of generators, closed generators and their brackets, and sums."""
+    from test_dgl import random_degree01_presentation, random_positive_presentation
+
+    gen = perfbench_gen()
+    with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
+        text = fh.read()
+    for seed, n in ((0, 8), (1, 6), (2, 8)):
+        P = cli.parse(text).to_dgl()
+        yield P, [freelie.parse_element(P.gens, t) for t in gen.sweep_targets(seed, 12)], n, 1
+    # the boundaries of d z = [x, y] in length 3 are the ideal of [x, y]:
+    # [[x, y], w] has echelon coordinates (1, 0) at the pivot words xyw, xwy
+    # and bracketing coordinates (1, 1), so membership read in the wrong
+    # coordinates gives the wrong answer
+    P = DglPresentation.from_strings([("x", 0), ("y", 0), ("w", 0), ("z", 1)], {"z": "[x, y]"})
+    yield P, [freelie.parse_element(P.gens, t) for t in ("[[x, y], w]", "[x, [y, w]]", "[[x, w], y]",
+                                                          "[x, y] + [[x, y], w]", "[w, [w, [x, y]]]")], 5, 1
+    rng = random.Random(41)
+    for k in range(16):
+        P = (random_degree01_presentation if k % 2 else random_positive_presentation)(rng)[0]
+        names, degrees = P.gens.names, P.gens.degrees
+        closed = [g for g in names if g not in P.diff]
+        cycles = [extend_derivation(P, freelie.parse_element(P.gens, g)) for g in P.diff]
+        cycles += [freelie.parse_element(P.gens, g) for g in closed]
+        cycles += [freelie.parse_element(P.gens, f"[{a}, {b}]") for a in closed for b in closed if a <= b]
+        cycles = [c for c in cycles if not c.is_zero()]
+        cycles += [a + c for a in cycles for c in cycles[:3] if a.degrees() == c.degrees() and a != c]
+        by_degree = {}
+        for c in cycles:
+            by_degree.setdefault(c.homogeneous_degree(), []).append(c)
+        for q, targets in sorted(by_degree.items()):
+            if q <= max(degrees):
+                yield P, targets[:6], 5, q + 1
+
+
+def test_boundary_requests_in_bracketing_coordinates_match_the_echelon_path():
+    """Truncated and exact solves, their witnesses, and the top-length
+    report, its kernel witnesses and `excludes`, reduced over B * S_src
+    with the target's bracketing coordinates, against the reduction of the
+    echelon matrix T * B * S with its echelon coordinates."""
+    from lietower.dgl import Truncation, UnsupportedModeError, boundary_solve, top_length_obstruction
+
+    outcomes, reports, excluded = set(), 0, set()
+    for P, targets, n, degree in bracketing_oracle_cases():
+        lengths = range(1, n)
+        try:
+            report = top_length_obstruction(P, degree, lengths)
+        except UnsupportedModeError:
+            report = None
+        else:
+            injective, kernels, excludes = echelon_obstruction(P, degree, lengths)
+            assert report.injective == injective, P.diff
+            assert report.to_structured()["injective"] == {str(l): v for l, v in injective.items()}
+            assert report.kernel_witness == kernels, P.diff
+            reports += 1
+        for t in targets:
+            for exact in (False, True):
+                got = boundary_solve(P, t, Truncation(n), exact_in_l=exact)
+                want = echelon_boundary_solve(P, t, n, exact)
+                assert got.to_structured() == want.to_structured(), (P.diff, t.pretty(), exact)
+                assert got.witness == want.witness
+                outcomes.add((exact, got.status))
+            if report is not None:
+                assert report.excludes(t) == excludes(t), (P.diff, t.pretty())
+                excluded.add(report.excludes(t))
+    assert outcomes == {(e, s) for e in (False, True) for s in ("SAT", "UNSAT-within-bound")}
+    assert reports > 5 and excluded == {True, False}
+
+
+def test_extended_reduction_matches_a_direct_pass():
+    """`ColumnReduction.extend` from the reduction of a random leading block
+    of rows against a direct pass over all of them, on integer and rational
+    matrices: rank, pivot rows and columns, kernel, the tracked invariant of
+    every row and relation, and the particular solution of solvable and
+    unsolvable right-hand sides."""
+    rng = random.Random(42)
+    solvable = unsolvable = grown = 0
+    for trial in range(400):
+        m = random_matrix(rng, rational=trial % 2 == 1)
+        top = rng.randint(0, m.rows)
+        cols = m.columns()
+        kept = ColumnReduction(top, [{i: c for i, c in col.items() if i < top} for col in cols])
+        got, want = ColumnReduction.extend(kept, m.rows, cols), ColumnReduction(m.rows, cols)
+        own = lambda red: sorted(max(e) for e in red.echelon.relations)
+        assert (got.rows, got.cols, got.rank) == (want.rows, want.cols, want.rank), trial
+        assert sorted(got.echelon.rows) == sorted(want.echelon.rows), trial
+        assert own(got) == own(want), trial
+        assert got.kernel() == want.kernel(), trial
+        assert got.echelon.inputs == m.cols
+        grown += got.rank > kept.rank
+        for p, row in got.echelon.rows.items():
+            combo = got.echelon.combos[p]
+            assert {i: Fraction(c) for i, c in row.items()} == m.apply(combo), trial
+            assert row[p] > 0 and min(row) == p and all(max(e) not in combo for e in got.echelon.relations)
+        for relation in got.echelon.relations:
+            assert m.apply(relation) == {}, trial
+        for _ in range(3):
+            x = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for j in range(m.cols)}
+            for b in (m.apply(x), random_rows(rng, 1, m.rows, rational=True)[0] if m.rows else {}):
+                particular = got.particular(b)
+                assert particular == want.particular(b), trial
+                if particular is None:
+                    unsolvable += 1
+                else:
+                    solvable += 1
+                    assert m.apply(particular) == {i: Fraction(c) for i, c in b.items() if c}
+    assert solvable > 500 and unsolvable > 100 and grown > 100
+
+
+def test_cold_boundary_requests_stay_in_bracketing_coordinates(monkeypatch):
+    """A cold truncated solve, exact solve and top-length request (and the
+    truncated solve then the top-length request, as `boundary
+    --certify-lengths` runs them) never form the echelon matrix, expand no
+    target piece but those of the target's and the generator images' word
+    lengths, and build the reduction of the taller matrix by extending the
+    truncated solve's, with no direct pass over its columns."""
+    from lietower.dgl import Truncation, boundary_solve, top_length_obstruction
+
+    direct, extended = [], []
+    init, extend = ColumnReduction.__init__, ColumnReduction.extend
+    monkeypatch.setattr(ColumnReduction, "__init__",
+                        lambda self, rows, cols: direct.append(rows) or init(self, rows, cols))
+    monkeypatch.setattr(ColumnReduction, "extend", classmethod(
+        lambda cls, kept, rows, cols: extended.append((kept.rows, rows)) or extend(kept, rows, cols)))
+    gen = perfbench_gen()
+    with open(os.path.join(FILES, "stubborn_cycle.dgl")) as fh:
+        text = fh.read()
+    cases = 0
+    for n in (6, 8, 10):
+        for expr in gen.sweep_targets(n, 3) + ["[x, x - [y, x]]"]:
+            for with_exact in (True, False):
+                P = cli.parse(text).to_dgl()
+                t = freelie.parse_element(P.gens, expr)
+                del direct[:], extended[:]
+                boundary_solve(P, t, Truncation(n))
+                if with_exact:
+                    boundary_solve(P, t, Truncation(n), exact_in_l=True)
+                top_length_obstruction(P, 1, range(1, n)).excludes(t)
+                assert all(dm._matrix is None for dm in P._matrix_cache.values())
+                short, tall = P.slice(0, n).dim, P.slice(0, n + 1).dim
+                assert direct == [short] and extended == [(short, tall)], (n, expr)
+                allowed = set(map(len, t.terms)) | {len(w) for v in P.diff.values() for w in v.terms}
+                for sl in (P.slice(0, n), P.slice(0, n + 1)):
+                    built = {k for k in range(1, sl.n) if lie_dim(P.gens, k, 0)} - sl._pending
+                    assert built <= allowed, (n, expr, built)
+                cases += 1
+    assert cases == 24
 
 
 def test_verdict_outcome_check_survives_optimized_mode():
