@@ -24,10 +24,8 @@ from typing import Callable, Iterable, Optional
 from . import exprs
 from .freelie import (
     GeneratorSet,
-    LieForm,
     TensorElt,
     _standard_cut,
-    combine_forms,
     decode_word,
     encode_word,
     eval_bracket_expr,
@@ -339,9 +337,9 @@ class DegreeSlice:
         self.pivots = [pivot for piece in self._pieces for pivot in piece.pivots]
         self.lengths = [len(pivot) for pivot in self.pivots]
         self._pivot = {pivot: i for i, pivot in enumerate(self.pivots)}
-        # forms[i] and column i of T below its diagonal, as (offset of its
-        # piece, column over the piece), once its piece is expanded
-        self._forms: list[Optional[LieForm]] = [None] * self.dim
+        # the word terms of bracketing i and column i of T below its diagonal,
+        # as (offset of its piece, column over the piece), once it is expanded
+        self._forms: list[Optional[dict[str, int]]] = [None] * self.dim
         self._lower: list[Optional[tuple[int, dict[int, int]]]] = [None] * self.dim
         # the lengths of the nonempty pieces not expanded yet
         self._pending = {k for k, piece in enumerate(self._pieces, 1) if piece.pivots}
@@ -351,13 +349,13 @@ class DegreeSlice:
         return len(self.pivots)
 
     def _expand(self, lengths: Iterable[int]) -> None:
-        """Fill in the forms and T of the pieces of these word lengths, each
-        built on its first demand (`freelie.LiePiece.expand`)."""
+        """Fill in the bracketings and T of the pieces of these word lengths,
+        each built on its first demand (`freelie.LiePiece.expand`)."""
         for k in self._pending.intersection(lengths):
-            forms, lower = self._pieces[k - 1].expand()
+            bracketings, lower = self._pieces[k - 1].expand()
             offset = self.count_below(k)
-            stop = offset + len(forms)
-            self._forms[offset:stop] = forms
+            stop = offset + len(bracketings)
+            self._forms[offset:stop] = bracketings
             self._lower[offset:stop] = [(offset, col) for col in lower]
             self._pending.discard(k)
 
@@ -367,7 +365,7 @@ class DegreeSlice:
 
     def element(self, i: int) -> TensorElt:
         """Echelon basis element i as a TensorElt, expanded through the bracketings."""
-        return _elt(self.P.gens, self._combine({i: 1}))
+        return self.element_from_coords({i: 1})
 
     def coords(self, u: TensorElt, strict: bool = False) -> dict[int, Fraction]:
         """Coordinates of u in the echelon basis of the slice, read off its
@@ -388,7 +386,7 @@ class DegreeSlice:
 
     def int_coords(self, terms: dict[str, int], strict: bool = False) -> dict[int, int]:
         """Bracketing coordinates a of an integer combination of str words
-        with no stored zeros, terms = sum_m a_m * forms[m], which are
+        with no stored zeros, terms = sum_m a_m * P_m, which are
         integers: a = S * x for x its coefficients at the pivot words.
 
         Membership in the slice is verified exactly: the bracketings times a
@@ -402,7 +400,7 @@ class DegreeSlice:
                 raise TruncationError(f"word length {len(w)} exceeds coordinate bound {self.n - 1}")
             terms = {w: c for w, c in terms.items() if len(w) < self.n}
         coords = self.basis_coeffs(self._pivot_coeffs(terms))
-        if combine_forms(self._forms, coords) != terms:
+        if _combine_columns(self._forms, coords) != terms:
             gens = self.P.gens
             for w in map(decode_word, terms):
                 if gens.word_degree(w) != self.q:
@@ -437,14 +435,10 @@ class DegreeSlice:
             self._expand(map(self.lengths.__getitem__, num))
         return solve_unitriangular(self._lower, num)
 
-    def _combine(self, num: dict[int, int]) -> dict[str, int]:
-        """sum_i num[i] * element(i) as nonzero integer terms."""
-        return combine_forms(self._forms, self.basis_coeffs(num))
-
     def int_element(self, vec: dict[int, Fraction]) -> tuple[int, dict[str, int]]:
         """(D, D * u) with str words for the element u with echelon coordinates vec."""
         den, num = _clear_denominators(vec)
-        return den, self._combine(num)
+        return den, _combine_columns(self._forms, self.basis_coeffs(num))
 
     def element_from_coords(self, vec: dict[int, Fraction]) -> TensorElt:
         den, terms = self.int_element(vec)
@@ -620,16 +614,9 @@ def homology_tower(
     if not ns or ns[0] < 2:
         raise ValueError("tower range must consist of integers >= 2")
     method = "bracket-closure" if q == 0 else "quotient-complex"
-    return _tower_report(q, _tower_rows(P, q, ns), ns, stab_suffix, method)
-
-
-def _tower_report(
-    q: int, rows: Iterable[tuple], ns: list[int], stab_suffix: int, method: str
-) -> TowerReport:
-    """The report of tower rows (n, dim H, image dim, representatives)."""
     rows = [
         {"n": n, "dim_H": dim, "dim_image": image, "representatives": [r.pretty() for r in reps]}
-        for n, dim, image, reps in rows
+        for n, dim, image, reps in _tower_rows(P, q, ns)
     ]
     stab = _detect_stabilization([(r["dim_H"], r["dim_image"]) for r in rows], ns, stab_suffix)
     return TowerReport(q, rows, stab, method)

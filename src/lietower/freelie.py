@@ -24,9 +24,9 @@ Dimensions are cross-checked against the necklace-style counting formula
 obtained by inverting the tensor-algebra Poincare series.
 
 Words are tuples of generator indices in a `TensorElt` and str inside the
-integer layer (the pieces, `combine_forms` and the slices and matrices of
-`dgl`), one character chr(i) per index: str order is tuple order, and a str
-caches its hash.  `encode_word` and `decode_word` convert at the edge.
+integer layer (the pieces and the slices and matrices of `dgl`), one
+character chr(i) per index: str order is tuple order, and a str caches its
+hash.  `encode_word` and `decode_word` convert at the edge.
 """
 
 from __future__ import annotations
@@ -37,12 +37,9 @@ from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 from . import exprs
-from .linalg import InvariantError
+from .linalg import InvariantError, _add_term, _combine_columns
 
 Word = tuple[int, ...]
-# (pivot word, terms): an integer Lie element with coefficient 1 at its pivot
-# word and only larger words otherwise, words as str
-LieForm = tuple[str, dict[str, int]]
 
 
 class NameError_(ValueError):
@@ -116,11 +113,7 @@ class TensorElt:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
+            _add_term(out, w, c)
         return TensorElt(self.gens, out)
 
     def __sub__(self, other):
@@ -144,12 +137,7 @@ class TensorElt:
         out: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
+                _add_term(out, w1 + w2, c1 * c2)
         return TensorElt(self.gens, out)
 
     def _check(self, other):
@@ -243,21 +231,10 @@ def graded_bracket(u: TensorElt, v: TensorElt) -> TensorElt:
     for w1, c1 in u.terms.items():
         d1 = gens.word_degree(w1)
         for w2, c2 in v.terms.items():
-            d2 = gens.word_degree(w2)
             c = c1 * c2
-            w = w1 + w2
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-            sign = -1 if (d1 * d2) % 2 else 1
-            w = w2 + w1
-            s = out.get(w, 0) - sign * c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
+            sign = -1 if (d1 * gens.word_degree(w2)) % 2 else 1
+            _add_term(out, w1 + w2, c)
+            _add_term(out, w2 + w1, -sign * c)
     return TensorElt(gens, out)
 
 
@@ -508,29 +485,29 @@ class LiePiece:
         expected = lie_dim(gens, length, degree)
         if len(self.pivots) != expected:
             raise InvariantError(f"basis rank {len(self.pivots)} != counted dim {expected} at {self.key}")
-        self._expanded: Optional[tuple[list[LieForm], list[dict[int, int]]]] = None
+        self._expanded: Optional[tuple[list[dict[str, int]], list[dict[int, int]]]] = None
 
-    def expand(self) -> tuple[list[LieForm], list[dict[int, int]]]:
-        """(forms, lower): the bracketings (pivot word, word terms) and the
-        columns of T below its diagonal, lower[m] = {k: T[k, m]} over k > m
-        for T[k, m] the coefficient of pivot word k in forms[m]; built on
-        the first call, in pivot order."""
+    def expand(self) -> tuple[list[dict[str, int]], list[dict[int, int]]]:
+        """(terms, lower): terms[m], the word terms of bracketing m, whose
+        pivot word is pivots[m], and the columns of T below its diagonal,
+        lower[m] = {k: T[k, m]} over k > m for T[k, m] the coefficient of
+        pivot word k in terms[m]; built on the first call, in pivot order."""
         if self._expanded is None:
             gens, length, degree = self.key
             letter_degree = {chr(i): d for i, d in enumerate(gens.degrees)}
-            # (pivots, forms) of each factor's expanded piece, by (length, degree)
-            factors: dict[tuple[int, int], tuple[list[str], list[LieForm]]] = {}
+            # (pivots, terms) of each factor's expanded piece, by (length, degree)
+            factors: dict[tuple[int, int], tuple[list[str], list[dict[str, int]]]] = {}
 
             def factor_terms(word: str, deg: int) -> dict[str, int]:
                 got = factors.get((len(word), deg))
                 if got is None:
                     piece = lie_piece(gens, len(word), deg)
                     got = factors[len(word), deg] = (piece.pivots, piece.expand()[0])
-                return got[1][bisect_left(got[0], word)][1]
+                return got[1][bisect_left(got[0], word)]
 
             cut_of = dict(zip(self.words, self.cuts))
             half = degree // 2
-            forms = []
+            bracketings = []
             for m, w in enumerate(self.pivots):
                 cut = cut_of.get(w)
                 if cut is None:
@@ -546,11 +523,11 @@ class LiePiece:
                 if terms.get(w) != 1 or min(terms) != w:
                     raise InvariantError(f"bracketing {m} at {self.key} does not lead with 1 "
                                          "at its own pivot word")
-                forms.append((w, terms))
+                bracketings.append(terms)
             index = {pivot: m for m, pivot in enumerate(self.pivots)}
             lower = [{index[w]: t for w, t in terms.items() if w in index and w != pivot}
-                     for pivot, terms in forms]
-            self._expanded = (forms, lower)
+                     for pivot, terms in zip(self.pivots, bracketings)]
+            self._expanded = (bracketings, lower)
         return self._expanded
 
 
@@ -566,15 +543,6 @@ def lie_piece(gens: GeneratorSet, length: int, degree: int) -> LiePiece:
     if piece is None:
         piece = _basis_cache[key] = LiePiece(gens, length, degree)
     return piece
-
-
-def combine_forms(forms: list[LieForm], coeffs: dict[int, int]) -> dict[str, int]:
-    """sum_m coeffs[m] * forms[m] as integer terms, with no stored zeros."""
-    acc: dict[str, int] = {}
-    for m, c in coeffs.items():
-        for w, t in forms[m][1].items():
-            acc[w] = acc.get(w, 0) + c * t
-    return {w: t for w, t in acc.items() if t}
 
 
 def solve_unitriangular(lower: list[tuple[int, dict[int, int]]], x: dict[int, int]) -> dict[int, int]:
@@ -605,9 +573,10 @@ def lie_basis(gens: GeneratorSet, length: int, degree: int) -> list[TensorElt]:
     lexicographic word order (pivot coefficient 1); built on each call, with
     element j the bracketings of `lie_piece` times S * e_j, applied by
     forward substitution over T (S is never stored)."""
-    forms, lower = lie_piece(gens, length, degree).expand()
+    bracketings, lower = lie_piece(gens, length, degree).expand()
     columns = [(0, col) for col in lower]
-    elements = (combine_forms(forms, solve_unitriangular(columns, {j: 1})) for j in range(len(forms)))
+    elements = (_combine_columns(bracketings, solve_unitriangular(columns, {j: 1}))
+                for j in range(len(bracketings)))
     return [TensorElt(gens, {decode_word(w): c for w, c in terms.items()}) for terms in elements]
 
 

@@ -283,7 +283,8 @@ def gf2_pivots(cols: Iterable[dict[int, int]]) -> list[Optional[int]]:
 
 
 class Subspace:
-    """A subspace of Q^n held as a reduced-echelon basis."""
+    """A subspace of Q^n held as a reduced-echelon basis, with the echelon
+    it was built from, which spans it, for membership tests."""
 
     def __init__(self, ambient: int, basis_rows: Iterable[dict]):
         ech = IntEchelon()
@@ -295,28 +296,19 @@ class Subspace:
         self.ambient = ambient
         self.basis: list[Vec] = ech.rref()
         self.pivots: list[int] = [min(r) for r in self.basis]
-        self._echelon: Optional[IntEchelon] = None
+        self._echelon = ech
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def _membership(self) -> IntEchelon:
-        """The basis as an echelon for membership tests, built on first use."""
-        if self._echelon is None:
-            self._echelon = IntEchelon()
-            for row in self.basis:
-                self._echelon.insert(row)
-        return self._echelon
-
     def contains(self, vec: dict) -> bool:
-        return self._membership().contains(vec)
+        return self._echelon.contains(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise DimensionMismatch("ambient dimensions differ")
-        ech = self._membership()
-        return all(ech.contains(r) for r in other.basis)
+        return all(self._echelon.contains(r) for r in other.basis)
 
     def __eq__(self, other):
         return (

@@ -268,6 +268,16 @@ def test_cli_invalid_dgl_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["pronil", "validate"])
+def test_cli_conflicting_lie_table_exit_code(command, tmp_path):
+    # [b, a] = c is no graded flip of [a, b] = c in degree 0
+    p = tmp_path / "conflict.lietable"
+    p.write_text("kind: lie-table\n[generators]\na : 0\nb : 0\nc : 0\n[brackets]\n[a, b] = c\n[b, a] = c\n")
+    code, out = run_cli([command, str(p)])
+    assert code == 2
+    assert out == "error: conflicting values for [b, a]\n"
+
+
 def test_cli_out_flag(tmp_path):
     path = os.path.join(FILES, "affine_line.lietable")
     target = tmp_path / "report.json"

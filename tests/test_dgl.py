@@ -544,17 +544,17 @@ def bracket_cases():
 
 
 def slice_forms(sl):
-    """The bracketings (pivot word, word terms) of a slice, with every piece
+    """The word terms of the bracketings of a slice, with every piece
     expanded."""
     sl._expand(range(1, sl.n))
     return sl._forms
 
 
 def t_columns(sl):
-    """T of a slice read off its forms: column m holds the coefficients of
-    the pivot words in forms[m]."""
+    """T of a slice read off its bracketings: column m holds the coefficients
+    of the pivot words in bracketing m."""
     index = {pivot: k for k, pivot in enumerate(sl.pivots)}
-    return [{index[w]: c for w, c in terms.items() if w in index} for _, terms in slice_forms(sl)]
+    return [{index[w]: c for w, c in terms.items() if w in index} for terms in slice_forms(sl)]
 
 
 def s_columns(sl):
@@ -648,10 +648,10 @@ def test_substitution_over_t_gives_s_times_echelon_coordinates():
             sl = P.slice(q, N)
             for _ in range(6 if sl.dim else 0):
                 c = {i: rng.choice([-3, -1, 1, 2, 5]) for i in rng.sample(range(sl.dim), min(sl.dim, 4))}
-                terms = sl._combine(c)
+                den, terms = sl.int_element(c)
                 a = sl.int_coords(terms)
-                assert a == sl.basis_coeffs(c) and sl.echelon_coords(a) == c
-                assert freelie.combine_forms(slice_forms(sl), a) == terms
+                assert den == 1 and a == sl.basis_coeffs(c) and sl.echelon_coords(a) == c
+                assert linalg._combine_columns(slice_forms(sl), a) == terms
                 checked += 1
     assert checked > 40
 
@@ -803,10 +803,10 @@ def test_pieces_built_on_demand_equal_the_eager_build(monkeypatch):
         assert read and len(read) < len(pieces)
         memo = {}
         for (gens, length, degree), piece in pieces:
-            forms, lower = piece.expand()
+            bracketings, lower = piece.expand()
             want = eager_piece(gens, length, degree, memo)
-            assert [list(terms.items()) for _, terms in forms] == [list(terms.items()) for _, terms in want[0]]
-            assert ([pivot for pivot, _ in forms], lower) == (piece.pivots, want[1]), (gens, length, degree)
+            assert [list(terms.items()) for terms in bracketings] == [list(terms.items()) for _, terms in want[0]]
+            assert (piece.pivots, lower) == ([pivot for pivot, _ in want[0]], want[1]), (gens, length, degree)
         built += len(read)
         lazy += len(pieces) - len(read)
     assert built > 100 and lazy > 200
@@ -817,7 +817,7 @@ def word_path_columns(P, dm):
     expanded into words, derived and read back by `int_coords`, which drops
     the words of length >= the target's n."""
     src, tgt = dm._slices
-    return [tgt.int_coords(dgl._derive_int(P, terms)) if tgt.dim else {} for _, terms in slice_forms(src)]
+    return [tgt.int_coords(dgl._derive_int(P, terms)) if tgt.dim else {} for terms in slice_forms(src)]
 
 
 def odd_square_presentations():

@@ -2,7 +2,7 @@
 
 * `lie_basis` (standard Lyndon bracketings) against the echelonized image
   of the left-normed bracketing map on every tensor word, and the held
-  bracketings (`freelie.lie_basis_forms`: unitriangular at their pivot
+  bracketings (`freelie.LiePiece.expand`: unitriangular at their pivot
   words, with T held below its diagonal and S = T^-1 applied by forward
   substitution over T, `freelie.solve_unitriangular`) against a Fraction
   Gauss-Jordan elimination, and
@@ -14,7 +14,7 @@
 * `IntEchelon.rref` (integer back-substitution) against a Fraction
   Gauss-Jordan elimination;
 * `DegreeSlice.coords` / `element_from_coords` (one-pass reconstruction),
-  and the slices' integer forms (`freelie.lie_basis_forms`) against
+  and the slices' bracketings (`freelie.lie_piece`) against
   `lie_basis`, each held once and shared by the slices of its piece;
 * `QuotientComplex` matrices (d and coordinates on integer forms) against
   Fraction derivation images read through `coords`;
@@ -206,13 +206,14 @@ def test_bracketings_are_unitriangular_and_s_inverts_t(degrees):
     checked = 0
     for n in range(1, max_length + 1):
         for d in range(min(degrees) * n, max(degrees) * n + 1):
-            held, lower = freelie.lie_piece(gens, n, d).expand()
-            forms = decoded(held)
-            assert forms == bracketings(gens, n, d) and len(lower) == len(forms)
+            piece = freelie.lie_piece(gens, n, d)
+            held, lower = piece.expand()
+            forms = decoded(piece)
+            assert forms == bracketings(gens, n, d) and len(lower) == len(held) == len(forms)
             pivots = [w for w, _ in forms]
             # str order of the held words is tuple order
-            assert pivots == sorted(set(pivots)) and [w for w, _ in held] == sorted(w for w, _ in held)
-            for pivot, terms in held:
+            assert pivots == sorted(set(pivots)) and piece.pivots == sorted(piece.pivots)
+            for pivot, terms in zip(piece.pivots, held):
                 assert terms[pivot] == 1 and min(terms) == pivot
             # T is unitriangular: 1 on the diagonal, held below it only
             for m, (_, terms) in enumerate(forms):
@@ -276,14 +277,14 @@ def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
             piece = freelie.lie_piece(gens, n, d)
             held, lower = piece.expand()
             want = bracketings(gens, n, d)
-            assert [decode_word(w) for w, _ in held] == [w for w, _ in want], (n, d)
+            assert [decode_word(w) for w in piece.pivots] == [w for w, _ in want], (n, d)
             # the Lyndon words and their standard cuts: v of w = uv is the
             # longest proper Lyndon suffix, and a letter has cut 0
             lyndon = [w for w, _ in want if is_lyndon(w)]
             assert [decode_word(w) for w in piece.words] == lyndon, (n, d)
             assert piece.cuts == [next((i for i in range(1, len(w)) if is_lyndon(w[i:])), 0)
                                   for w in lyndon], (n, d)
-            assert decoded(held) == want, (n, d)
+            assert decoded(piece) == want, (n, d)
             # the held T is the enumeration's unitriangular matrix T, and the
             # forward substitution over it inverts it
             pivots = [w for w, _ in want]
@@ -292,7 +293,7 @@ def test_pieces_built_from_their_factors_match_the_word_enumeration(degrees):
             assert_solve_inverts_t(lower, pivots, [terms for _, terms in want])
             squares += sum(not is_lyndon(w) for w, _ in want)
             forms_seen += len(want)
-            for (_, terms), (_, old) in zip(held, want):
+            for terms, (_, old) in zip(held, want):
                 img = {decode_word(w): Fraction(c, P._diff_den) for w, c in dgl._derive_int(P, terms).items()}
                 cut = {w: c for w, c in img.items() if len(w) <= n}
                 elt = TensorElt(gens, old)
@@ -449,8 +450,8 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
         # bracketings, not reduced echelon rows: each leads with 1 at its
         # pivot word, and T is unitriangular, held below its diagonal
         sl._expand(range(1, sl.n))
-        for i, (pivot, terms) in enumerate(sl._forms):
-            assert pivot == sl.pivots[i] and terms[pivot] == 1 and min(terms) == pivot and type(pivot) is str
+        for i, (pivot, terms) in enumerate(zip(sl.pivots, sl._forms)):
+            assert terms[pivot] == 1 and min(terms) == pivot and type(pivot) is str
             offset, col = sl._lower[i]
             assert all(k > i - offset and sl.lengths[offset + k] == sl.lengths[i] for k in col)
         # S * x by forward substitution over the held T: T * (S * e_j) = e_j
@@ -463,7 +464,7 @@ def test_each_basis_element_is_held_once_as_an_integer_form():
     differ = 0
     for (gens, length, degree), piece in freelie._basis_cache.items():
         if gens == P.gens:
-            forms = decoded(piece.expand()[0])
+            forms = decoded(piece)
             assert forms == bracketings(gens, length, degree)
             rref = rref_basis(gens, degree, length + 1)[-len(forms):]
             differ += [terms for _, terms in forms] != [b.terms for b in rref]
@@ -497,8 +498,7 @@ def test_a_cold_certified_tower_expands_only_the_generator_images(monkeypatch):
     assert max(length for _, length, _ in freelie._basis_cache) == 8
     expanded = {key[1:]: piece.expand()[0] for key, piece in freelie._basis_cache.items()
                 if piece._expanded is not None}
-    assert expanded == {(1, 0): [("\x00", {"\x00": 1}), ("\x01", {"\x01": 1})],
-                        (2, 0): [("\x00\x01", {"\x00\x01": 1, "\x01\x00": -1})]}
+    assert expanded == {(1, 0): [{"\x00": 1}, {"\x01": 1}], (2, 0): [{"\x00\x01": 1, "\x01\x00": -1}]}
 
 
 def remark():
@@ -1182,7 +1182,29 @@ def test_subspace_membership_echelon_is_built_once(monkeypatch):
     monkeypatch.setattr(linalg.IntEchelon, "insert", lambda self, v: inserts.append(v) or orig(self, v))
     assert w.contains({0: 2, 1: 4, 2: 7}) and not w.contains({1: 1})
     assert w.contains_subspace(linalg.Subspace(3, [{0: 1, 1: 2}]))
-    assert len(inserts) == 2 + 1  # the two basis rows once, the other subspace's row
+    assert len(inserts) == 1  # the other subspace's row: w reads the echelon it was built from
+
+
+def test_subspace_membership_inserts_nothing_after_construction(monkeypatch):
+    # contains and contains_subspace read the construction echelon, which
+    # spans the reduced basis: no insert, and the same answers as the rows
+    from lietower import linalg
+
+    rng = random.Random(41)
+    spaces = [linalg.Subspace(5, random_rows(rng, rng.randint(0, 4), 5, rational=True)) for _ in range(12)]
+    probes = random_rows(rng, 20, 5, rational=True) + [row for w in spaces for row in w.basis]
+    inserts = []
+    orig = linalg.IntEchelon.insert
+    monkeypatch.setattr(linalg.IntEchelon, "insert", lambda self, v: inserts.append(v) or orig(self, v))
+    found = 0
+    for w in spaces:
+        for v in probes:
+            want = len(fraction_rref(w.basis + [v])) == w.dim
+            assert w.contains(v) == want
+            found += want
+        for u in spaces:
+            assert w.contains_subspace(u) == (len(fraction_rref(w.basis + u.basis)) == w.dim)
+    assert inserts == [] and found > 20
 
 
 def test_compose_matches_entrywise_product():
@@ -1633,9 +1655,11 @@ def bracketings(gens, length, degree):
     return sorted(((w, {v: int(c) for v, c in p.terms.items()}) for w, p in out), key=lambda form: form[0])
 
 
-def decoded(forms):
-    """Held forms with tuple words, terms in their held order."""
-    return [(decode_word(p), {decode_word(w): c for w, c in terms.items()}) for p, terms in forms]
+def decoded(piece):
+    """The bracketings of a piece as (pivot word, terms) with tuple words,
+    terms in their held order."""
+    return [(decode_word(p), {decode_word(w): c for w, c in terms.items()})
+            for p, terms in zip(piece.pivots, piece.expand()[0])]
 
 
 def rref_basis(gens, q, n):

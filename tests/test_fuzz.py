@@ -18,6 +18,10 @@ checked against the bracket expanded into words and read back by
 `int_coords`, the path it replaced; a deterministic sweep over small graded
 alphabets does the same for every pair up to total length 6 and counts
 which of the rewrite's seven cases each call takes.
+
+`pronil.FiniteLieData` gets random degree-consistent bracket tables, some
+with conflicting flips, and must refuse exactly those and keep graded
+antisymmetry on every other, since `validate` has no pass of its own for it.
 """
 
 import glob
@@ -35,7 +39,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lietower import cli, dgl, freelie  # noqa: E402
+from lietower import cli, dgl, freelie, pronil  # noqa: E402
 
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
 SUFFIXES = (".dgl", ".sullivan", ".lietable")
@@ -206,6 +210,69 @@ def test_forward_substitution_applies_the_inverse_of_t(case):
     assert got == apply(fraction_inverse(t), x)
 
 
+@st.composite
+def lie_tables(draw):
+    """A basis of up to five elements of degrees 0..3, brackets of random
+    pairs with values of the right degree, each pair's flip sometimes given
+    as well (as its graded flip or at random), and a truncation: `total`
+    and `max_degree` drawn."""
+    degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    names = [f"e{i}" for i in range(len(degrees))]
+    index = st.integers(0, len(names) - 1)
+    brackets = {}
+    for a, b in draw(st.lists(st.tuples(index, index), max_size=8)):
+        landing = [k for k, d in enumerate(degrees) if d == degrees[a] + degrees[b]]
+        value = draw(st.dictionaries(st.sampled_from(landing), st.integers(-3, 3), max_size=2)) if landing else {}
+        brackets[names[a], names[b]] = {names[k]: c for k, c in value.items()}
+        if draw(st.booleans()):
+            sign = -1 if degrees[a] * degrees[b] % 2 else 1
+            flip = {names[k]: -sign * c for k, c in value.items()}
+            brackets[names[b], names[a]] = flip if draw(st.booleans()) else {n: c + 1 for n, c in flip.items()}
+    return names, degrees, brackets, draw(st.booleans()), draw(st.integers(0, 6))
+
+
+def conflicts(degrees, brackets):
+    """Whether the brackets break graded antisymmetry: an even-degree
+    [a, a] != 0, or [a, b] and [b, a] both given and no graded flips."""
+    def nonzero(value):
+        return {n: c for n, c in value.items() if c}
+
+    for (a, b), value in brackets.items():
+        i, j = int(a[1:]), int(b[1:])
+        sign = -1 if degrees[i] * degrees[j] % 2 else 1
+        if i == j and sign == 1 and nonzero(value):
+            return True
+        other = brackets.get((b, a))
+        if other is not None and nonzero(other) != {n: -sign * c for n, c in nonzero(value).items()}:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(lie_tables())
+def test_every_table_is_graded_antisymmetric_by_construction(case):
+    # a table either is refused at construction, exactly when its brackets
+    # conflict, or has [j, i] = -(-1)^{|i||j|} [i, j] for every pair, with
+    # IncompleteTableError for both orders or for neither
+    names, degrees, brackets, total, max_degree = case
+    try:
+        table = pronil.FiniteLieData(zip(names, degrees), brackets, total=total, max_degree=max_degree)
+    except pronil.TableError as err:
+        assert conflicts(degrees, brackets) and not isinstance(err, pronil.IncompleteTableError)
+        return
+    assert not conflicts(degrees, brackets)
+    for i in range(len(names)):
+        for j in range(len(names)):
+            try:
+                vij = table.bracket_basis(i, j)
+            except pronil.IncompleteTableError:
+                with pytest.raises(pronil.IncompleteTableError):
+                    table.bracket_basis(j, i)
+                continue
+            sign = -1 if degrees[i] * degrees[j] % 2 else 1
+            assert table.bracket_basis(j, i) == {k: -sign * c for k, c in vij.items()}
+
+
 def rewritten(tgt, first, second):
     """`dgl._bracket_coords` of (pivot word, degree) pairs x and y, read at
     tgt's indices of its pivot words."""
@@ -223,7 +290,7 @@ def word_path(tgt, first, second):
 
 def form_terms(gens, word, degree):
     piece = freelie.lie_piece(gens, len(word), degree)
-    return piece.expand()[0][piece.pivots.index(word)][1]
+    return piece.expand()[0][piece.pivots.index(word)]
 
 
 @st.composite

@@ -43,6 +43,19 @@ def test_table_validation_even_square():
         FiniteLieData([("a", 0)], {("a", "a"): {"a": 1}})
 
 
+def test_table_conflicting_brackets_raise():
+    # [a, b] and [b, a] are both given: they must be graded flips of each
+    # other, -(-1)^{|a||b|} times; agreeing flips are accepted
+    with pytest.raises(TableError, match="conflicting values"):
+        FiniteLieData([("a", 0), ("b", 0), ("c", 0)], {("a", "b"): {"c": 1}, ("b", "a"): {"c": 1}})
+    with pytest.raises(TableError, match="conflicting values"):
+        FiniteLieData([("a", 1), ("b", 1), ("c", 2)], {("a", "b"): {"c": 1}, ("b", "a"): {"c": -1}})
+    even = FiniteLieData([("a", 0), ("b", 0), ("c", 0)], {("a", "b"): {"c": 1}, ("b", "a"): {"c": -1}})
+    odd = FiniteLieData([("a", 1), ("b", 1), ("c", 2)], {("a", "b"): {"c": 1}, ("b", "a"): {"c": 1}})
+    for t in (even, odd):
+        assert t.bracket_basis(0, 1) == {2: 1} and t.validate() == []
+
+
 def test_table_antisymmetry_derived():
     t = affine_table()
     got = t.bracket({t.index["x"]: Fraction(1)}, {t.index["y"]: Fraction(1)})
