@@ -25,6 +25,7 @@ from . import exprs
 from .freelie import (
     GeneratorSet,
     TensorElt,
+    _elt,
     _standard_cut,
     decode_word,
     encode_word,
@@ -201,11 +202,6 @@ def _int_form(u: TensorElt) -> tuple[int, dict[str, int]]:
     """(D, D * u) with str words, for D the least common denominator of u."""
     den, terms = _clear_denominators(u.terms)
     return den, {encode_word(w): c for w, c in terms.items()}
-
-
-def _elt(gens: GeneratorSet, terms: dict[str, int], den: int = 1) -> TensorElt:
-    """terms / den as a TensorElt, with tuple words."""
-    return TensorElt(gens, {decode_word(w): Fraction(c, den) for w, c in terms.items()})
 
 
 def extend_derivation(P: DglPresentation, u: TensorElt) -> TensorElt:

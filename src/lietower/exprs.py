@@ -11,8 +11,11 @@ mode.  The three characters ``(x)`` always lex as the tensor symbol, so a
 parenthesised bare generator named ``x`` must be written ``( x )``.
 
 Parsing flattens sums and folds scalar prefixes, so expressions have one
-canonical form: a tuple of (coefficient, node) pairs.  Pretty-printing that
-form and re-parsing is the identity.
+canonical form: a tuple of (coefficient, node) pairs.  A coefficient is an
+int when no scalar that went into it was written with '/', and a Fraction
+otherwise; int and Fraction compare and hash equal by value, so equal
+expressions give equal nodes either way.  Pretty-printing that form and
+re-parsing is the identity.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class Tensor(_Node):
     __slots__ = ("left", "right")
 
 
-Terms = tuple  # tuple[(Fraction, node), ...]
+Terms = tuple  # tuple[(int | Fraction, node), ...]
 
 
 _OPS = ("(x)", "+", "-", "*", "/", "[", "]", "(", ")", ",")
@@ -161,31 +164,36 @@ class _Parser:
         terms = self.expr()
         if self.peek()[0] != "end":
             self.error(f"trailing input {self.peek()[1]!r}")
-        for coeff, node in terms:
-            if node is None and coeff:
+        self._reject_scalar(terms)
+        return terms
+
+    def _reject_scalar(self, terms: Terms) -> None:
+        """Raise at the last scalar read when the terms of an `expr` hold a
+        bare scalar; `expr` drops zero sums, so `[x, 2 - 2]` passes."""
+        for _, node in terms:
+            if node is None:
                 line, col = self.scalar_pos
                 raise ParseError("a bare scalar is not an element", line, col)
-        return tuple((c, n) for c, n in terms if n is not None)
 
     def expr(self) -> Terms:
         acc: dict = {}
-        sign = Fraction(1)
+        sign = 1
         if self.peek()[0] == "-":
             self.next()
-            sign = Fraction(-1)
+            sign = -1
         self._accumulate(acc, self.term(), sign)
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            sign = Fraction(1) if op == "+" else Fraction(-1)
+            sign = 1 if op == "+" else -1
             self._accumulate(acc, self.term(), sign)
         return tuple((c, node) for node, c in acc.items() if c)
 
     @staticmethod
     def _accumulate(acc, terms, sign):
         for coeff, node in terms:
-            acc[node] = acc.get(node, Fraction(0)) + sign * coeff
+            acc[node] = acc.get(node, 0) + sign * coeff
 
-    def rational(self) -> Fraction:
+    def rational(self) -> int | Fraction:
         self.scalar_pos = self.peek()[2:]
         num = int(self.expect("int")[1])
         if self.peek()[0] == "/":
@@ -194,11 +202,11 @@ class _Parser:
             if den == 0:
                 self.error("zero denominator")
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def term(self) -> Terms:
         if self.mode == "tensor":
-            coeff = Fraction(1)
+            coeff = 1
             if self.peek()[0] == "int":
                 coeff = self.rational()
                 self.expect("*")
@@ -238,7 +246,7 @@ class _Parser:
                     f2 = n2.factors if isinstance(n2, Prod) else (n2.name,)
                     names = f1 + f2
                     node = Gen(names[0]) if len(names) == 1 else Prod(names)
-                out[node] = out.get(node, Fraction(0)) + c1 * c2
+                out[node] = out.get(node, 0) + c1 * c2
         return tuple((c, node) for node, c in out.items() if c)
 
     def _ident(self) -> str:
@@ -253,16 +261,18 @@ class _Parser:
     def atom(self) -> Terms:
         kind, value, line, col = self.peek()
         if kind == "ident":
-            return ((Fraction(1), Gen(self._ident())),)
+            return ((1, Gen(self._ident())),)
         if kind == "[":
             if self.mode not in ("lie",):
                 self.error("brackets are not allowed here")
             self.next()
             left = self.expr()
+            self._reject_scalar(left)
             self.expect(",")
             right = self.expr()
+            self._reject_scalar(right)
             self.expect("]")
-            return ((Fraction(1), Bracket(left, right)),)
+            return ((1, Bracket(left, right)),)
         if kind == "(":
             self.next()
             inner = self.expr()
@@ -287,7 +297,7 @@ def parse_tensor(text: str, known: Optional[set] = None, base_line: int = 1) -> 
     return _Parser(text, "tensor", known, base_line).parse()
 
 
-def _format_coeff(coeff: Fraction, atom_text: str) -> str:
+def _format_coeff(coeff: int | Fraction, atom_text: str) -> str:
     if coeff == 1:
         return atom_text
     if coeff.denominator == 1:

@@ -24,8 +24,8 @@ Dimensions are cross-checked against the necklace-style counting formula
 obtained by inverting the tensor-algebra Poincare series.
 
 Words are tuples of generator indices in a `TensorElt` and str inside the
-integer layer (the pieces and the slices and matrices of `dgl`), one
-character chr(i) per index: str order is tuple order, and a str caches its
+integer layer (the pieces, the evaluation of bracket expressions, and the
+slices and matrices of `dgl`), one character chr(i) per index: str order is tuple order, and a str caches its
 hash.  `encode_word` and `decode_word` convert at the edge.
 """
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 from typing import Iterable, Optional
 
 from . import exprs
@@ -209,6 +210,11 @@ def decode_word(word: str) -> Word:
     return tuple(map(ord, word))
 
 
+def _elt(gens: GeneratorSet, terms: dict[str, int], den: int = 1) -> TensorElt:
+    """terms / den as a TensorElt, with tuple words."""
+    return TensorElt(gens, {decode_word(w): Fraction(c, den) for w, c in terms.items()})
+
+
 def zero(gens: GeneratorSet) -> TensorElt:
     return TensorElt(gens)
 
@@ -279,21 +285,50 @@ def is_lie_element(u: TensorElt) -> bool:
 
 
 def eval_bracket_expr(gens: GeneratorSet, terms: exprs.Terms) -> TensorElt:
-    """Evaluate a parsed bracket expression to a tensor element."""
-    out = zero(gens)
+    """Evaluate a parsed bracket expression to a tensor element.
+
+    The expression is evaluated bottom-up in the integer layer, as one
+    denominator over int terms with str words, and one `TensorElt` is built
+    from the result (`_int_sum`)."""
+    den, (even, odd) = _int_sum(gens, terms)
+    return _elt(gens, {**even, **odd} if odd else even, den)
+
+
+def _int_sum(gens: GeneratorSet, terms: exprs.Terms) -> tuple[int, tuple[dict[str, int], dict[str, int]]]:
+    """(den, (even, odd)): den times the sum of `terms`, as int terms with
+    str words split by the parity of the words' degrees, so that a bracket
+    of inhomogeneous operands brackets each pair of parts with its sign
+    (`_int_bracket`).  A bracket's denominator is the product of its
+    operands', and a sum's is the lcm of its parts'."""
+    parts = []
     for coeff, node in terms:
-        out = out + coeff * _eval_node(gens, node)
-    return out
-
-
-def _eval_node(gens: GeneratorSet, node) -> TensorElt:
-    if isinstance(node, exprs.Gen):
-        return gen_elt(gens, node.name)
-    if isinstance(node, exprs.Bracket):
-        return graded_bracket(
-            eval_bracket_expr(gens, node.left), eval_bracket_expr(gens, node.right)
-        )
-    raise NameError_(f"node {node!r} is not a Lie expression")
+        halves: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        if isinstance(node, exprs.Gen):
+            i = gens.index.get(node.name)
+            if i is None:
+                raise NameError_(f"unknown generator {node.name!r}")
+            den = 1
+            halves[gens.degrees[i] % 2][chr(i)] = 1
+        elif isinstance(node, exprs.Bracket):
+            (den_u, u), (den_v, v) = _int_sum(gens, node.left), _int_sum(gens, node.right)
+            den = den_u * den_v
+            for pu, pv in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                if u[pu] and v[pv]:
+                    for w, c in _int_bracket(u[pu], pu, v[pv], pv).items():
+                        _add_term(halves[pu ^ pv], w, c)
+        else:
+            raise NameError_(f"node {node!r} is not a Lie expression")
+        parts.append((coeff.numerator, coeff.denominator * den, halves))
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1:]
+    den = lcm(*(d for _, d, _ in parts))
+    total: tuple[dict[str, int], dict[str, int]] = ({}, {})
+    for num, d, halves in parts:
+        scale = num * (den // d)
+        for out, half in zip(total, halves):
+            for w, c in half.items():
+                _add_term(out, w, scale * c)
+    return den, total
 
 
 def parse_element(gens: GeneratorSet, text: str) -> TensorElt:

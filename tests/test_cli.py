@@ -3,10 +3,11 @@ import hashlib
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from lietower import cli
+from lietower import cli, exprs
 from lietower.exprs import ParseError
 
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
@@ -479,3 +480,56 @@ def test_cli_exit_code_contract_on_shipped_files(command, name):
     # exception fails the test as exit 1 would
     code, _ = run_cli([command, os.path.join(FILES, name)])
     assert code in (0, 2, 3, 4)
+
+
+ODD_TEXT = "kind: dgl\n[generators]\nx : 1\ny : 1\nu : 3\nv : 3\n[differential]\nd u = [x, y]\nd v = [x, x]\n"
+
+
+def test_cli_bare_scalar_inside_a_bracket_exit_code(tmp_path, capsys):
+    # a scalar inside a bracket is a parse error (exit 2), as at top level,
+    # and a zero scalar sums away
+    path = os.path.join(FILES, "stubborn_cycle.dgl")
+    assert run_cli(["boundary", path, "--target", "[x, 2]"]) == (2, "error: 1:5: a bare scalar is not an element\n")
+    for target in ("[x, 0]", "[x, 2 - 2]"):
+        assert run_cli(["boundary", path, "--target", target]) == (0, "SAT(witness=0)\n")
+    p = tmp_path / "scalar.dgl"
+    p.write_text(REMARK_TEXT.replace("d z = x - [y, x]", "d z = x - [y, 2]"))
+    capsys.readouterr()
+    assert run_cli(["validate", str(p)]) == (2, "")
+    assert capsys.readouterr().err == "parse error at 9:10: a bare scalar is not an element\n"
+
+
+def test_cli_boundary_on_odd_generators(tmp_path):
+    # [y, [x, x]] = -2 [x, [x, y]] for odd x and y (Jacobi), so the target is
+    # 11/6 [x, [x, y]], the boundary of 11/6 [x, u]
+    p = tmp_path / "odd.dgl"
+    p.write_text(ODD_TEXT)
+    code, out = run_cli(["boundary", str(p), "--target", "1/2*[x, [x, y]] - 2/3*[y, [x, x]]", "--max-length", "6"])
+    assert (code, out) == (0, "SAT(witness=-11/6*x.u - 11/6*u.x)\n")
+
+
+def as_fractions(terms):
+    """Parsed terms with every coefficient a Fraction, at every depth."""
+    def node(n):
+        return exprs.Bracket(as_fractions(n.left), as_fractions(n.right)) if isinstance(n, exprs.Bracket) else n
+    return tuple((Fraction(c), node(n)) for c, n in terms)
+
+
+def test_cli_structured_reports_do_not_depend_on_parsed_coefficient_types(tmp_path, monkeypatch):
+    # the parser keeps integral coefficients as int, and `_jsonable` writes
+    # the int 3 as 3 but Fraction(3) as "3": every structured report must be
+    # the same when every parsed coefficient is a Fraction
+    odd = tmp_path / "odd.dgl"
+    odd.write_text(ODD_TEXT)
+    stubborn = os.path.join(FILES, "stubborn_cycle.dgl")
+    requests = [[command, path, "--format", "structured"] for command in cli.COMMANDS for path in shipped_files()]
+    requests += [[command, str(odd), "--format", "structured"] for command in ("validate", "homology")]
+    requests += [["boundary", str(odd), "--target", "1/2*[x, [x, y]] - 2/3*[y, [x, x]]", "--max-length", "6",
+                  "--format", "structured"],
+                 ["boundary", stubborn, "--target", "3*[x, 2/3*x - [y, x]] + 4/2*[y, [x, y]]", "--exact",
+                  "--max-length", "6", "--format", "structured"]]
+    plain = [run_cli(args) for args in requests]
+    parse = exprs._Parser.parse
+    monkeypatch.setattr(exprs._Parser, "parse", lambda self: as_fractions(parse(self)))
+    assert [run_cli(args) for args in requests] == plain
+    assert sum(code == 0 for code, _ in plain) >= 20

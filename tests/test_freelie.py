@@ -246,6 +246,24 @@ def test_format_round_trip():
         assert t1 == t2
 
 
+def test_parser_keeps_integral_coefficients_as_int():
+    # a coefficient is an int unless a '/' went into it; int and Fraction
+    # compare and hash equal by value, so nodes and printing are the same
+    ((two, bracket),) = exprs.parse_lie("2*[x, y]")
+    assert type(two) is int and two == 2
+    assert [type(c) for c, _ in bracket.left + bracket.right] == [int, int]
+    ((half, _),) = exprs.parse_lie("1/2*[x, y]")
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    ((four_halves, same),) = exprs.parse_lie("4/2*[x, y]")
+    assert type(four_halves) is Fraction and (four_halves, same) == (two, bracket)
+    assert hash(exprs.parse_lie("4/2*[x, y]")) == hash(exprs.parse_lie("2*[x, y]"))
+    inner = exprs.parse_lie("[4/2*x, y]")[0][1], exprs.parse_lie("[2*x, y]")[0][1]
+    assert inner[0] == inner[1] and hash(inner[0]) == hash(inner[1])
+    assert exprs.format_terms(exprs.parse_lie("4/2*[x, y]")) == "2 * [x, y]"
+    for text in ("2 * [x, y]", "1/2 * [x, y]", "-3 * x + 5/3 * [x, [2 * x, y]]"):
+        assert exprs.format_terms(exprs.parse_lie(text)) == text
+
+
 def test_expression_nodes_are_immutable_values():
     # parsing folds equal nodes into one coefficient, so equality and hash
     # must follow the class and the fields

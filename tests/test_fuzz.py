@@ -22,6 +22,15 @@ which of the rewrite's seven cases each call takes.
 `pronil.FiniteLieData` gets random degree-consistent bracket tables, some
 with conflicting flips, and must refuse exactly those and keep graded
 antisymmetry on every other, since `validate` has no pass of its own for it.
+
+`freelie.eval_bracket_expr`, which evaluates a parsed expression on int
+terms with str words over one denominator, gets random expressions of
+bracket depth <= 4 with rational coefficients over random graded alphabets
+with an odd letter, with inhomogeneous operands and brackets that cancel by
+bilinearity, and is checked against `TensorElt` arithmetic with
+`graded_bracket`.  `exprs.parse_lie` gets such expressions with scalars
+among their atoms, and text over the input syntax, and must raise
+`ParseError` or keep no bare scalar in any bracket.
 """
 
 import glob
@@ -39,7 +48,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lietower import cli, dgl, freelie, pronil  # noqa: E402
+from lietower import cli, dgl, exprs, freelie, pronil  # noqa: E402
 
 FILES = os.path.join(os.path.dirname(__file__), "..", "demos", "files")
 SUFFIXES = (".dgl", ".sullivan", ".lietable")
@@ -362,3 +371,92 @@ def test_every_case_of_the_bracket_rewrite_agrees_with_the_word_expansion(monkey
                     assert rewritten(tgt, (x, dx), (y, dy)) == word_path(tgt, (x, dx), (y, dy)), (degrees, x, y)
                     pairs += 1
     assert pairs > 6000 and min(hits.values()) > 50, (pairs, hits)
+
+
+# unsigned scalar prefixes of a term; the sign comes from the sum
+COEFFICIENTS = ("", "", "2*", "4/2*", "1/2*", "3/4*", "5/3*", "0*")
+KINDS = ("bracket", "bracket", "bracket", "atom", "cancel")
+
+
+@st.composite
+def lie_texts(draw, atoms: tuple) -> str:
+    """A Lie expression over the given atoms, of bracket depth <= 4 and about
+    nine atoms at most.  A term is an atom, a bracket of two sums, or
+    [A + C, B] - [C, B], whose C parts cancel by bilinearity but not in the
+    parser; sums mix degrees freely, and coefficients are rational."""
+    budget = [draw(st.integers(2, 9))]
+
+    def expr(depth: int) -> str:
+        text = ""
+        for k in range(draw(st.integers(1, 3))):
+            if k and budget[0] <= 0:
+                break
+            kind = draw(st.sampled_from(KINDS)) if depth and budget[0] >= 2 else "atom"
+            if kind == "atom":
+                budget[0] -= 1
+                atom = draw(st.sampled_from(atoms))
+            elif kind == "bracket":
+                atom = f"[{expr(depth - 1)}, {expr(depth - 1)}]"
+            else:
+                a, b, c = expr(depth - 1), expr(depth - 1), expr(depth - 1)
+                # "(x)" lexes as the tensor symbol, so parentheses are spaced
+                atom = f"( [( {a} ) + ( {c} ), {b}] - [{c}, {b}] )"
+            sign = draw(st.sampled_from(("+", "-")))
+            term = draw(st.sampled_from(COEFFICIENTS)) + atom
+            text += (f" {sign} " if k else ("-" if sign == "-" else "")) + term
+        return text
+
+    return expr(4)
+
+
+@st.composite
+def graded_expressions(draw):
+    """(gens, text): a graded alphabet of one to four letters of degrees 0..3
+    with at least one odd letter, and a Lie expression over its letters."""
+    degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(lambda ds: any(d % 2 for d in ds)))
+    names = ("x", "y", "z", "w")[: len(degrees)]
+    return freelie.GeneratorSet(names, degrees), draw(lie_texts(names))
+
+
+def tensor_eval(gens, terms):
+    """The sum of parsed terms in `TensorElt` arithmetic, every bracket by
+    `graded_bracket`: the reference for `eval_bracket_expr`."""
+    out = freelie.zero(gens)
+    for coeff, node in terms:
+        if isinstance(node, exprs.Gen):
+            value = freelie.gen_elt(gens, node.name)
+        else:
+            value = freelie.graded_bracket(tensor_eval(gens, node.left), tensor_eval(gens, node.right))
+        out = out + coeff * value
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_expressions())
+def test_eval_bracket_expr_agrees_with_tensor_arithmetic(case):
+    gens, text = case
+    terms = exprs.parse_lie(text, known=set(gens.names))
+    got = freelie.eval_bracket_expr(gens, terms)
+    assert got == tensor_eval(gens, terms), text
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def nodes(terms):
+    """Every node of parsed terms, inside brackets too."""
+    for _, node in terms:
+        yield node
+        if isinstance(node, exprs.Bracket):
+            yield from nodes(node.left)
+            yield from nodes(node.right)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(lie_texts(("x", "y", "2", "0", "(2 - 2)")), st.text(alphabet=SYNTAX, max_size=16)))
+def test_parse_lie_keeps_no_bare_scalar(text):
+    # a scalar that is not zero is refused at any depth, so no evaluator
+    # meets a None node; a zero scalar, such as [x, 2 - 2], sums away
+    try:
+        terms = exprs.parse_lie(text)
+    except exprs.ParseError:
+        return
+    assert None not in nodes(terms), text
